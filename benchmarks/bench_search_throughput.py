@@ -3,9 +3,10 @@
 Measures trials/sec for the FNAS loop (MNIST space, PYNQ-Z1, 5 ms spec,
 surrogate evaluator) in three configurations:
 
-* ``sequential-seed`` -- ``batch_size=1`` with the layer-level tiling
-  memo disabled: the exact wall-clock profile (and trajectory) of the
-  pre-refactor seed code.
+* ``sequential-seed`` -- ``batch_size=1`` with the layer-level memo
+  disabled: the seed's trajectory, with every fresh architecture's
+  tilings chosen anew.  Selection is closed-form now, so this is no
+  longer the seed code's wall-clock profile; it only skips the memo.
 * ``sequential-cached`` -- ``batch_size=1`` with the two-tier cache on:
   isolates the tier-1 (cross-fingerprint layer memo) win.
 * ``batched`` -- ``batch_size=32`` with the full batched runtime:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -109,11 +110,23 @@ class SearchSpace:
         """Length of a full token sequence."""
         return self.num_layers * self.decisions_per_layer
 
-    def decision_kind(self, step: int) -> str:
-        """Which hyperparameter the ``step``-th token selects."""
+    @cached_property
+    def _steps(self) -> tuple[tuple[str, tuple], ...]:
+        """``(kind, choices)`` of every token position, built once."""
+        return tuple(
+            (kind, self.choices(kind))
+            for _ in range(self.num_layers)
+            for kind in self.kinds_per_layer
+        )
+
+    def _step(self, step: int) -> tuple[str, tuple]:
         if not 0 <= step < self.num_decisions:
             raise ValueError(f"step {step} out of range [0, {self.num_decisions})")
-        return self.kinds_per_layer[step % self.decisions_per_layer]
+        return self._steps[step]
+
+    def decision_kind(self, step: int) -> str:
+        """Which hyperparameter the ``step``-th token selects."""
+        return self._step(step)[0]
 
     def choices(self, kind: str) -> tuple:
         """The choice list for a decision ``kind``."""
@@ -129,7 +142,7 @@ class SearchSpace:
 
     def choices_at(self, step: int) -> tuple:
         """The choice list the ``step``-th token indexes into."""
-        return self.choices(self.decision_kind(step))
+        return self._step(step)[1]
 
     @property
     def size(self) -> int:
@@ -155,21 +168,20 @@ class SearchSpace:
             raise ValueError(
                 f"expected {self.num_decisions} tokens, got {len(tokens)}"
             )
-        types, sizes, counts = [], [], []
-        for step, token in enumerate(tokens):
-            choices = self.choices_at(step)
+        picked: dict[str, list] = {
+            CONV_TYPE: [], FILTER_SIZE: [], FILTER_COUNT: []
+        }
+        for step, (token, (kind, choices)) in enumerate(
+            zip(tokens, self._steps)
+        ):
             if not 0 <= token < len(choices):
                 raise ValueError(
                     f"token {token} at step {step} out of range for "
                     f"{len(choices)} choices"
                 )
-            kind = self.decision_kind(step)
-            if kind == CONV_TYPE:
-                types.append(choices[token])
-            elif kind == FILTER_SIZE:
-                sizes.append(choices[token])
-            else:
-                counts.append(choices[token])
+            picked[kind].append(choices[token])
+        types = picked[CONV_TYPE]
+        sizes, counts = picked[FILTER_SIZE], picked[FILTER_COUNT]
         if not types and self.conv_types != ("standard",):
             # A single non-standard conv type is fixed, not searched:
             # no token carries it, but every layer still uses it.

@@ -23,10 +23,20 @@ buffered on-chip buffers, which maximises data reuse (design principle
 P2) at the cost of a slightly later downstream start -- the
 :class:`~repro.latency.explorer.DesignExplorer` can revisit that
 trade-off with the full analytical model in the loop.
+
+Every choice is made by a closed form rather than by enumerating
+candidates against the buffer model.  The buffers grow with each tile
+dimension, so solving the BRAM inequality for the last free dimension
+gives its largest fitting value directly; the selection objectives and
+tie-breaks are unchanged, and ``tests/fpga/tiling_reference.py`` keeps
+the enumerating selection as the oracle the closed forms are checked
+against.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import hashlib
 import json
 import os
@@ -43,6 +53,12 @@ WORD_BYTES = 2
 
 #: double-buffering factor: compute on one buffer while loading the next.
 DOUBLE_BUFFER = 2
+
+#: Version of the tiling-selection algorithm.  It is part of every
+#: :class:`TilingDiskCache` key, so bump it whenever selection can
+#: return a different tiling for the same inputs: entries written by the
+#: old code then read as misses instead of serving stale tilings.
+TILING_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -66,85 +82,102 @@ class TilingVector:
         return self.tm * self.tn
 
 
+#: A quantity :class:`LayerDesign` derives from its inputs at construction.
+_derived = functools.partial(field, init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class LayerDesign:
     """A layer bound to a PE with a concrete tiling vector.
 
     All tile-count and timing quantities used by FNAS-GG, FNAS-Sched and
-    FNAS-Analyzer are derived here once.
+    FNAS-Analyzer are derived here once, at construction:
+
+    * ``n_ifm_channel_tiles`` -- ``ceil(N / Tn)`` (the paper's
+      ``|CH_ifm|``); ``n_ofm_channel_tiles`` -- ``ceil(M / Tm)``
+      (``|CH_ofm|``);
+    * ``n_row_tiles`` -- ``ceil(R / Tr)``; ``n_col_tiles`` --
+      ``ceil(C / Tc)``; ``n_rc_tiles`` -- their product (``|RC|``);
+    * ``task_count`` -- tasks this PE executes per inference.  Depthwise
+      layers have no channel reduction: each channel tile is both the
+      input and the output of its tasks, so the counts do not multiply;
+    * ``execution_time`` -- cycles for one task, ``Kh * Kw * Tr * Tc``
+      (the paper's ``ET_i``);
+    * ``effective_execution_time`` -- steady-state cycles per task under
+      phase overlap.  Without a :class:`~repro.fpga.dram.PhaseLatency`
+      attached (the flat-bandwidth memory model) this *is*
+      ``execution_time``, which is what keeps DRAM-less devices
+      byte-identical to the seed; with one, a task costs
+      ``max(load, compute, write)`` because the double-buffered phases
+      of consecutive tasks overlap;
+    * ``effective_processing_time`` -- whole-layer cycles under phase
+      overlap.
     """
 
     layer_index: int
     spec: ConvLayerSpec
     tiling: TilingVector
     phases: PhaseLatency | None = None
+    n_ifm_channel_tiles: int = _derived()
+    n_ofm_channel_tiles: int = _derived()
+    n_row_tiles: int = _derived()
+    n_col_tiles: int = _derived()
+    n_rc_tiles: int = _derived()
+    task_count: int = _derived()
+    execution_time: int = _derived()
+    effective_execution_time: int = _derived()
+    effective_processing_time: int = _derived()
 
     def __post_init__(self) -> None:
-        if self.spec.is_depthwise and self.tiling.tm != self.tiling.tn:
+        spec, tiling = self.spec, self.tiling
+        out_rows, out_cols = spec.out_rows, spec.out_cols
+        depthwise = spec.is_depthwise
+        if depthwise and tiling.tm != tiling.tn:
             raise ValueError(
                 f"layer {self.layer_index}: depthwise tiling needs Tm == Tn, "
-                f"got Tm={self.tiling.tm} Tn={self.tiling.tn}"
+                f"got Tm={tiling.tm} Tn={tiling.tn}"
             )
-        if self.tiling.tm > self.spec.out_channels:
+        if tiling.tm > spec.out_channels:
             raise ValueError(
-                f"layer {self.layer_index}: Tm {self.tiling.tm} exceeds "
-                f"out_channels {self.spec.out_channels}"
+                f"layer {self.layer_index}: Tm {tiling.tm} exceeds "
+                f"out_channels {spec.out_channels}"
             )
-        if self.tiling.tn > self.spec.in_channels:
+        if tiling.tn > spec.in_channels:
             raise ValueError(
-                f"layer {self.layer_index}: Tn {self.tiling.tn} exceeds "
-                f"in_channels {self.spec.in_channels}"
+                f"layer {self.layer_index}: Tn {tiling.tn} exceeds "
+                f"in_channels {spec.in_channels}"
             )
-        if self.tiling.tr > self.spec.out_rows:
+        if tiling.tr > out_rows:
             raise ValueError(
-                f"layer {self.layer_index}: Tr {self.tiling.tr} exceeds "
-                f"out_rows {self.spec.out_rows}"
+                f"layer {self.layer_index}: Tr {tiling.tr} exceeds "
+                f"out_rows {out_rows}"
             )
-        if self.tiling.tc > self.spec.out_cols:
+        if tiling.tc > out_cols:
             raise ValueError(
-                f"layer {self.layer_index}: Tc {self.tiling.tc} exceeds "
-                f"out_cols {self.spec.out_cols}"
+                f"layer {self.layer_index}: Tc {tiling.tc} exceeds "
+                f"out_cols {out_cols}"
             )
-
-    # -- tile counts (paper's |CH_ifm|, |CH_ofm|, |RC|) ---------------------
-
-    @property
-    def n_ifm_channel_tiles(self) -> int:
-        """``ceil(N / Tn)`` -- IFM channel tiles."""
-        return -(-self.spec.in_channels // self.tiling.tn)
-
-    @property
-    def n_ofm_channel_tiles(self) -> int:
-        """``ceil(M / Tm)`` -- OFM channel tiles."""
-        return -(-self.spec.out_channels // self.tiling.tm)
-
-    @property
-    def n_row_tiles(self) -> int:
-        """``ceil(R / Tr)``."""
-        return -(-self.spec.out_rows // self.tiling.tr)
-
-    @property
-    def n_col_tiles(self) -> int:
-        """``ceil(C / Tc)``."""
-        return -(-self.spec.out_cols // self.tiling.tc)
-
-    @property
-    def n_rc_tiles(self) -> int:
-        """``ceil(R/Tr) * ceil(C/Tc)`` -- row/col tiles (paper's ``|RC|``)."""
-        return self.n_row_tiles * self.n_col_tiles
-
-    @property
-    def task_count(self) -> int:
-        """Tasks executed by this PE per inference.
-
-        Depthwise layers have no channel reduction: each channel tile is
-        both the input and the output of its tasks, so the counts do not
-        multiply.
-        """
-        if self.spec.is_depthwise:
-            return self.n_ofm_channel_tiles * self.n_rc_tiles
-        return (self.n_ifm_channel_tiles * self.n_ofm_channel_tiles
-                * self.n_rc_tiles)
+        n_ifm = -(-spec.in_channels // tiling.tn)
+        n_ofm = -(-spec.out_channels // tiling.tm)
+        n_rows = -(-out_rows // tiling.tr)
+        n_cols = -(-out_cols // tiling.tc)
+        n_rc = n_rows * n_cols
+        tasks = n_ofm * n_rc if depthwise else n_ifm * n_ofm * n_rc
+        execution = spec.kernel * spec.kernel * tiling.tr * tiling.tc
+        effective = (execution if self.phases is None
+                     else self.phases.effective_cycles)
+        # Frozen: the derived fields go straight into the instance dict.
+        vars(self).update(
+            n_ifm_channel_tiles=n_ifm,
+            n_ofm_channel_tiles=n_ofm,
+            n_row_tiles=n_rows,
+            n_col_tiles=n_cols,
+            n_rc_tiles=n_rc,
+            task_count=tasks,
+            execution_time=execution,
+            effective_execution_time=effective,
+            effective_processing_time=effective * tasks,
+        )
 
     @property
     def dsps(self) -> int:
@@ -158,14 +191,6 @@ class LayerDesign:
             return self.tiling.tm
         return self.tiling.dsps
 
-    # -- timing -------------------------------------------------------------
-
-    @property
-    def execution_time(self) -> int:
-        """Cycles for one task: ``Kh * Kw * Tr * Tc`` (paper's ``ET_i``)."""
-        return (self.spec.kernel * self.spec.kernel
-                * self.tiling.tr * self.tiling.tc)
-
     @property
     def processing_time(self) -> int:
         """Cycles to process the whole layer (paper's ``PT_i``).
@@ -177,38 +202,17 @@ class LayerDesign:
         """
         return self.execution_time * self.task_count
 
-    @property
-    def effective_execution_time(self) -> int:
-        """Steady-state cycles per task under phase overlap.
-
-        Without a :class:`~repro.fpga.dram.PhaseLatency` attached (the
-        flat-bandwidth memory model) this *is* ``execution_time``, which
-        is what keeps DRAM-less devices byte-identical to the seed; with
-        one, a task costs ``max(load, compute, write)`` because the
-        double-buffered phases of consecutive tasks overlap.
-        """
-        if self.phases is None:
-            return self.execution_time
-        return self.phases.effective_cycles
-
-    @property
-    def effective_processing_time(self) -> int:
-        """Whole-layer cycles under phase overlap."""
-        return self.effective_execution_time * self.task_count
-
     # -- memory -------------------------------------------------------------
 
     @property
     def ifm_buffer_bytes(self) -> int:
         """On-chip IFM tile buffer: ``Tn`` channels of the input window."""
-        window_rows = self.tiling.tr * self.spec.stride + self.spec.kernel - 1
-        window_cols = self.tiling.tc * self.spec.stride + self.spec.kernel - 1
-        return self.tiling.tn * window_rows * window_cols * WORD_BYTES
+        return _buffer_bytes(self.spec, self.tiling)[0]
 
     @property
     def ofm_buffer_bytes(self) -> int:
         """On-chip OFM tile buffer."""
-        return self.tiling.tm * self.tiling.tr * self.tiling.tc * WORD_BYTES
+        return _buffer_bytes(self.spec, self.tiling)[1]
 
     @property
     def weight_buffer_bytes(self) -> int:
@@ -217,35 +221,73 @@ class LayerDesign:
         ``Tm x Tn`` filters for a standard conv; one ``KxK`` filter per
         channel lane (``Tn``) for depthwise.
         """
-        if self.spec.is_depthwise:
-            return (self.tiling.tn
-                    * self.spec.kernel * self.spec.kernel * WORD_BYTES)
-        return (self.tiling.tm * self.tiling.tn
-                * self.spec.kernel * self.spec.kernel * WORD_BYTES)
+        return _buffer_bytes(self.spec, self.tiling)[2]
 
     @property
     def bram_bytes(self) -> int:
         """Total double-buffered on-chip storage for this PE."""
-        return DOUBLE_BUFFER * (
-            self.ifm_buffer_bytes + self.ofm_buffer_bytes
-            + self.weight_buffer_bytes
-        )
+        return DOUBLE_BUFFER * self.task_data_bytes
 
     @property
     def task_data_bytes(self) -> int:
         """Off-chip bytes moved per task with no reuse (worst case)."""
-        return (self.ifm_buffer_bytes + self.ofm_buffer_bytes
-                + self.weight_buffer_bytes)
+        return sum(_buffer_bytes(self.spec, self.tiling))
+
+
+def _buffer_bytes(
+    spec: ConvLayerSpec, tiling: TilingVector
+) -> tuple[int, int, int]:
+    """One copy of a PE's (IFM, OFM, weight) tile buffers, in bytes.
+
+    This is the buffer model every BRAM limit is checked against; the
+    selection closed forms below solve it for one tile dimension.
+    """
+    window_rows = tiling.tr * spec.stride + spec.kernel - 1
+    window_cols = tiling.tc * spec.stride + spec.kernel - 1
+    ifm = tiling.tn * window_rows * window_cols
+    ofm = tiling.tm * tiling.tr * tiling.tc
+    filters = tiling.tn if spec.is_depthwise else tiling.tm * tiling.tn
+    weights = filters * spec.kernel * spec.kernel
+    return ifm * WORD_BYTES, ofm * WORD_BYTES, weights * WORD_BYTES
+
+
+def _phase_latency(
+    spec: ConvLayerSpec, tiling: TilingVector, device
+) -> PhaseLatency:
+    """Per-task load/compute/write phases on a DRAM-modeled device.
+
+    The load phase streams one task's IFM window and weight block; the
+    write phase drains its OFM tile; both are rescaled to
+    accelerator-clock cycles by the device's
+    :class:`~repro.fpga.dram.DramModel`.
+    """
+    ifm, ofm, weights = _buffer_bytes(spec, tiling)
+    dram, clock = device.dram, device.clock_mhz
+    return PhaseLatency(
+        load_cycles=dram.transfer_cycles(ifm + weights, clock),
+        compute_cycles=spec.kernel * spec.kernel * tiling.tr * tiling.tc,
+        write_cycles=dram.transfer_cycles(ofm, clock),
+    )
 
 
 @dataclass(frozen=True)
 class PipelineDesign:
-    """A full per-layer-PE design for an architecture on a platform."""
+    """A full per-layer-PE design for an architecture on a platform.
+
+    ``start_deltas`` holds the analyzer's per-boundary start deltas,
+    keyed by row/col mapping mode.
+    :func:`~repro.latency.analyzer.boundary_deltas` fills it on first
+    use, so every reuse assignment analysed on one design shares them.
+    It is derived from the other fields and takes no part in equality.
+    """
 
     architecture: Architecture
     platform: Platform
     layers: tuple[LayerDesign, ...]
     allocations: tuple[PeAllocation, ...]
+    start_deltas: dict[str, tuple[tuple[int, int], ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.layers) != self.architecture.depth:
@@ -350,8 +392,10 @@ class TilingDiskCache:
     The file contract mirrors :class:`~repro.service.store.ResultStore`:
 
     * keys are SHA-256 hashes of the canonical JSON of the inputs
-      (layer spec fields, resource budgets, spatial strategy) -- the
-      same canonical-hash idiom the store uses for plans;
+      (layer spec fields, resource budgets, spatial strategy) and of
+      :data:`TILING_VERSION` -- the same canonical-hash idiom the store
+      uses for plans -- so entries written by an older selection
+      algorithm are never served;
     * entries are single JSON files written via temp-file +
       :func:`os.replace`, so concurrent writers race benignly (same
       key => same pure-function value) and readers never see a partial
@@ -384,6 +428,7 @@ class TilingDiskCache:
         """Canonical hash of everything tiling selection depends on."""
         canonical = json.dumps(
             {
+                "tiling_version": TILING_VERSION,
                 "spec": {
                     "in_channels": spec.in_channels,
                     "out_channels": spec.out_channels,
@@ -488,16 +533,26 @@ class LayerDesignMemo:
     reuse the tiling work done for fingerprints seen earlier.  This is
     the layer-level tier of the latency estimator's two-tier cache.
 
+    Two smaller tables ride along, neither counted in the statistics:
+
+    * channel tilings per (spec, DSP budget, BRAM budget), because both
+      spatial strategies start from the same ``(Tm, Tn)`` -- see
+      :meth:`channel_tiling`;
+    * DRAM phase latencies per (spec, tiling, device) -- see
+      :meth:`phase_latency`.
+
     Thread-safe: the memo is shared by every designer an estimator
     builds, and estimators are themselves shared across service and
-    evaluation threads, so the dict and its counters mutate only under
+    evaluation threads, so the dicts and counters mutate only under
     an internal lock.  Entries are values of a pure function, so a race
-    on the same key stores the same tiling twice -- harmless.
+    on the same key stores the same value twice -- harmless.
     """
 
     stats: MemoStats = field(default_factory=MemoStats)
     kind_stats: dict[str, MemoStats] = field(default_factory=dict)
     _memo: dict[tuple, TilingVector] = field(default_factory=dict)
+    _channels: dict[tuple, tuple[int, int]] = field(default_factory=dict)
+    _phases: dict[tuple, PhaseLatency] = field(default_factory=dict)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -521,9 +576,11 @@ class LayerDesignMemo:
             return len(self._memo)
 
     def clear(self) -> None:
-        """Drop all memoised tilings (counters are kept)."""
+        """Drop all memoised tilings and phases (counters are kept)."""
         with self._lock:
             self._memo.clear()
+            self._channels.clear()
+            self._phases.clear()
 
     def lookup(
         self,
@@ -576,6 +633,36 @@ class LayerDesignMemo:
             _DISK_CACHE.put(spec, dsp_budget, bram_budget_bytes,
                             spatial_strategy, tiling)
 
+    def channel_tiling(
+        self, spec: ConvLayerSpec, dsp_budget: int, bram_budget_bytes: int
+    ) -> tuple[int, int]:
+        """The layer's ``(Tm, Tn)``, chosen once per spec and budgets.
+
+        Channel tiling does not depend on the spatial strategy, so the
+        strategy that misses first chooses it and the other reuses it.
+        """
+        key = (spec, dsp_budget, bram_budget_bytes)
+        with self._lock:
+            channels = self._channels.get(key)
+        if channels is None:
+            channels = _channel_tiling(spec, dsp_budget, bram_budget_bytes)
+            with self._lock:
+                self._channels[key] = channels
+        return channels
+
+    def phase_latency(
+        self, spec: ConvLayerSpec, tiling: TilingVector, device
+    ) -> PhaseLatency:
+        """The DRAM phases of one tiled layer on ``device``, computed once."""
+        key = (spec, tiling, device)
+        with self._lock:
+            phases = self._phases.get(key)
+        if phases is None:
+            phases = _phase_latency(spec, tiling, device)
+            with self._lock:
+                self._phases[key] = phases
+        return phases
+
 
 class TilingDesigner:
     """Selects ``<Tm, Tn, Tr, Tc>`` per layer (the FNAS-Design component).
@@ -608,203 +695,224 @@ class TilingDesigner:
         self, architecture: Architecture, platform: Platform
     ) -> PipelineDesign:
         """Produce a full pipeline design for ``architecture`` on ``platform``."""
-        allocations = platform.allocate(architecture)
-        layer_designs = []
+        return self.design_allocated(
+            architecture, platform, platform.allocate(architecture)
+        )
+
+    def design_allocated(
+        self,
+        architecture: Architecture,
+        platform: Platform,
+        allocations: list[PeAllocation] | tuple[PeAllocation, ...],
+    ) -> PipelineDesign:
+        """:meth:`design` over PE allocations the caller already made.
+
+        :class:`~repro.latency.explorer.DesignExplorer` allocates each
+        architecture once and designs both spatial strategies from that
+        one allocation.  On a DRAM-modeled device every layer carries
+        its :class:`~repro.fpga.dram.PhaseLatency`; devices without one
+        keep the flat-bandwidth seed behavior (``phases=None``).
+        """
+        memo = self.memo
+        layers = []
         for allocation, spec in zip(allocations, architecture.layers):
             tiling = self.design_layer(spec, allocation.dsp_budget,
                                        allocation.bram_budget_bytes)
-            design = LayerDesign(
-                layer_index=allocation.layer_index,
-                spec=spec,
-                tiling=tiling,
+            device = allocation.device
+            if getattr(device, "dram", None) is None:
+                phases = None
+            elif memo is None:
+                phases = _phase_latency(spec, tiling, device)
+            else:
+                phases = memo.phase_latency(spec, tiling, device)
+            layers.append(
+                LayerDesign(allocation.layer_index, spec, tiling, phases)
             )
-            phases = self._phase_latency(design, allocation.device)
-            if phases is not None:
-                design = LayerDesign(
-                    layer_index=design.layer_index,
-                    spec=spec,
-                    tiling=tiling,
-                    phases=phases,
-                )
-            layer_designs.append(design)
         return PipelineDesign(
             architecture=architecture,
             platform=platform,
-            layers=tuple(layer_designs),
+            layers=tuple(layers),
             allocations=tuple(allocations),
-        )
-
-    @staticmethod
-    def _phase_latency(design: LayerDesign, device) -> PhaseLatency | None:
-        """Per-task load/compute/write phases on a DRAM-modeled device.
-
-        ``None`` (the flat-bandwidth seed behavior) when the device has
-        no :class:`~repro.fpga.dram.DramModel` attached.  The load phase
-        streams one task's IFM window and weight block; the write phase
-        drains its OFM tile; both are rescaled to accelerator-clock
-        cycles by the DRAM model.
-        """
-        dram = getattr(device, "dram", None)
-        if dram is None:
-            return None
-        clock = device.clock_mhz
-        load_bytes = design.ifm_buffer_bytes + design.weight_buffer_bytes
-        return PhaseLatency(
-            load_cycles=dram.transfer_cycles(load_bytes, clock),
-            compute_cycles=design.execution_time,
-            write_cycles=dram.transfer_cycles(design.ofm_buffer_bytes, clock),
         )
 
     def design_layer(
         self, spec: ConvLayerSpec, dsp_budget: int, bram_budget_bytes: int
     ) -> TilingVector:
         """Choose one layer's tiling under its PE's resource budget."""
-        if self.memo is not None:
-            cached = self.memo.lookup(
+        memo = self.memo
+        if memo is None:
+            tm, tn = _channel_tiling(spec, dsp_budget, bram_budget_bytes)
+        else:
+            cached = memo.lookup(
                 spec, dsp_budget, bram_budget_bytes, self.spatial_strategy
             )
             if cached is not None:
                 return cached
-        tm, tn = self._choose_channel_tiling(spec, dsp_budget, bram_budget_bytes)
-        tr, tc = self._choose_spatial_tiling(spec, tm, tn, bram_budget_bytes)
+            tm, tn = memo.channel_tiling(spec, dsp_budget, bram_budget_bytes)
+        tr, tc = _spatial_tiling(
+            spec, tm, tn, bram_budget_bytes, self.spatial_strategy
+        )
         tiling = TilingVector(tm=tm, tn=tn, tr=tr, tc=tc)
-        if self.memo is not None:
-            self.memo.store(
+        if memo is not None:
+            memo.store(
                 spec, dsp_budget, bram_budget_bytes, self.spatial_strategy, tiling
             )
         return tiling
 
-    def _choose_channel_tiling(
-        self, spec: ConvLayerSpec, dsp_budget: int, bram_budget_bytes: int
-    ) -> tuple[int, int]:
-        """Minimise ``ceil(M/Tm) * ceil(N/Tn)`` under DSP *and* BRAM limits.
 
-        The layer's cycle count is proportional to the channel-tile
-        product, so that is the primary objective.  A candidate is only
-        feasible if its buffers fit BRAM at the smallest spatial tile
-        (1x1) -- the weight buffer ``Tm*Tn*K*K`` alone can dominate for
-        large kernels.  Ties prefer fewer DSPs, then a larger ``Tm``
-        (OFM parallelism keeps partial sums local, reducing output
-        traffic).
-        """
-        if dsp_budget < 1:
-            raise ValueError(f"dsp_budget must be >= 1, got {dsp_budget}")
-        if spec.is_depthwise:
-            return self._choose_depthwise_channel_tiling(
-                spec, dsp_budget, bram_budget_bytes
-            )
-        m, n = spec.out_channels, spec.in_channels
-        best: tuple[int, int, int, int] | None = None  # (waste, dsps, -tm, tm)
-        best_tn = 1
-        for tm in range(1, min(m, dsp_budget) + 1):
-            tn = min(n, dsp_budget // tm)
-            while tn >= 1 and self._bram_usage(
-                spec, tm, tn, 1, 1
-            ) > bram_budget_bytes:
-                tn -= 1
-            if tn < 1:
-                continue
-            tiles = (-(-m // tm)) * (-(-n // tn))
-            key = (tiles, tm * tn, -tm, tm)
-            if best is None or key < (best[0], best[1], best[2], best[3]):
-                best = key
-                best_tn = tn
-        if best is None:
-            raise ValueError(
-                f"no channel tiling fits BRAM budget {bram_budget_bytes}B for "
-                f"layer {spec.kernel}x{spec.kernel}/{spec.out_channels} "
-                "(even Tm=Tn=1 overflows)"
-            )
-        return best[3], best_tn
+# -- closed-form selection ---------------------------------------------------
+#
+# A PE's double-buffered BRAM use is ``DOUBLE_BUFFER * WORD_BYTES`` times
+# its buffer words (see :func:`_buffer_bytes`):
+#
+#     Tn * (Tr*s + K - 1) * (Tc*s + K - 1)      IFM window
+#   + Tm * Tr * Tc                              OFM tile
+#   + Tm * Tn * K * K   (depthwise: Tn * K * K) weights
+#
+# Every term grows with every tile dimension, so each selection below
+# solves ``words <= budget // (DOUBLE_BUFFER * WORD_BYTES)`` for its last
+# free dimension instead of testing candidates one by one.
 
-    def _choose_depthwise_channel_tiling(
-        self, spec: ConvLayerSpec, dsp_budget: int, bram_budget_bytes: int
-    ) -> tuple[int, int]:
-        """Depthwise channel tiling: one tied ``Tm == Tn == T`` knob.
 
-        There is no channel reduction, so a depthwise PE is ``T``
-        independent single-channel lanes costing ``T`` DSPs (not
-        ``T x T``).  Minimise ``ceil(C / T)`` channel tiles under the
-        DSP and (1x1-spatial) BRAM limits; ties prefer fewer lanes.
-        """
-        c = spec.in_channels
-        best: tuple[int, int] | None = None  # (tiles, t)
-        for t in range(1, min(c, dsp_budget) + 1):
-            if self._bram_usage(spec, t, t, 1, 1) > bram_budget_bytes:
-                break
-            tiles = -(-c // t)
-            key = (tiles, t)
-            if best is None or key < best:
-                best = key
-        if best is None:
-            raise ValueError(
-                f"no channel tiling fits BRAM budget {bram_budget_bytes}B for "
-                f"depthwise layer {spec.kernel}x{spec.kernel}/"
-                f"{spec.out_channels} (even T=1 overflows)"
-            )
-        return best[1], best[1]
+def _budget_words(bram_budget_bytes: int) -> int:
+    """Buffer words a BRAM budget holds across both buffer copies."""
+    return bram_budget_bytes // (DOUBLE_BUFFER * WORD_BYTES)
 
-    def _choose_spatial_tiling(
-        self, spec: ConvLayerSpec, tm: int, tn: int, bram_budget_bytes: int
-    ) -> tuple[int, int]:
-        """Choose ``Tr, Tc`` under the BRAM budget.
 
-        Candidates are all (Tr, Tc) pairs over the divisor-friendly
-        values of R and C; feasibility is checked with the exact buffer
-        model of :class:`LayerDesign`.  Falls back to 1x1 tiles, which
-        always fit a sane budget.
-        """
+def _channel_tiling(
+    spec: ConvLayerSpec, dsp_budget: int, bram_budget_bytes: int
+) -> tuple[int, int]:
+    """Minimise ``ceil(M/Tm) * ceil(N/Tn)`` under DSP *and* BRAM limits.
+
+    The layer's cycle count is proportional to the channel-tile
+    product, so that is the primary objective.  A candidate is only
+    feasible if its buffers fit BRAM at the smallest spatial tile
+    (1x1) -- the weight buffer ``Tm*Tn*K*K`` alone can dominate for
+    large kernels.  Ties prefer fewer DSPs, then a larger ``Tm``
+    (OFM parallelism keeps partial sums local, reducing output
+    traffic).
+
+    For each ``Tm`` the largest fitting ``Tn`` is the only one worth
+    considering (more input channels per tile never adds tiles), and at
+    1x1 tiles the BRAM inequality gives it directly:
+    ``Tn * (w*w + Tm*K*K) + Tm <= words`` with ``w = s + K - 1``.
+    """
+    if dsp_budget < 1:
+        raise ValueError(f"dsp_budget must be >= 1, got {dsp_budget}")
+    if spec.is_depthwise:
+        return _depthwise_channel_tiling(spec, dsp_budget, bram_budget_bytes)
+    words = _budget_words(bram_budget_bytes)
+    kernel_area = spec.kernel * spec.kernel
+    window = spec.stride + spec.kernel - 1
+    window_area = window * window
+    m, n = spec.out_channels, spec.in_channels
+    best: tuple[int, int, int] | None = None  # (tiles, dsps, -tm)
+    best_tn = 1
+    for tm in range(1, min(m, dsp_budget) + 1):
+        tn = min(n, dsp_budget // tm,
+                 (words - tm) // (window_area + tm * kernel_area))
+        if tn < 1:
+            break  # BRAM use grows with Tm: no wider Tm fits either
+        key = ((-(-m // tm)) * (-(-n // tn)), tm * tn, -tm)
+        if best is None or key < best:
+            best = key
+            best_tn = tn
+    if best is None:
+        raise ValueError(
+            f"no channel tiling fits BRAM budget {bram_budget_bytes}B for "
+            f"layer {spec.kernel}x{spec.kernel}/{spec.out_channels} "
+            "(even Tm=Tn=1 overflows)"
+        )
+    return -best[2], best_tn
+
+
+def _depthwise_channel_tiling(
+    spec: ConvLayerSpec, dsp_budget: int, bram_budget_bytes: int
+) -> tuple[int, int]:
+    """Depthwise channel tiling: one tied ``Tm == Tn == T`` knob.
+
+    There is no channel reduction, so a depthwise PE is ``T``
+    independent single-channel lanes costing ``T`` DSPs (not
+    ``T x T``).  Minimise ``ceil(C / T)`` channel tiles under the
+    DSP and (1x1-spatial) BRAM limits; ties prefer fewer lanes.
+
+    At 1x1 tiles each lane buffers a ``w x w`` IFM window, one OFM word
+    and a ``K x K`` filter (``w = s + K - 1``).  Widening ``T`` never
+    adds tiles, so the widest fitting ``T`` reaches the minimum tile
+    count, and the narrowest ``T`` with that count is ``ceil(C / tiles)``.
+    """
+    c = spec.in_channels
+    window = spec.stride + spec.kernel - 1
+    lane_words = window * window + 1 + spec.kernel * spec.kernel
+    widest = min(c, dsp_budget, _budget_words(bram_budget_bytes) // lane_words)
+    if widest < 1:
+        raise ValueError(
+            f"no channel tiling fits BRAM budget {bram_budget_bytes}B for "
+            f"depthwise layer {spec.kernel}x{spec.kernel}/"
+            f"{spec.out_channels} (even T=1 overflows)"
+        )
+    lanes = -(-c // -(-c // widest))
+    return lanes, lanes
+
+
+def _spatial_tiling(
+    spec: ConvLayerSpec, tm: int, tn: int, bram_budget_bytes: int,
+    strategy: str,
+) -> tuple[int, int]:
+    """Choose ``Tr, Tc`` for a channel tiling under the BRAM budget.
+
+    Candidates are all (Tr, Tc) pairs over the divisor-friendly values
+    of R and C (:func:`_tile_size_candidates`) that fit the buffer
+    model.
+
+    * ``"max-reuse"`` takes the largest area; ties prefer fewer total
+      tiles (less ceil waste), then squarer tiles, then the smaller
+      ``Tr``.  For each ``Tr`` only the widest fitting ``Tc`` can win,
+      and it follows from the BRAM inequality; the first ``Tr`` with no
+      fitting ``Tc`` ends the scan, as every taller tile overflows too.
+    * ``"min-start"`` takes the smallest tile that divides the map
+      without extra waste.  1x1 has zero waste and area 1, so it is
+      that tile whenever it fits -- and when it does not, nothing does.
+    """
+    kernel, stride = spec.kernel, spec.stride
+    halo = kernel - 1
+    filters = tn if spec.is_depthwise else tm * tn
+    # Words left for the IFM window and OFM tile once the weights are in.
+    words = _budget_words(bram_budget_bytes) - filters * kernel * kernel
+    if strategy == "min-start":
+        if tn * (stride + halo) * (stride + halo) + tm <= words:
+            return 1, 1
+    else:
+        best: tuple[tuple[int, int, int], int, int] | None = None
         r, c = spec.out_rows, spec.out_cols
-        candidates_r = _tile_size_candidates(r)
-        candidates_c = _tile_size_candidates(c)
-        feasible: list[tuple[int, int]] = []
-        for tr in candidates_r:
-            for tc in candidates_c:
-                if self._bram_usage(spec, tm, tn, tr, tc) <= bram_budget_bytes:
-                    feasible.append((tr, tc))
-        if not feasible:
-            raise ValueError(
-                f"no spatial tiling fits BRAM budget {bram_budget_bytes}B for "
-                f"layer {spec.kernel}x{spec.kernel}/{spec.out_channels} "
-                f"(even 1x1 tiles overflow)"
-            )
-        if self.spatial_strategy == "max-reuse":
-            # Largest area; ties prefer fewer total tiles (less ceil waste),
-            # then squarer tiles.
-            def score(rc: tuple[int, int]) -> tuple[int, int, int]:
-                tr, tc = rc
-                tiles = (-(-r // tr)) * (-(-c // tc))
-                return (-(tr * tc), tiles, abs(tr - tc))
-        else:  # min-start
-            # Smallest tile that still divides the map without extra waste.
-            def score(rc: tuple[int, int]) -> tuple[int, int, int]:
-                tr, tc = rc
-                tiles = (-(-r // tr)) * (-(-c // tc))
-                waste = tiles * tr * tc - r * c
-                return (waste, tr * tc, abs(tr - tc))
-        return min(feasible, key=score)
-
-    @staticmethod
-    def _bram_usage(
-        spec: ConvLayerSpec, tm: int, tn: int, tr: int, tc: int
-    ) -> int:
-        """Double-buffered bytes for a candidate tiling (mirrors LayerDesign)."""
-        window_rows = tr * spec.stride + spec.kernel - 1
-        window_cols = tc * spec.stride + spec.kernel - 1
-        ifm = tn * window_rows * window_cols * WORD_BYTES
-        ofm = tm * tr * tc * WORD_BYTES
-        if spec.is_depthwise:
-            wei = tn * spec.kernel * spec.kernel * WORD_BYTES
-        else:
-            wei = tm * tn * spec.kernel * spec.kernel * WORD_BYTES
-        return DOUBLE_BUFFER * (ifm + ofm + wei)
+        col_sizes = _tile_size_candidates(c)
+        for tr in _tile_size_candidates(r):
+            window_rows = tr * stride + halo
+            # Tn*window_rows*(Tc*s + K - 1) + Tm*Tr*Tc <= words, for Tc:
+            widest = ((words - tn * window_rows * halo)
+                      // (tn * window_rows * stride + tm * tr))
+            if widest < 1:
+                break
+            tc = col_sizes[bisect.bisect_right(col_sizes, widest) - 1]
+            key = (-(tr * tc), (-(-r // tr)) * (-(-c // tc)), abs(tr - tc))
+            if best is None or key < best[0]:
+                best = (key, tr, tc)
+        if best is not None:
+            return best[1], best[2]
+    raise ValueError(
+        f"no spatial tiling fits BRAM budget {bram_budget_bytes}B for "
+        f"layer {spec.kernel}x{spec.kernel}/{spec.out_channels} "
+        f"(even 1x1 tiles overflow)"
+    )
 
 
-def _tile_size_candidates(extent: int) -> list[int]:
+@functools.lru_cache(maxsize=None)
+def _tile_size_candidates(extent: int) -> tuple[int, ...]:
     """Useful tile sizes for a spatial extent: divisors plus the extent itself.
 
     Divisors avoid ragged edge tiles; a handful of near-divisor sizes are
     added for prime extents so the search is never starved of choices.
+    Ascending; memoised, since a search sees only a few extents.
     """
     if extent <= 0:
         raise ValueError(f"extent must be positive, got {extent}")
@@ -812,4 +920,4 @@ def _tile_size_candidates(extent: int) -> list[int]:
     # Ensure some mid-range options exist even when extent is prime.
     for frac in (2, 3, 4):
         sizes.add(max(1, -(-extent // frac)))
-    return sorted(sizes)
+    return tuple(sorted(sizes))

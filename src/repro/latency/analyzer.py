@@ -40,11 +40,16 @@ The start deltas accumulate along the pipeline: layer ``i`` starts
 layer ``i-1``'s reuse strategy.  Equation (5) in the paper spells this
 out for the alternating assignment (odd layers OFM reuse, even layers
 IFM reuse); this implementation accepts any strategy assignment.
+
+Both deltas of every boundary are computed once per design
+(:func:`boundary_deltas`), so ranking several reuse assignments of one
+design -- as :class:`~repro.latency.explorer.DesignExplorer` does -- is
+one integer pass each (:meth:`FnasAnalyzer.total_cycles`), and a full
+:class:`LatencyReport` is built only when asked for.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.fpga.dram import PhaseLatency
@@ -127,46 +132,68 @@ class FnasAnalyzer:
 
     def analyze(self, design: PipelineDesign) -> LatencyReport:
         """Compute the eq. (5) latency for ``design``."""
-        n_layers = len(design.layers)
-        strategies = self.strategies or alternating_strategies(n_layers)
-        if len(strategies) != n_layers:
-            raise ValueError(
-                f"{len(strategies)} strategies for {n_layers} layers"
-            )
+        strategies = self._strategies(design)
+        starts, total_cycles = self._schedule(design, strategies)
         layers: list[LayerLatency] = []
-        start = 0
-        for idx, layer in enumerate(design.layers):
-            if idx == 0:
-                delta = 0
-            else:
-                delta = self.start_delta(
-                    design.layers[idx - 1], layer, strategies[idx - 1],
-                    rc_mapping=self.rc_mapping,
-                )
-            start += delta
+        previous = 0
+        for idx, (layer, start) in enumerate(zip(design.layers, starts)):
             layers.append(
                 LayerLatency(
                     layer_index=idx,
                     reuse=strategies[idx],
                     execution_time=layer.effective_execution_time,
                     processing_time=layer.effective_processing_time,
-                    start_delta=delta,
+                    start_delta=start - previous,
                     start_time=start,
                     phases=layer.phases,
                 )
             )
-        # Eq. (5): start-time accumulation plus the last PE's processing
-        # time.  Since upstream PEs can keep feeding the last PE after it
-        # starts, the pipeline drains when the *slowest suffix* finishes;
-        # taking the max over finish bounds keeps the bound tight when an
-        # interior PE dominates.
-        total_cycles = max(layer.finish_bound for layer in layers)
-        total_ms = design.platform.cycles_to_ms(total_cycles)
+            previous = start
         return LatencyReport(
             layers=tuple(layers),
             total_cycles=total_cycles,
-            total_ms=total_ms,
+            total_ms=design.platform.cycles_to_ms(total_cycles),
         )
+
+    def total_cycles(self, design: PipelineDesign) -> int:
+        """Eq. (5) latency of ``design`` in cycles, without a report.
+
+        Always equal to ``analyze(design).total_cycles``; the explorer
+        ranks its candidate designs with it.
+        """
+        return self._schedule(design, self._strategies(design))[1]
+
+    def _strategies(self, design: PipelineDesign) -> list[str]:
+        n_layers = len(design.layers)
+        strategies = self.strategies or alternating_strategies(n_layers)
+        if len(strategies) != n_layers:
+            raise ValueError(
+                f"{len(strategies)} strategies for {n_layers} layers"
+            )
+        return strategies
+
+    def _schedule(
+        self, design: PipelineDesign, strategies: list[str]
+    ) -> tuple[list[int], int]:
+        """Every PE's start time and the total cycles, in one pass.
+
+        Eq. (5): start-time accumulation plus the last PE's processing
+        time.  Since upstream PEs can keep feeding the last PE after it
+        starts, the pipeline drains when the *slowest suffix* finishes;
+        taking the max over finish bounds keeps the bound tight when an
+        interior PE dominates.
+        """
+        layers = design.layers
+        start = 0
+        starts = [start]
+        total = layers[0].effective_processing_time
+        for deltas, reuse, layer in zip(
+            boundary_deltas(design, self.rc_mapping), strategies, layers[1:]
+        ):
+            start += _delta_for(deltas, reuse)
+            starts.append(start)
+            total = max(total, start + layer.effective_processing_time)
+        return starts, total
 
     @staticmethod
     def start_delta(
@@ -182,38 +209,74 @@ class FnasAnalyzer:
         them to upstream grids finer than the downstream's first input
         window (each earlier row/col tile costs a full channel sweep).
         """
-        n_ifm_up = upstream.n_ifm_channel_tiles
-        n_ofm_up = upstream.n_ofm_channel_tiles
-        ofm_tiles_needed = math.ceil(downstream.tiling.tn / upstream.tiling.tm)
-        ofm_tiles_needed = min(ofm_tiles_needed, n_ofm_up)
-        et_up = upstream.effective_execution_time
-        last_rc = FnasAnalyzer._last_rc_tile_needed(
-            upstream, downstream, rc_mapping
+        return _delta_for(
+            _boundary_delta_pair(upstream, downstream, rc_mapping),
+            upstream_reuse,
         )
-        if upstream.spec.is_depthwise:
-            # No channel reduction upstream: within a row/col sweep the
-            # k-th OFM tile completes after exactly k+1 tasks (one task
-            # per channel tile), and both reuse orderings coincide on
-            # the diagonal task set.
-            rc_prefix = last_rc * n_ofm_up
-            if upstream_reuse in (OFM_REUSE, IFM_REUSE):
-                return (rc_prefix + ofm_tiles_needed) * et_up
-            raise ValueError(f"unknown reuse strategy {upstream_reuse!r}")
-        rc_prefix = last_rc * n_ifm_up * n_ofm_up
-        if upstream_reuse == OFM_REUSE:
-            return (rc_prefix + n_ifm_up * ofm_tiles_needed) * et_up
-        if upstream_reuse == IFM_REUSE:
-            return (rc_prefix + (n_ifm_up - 1) * n_ofm_up
-                    + ofm_tiles_needed) * et_up
-        raise ValueError(f"unknown reuse strategy {upstream_reuse!r}")
 
-    @staticmethod
-    def _last_rc_tile_needed(
-        upstream: LayerDesign, downstream: LayerDesign, rc_mapping: str
-    ) -> int:
-        """Index of the last upstream row/col tile feeding the
-        downstream's first IFM tile (0 when the grids map one-to-one)."""
-        mode = resolve_rc_mapping(upstream, downstream, rc_mapping)
-        if mode == "identity":
-            return 0
-        return max(rc_dependencies(upstream, downstream, 0))
+
+def boundary_deltas(
+    design: PipelineDesign, rc_mapping: str = "auto"
+) -> tuple[tuple[int, int], ...]:
+    """``(dt_ofm, dt_ifm)`` of every layer boundary of ``design``.
+
+    Entry ``i`` is the start delta of layer ``i + 1`` when layer ``i``
+    runs OFM reuse (eq. (3)) and when it runs IFM reuse (eq. (4)).
+    Computed once per design and row/col mapping mode, and kept on the
+    design, so every reuse assignment analysed on it reads the same
+    terms.
+    """
+    deltas = design.start_deltas.get(rc_mapping)
+    if deltas is None:
+        layers = design.layers
+        deltas = tuple(
+            _boundary_delta_pair(upstream, downstream, rc_mapping)
+            for upstream, downstream in zip(layers, layers[1:])
+        )
+        design.start_deltas[rc_mapping] = deltas
+    return deltas
+
+
+def _delta_for(deltas: tuple[int, int], upstream_reuse: str) -> int:
+    """The delta of one boundary under the upstream PE's reuse order."""
+    if upstream_reuse == OFM_REUSE:
+        return deltas[0]
+    if upstream_reuse == IFM_REUSE:
+        return deltas[1]
+    raise ValueError(f"unknown reuse strategy {upstream_reuse!r}")
+
+
+def _boundary_delta_pair(
+    upstream: LayerDesign, downstream: LayerDesign, rc_mapping: str
+) -> tuple[int, int]:
+    """Eqs. (3) and (4) for one boundary: ``(dt_ofm, dt_ifm)``."""
+    n_ifm_up = upstream.n_ifm_channel_tiles
+    n_ofm_up = upstream.n_ofm_channel_tiles
+    ofm_tiles_needed = min(
+        -(-downstream.tiling.tn // upstream.tiling.tm), n_ofm_up
+    )
+    et_up = upstream.effective_execution_time
+    last_rc = _last_rc_tile_needed(upstream, downstream, rc_mapping)
+    if upstream.spec.is_depthwise:
+        # No channel reduction upstream: within a row/col sweep the
+        # k-th OFM tile completes after exactly k+1 tasks (one task
+        # per channel tile), and both reuse orderings coincide on
+        # the diagonal task set.
+        delta = (last_rc * n_ofm_up + ofm_tiles_needed) * et_up
+        return delta, delta
+    rc_prefix = last_rc * n_ifm_up * n_ofm_up
+    return (
+        (rc_prefix + n_ifm_up * ofm_tiles_needed) * et_up,
+        (rc_prefix + (n_ifm_up - 1) * n_ofm_up + ofm_tiles_needed) * et_up,
+    )
+
+
+def _last_rc_tile_needed(
+    upstream: LayerDesign, downstream: LayerDesign, rc_mapping: str
+) -> int:
+    """Index of the last upstream row/col tile feeding the
+    downstream's first IFM tile (0 when the grids map one-to-one)."""
+    mode = resolve_rc_mapping(upstream, downstream, rc_mapping)
+    if mode == "identity":
+        return 0
+    return max(rc_dependencies(upstream, downstream, 0))

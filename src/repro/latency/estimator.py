@@ -85,12 +85,18 @@ class LatencyEstimator:
             FNAS-Design.
         rc_mapping: row/col tile mapping passed to FNAS-GG (only used by
             the simulate path).
+        explore_designs: price each fresh architecture with the best of
+            the :class:`~repro.latency.explorer.DesignExplorer` policies
+            (both spatial strategies x both first-layer reuse orders)
+            instead of the single max-reuse design.  Ignored -- treated
+            as ``False`` -- when an explicit ``designer`` is given.
         max_cache_entries: bound on the whole-architecture LRU tier;
             ``None`` disables the bound.
-        use_layer_memo: enable the layer-level tiling memo (tier 1).
-            Disabling it reproduces the seed estimator's per-architecture
-            cost exactly; the throughput benchmark uses that as its
-            sequential baseline.
+        use_layer_memo: enable the layer-level memo (tier 1) of tilings,
+            channel tilings and DRAM phases.  Disabling it only skips the
+            memo: every fresh architecture then chooses each layer's
+            tiling anew, through the same closed forms, with identical
+            results.
     """
 
     def __init__(

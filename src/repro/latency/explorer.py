@@ -11,6 +11,7 @@ explicit, testable search instead of a fixed heuristic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.core.architecture import Architecture
 from repro.fpga.platform import Platform
@@ -27,12 +28,15 @@ class ExplorationChoice:
     spatial_strategy: str
     first_reuse: str
     design: PipelineDesign
-    report: LatencyReport
+    total_cycles: int
 
-    @property
-    def total_cycles(self) -> int:
-        """Analytical latency of this choice."""
-        return self.report.total_cycles
+    @cached_property
+    def report(self) -> LatencyReport:
+        """Full analyzer report of this choice, built on first read."""
+        strategies = alternating_strategies(
+            len(self.design.layers), first=self.first_reuse
+        )
+        return FnasAnalyzer(strategies=strategies).analyze(self.design)
 
 
 @dataclass(frozen=True)
@@ -67,22 +71,32 @@ class DesignExplorer:
     def explore(
         self, architecture: Architecture, platform: Platform
     ) -> ExplorationResult:
-        """Evaluate every policy combination and return the best design."""
+        """Evaluate every policy combination and return the best design.
+
+        The architecture is allocated once and each spatial strategy
+        designed once from that allocation.  The reuse choices of one
+        design share its start deltas and are ranked by total cycles
+        alone; the first minimum wins.  No :class:`LatencyReport` is
+        built here: each choice builds its own when it is read.
+        """
+        allocations = platform.allocate(architecture)
         choices: list[ExplorationChoice] = []
         for spatial in self.SPATIAL_STRATEGIES:
             designer = TilingDesigner(spatial_strategy=spatial, memo=self.memo)
-            design = designer.design(architecture, platform)
+            design = designer.design_allocated(
+                architecture, platform, allocations
+            )
             for first in self.FIRST_REUSE_CHOICES:
                 strategies = alternating_strategies(
                     architecture.depth, first=first
                 )
-                report = FnasAnalyzer(strategies=strategies).analyze(design)
+                cycles = FnasAnalyzer(strategies=strategies).total_cycles(design)
                 choices.append(
                     ExplorationChoice(
                         spatial_strategy=spatial,
                         first_reuse=first,
                         design=design,
-                        report=report,
+                        total_cycles=cycles,
                     )
                 )
         best = min(choices, key=lambda c: c.total_cycles)

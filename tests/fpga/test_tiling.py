@@ -12,8 +12,17 @@ from repro.fpga.tiling import (
     LayerDesign,
     TilingDesigner,
     TilingVector,
+    _channel_tiling,
+    _spatial_tiling,
     _tile_size_candidates,
 )
+from tests.fpga import tiling_reference as reference
+
+STRATEGIES = ("max-reuse", "min-start")
+
+#: Prime extents (no divisors but 1 and themselves) and extents whose
+#: near-divisor candidates are not divisors.
+ODD_EXTENTS = (7, 9, 11, 13, 15, 17, 19, 23, 25, 27, 29, 31, 33, 37)
 
 
 def spec_of(n=8, m=16, k=3, size=16, stride=1):
@@ -117,11 +126,20 @@ class TestTilingDesigner:
             tiling = designer.design_layer(spec, 64, 10**6)
             LayerDesign(0, spec, tiling)  # validates
 
-    def test_min_start_tiles_not_larger_than_max_reuse(self):
-        spec = spec_of(n=8, m=16, size=28)
-        big = TilingDesigner("max-reuse").design_layer(spec, 64, 10**6)
-        small = TilingDesigner("min-start").design_layer(spec, 64, 10**6)
-        assert small.tr * small.tc <= big.tr * big.tc
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_min_start_is_1x1_whenever_1x1_fits(self, data):
+        """The property the min-start fast path relies on: 1x1 has zero
+        waste and area 1, so enumeration never picks anything else."""
+        spec = data.draw(layer_specs())
+        tm = data.draw(st.integers(1, spec.out_channels))
+        tn = tm if spec.is_depthwise else data.draw(
+            st.integers(1, spec.in_channels))
+        fit = reference._bram_usage(spec, tm, tn, 1, 1)
+        budget = data.draw(st.integers(fit, 4 * fit))
+        assert reference._choose_spatial_tiling(
+            spec, tm, tn, budget, "min-start") == (1, 1)
+        assert _spatial_tiling(spec, tm, tn, budget, "min-start") == (1, 1)
 
     def test_rejects_unknown_strategy(self):
         with pytest.raises(ValueError, match="spatial_strategy"):
@@ -169,9 +187,81 @@ class TestTilingDesigner:
         assert tiling.tr <= spec.out_rows and tiling.tc <= spec.out_cols
 
 
+@st.composite
+def layer_specs(draw):
+    """Standard and depthwise layers with kernels 1-7, strides 1-3 and
+    prime or non-divisor extents as well as arbitrary ones."""
+    kernel = draw(st.integers(1, 7))
+    extent = st.one_of(st.sampled_from(ODD_EXTENTS), st.integers(1, 40))
+    rows = max(kernel, draw(extent))
+    cols = max(kernel, draw(extent))
+    n = draw(st.integers(1, 96))
+    kind = draw(st.sampled_from(ConvLayerSpec.KINDS))
+    m = n if kind == ConvLayerSpec.DEPTHWISE else draw(st.integers(1, 96))
+    return ConvLayerSpec(in_channels=n, out_channels=m, kernel=kernel,
+                         in_rows=rows, in_cols=cols,
+                         stride=draw(st.integers(1, 3)), kind=kind)
+
+
+@st.composite
+def bram_budgets(draw, spec):
+    """Budgets straddling the smallest design's 1x1 fit, plus roomy ones."""
+    fit = reference._bram_usage(spec, 1, 1, 1, 1)
+    return draw(st.one_of(st.integers(fit - 8, fit + 64),
+                          st.integers(fit, 1 << 20)))
+
+
+def outcome(choose, *args):
+    """What a selection returns, or the message of the ValueError it raises."""
+    try:
+        return choose(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestClosedFormsMatchEnumeration:
+    """Exactness wall: the closed-form selection returns the enumerating
+    reference's tiling, or raises the same ValueError."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(data=st.data())
+    def test_design_layer(self, data):
+        spec = data.draw(layer_specs())
+        dsp = data.draw(st.integers(0, 300))
+        bram = data.draw(bram_budgets(spec))
+        for strategy in STRATEGIES:
+            fast = outcome(TilingDesigner(strategy).design_layer,
+                           spec, dsp, bram)
+            assert fast == outcome(reference.design_layer,
+                                   spec, dsp, bram, strategy)
+
+    @settings(deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_channel_tiling(self, data):
+        spec = data.draw(layer_specs())
+        dsp = data.draw(st.integers(0, 300))
+        bram = data.draw(bram_budgets(spec))
+        assert outcome(_channel_tiling, spec, dsp, bram) == outcome(
+            reference._choose_channel_tiling, spec, dsp, bram)
+
+    @settings(deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_spatial_tiling_for_any_channel_tiling(self, data):
+        """Including channel tilings that do not fit at 1x1, where both
+        strategies must refuse alike."""
+        spec = data.draw(layer_specs())
+        tm = data.draw(st.integers(1, spec.out_channels))
+        tn = tm if spec.is_depthwise else data.draw(
+            st.integers(1, spec.in_channels))
+        bram = data.draw(bram_budgets(spec))
+        for strategy in STRATEGIES:
+            assert outcome(_spatial_tiling, spec, tm, tn, bram, strategy) == (
+                outcome(reference._choose_spatial_tiling,
+                        spec, tm, tn, bram, strategy))
+
+
 class TestTileCandidates:
     def test_includes_divisors(self):
-        assert _tile_size_candidates(12) >= [1, 2, 3, 4, 6, 12][:0] or True
         cands = _tile_size_candidates(12)
         for d in (1, 2, 3, 4, 6, 12):
             assert d in cands
@@ -278,6 +368,32 @@ class TestTilingDiskCache:
         memo.lookup(*self._entry())                 # memory hit
         snapshot = process_memo_snapshot()
         assert snapshot["all"] == {"hits": 1, "misses": 1, "hit_rate": 0.5}
+
+    def test_entry_from_another_tiling_version_is_a_miss_then_rewritten(
+            self, disk_dir, monkeypatch):
+        """A persistent tier written by older selection code must not
+        serve its tilings after the algorithm changes."""
+        from repro.fpga import tiling as tiling_mod
+        from repro.fpga.tiling import (
+            LayerDesignMemo, TilingDiskCache, process_memo_snapshot,
+        )
+
+        cache = TilingDiskCache(str(disk_dir))
+        stale = TilingVector(tm=1, tn=1, tr=1, tc=1)
+        with monkeypatch.context() as older:
+            older.setattr(tiling_mod, "TILING_VERSION",
+                          tiling_mod.TILING_VERSION - 1)
+            cache.put(*self._entry(), stale)
+            stale_key = TilingDiskCache.entry_key(*self._entry())
+        assert TilingDiskCache.entry_key(*self._entry()) != stale_key
+        assert cache.get(*self._entry()) is None
+
+        spec, dsp, bram, strategy = self._entry()
+        designer = TilingDesigner(strategy, memo=LayerDesignMemo())
+        tiling = designer.design_layer(spec, dsp, bram)
+        assert tiling != stale
+        assert process_memo_snapshot()["disk"]["hits"] == 0
+        assert cache.get(*self._entry()) == tiling  # rewritten, current key
 
     def test_designer_writes_through_when_configured(self, disk_dir):
         """End to end: designing a layer with the tier configured leaves
