@@ -19,6 +19,7 @@ Both share the :class:`Controller` protocol used by the search loops.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -119,17 +120,62 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
-def _choice_rows(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
+def _not_finite(step: int) -> ValueError:
+    return ValueError(f"controller probabilities at step {step} are not finite")
+
+
+def _cdf(probs: np.ndarray, step: int) -> np.ndarray:
+    """The normalised CDF ``Generator.choice(n, p=probs)`` bisects.
+
+    Raises :class:`ValueError` naming ``step`` when ``probs`` is not
+    finite: every NaN a softmax can produce makes the total NaN.
+    """
+    cdf = probs.cumsum()
+    total = cdf[-1]
+    if not math.isfinite(total):
+        raise _not_finite(step)
+    cdf /= total
+    return cdf
+
+
+def _choice(rng: np.random.Generator, probs: np.ndarray, step: int) -> int:
+    """One categorical draw, as ``Generator.choice(n, p=probs)`` makes it.
+
+    Same CDF, one uniform and a right-bisection, so it consumes the RNG
+    stream exactly like ``choice`` without that call's argument checks.
+    """
+    return int(np.count_nonzero(_cdf(probs, step) <= rng.random()))
+
+
+def _choice_rows(
+    rng: np.random.Generator, probs: np.ndarray, step: int
+) -> np.ndarray:
     """Vectorized row-wise categorical draw.
 
-    Mirrors ``Generator.choice(n, p=row)``'s arithmetic (normalised CDF,
-    one uniform draw per row, right-bisection) so a one-row batch
-    consumes the RNG stream exactly like the sequential sampler.
+    Mirrors :func:`_choice`'s arithmetic (normalised CDF, one uniform
+    draw per row, right-bisection) so a one-row batch consumes the RNG
+    stream exactly like the sequential sampler.
     """
     cdf = probs.cumsum(axis=1)
+    if not np.isfinite(cdf[:, -1]).all():
+        raise _not_finite(step)
     cdf /= cdf[:, -1:]
     u = rng.random(len(probs))
     return (cdf <= u[:, None]).sum(axis=1)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function of ``x`` clipped to [-30, 30].
+
+    ``maximum``/``minimum`` give ``np.clip``'s values without its
+    per-call argument handling; the rest runs in place on one temporary.
+    """
+    out = np.maximum(x, -30.0)
+    np.minimum(out, 30.0, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def _check_batch_size(batch_size: int) -> None:
@@ -146,31 +192,58 @@ def _check_advantages(batch: ControllerBatch, advantages) -> np.ndarray:
     return advantages
 
 
+def _views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive slices of ``flat`` reshaped to ``shapes`` (views)."""
+    views, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(flat[start:stop].reshape(shape))
+        start = stop
+    return views
+
+
 class _AdamState:
-    """Adam over a flat list of arrays (controller-sized, batch 1)."""
+    """Adam over one flat parameter vector.
+
+    The registered arrays are copied, in order, into one contiguous
+    float64 vector ``flat``; ``params`` are views into it that replace
+    the originals.  The gradient and both moments are flat vectors with
+    the same layout (``grads``, ``m`` and ``v`` are their views), so a
+    step is a handful of ufuncs however many arrays there are.
+    """
 
     def __init__(self, params: list[np.ndarray], lr: float):
-        self.params = params
+        shapes = [p.shape for p in params]
+        self.flat = np.concatenate([p.ravel() for p in params])
+        self.grad_flat = np.zeros_like(self.flat)
+        self.m_flat = np.zeros_like(self.flat)
+        self.v_flat = np.zeros_like(self.flat)
+        self.params = _views(self.flat, shapes)
+        self.grads = _views(self.grad_flat, shapes)
+        self.m = _views(self.m_flat, shapes)
+        self.v = _views(self.v_flat, shapes)
         self.lr = lr
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
         self.t = 0
 
-    def step(self, grads: list[np.ndarray]) -> None:
-        """One bias-corrected Adam update over the registered params."""
+    def zero_grad(self) -> None:
+        """Clear the gradient buffer before an update accumulates into it."""
+        self.grad_flat.fill(0.0)
+
+    def step(self) -> None:
+        """One bias-corrected Adam update from the gradient buffer."""
         self.t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
         bias1 = 1 - b1**self.t
         bias2 = 1 - b2**self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            p -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
+        g, m, v = self.grad_flat, self.m_flat, self.v_flat
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        self.flat -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
 
     def state_dict(self) -> dict:
-        """Optimizer moments and step count as JSON-ready lists."""
+        """Optimizer moments (one list per parameter) and step count."""
         return {
             "t": self.t,
             "m": [m.tolist() for m in self.m],
@@ -178,8 +251,7 @@ class _AdamState:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore moments in place (array identities are load-bearing:
-        the owning controller's parameter list aliases them)."""
+        """Restore moments in place, through the per-parameter views."""
         if len(state["m"]) != len(self.m) or len(state["v"]) != len(self.v):
             raise ValueError(
                 f"Adam state has {len(state['m'])} moment arrays, "
@@ -195,9 +267,8 @@ class _AdamState:
 def _copy_into(target: np.ndarray, source, what: str) -> None:
     """Copy serialized values into an existing array, shape-checked.
 
-    In-place copy (rather than rebinding) preserves array identity,
-    which the Adam optimizer and the controllers' parameter lists rely
-    on for gradient routing.
+    In-place copy (rather than rebinding) keeps ``target`` a view into
+    its optimizer's flat buffer, which the Adam step updates.
     """
     values = np.asarray(source, dtype=target.dtype)
     if values.shape != target.shape:
@@ -207,8 +278,38 @@ def _copy_into(target: np.ndarray, source, what: str) -> None:
     target[...] = values
 
 
+def _cell_backward(dh, dc_next, gates, g, c_prev, tanh_c, dz) -> np.ndarray:
+    """LSTM cell backward for one step, unbatched or batched.
+
+    Writes the pre-activation gradient into ``dz`` (last axis ``4 * hs``,
+    gate order i, f, g, o; it must hold finite values on entry) and
+    returns the gradient flowing to the previous cell state.
+    """
+    hs = dh.shape[-1]
+    i, f, o = gates[..., :hs], gates[..., hs:2 * hs], gates[..., 3 * hs:]
+    dc = dh * o * (1 - tanh_c ** 2) + dc_next
+    # Sigmoid gates: dz = d_gate * gate * (1 - gate), in that order.
+    # Their d_gate go in first, then two multiplies span all four blocks;
+    # the tanh block g is overwritten with its own derivative last.
+    np.multiply(dc, g, out=dz[..., :hs])
+    np.multiply(dc, c_prev, out=dz[..., hs:2 * hs])
+    np.multiply(dh, tanh_c, out=dz[..., 3 * hs:])
+    dz *= gates
+    dz *= 1 - gates
+    dz[..., 2 * hs:3 * hs] = dc * i * (1 - g ** 2)
+    return dc * f
+
+
 class LstmController:
-    """Single-layer LSTM policy with per-decision-kind heads."""
+    """Single-layer LSTM policy with per-decision-kind heads.
+
+    All parameters live in one contiguous float64 vector owned by the
+    Adam optimizer; ``start_embedding``, ``w_lstm``, ``b_lstm``,
+    ``embeddings[kind]`` and ``heads[kind]`` are views into it.  The
+    gradient and both Adam moments are flat vectors with the same
+    layout, so an update accumulates into preallocated views and steps
+    the optimizer once over the whole vector.
+    """
 
     def __init__(
         self,
@@ -231,6 +332,9 @@ class LstmController:
         self.hidden_size = hidden_size
         self.embed_size = embed_size
         self.entropy_weight = entropy_weight
+        self._kinds = tuple(
+            space.decision_kind(step) for step in range(space.num_decisions)
+        )
         rng = np.random.default_rng(seed)
         h, e = hidden_size, embed_size
         scale = 0.1
@@ -251,7 +355,12 @@ class LstmController:
             )
             for kind, choices in self._kind_choices().items()
         }
+        # Move every parameter into the optimizer's flat buffer, laid
+        # out in _param_list() order, and keep the named views.
         self._adam = _AdamState(self._param_list(), lr)
+        (self.start_embedding, self.w_lstm, self.b_lstm, self.embeddings,
+         self.heads) = self._named(self._adam.params)
+        self._grad = self._named(self._adam.grads)
 
     def _kind_choices(self) -> dict[str, tuple]:
         # Derived in per-layer token order: classic spaces yield
@@ -273,7 +382,37 @@ class LstmController:
             params.extend(self.heads[kind])
         return params
 
+    def _named(self, arrays: list[np.ndarray]) -> tuple:
+        """``(start_embedding, w_lstm, b_lstm, embeddings, heads)`` from
+        ``arrays`` laid out in :meth:`_param_list` order."""
+        it = iter(arrays)
+        start_embedding, w_lstm, b_lstm = next(it), next(it), next(it)
+        embeddings = {kind: next(it) for kind in sorted(self.embeddings)}
+        heads = {kind: (next(it), next(it)) for kind in sorted(self.heads)}
+        # The dicts keep token order, which state_dict() writes out.
+        return (start_embedding, w_lstm, b_lstm,
+                {kind: embeddings[kind] for kind in self.embeddings},
+                {kind: heads[kind] for kind in self.heads})
+
     # -- forward -------------------------------------------------------------
+
+    def _cell(self, h: np.ndarray, c: np.ndarray, x: np.ndarray) -> tuple:
+        """One LSTM step on unbatched or batched (leading axis) state.
+
+        One clipped sigmoid over all ``4 * hs`` pre-activations gives
+        the i, f and o gates; sigmoid is elementwise, so slicing it
+        matches a sigmoid per gate.  Returns ``(concat, gates, g, c,
+        tanh_c, h)`` with ``c`` and ``h`` the new state.
+        """
+        hs = self.hidden_size
+        concat = np.concatenate([h, x], axis=-1)
+        z = concat @ self.w_lstm + self.b_lstm
+        gates = _sigmoid(z)
+        i, f, o = gates[..., :hs], gates[..., hs:2 * hs], gates[..., 3 * hs:]
+        g = np.tanh(z[..., 2 * hs:3 * hs])
+        c = f * c + i * g
+        tanh_c = np.tanh(c)
+        return concat, gates, g, c, tanh_c, o * tanh_c
 
     def sample(
         self,
@@ -286,49 +425,29 @@ class LstmController:
         policy instead of sampling (used for off-policy analysis and
         exact log-probability queries).
         """
-        if force_tokens is not None and len(force_tokens) != self.space.num_decisions:
-            raise ValueError(
-                f"force_tokens must have {self.space.num_decisions} entries"
-            )
+        if force_tokens is not None:
+            self.space.check_tokens(force_tokens)
         h = np.zeros(self.hidden_size)
         c = np.zeros(self.hidden_size)
         tokens: list[int] = []
         log_prob = 0.0
-        steps: list[dict] = []
+        steps: list[tuple] = []
         x = self.start_embedding
-        prev_kind: str | None = None
-        for step in range(self.space.num_decisions):
-            kind = self.space.decision_kind(step)
-            h_prev, c_prev = h, c
-            concat = np.concatenate([h_prev, x])
-            z = concat @ self.w_lstm + self.b_lstm
-            hs = self.hidden_size
-            i = _sigmoid(z[:hs])
-            f = _sigmoid(z[hs:2 * hs])
-            g = np.tanh(z[2 * hs:3 * hs])
-            o = _sigmoid(z[3 * hs:])
-            c = f * c_prev + i * g
-            tanh_c = np.tanh(c)
-            h = o * tanh_c
+        for step, kind in enumerate(self._kinds):
+            c_prev = c
+            concat, gates, g, c, tanh_c, h = self._cell(h, c_prev, x)
             w_head, b_head = self.heads[kind]
-            logits = h @ w_head + b_head
-            probs = _softmax(logits)
+            probs = _softmax(h @ w_head + b_head)
             if force_tokens is not None:
                 token = force_tokens[step]
             else:
-                token = int(rng.choice(len(probs), p=probs))
+                token = _choice(rng, probs, step)
             log_prob += float(np.log(probs[token] + 1e-12))
             steps.append(
-                dict(
-                    kind=kind, prev_kind=prev_kind, x=x, concat=concat,
-                    i=i, f=f, g=g, o=o, c=c, c_prev=c_prev, tanh_c=tanh_c,
-                    h=h, probs=probs, token=token,
-                    prev_token=tokens[-1] if tokens else None,
-                )
+                (kind, concat, gates, g, c_prev, tanh_c, h, probs, token)
             )
             tokens.append(token)
             x = self.embeddings[kind][token]
-            prev_kind = kind
         return ControllerSample(tokens=tokens, log_prob=log_prob, cache=steps)
 
     def sample_batch(
@@ -345,32 +464,19 @@ class LstmController:
         h = np.zeros((b, hs))
         c = np.zeros((b, hs))
         x = np.repeat(self.start_embedding[None, :], b, axis=0)
+        rows = np.arange(b)
         log_probs = np.zeros(b)
         token_rows: list[np.ndarray] = []
-        steps: list[dict] = []
-        for step in range(self.space.num_decisions):
-            kind = self.space.decision_kind(step)
+        steps: list[tuple] = []
+        for step, kind in enumerate(self._kinds):
             c_prev = c
-            concat = np.concatenate([h, x], axis=1)
-            z = concat @ self.w_lstm + self.b_lstm
-            i = _sigmoid(z[:, :hs])
-            f = _sigmoid(z[:, hs:2 * hs])
-            g = np.tanh(z[:, 2 * hs:3 * hs])
-            o = _sigmoid(z[:, 3 * hs:])
-            c = f * c_prev + i * g
-            tanh_c = np.tanh(c)
-            h = o * tanh_c
+            concat, gates, g, c, tanh_c, h = self._cell(h, c_prev, x)
             w_head, b_head = self.heads[kind]
-            logits = h @ w_head + b_head
-            probs = _softmax_rows(logits)
-            toks = _choice_rows(rng, probs)
-            log_probs += np.log(probs[np.arange(b), toks] + 1e-12)
+            probs = _softmax_rows(h @ w_head + b_head)
+            toks = _choice_rows(rng, probs, step)
+            log_probs += np.log(probs[rows, toks] + 1e-12)
             steps.append(
-                dict(
-                    kind=kind, concat=concat, i=i, f=f, g=g, o=o,
-                    c=c, c_prev=c_prev, tanh_c=tanh_c, h=h,
-                    probs=probs, tokens=toks,
-                )
+                (kind, concat, gates, g, c_prev, tanh_c, h, probs, toks)
             )
             token_rows.append(toks)
             x = self.embeddings[kind][toks]
@@ -392,58 +498,46 @@ class LstmController:
         if steps is None:
             raise ValueError("sample has no cached activations; was it "
                              "produced by this controller's sample()?")
-        grads = {id(p): np.zeros_like(p) for p in self._param_list()}
-
-        def grad_of(param: np.ndarray) -> np.ndarray:
-            return grads[id(param)]
-
+        self._adam.zero_grad()
+        grad_start, grad_w_lstm, grad_b_lstm, grad_emb, grad_heads = self._grad
         hs = self.hidden_size
         dh_next = np.zeros(hs)
         dc_next = np.zeros(hs)
         dx_next: np.ndarray | None = None
+        dz = np.zeros(4 * hs)
         loss = 0.0
-        for t in range(len(steps) - 1, -1, -1):
-            s = steps[t]
-            probs, token = s["probs"], s["token"]
-            # Loss = -A * log pi - w_H * H; dlogits accordingly.
-            one_hot = np.zeros_like(probs)
-            one_hot[token] = 1.0
-            d_logits = advantage * (probs - one_hot)
+        for step in reversed(steps):
+            kind, concat, gates, g, c_prev, tanh_c, h, probs, token = step
+            # Loss = -A * log pi - w_H * H; dlogits accordingly.  The
+            # copy with 1 taken off the token is probs - one_hot.
+            d_logits = probs.copy()
+            d_logits[token] -= 1.0
+            d_logits *= advantage
             loss += -advantage * float(np.log(probs[token] + 1e-12))
             if self.entropy_weight:
                 log_p = np.log(probs + 1e-12)
                 entropy = -float((probs * log_p).sum())
                 d_logits += self.entropy_weight * probs * (log_p + entropy)
                 loss += -self.entropy_weight * entropy
-            w_head, b_head = self.heads[s["kind"]]
-            grad_of(w_head)[...] += np.outer(s["h"], d_logits)
-            grad_of(b_head)[...] += d_logits
+            w_head, _ = self.heads[kind]
+            grad_w_head, grad_b_head = grad_heads[kind]
+            # The broadcast product is np.outer(h, d_logits) exactly.
+            grad_w_head += h[:, None] * d_logits
+            grad_b_head += d_logits
             dh = d_logits @ w_head.T + dh_next
             # The *next* step's input embedding was this step's token.
             if dx_next is not None:
-                grad_of(self.embeddings[s["kind"]])[token] += dx_next
-            # LSTM cell backward.
-            do = dh * s["tanh_c"]
-            dc = dh * s["o"] * (1 - s["tanh_c"] ** 2) + dc_next
-            di = dc * s["g"]
-            df = dc * s["c_prev"]
-            dg = dc * s["i"]
-            dc_next = dc * s["f"]
-            dz = np.concatenate([
-                di * s["i"] * (1 - s["i"]),
-                df * s["f"] * (1 - s["f"]),
-                dg * (1 - s["g"] ** 2),
-                do * s["o"] * (1 - s["o"]),
-            ])
-            grad_of(self.w_lstm)[...] += np.outer(s["concat"], dz)
-            grad_of(self.b_lstm)[...] += dz
+                grad_emb[kind][token] += dx_next
+            dc_next = _cell_backward(dh, dc_next, gates, g, c_prev, tanh_c,
+                                     dz)
+            grad_w_lstm += concat[:, None] * dz
+            grad_b_lstm += dz
             d_concat = dz @ self.w_lstm.T
             dh_next = d_concat[:hs]
             dx_next = d_concat[hs:]
         if dx_next is not None:
-            grad_of(self.start_embedding)[...] += dx_next
-        params = self._param_list()
-        self._adam.step([grads[id(p)] for p in params])
+            grad_start += dx_next
+        self._adam.step()
         return loss
 
     def update_batch(
@@ -461,23 +555,20 @@ class LstmController:
             raise ValueError("batch has no cached activations; was it "
                              "produced by this controller's sample_batch()?")
         b = len(batch)
-        grads = {id(p): np.zeros_like(p) for p in self._param_list()}
-
-        def grad_of(param: np.ndarray) -> np.ndarray:
-            return grads[id(param)]
-
+        self._adam.zero_grad()
+        grad_start, grad_w_lstm, grad_b_lstm, grad_emb, grad_heads = self._grad
         hs = self.hidden_size
         rows = np.arange(b)
         dh_next = np.zeros((b, hs))
         dc_next = np.zeros((b, hs))
         dx_next: np.ndarray | None = None
+        dz = np.zeros((b, 4 * hs))
         loss = 0.0
-        for t in range(len(steps) - 1, -1, -1):
-            s = steps[t]
-            probs, tokens = s["probs"], s["tokens"]
-            one_hot = np.zeros_like(probs)
-            one_hot[rows, tokens] = 1.0
-            d_logits = adv[:, None] * (probs - one_hot)
+        for step in reversed(steps):
+            kind, concat, gates, g, c_prev, tanh_c, h, probs, tokens = step
+            d_logits = probs.copy()
+            d_logits[rows, tokens] -= 1.0
+            d_logits *= adv[:, None]
             picked = np.log(probs[rows, tokens] + 1e-12)
             loss += float(-(adv * picked).sum())
             if self.entropy_weight:
@@ -487,35 +578,25 @@ class LstmController:
                     log_p + entropy[:, None]
                 )
                 loss += -self.entropy_weight * float(entropy.sum())
-            w_head, b_head = self.heads[s["kind"]]
-            grad_of(w_head)[...] += s["h"].T @ d_logits
-            grad_of(b_head)[...] += d_logits.sum(axis=0)
+            w_head, _ = self.heads[kind]
+            grad_w_head, grad_b_head = grad_heads[kind]
+            grad_w_head += h.T @ d_logits
+            grad_b_head += d_logits.sum(axis=0)
             dh = d_logits @ w_head.T + dh_next
             # The *next* step's input embedding was this step's token.
             if dx_next is not None:
-                np.add.at(grad_of(self.embeddings[s["kind"]]), tokens, dx_next)
-            # LSTM cell backward.
-            do = dh * s["tanh_c"]
-            dc = dh * s["o"] * (1 - s["tanh_c"] ** 2) + dc_next
-            di = dc * s["g"]
-            df = dc * s["c_prev"]
-            dg = dc * s["i"]
-            dc_next = dc * s["f"]
-            dz = np.concatenate([
-                di * s["i"] * (1 - s["i"]),
-                df * s["f"] * (1 - s["f"]),
-                dg * (1 - s["g"] ** 2),
-                do * s["o"] * (1 - s["o"]),
-            ], axis=1)
-            grad_of(self.w_lstm)[...] += s["concat"].T @ dz
-            grad_of(self.b_lstm)[...] += dz.sum(axis=0)
+                np.add.at(grad_emb[kind], tokens, dx_next)
+            dc_next = _cell_backward(dh, dc_next, gates, g, c_prev, tanh_c,
+                                     dz)
+            grad_w_lstm += concat.T @ dz
+            grad_b_lstm += dz.sum(axis=0)
             d_concat = dz @ self.w_lstm.T
             dh_next = d_concat[:, :hs]
             dx_next = d_concat[:, hs:]
         if dx_next is not None:
-            grad_of(self.start_embedding)[...] += dx_next.sum(axis=0)
-        params = self._param_list()
-        self._adam.step([grads[id(p)] / b for p in params])
+            grad_start += dx_next.sum(axis=0)
+        self._adam.grad_flat /= b
+        self._adam.step()
         return loss / b
 
     # -- checkpointing -------------------------------------------------------
@@ -542,8 +623,8 @@ class LstmController:
         """Restore :meth:`state_dict` output into this controller.
 
         The controller must have been constructed with the same search
-        space and sizes; values are copied into the existing arrays so
-        the Adam optimizer's aliases stay valid.
+        space and sizes; values are copied into the existing arrays,
+        which are views into the optimizer's flat buffer.
         """
         _check_state_type(state, type(self).__name__)
         _copy_into(self.start_embedding, state["start_embedding"],
@@ -578,10 +659,6 @@ def _check_state_type(state: dict, expected: str) -> None:
         )
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -30, 30)))
-
-
 class RandomController:
     """Uniform random policy -- the no-learning baseline.
 
@@ -600,6 +677,7 @@ class RandomController:
     ) -> ControllerSample:
         """Uniform token sequence (or score a fixed one)."""
         if force_tokens is not None:
+            self.space.check_tokens(force_tokens)
             tokens = list(force_tokens)
         else:
             tokens = self.space.random_tokens(rng)
@@ -640,17 +718,22 @@ class RandomController:
 
 
 class TabularController:
-    """Independent softmax logits per decision step (REINFORCE)."""
+    """Independent softmax logits per decision step (REINFORCE).
+
+    ``logits[step]`` are views into the Adam optimizer's flat buffer,
+    as :class:`LstmController`'s parameters are.
+    """
 
     def __init__(self, space: SearchSpace, lr: float = 0.15, seed: int = 0):
         if lr <= 0:
             raise ValueError(f"lr must be positive, got {lr}")
         self.space = space
-        self.logits = [
-            np.zeros(len(space.choices_at(step)))
-            for step in range(space.num_decisions)
-        ]
-        self._adam = _AdamState(self.logits, lr)
+        self._adam = _AdamState(
+            [np.zeros(len(space.choices_at(step)))
+             for step in range(space.num_decisions)],
+            lr,
+        )
+        self.logits = self._adam.params
         del seed  # deterministic init; kept for interface symmetry
 
     def sample(
@@ -659,10 +742,8 @@ class TabularController:
         force_tokens: list[int] | None = None,
     ) -> ControllerSample:
         """Sample each step independently (or score ``force_tokens``)."""
-        if force_tokens is not None and len(force_tokens) != len(self.logits):
-            raise ValueError(
-                f"force_tokens must have {len(self.logits)} entries"
-            )
+        if force_tokens is not None:
+            self.space.check_tokens(force_tokens)
         tokens: list[int] = []
         log_prob = 0.0
         for step, step_logits in enumerate(self.logits):
@@ -670,22 +751,25 @@ class TabularController:
             if force_tokens is not None:
                 token = force_tokens[step]
             else:
-                token = int(rng.choice(len(probs), p=probs))
+                token = _choice(rng, probs, step)
             log_prob += float(np.log(probs[token] + 1e-12))
             tokens.append(token)
         return ControllerSample(tokens=tokens, log_prob=log_prob, cache=None)
 
     def update(self, sample: ControllerSample, advantage: float) -> float:
         """REINFORCE on the per-step categorical distributions."""
-        grads = []
+        self._adam.zero_grad()
         loss = 0.0
-        for step_logits, token in zip(self.logits, sample.tokens):
+        for step_logits, grad, token in zip(
+            self.logits, self._adam.grads, sample.tokens
+        ):
             probs = _softmax(step_logits)
-            one_hot = np.zeros_like(probs)
-            one_hot[token] = 1.0
-            grads.append(advantage * (probs - one_hot))
+            # advantage * (probs - one_hot), built in the gradient view.
+            grad[...] = probs
+            grad[token] -= 1.0
+            grad *= advantage
             loss += -advantage * float(np.log(probs[token] + 1e-12))
-        self._adam.step(grads)
+        self._adam.step()
         return loss
 
     def sample_batch(
@@ -696,13 +780,12 @@ class TabularController:
         b = batch_size
         log_probs = np.zeros(b)
         token_rows: list[np.ndarray] = []
-        for step_logits in self.logits:
+        for step, step_logits in enumerate(self.logits):
             probs = _softmax(step_logits)
             # Every batch row shares this step's distribution, so compute
             # the CDF once and broadcast against the per-row uniforms --
             # same arithmetic (and RNG stream) as _choice_rows.
-            cdf = probs.cumsum()
-            cdf /= cdf[-1]
+            cdf = _cdf(probs, step)
             u = rng.random(b)
             toks = (cdf[None, :] <= u[:, None]).sum(axis=1)
             log_probs += np.log(probs[toks] + 1e-12)
@@ -724,18 +807,18 @@ class TabularController:
         adv = _check_advantages(batch, advantages)
         b = len(batch)
         tokens = np.asarray([s.tokens for s in batch.samples])
-        grads = []
         loss = 0.0
-        for step, step_logits in enumerate(self.logits):
+        for step, (step_logits, grad) in enumerate(
+            zip(self.logits, self._adam.grads)
+        ):
             probs = _softmax(step_logits)
             toks = tokens[:, step]
             # mean_b adv_b * (probs - onehot_b), without materialising
             # the (b, n) one-hot matrix.
-            grad = probs * adv.mean()
+            np.multiply(probs, adv.mean(), out=grad)
             np.subtract.at(grad, toks, adv / b)
-            grads.append(grad)
             loss += float(-(adv * np.log(probs[toks] + 1e-12)).sum()) / b
-        self._adam.step(grads)
+        self._adam.step()
         return loss
 
     def state_dict(self) -> dict:

@@ -154,6 +154,20 @@ class SearchSpace:
 
     # -- encode / decode ------------------------------------------------------
 
+    def check_tokens(self, tokens: list[int] | tuple[int, ...]) -> None:
+        """Raise :class:`ValueError` unless ``tokens`` is a full sequence
+        with every token indexing its step's choice list."""
+        if len(tokens) != self.num_decisions:
+            raise ValueError(
+                f"expected {self.num_decisions} tokens, got {len(tokens)}"
+            )
+        for step, (token, (_, choices)) in enumerate(zip(tokens, self._steps)):
+            if not 0 <= token < len(choices):
+                raise ValueError(
+                    f"token {token} at step {step} out of range for "
+                    f"{len(choices)} choices"
+                )
+
     def decode(self, tokens: list[int] | tuple[int, ...]) -> Architecture:
         """Token sequence -> architecture.
 
@@ -164,21 +178,11 @@ class SearchSpace:
         pointwise layer pair, so the architecture may be deeper than
         ``num_layers``.
         """
-        if len(tokens) != self.num_decisions:
-            raise ValueError(
-                f"expected {self.num_decisions} tokens, got {len(tokens)}"
-            )
+        self.check_tokens(tokens)
         picked: dict[str, list] = {
             CONV_TYPE: [], FILTER_SIZE: [], FILTER_COUNT: []
         }
-        for step, (token, (kind, choices)) in enumerate(
-            zip(tokens, self._steps)
-        ):
-            if not 0 <= token < len(choices):
-                raise ValueError(
-                    f"token {token} at step {step} out of range for "
-                    f"{len(choices)} choices"
-                )
+        for token, (kind, choices) in zip(tokens, self._steps):
             picked[kind].append(choices[token])
         types = picked[CONV_TYPE]
         sizes, counts = picked[FILTER_SIZE], picked[FILTER_COUNT]

@@ -17,9 +17,10 @@ machinery relies on.
 
 The second half of the module is that machinery's substrate: RNG stream
 capture (:func:`rng_state_to_dict` / :func:`rng_from_state`), estimator
-cache statistics, and :func:`atomic_write_json`, which makes snapshot
-files crash-safe (a checkpoint is either the complete old file or the
-complete new one, never a torn write).
+cache statistics, and :func:`atomic_write_json` /
+:func:`atomic_write_text`, which make snapshot files crash-safe (a
+checkpoint is either the complete old file or the complete new one,
+never a torn write).
 """
 
 from __future__ import annotations
@@ -252,16 +253,27 @@ def restore_cache_stats(estimator: Any, data: dict[str, Any] | None) -> None:
     estimator.layer_memo_stats.misses = int(layer_tier["misses"])
 
 
-def atomic_write_json(data: Any, path: str | Path) -> None:
-    """Write JSON so readers never observe a torn file.
+def atomic_write_text(text: str, path: str | Path) -> None:
+    """Write ``text`` to ``path`` so readers never observe a torn file.
 
     The payload lands in a same-directory temporary file first and is
     moved over ``path`` with :func:`os.replace`, which is atomic on
-    POSIX and Windows.  A crash mid-write leaves the previous checkpoint
+    POSIX and Windows.  A crash mid-write leaves the previous file
     intact -- the property the campaign runner's re-queue-from-last-
     checkpoint recovery depends on.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(data, indent=2))
+    tmp.write_text(text)
     os.replace(tmp, path)
+
+
+def atomic_write_json(data: Any, path: str | Path) -> None:
+    """Write ``data`` as compact one-line JSON via :func:`atomic_write_text`.
+
+    Without ``indent``, :func:`json.dumps` runs CPython's C encoder,
+    about three times faster than the pure-Python encoder ``indent``
+    selects, and checkpoint snapshots run to megabytes.  Pretty-print
+    one for reading with ``python -m json.tool``.
+    """
+    atomic_write_text(json.dumps(data), path)

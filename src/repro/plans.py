@@ -359,11 +359,12 @@ def save_plan(plan: RunPlan, path: str | Path) -> None:
 
     Uses the same atomic temp-file-then-replace write as checkpoints
     and campaign artifacts, so a crash mid-dump never leaves a torn
-    plan file.
+    plan file.  Unlike those, plan files stay indented: they are small
+    and meant to be read and edited.
     """
-    from repro.core.serialization import atomic_write_json
+    from repro.core.serialization import atomic_write_text
 
-    atomic_write_json(plan.to_dict(), path)
+    atomic_write_text(json.dumps(plan.to_dict(), indent=2), path)
 
 
 def load_plan(path: str | Path) -> RunPlan:

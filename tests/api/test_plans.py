@@ -7,6 +7,7 @@ dict/JSON round-trip has to be lossless for every representable plan.
 """
 
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -115,6 +116,14 @@ class TestRoundTrip:
         path = tmp_path / "plan.json"
         save_plan(plan, path)
         assert load_plan(path) == plan
+
+    def test_saved_plan_is_pretty_printed(self, tmp_path):
+        """Plan files stay indented, unlike the compact snapshots."""
+        plan = RunPlan(workload="table1",
+                       search=SearchPlan(seed=3, trials=10))
+        path = tmp_path / "plan.json"
+        save_plan(plan, path)
+        assert path.read_text() == json.dumps(plan.to_dict(), indent=2)
 
     def test_json_lists_become_tuples(self):
         """A plan parsed from JSON (lists everywhere) equals the

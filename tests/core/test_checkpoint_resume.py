@@ -267,6 +267,17 @@ class TestCheckpointMechanics:
         assert snapshot["controller"]["type"] == "LstmController"
         assert snapshot["cache_stats"]["architecture_tier"]["misses"] > 0
 
+    def test_snapshot_is_one_line_of_compact_json(self, setup, tmp_path):
+        space, evaluator = setup
+        path = tmp_path / "ck.json"
+        make_fnas(space, evaluator).run(
+            10, np.random.default_rng(0), checkpoint_every=5,
+            checkpoint_path=path,
+        )
+        text = path.read_text()
+        assert "\n" not in text
+        assert text == json.dumps(json.loads(text))
+
     def test_checkpoint_args_must_come_together(self, setup, tmp_path):
         space, evaluator = setup
         search = make_fnas(space, evaluator)

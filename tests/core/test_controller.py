@@ -2,9 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.controller import LstmController, TabularController
+from repro.core.controller import (
+    LstmController,
+    RandomController,
+    TabularController,
+)
 from repro.core.search_space import SearchSpace
+
+from tests.core import controller_reference as reference
 
 SMALL_SPACE = SearchSpace(
     name="small",
@@ -187,3 +194,187 @@ class TestLstmGradients:
             numeric = -(lp_plus - lp_minus) / (2 * eps)  # loss = -logprob
             errors.append(abs(numeric - grad_est[r, cidx]))
         assert max(errors) < 1e-4
+
+
+class TestFlatBuffers:
+    def test_lstm_parameters_are_views_of_one_flat_buffer(self):
+        controller = LstmController(SMALL_SPACE, seed=0)
+        params = controller._param_list()
+        flat = controller._adam.flat
+        assert np.array_equal(
+            flat, np.concatenate([p.ravel() for p in params]))
+        assert all(np.shares_memory(p, flat) for p in params)
+        assert sum(p.size for p in params) == flat.size
+
+    def test_tabular_logits_are_views_of_one_flat_buffer(self):
+        controller = TabularController(SMALL_SPACE)
+        assert all(np.shares_memory(step, controller._adam.flat)
+                   for step in controller.logits)
+
+
+def draw(controller, batch_size):
+    """``sample`` when ``batch_size`` is None, else ``sample_batch``."""
+    rng = np.random.default_rng(0)
+    if batch_size is None:
+        return controller.sample(rng)
+    return controller.sample_batch(rng, batch_size)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+class TestNonFiniteProbabilities:
+    """NaN weights must fail loudly, not sample token 0 forever."""
+
+    @pytest.mark.parametrize("batch_size", [None, 1, 4])
+    def test_lstm_nan_weights_raise_at_the_first_step(self, batch_size):
+        controller = LstmController(SMALL_SPACE, seed=0)
+        controller.b_lstm[:] = np.nan
+        with pytest.raises(ValueError, match="step 0 are not finite"):
+            draw(controller, batch_size)
+
+    @pytest.mark.parametrize("batch_size", [None, 1, 4])
+    def test_lstm_infinite_logit_names_its_step(self, batch_size):
+        controller = LstmController(SMALL_SPACE, seed=0)
+        controller.heads["filter_count"][1][0] = np.inf  # step 1's bias
+        with pytest.raises(ValueError, match="step 1 are not finite"):
+            draw(controller, batch_size)
+
+    @pytest.mark.parametrize("batch_size", [None, 1, 4])
+    def test_tabular_nan_logits_name_their_step(self, batch_size):
+        controller = TabularController(SMALL_SPACE)
+        controller.logits[2][:] = np.nan
+        with pytest.raises(ValueError, match="step 2 are not finite"):
+            draw(controller, batch_size)
+
+
+class TestForceTokensValidation:
+    """Every controller scores only sequences ``SearchSpace.decode`` would
+    accept, and says why it refuses the rest."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: LstmController(SMALL_SPACE, seed=0),
+        lambda: TabularController(SMALL_SPACE),
+        lambda: RandomController(SMALL_SPACE),
+    ], ids=["lstm", "tabular", "random"])
+    @pytest.mark.parametrize("tokens, message", [
+        ([-1] * 4, "token -1 at step 0 out of range for 2 choices"),
+        ([0, 3, 0, 0], "token 3 at step 1 out of range for 3 choices"),
+        ([0, 0, 0], "expected 4 tokens, got 3"),
+        ([0] * 5, "expected 4 tokens, got 5"),
+    ])
+    def test_rejects_what_decode_rejects(self, make, tokens, message):
+        with pytest.raises(ValueError, match=message):
+            SMALL_SPACE.decode(tokens)
+        with pytest.raises(ValueError, match=message):
+            make().sample(np.random.default_rng(0), force_tokens=tokens)
+
+    @pytest.mark.parametrize("make", [
+        lambda: LstmController(SMALL_SPACE, seed=0),
+        lambda: TabularController(SMALL_SPACE),
+        lambda: RandomController(SMALL_SPACE),
+    ], ids=["lstm", "tabular", "random"])
+    def test_scores_a_valid_sequence(self, make):
+        sample = make().sample(np.random.default_rng(0),
+                               force_tokens=[1, 2, 0, 1])
+        assert sample.tokens == [1, 2, 0, 1]
+        assert np.isfinite(sample.log_prob)
+
+
+# -- exactness wall ------------------------------------------------------------
+
+
+@st.composite
+def small_spaces(draw):
+    """Tiny search spaces, with and without a conv-type decision."""
+    return SearchSpace(
+        name="wall",
+        num_layers=draw(st.integers(1, 3)),
+        filter_sizes=tuple(draw(st.lists(
+            st.sampled_from((1, 3, 5, 7)), min_size=1, max_size=3,
+            unique=True))),
+        filter_counts=tuple(draw(st.lists(
+            st.integers(1, 64), min_size=1, max_size=4, unique=True))),
+        input_size=16,
+        input_channels=1,
+        num_classes=10,
+        conv_types=draw(st.sampled_from(
+            (("standard",), ("separable", "standard")))),
+    )
+
+
+advantages = st.floats(-3.0, 3.0, allow_nan=False)
+
+#: A step sequence: each entry is a B=1 ``sample``/``update`` pair
+#: (``None``) or a ``sample_batch``/``update_batch`` pair of that size.
+step_sequences = st.lists(
+    st.tuples(st.one_of(st.none(), st.integers(1, 8)),
+              st.lists(advantages, min_size=8, max_size=8)),
+    min_size=1, max_size=6,
+)
+
+
+def assert_bit_equal(new: np.ndarray, old: np.ndarray) -> None:
+    assert new.shape == old.shape
+    assert np.array_equal(new, old)
+    assert new.tobytes() == old.tobytes()
+
+
+def run_both(new, old, steps, rng_seed: int) -> None:
+    """Drive both controllers through ``steps`` from twin RNG streams,
+    requiring identical tokens, log-probs and losses at every step."""
+    rng_new = np.random.default_rng(rng_seed)
+    rng_old = np.random.default_rng(rng_seed)
+    for batch_size, advs in steps:
+        if batch_size is None:
+            a, b = new.sample(rng_new), old.sample(rng_old)
+            assert a.tokens == b.tokens
+            assert a.log_prob == b.log_prob
+            assert new.update(a, advs[0]) == old.update(b, advs[0])
+        else:
+            a = new.sample_batch(rng_new, batch_size)
+            b = old.sample_batch(rng_old, batch_size)
+            assert [s.tokens for s in a.samples] == [
+                s.tokens for s in b.samples]
+            assert [s.log_prob for s in a.samples] == [
+                s.log_prob for s in b.samples]
+            chosen = advs[:batch_size]
+            assert new.update_batch(a, chosen) == old.update_batch(b, chosen)
+
+
+class TestMatchesPerArrayReference:
+    """Exactness wall: the flat-buffer controllers reproduce the per-array
+    reference bit for bit -- tokens, log-probs, losses, every parameter,
+    both Adam moments and the step count."""
+
+    @settings(deadline=None, max_examples=120)
+    @given(space=small_spaces(), hidden=st.integers(1, 8),
+           embed=st.integers(1, 6),
+           entropy_weight=st.one_of(st.just(0.0), st.floats(1e-3, 0.5)),
+           lr=st.floats(1e-3, 0.1), seed=st.integers(0, 2**16),
+           rng_seed=st.integers(0, 2**16), steps=step_sequences)
+    def test_lstm(self, space, hidden, embed, entropy_weight, lr, seed,
+                  rng_seed, steps):
+        options = dict(hidden_size=hidden, embed_size=embed, lr=lr,
+                       entropy_weight=entropy_weight, seed=seed)
+        new = LstmController(space, **options)
+        old = reference.ReferenceLstmController(space, **options)
+        run_both(new, old, steps, rng_seed)
+        for p_new, p_old in zip(new._param_list(), old._param_list(),
+                                strict=True):
+            assert_bit_equal(p_new, p_old)
+        for m_new, m_old in zip(new._adam.m + new._adam.v,
+                                old._adam.m + old._adam.v, strict=True):
+            assert_bit_equal(m_new, m_old)
+        assert new._adam.t == old._adam.t
+
+    @settings(deadline=None, max_examples=80)
+    @given(space=small_spaces(), lr=st.floats(1e-3, 0.5),
+           rng_seed=st.integers(0, 2**16), steps=step_sequences)
+    def test_tabular(self, space, lr, rng_seed, steps):
+        new = TabularController(space, lr=lr)
+        old = reference.ReferenceTabularController(space, lr=lr)
+        run_both(new, old, steps, rng_seed)
+        for l_new, l_old in zip(new.logits, old.logits, strict=True):
+            assert_bit_equal(l_new, l_old)
+        for m_new, m_old in zip(new._adam.m + new._adam.v,
+                                old._adam.m + old._adam.v, strict=True):
+            assert_bit_equal(m_new, m_old)
