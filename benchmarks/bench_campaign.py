@@ -8,8 +8,8 @@ serially and across worker pools of increasing size, asserting
 * scaling -- on a >= 4 core host the best pooled campaign clears
   >= 2x serial throughput.  The pool is the persistent
   :class:`~repro.service.pool.WorkerPool` (workers are reused across
-  shards, the tiling memo's disk tier is shared), so pool startup no
-  longer eats the win the way the old per-run executor did.  Below
+  shards, their imports already warm), so pool startup no longer eats
+  the win the way the old per-run executor did.  Below
   4 cores the pooled campaign cannot physically run enough shards at
   once, so the scaling assertion skips loudly; the correctness one
   never does.

@@ -227,11 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="snapshot jobs whose plans name no checkpoint "
                         "directory under this root (per plan hash), making "
                         "cancel-then-resubmit and crash recovery resume")
-    p.add_argument("--tiling-cache-dir", default=None,
-                   help="shared on-disk tiling-memo directory pool workers "
-                        "read/write through (default: <store-dir>/tiling "
-                        "when --store-dir is set); one worker's layer "
-                        "designs then warm every other worker")
     p.add_argument("--lease-seconds", type=float, default=None,
                    help="lease term for jobs claimed by `repro agent` "
                         "workers; a lease not renewed by heartbeat within "
@@ -326,9 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     store_sub = p.add_subparsers(dest="store_command", required=True)
     g = store_sub.add_parser(
         "gc",
-        help="garbage-collect dead whole-plan and shard entries plus "
-             "tiling-memo cache files; entries referenced by non-terminal "
-             "journal jobs are never removed",
+        help="garbage-collect dead whole-plan and shard entries; entries "
+             "referenced by non-terminal journal jobs are never removed",
     )
     g.add_argument("--store-dir", required=True,
                    help="the persistent store directory to collect")
@@ -504,7 +498,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "store_dir": args.store_dir,
         "checkpoint_dir": args.checkpoint_dir,
         "backend": args.backend,
-        "tiling_cache_dir": args.tiling_cache_dir,
     }
     if args.lease_seconds is not None:
         service_kwargs["lease_seconds"] = args.lease_seconds

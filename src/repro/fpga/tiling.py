@@ -37,12 +37,8 @@ from __future__ import annotations
 
 import bisect
 import functools
-import hashlib
-import json
-import os
 import threading
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.core.architecture import Architecture, ConvLayerSpec
 from repro.fpga.dram import PhaseLatency
@@ -53,12 +49,6 @@ WORD_BYTES = 2
 
 #: double-buffering factor: compute on one buffer while loading the next.
 DOUBLE_BUFFER = 2
-
-#: Version of the tiling-selection algorithm.  It is part of every
-#: :class:`TilingDiskCache` key, so bump it whenever selection can
-#: return a different tiling for the same inputs: entries written by the
-#: old code then read as misses instead of serving stale tilings.
-TILING_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -363,165 +353,6 @@ def _bump_process_stats(bucket: str, hit: bool) -> None:
                 stats.misses += 1
 
 
-def _bump_disk_stats(hit: bool) -> None:
-    """Count a disk-tier consultation (memory-tier misses only).
-
-    Deliberately *not* folded into the ``"all"`` bucket: ``all`` keeps
-    meaning "memory-tier lookups" so pre-existing dashboards and tests
-    read unchanged, and the ``disk`` bucket's hit rate directly answers
-    "is the shared on-disk memo warming this worker?".
-    """
-    with _PROCESS_STATS_LOCK:
-        stats = PROCESS_MEMO_STATS.setdefault("disk", MemoStats())
-        if hit:
-            stats.hits += 1
-        else:
-            stats.misses += 1
-
-
-class TilingDiskCache:
-    """Tier 2 of the tiling memo: a shared on-disk cache directory.
-
-    Workers in a :class:`~repro.service.pool.WorkerPool` each own a
-    process-private :class:`LayerDesignMemo` (tier 1).  Pointing them
-    all at one ``TilingDiskCache`` -- conventionally
-    ``<result-store>/tiling`` -- makes tiling selection a fleet-wide
-    pure-function cache: worker N's layer enumeration warms worker M,
-    and a campaign resumed tomorrow starts with yesterday's designs.
-
-    The file contract mirrors :class:`~repro.service.store.ResultStore`:
-
-    * keys are SHA-256 hashes of the canonical JSON of the inputs
-      (layer spec fields, resource budgets, spatial strategy) and of
-      :data:`TILING_VERSION` -- the same canonical-hash idiom the store
-      uses for plans -- so entries written by an older selection
-      algorithm are never served;
-    * entries are single JSON files written via temp-file +
-      :func:`os.replace`, so concurrent writers race benignly (same
-      key => same pure-function value) and readers never see a partial
-      write in place;
-    * a torn, truncated or otherwise invalid file is a **silent
-      miss** -- the tiling is recomputed and the entry rewritten --
-      exactly the corrupt-entry contract of ``ResultStore.get_bytes``;
-    * :meth:`~repro.service.store.ResultStore.gc` ages and
-      budget-evicts these files alongside result entries (they are
-      always evictable: every entry is a recomputable cache line).
-
-    All I/O errors are swallowed: a read-only or vanished cache
-    directory degrades to the in-memory memo, never to a crash.
-    """
-
-    def __init__(self, directory: str):
-        self.directory = Path(directory)
-        try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-        except OSError:
-            pass
-
-    @staticmethod
-    def entry_key(
-        spec: ConvLayerSpec,
-        dsp_budget: int,
-        bram_budget_bytes: int,
-        spatial_strategy: str,
-    ) -> str:
-        """Canonical hash of everything tiling selection depends on."""
-        canonical = json.dumps(
-            {
-                "tiling_version": TILING_VERSION,
-                "spec": {
-                    "in_channels": spec.in_channels,
-                    "out_channels": spec.out_channels,
-                    "kernel": spec.kernel,
-                    "in_rows": spec.in_rows,
-                    "in_cols": spec.in_cols,
-                    "stride": spec.stride,
-                    "kind": spec.kind,
-                },
-                "dsp_budget": dsp_budget,
-                "bram_budget_bytes": bram_budget_bytes,
-                "spatial_strategy": spatial_strategy,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
-
-    def get(
-        self,
-        spec: ConvLayerSpec,
-        dsp_budget: int,
-        bram_budget_bytes: int,
-        spatial_strategy: str,
-    ) -> TilingVector | None:
-        """The cached tiling, or None on miss *or any invalid entry*."""
-        key = self.entry_key(spec, dsp_budget, bram_budget_bytes,
-                             spatial_strategy)
-        try:
-            raw = self._path(key).read_bytes()
-            fields = json.loads(raw)["tiling"]
-            return TilingVector(
-                tm=fields["tm"], tn=fields["tn"],
-                tr=fields["tr"], tc=fields["tc"],
-            )
-        except (OSError, ValueError, KeyError, TypeError):
-            # Missing, torn, truncated, or corrupt: a silent miss.
-            return None
-
-    def put(
-        self,
-        spec: ConvLayerSpec,
-        dsp_budget: int,
-        bram_budget_bytes: int,
-        spatial_strategy: str,
-        tiling: TilingVector,
-    ) -> None:
-        """Write-through one tiling (atomic rename; errors swallowed)."""
-        key = self.entry_key(spec, dsp_budget, bram_budget_bytes,
-                             spatial_strategy)
-        payload = json.dumps(
-            {"tiling": {"tm": tiling.tm, "tn": tiling.tn,
-                        "tr": tiling.tr, "tc": tiling.tc}},
-            sort_keys=True,
-        )
-        path = self._path(key)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_text(payload, encoding="utf-8")
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
-
-
-#: The process-wide disk tier every :class:`LayerDesignMemo` consults,
-#: or None when no cache directory has been configured.
-_DISK_CACHE: TilingDiskCache | None = None
-
-
-def configure_disk_cache(directory: str | None) -> None:
-    """Point (or unpoint, with None) the disk tier at ``directory``.
-
-    Process-wide by design: a worker serves many estimators over its
-    lifetime and all of them should share the one on-disk tier.  Pool
-    workers call this once per task from the directory the dispatcher
-    hands them (``<result-store>/tiling``); forked children inherit
-    the parent's setting until told otherwise.
-    """
-    global _DISK_CACHE
-    _DISK_CACHE = None if directory is None else TilingDiskCache(directory)
-
-
-def disk_cache() -> TilingDiskCache | None:
-    """The currently configured disk tier (None when unset)."""
-    return _DISK_CACHE
-
-
 @dataclass
 class LayerDesignMemo:
     """Shared memo of per-layer tiling decisions.
@@ -589,13 +420,7 @@ class LayerDesignMemo:
         bram_budget_bytes: int,
         spatial_strategy: str,
     ) -> TilingVector | None:
-        """Return the memoised tiling for this layer shape, if any.
-
-        Two tiers: the in-process dict first, then the shared on-disk
-        cache when one is configured (see :func:`configure_disk_cache`).
-        A disk hit is promoted into the memory tier, so each shape pays
-        disk I/O at most once per process.
-        """
+        """Return the memoised tiling for this layer shape, if any."""
         key = (spec, dsp_budget, bram_budget_bytes, spatial_strategy)
         bucket = self._kind_bucket(spec)
         with self._lock:
@@ -608,13 +433,6 @@ class LayerDesignMemo:
                 self.stats.hits += 1
                 kind.hits += 1
         _bump_process_stats(bucket, hit=tiling is not None)
-        if tiling is None and _DISK_CACHE is not None:
-            tiling = _DISK_CACHE.get(spec, dsp_budget, bram_budget_bytes,
-                                     spatial_strategy)
-            _bump_disk_stats(hit=tiling is not None)
-            if tiling is not None:
-                with self._lock:
-                    self._memo[key] = tiling
         return tiling
 
     def store(
@@ -625,13 +443,10 @@ class LayerDesignMemo:
         spatial_strategy: str,
         tiling: TilingVector,
     ) -> None:
-        """Memoise a freshly computed tiling (write-through to disk)."""
+        """Memoise a freshly computed tiling."""
         key = (spec, dsp_budget, bram_budget_bytes, spatial_strategy)
         with self._lock:
             self._memo[key] = tiling
-        if _DISK_CACHE is not None:
-            _DISK_CACHE.put(spec, dsp_budget, bram_budget_bytes,
-                            spatial_strategy, tiling)
 
     def channel_tiling(
         self, spec: ConvLayerSpec, dsp_budget: int, bram_budget_bytes: int

@@ -499,20 +499,6 @@ class Campaign:
             units.append(batch)
         return units
 
-    def _tiling_cache_dir(self) -> str | None:
-        """Where pool workers point their tiling memo's disk tier.
-
-        Anchored to the result store's directory (``<store>/tiling``)
-        when the campaign memoizes through a persistent store -- the
-        same placement the service's process backend uses, so campaign
-        workers and service jobs warm each other.  None (no shared
-        tier) without a persistent store.
-        """
-        directory = getattr(self.store, "directory", None)
-        if directory is None:
-            return None
-        return str(Path(directory) / "tiling")
-
     def _dispatch_pooled(
         self,
         pool: Any,
@@ -533,9 +519,6 @@ class Campaign:
         cadence checkpoints preserve progress -- and raises
         :class:`~repro.core.search.SearchCancelled`.
         """
-        tiling_dir = self._tiling_cache_dir()
-        setup = (None if tiling_dir is None
-                 else partial(_configure_worker_tiling, tiling_dir))
         queue = self._dispatch_units(pending)
         inflight: dict[Any, list[ShardSpec]] = {}
         deaths = 0
@@ -561,7 +544,6 @@ class Campaign:
                         on_item=self._on_shard_done(
                             unit, pending, outcomes, requeues
                         ),
-                        setup=setup,
                         should_stop=partial(_submit_should_give_up,
                                             inflight, should_stop),
                     )
@@ -675,17 +657,6 @@ class Campaign:
         """Hand one typed event to the progress callback (if any)."""
         if self.progress is not None:
             self.progress(event)
-
-
-def _configure_worker_tiling(directory: str) -> None:
-    """Worker-side setup: point the tiling memo at the shared disk tier.
-
-    Module-level (not a lambda/closure) so it crosses the worker pipe
-    by reference; runs once per dispatch unit in the child.
-    """
-    from repro.fpga.tiling import configure_disk_cache
-
-    configure_disk_cache(directory)
 
 
 def _submit_should_give_up(inflight: dict, should_stop) -> bool:

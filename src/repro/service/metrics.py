@@ -13,9 +13,7 @@ counters and gauges, cheap enough to poll:
 * ``estimator`` -- process-wide latency-estimator cache counters: the
   tiling-memo hit/miss rates per layer-kind bucket (``depthwise`` /
   ``pointwise`` / ``standard`` and the ``all`` total), so the dw/pw
-  tiling path of MobileNet-class jobs is observable; when a shared
-  on-disk tiling tier is configured, a ``disk`` bucket reports its
-  hit rate (how often another worker's designs answered a lookup);
+  tiling path of MobileNet-class jobs is observable;
 * ``pool`` -- the service's :class:`~repro.service.pool.WorkerPool`
   counters (``pool.dispatch``, ``worker.reuse``, ``worker.spawn``,
   ``worker.death``, ``workers.alive``), all zero until the first

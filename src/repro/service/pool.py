@@ -157,9 +157,7 @@ def _child_run_batch(conn, seq: int, cancel_seq, parent_pid: int,
     in-flight call finishes -- its own checkpoint cadence preserves
     progress -- and the remaining items never start.
     """
-    setup, fn, calls = payload
-    if setup is not None:
-        setup()
+    fn, calls = payload
     for index, call in enumerate(calls):
         if cancel_seq.value == seq or os.getppid() != parent_pid:
             conn.send(("cancelled", seq, index))
@@ -183,18 +181,13 @@ def _child_run_plan(conn, seq: int, cancel_seq, parent_pid: int,
     is rebuilt child-side (a live store handle cannot cross), and
     cacheable results come back as their canonical payload so the
     store's byte-identity guarantee holds whichever backend ran the
-    job.  ``tiling_dir`` additionally points the child's tiling memo
-    at the shared on-disk tier, so one worker's layer designs warm
-    every other worker on the same store.
+    job.
     """
     from repro.core.search import SearchCancelled
-    from repro.fpga.tiling import configure_disk_cache
     from repro.service import store as store_mod
     from repro.service.executor import execute_plan
 
-    plan_json, fallback_checkpoint_dir, store_dir, tiling_dir = payload
-    if tiling_dir is not None:
-        configure_disk_cache(tiling_dir)
+    plan_json, fallback_checkpoint_dir, store_dir = payload
     plan = RunPlan.from_json(plan_json)
     store = None if store_dir is None else store_mod.ResultStore(store_dir)
 
@@ -417,7 +410,6 @@ class WorkerPool:
         fn: Callable[..., Any],
         calls: Sequence[tuple],
         on_item: Callable[[int, Any], None] | None = None,
-        setup: Callable[[], None] | None = None,
         should_stop: Callable[[], bool] | None = None,
     ) -> TaskHandle | None:
         """Dispatch a batch of ``fn(*call)`` calls to one worker.
@@ -426,19 +418,17 @@ class WorkerPool:
         waiting; a stop returns None with nothing dispatched).  The
         worker runs the calls in order, streaming one result frame per
         call; ``on_item(index, value)`` fires from the waiting
-        thread's :meth:`wait` as each frame is processed.  ``setup``
-        (when given) runs once in the child before the first call --
-        e.g. pointing the worker's tiling memo at a shared disk tier.
-        Both ``fn`` and ``setup`` cross the pipe by reference
-        (module-level callables), so monkeypatched module globals
-        resolve in forked workers exactly as they do in-process.
+        thread's :meth:`wait` as each frame is processed.  ``fn``
+        crosses the pipe by reference (a module-level callable), so
+        monkeypatched module globals resolve in forked workers exactly
+        as they do in-process.
         """
         if not calls:
             raise ValueError("submit needs at least one call")
         worker = self._checkout(should_stop)
         if worker is None:
             return None
-        handle = self._dispatch(worker, "batch", (setup, fn, list(calls)),
+        handle = self._dispatch(worker, "batch", (fn, list(calls)),
                                 item_count=len(calls), on_item=on_item)
         return handle
 
@@ -449,7 +439,6 @@ class WorkerPool:
         cancel_requested: Callable[[], bool],
         fallback_checkpoint_dir: str | None = None,
         store_dir: str | None = None,
-        tiling_dir: str | None = None,
     ) -> tuple[Any, dict[str, Any] | None]:
         """Execute one plan on a pool worker (blocking).
 
@@ -465,13 +454,10 @@ class WorkerPool:
         be pickled back, or :class:`WorkerDied` when the worker died
         without reporting.
         """
-        if tiling_dir is None and store_dir is not None:
-            tiling_dir = os.path.join(store_dir, "tiling")
         worker = self._checkout(None)
         handle = self._dispatch(
             worker, "plan",
-            (canonical_plan_json(plan), fallback_checkpoint_dir, store_dir,
-             tiling_dir),
+            (canonical_plan_json(plan), fallback_checkpoint_dir, store_dir),
             item_count=1, on_event=emit,
         )
         cancelled = False

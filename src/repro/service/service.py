@@ -377,13 +377,6 @@ class SearchService:
             dead and deregistered.
         heartbeat_seconds: heartbeat interval advertised to agents
             (default: ``lease_seconds / HEARTBEATS_PER_LEASE``).
-        tiling_cache_dir: directory of the shared on-disk tiling-memo
-            tier (see :func:`repro.fpga.tiling.configure_disk_cache`).
-            Defaults to ``<store>/tiling`` when the store is
-            persistent and caching is on; both in-process estimation
-            and every pool worker then read/write the same tier, so
-            one job's layer designs warm the next job's workers.
-            ``None`` with an in-memory store leaves the disk tier off.
     """
 
     def __init__(
@@ -399,7 +392,6 @@ class SearchService:
         recover: bool = True,
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
         heartbeat_seconds: float | None = None,
-        tiling_cache_dir: str | None = None,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -423,20 +415,6 @@ class SearchService:
         self.checkpoint_dir = checkpoint_dir
         self.cache_results = cache_results
         self.backend = backend
-        explicit_tiling_dir = tiling_cache_dir is not None
-        if (tiling_cache_dir is None and cache_results
-                and self.store.directory is not None):
-            tiling_cache_dir = str(self.store.directory / "tiling")
-        self.tiling_cache_dir = tiling_cache_dir
-        if explicit_tiling_dir:
-            # Only an *explicit* directory reconfigures this process's
-            # own tiling memo (thread-backend jobs estimate in-process;
-            # the global must not change under other services in the
-            # same process).  Pool workers always get
-            # self.tiling_cache_dir, derived or explicit.
-            from repro.fpga.tiling import configure_disk_cache
-
-            configure_disk_cache(tiling_cache_dir)
         #: One persistent WorkerPool for every process-backend job this
         #: service runs, created lazily on the first such job so
         #: thread-only deployments never fork anything.
@@ -1358,7 +1336,6 @@ class SearchService:
                     fallback_checkpoint_dir=self._job_checkpoint_dir(job),
                     store_dir=self._shared_store_dir(),
                     pool=self._get_pool(),
-                    tiling_dir=self.tiling_cache_dir,
                 )
             else:
                 result = execute_plan(

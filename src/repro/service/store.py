@@ -208,7 +208,10 @@ class ResultStore:
         Idempotent: re-putting under an existing key keeps the original
         bytes (first write wins -- the store is content-addressed by
         the *plan*, so a second identical plan's result is by
-        construction the same result).
+        construction the same result).  Each writer stages its bytes
+        in its own temp file (named by pid and thread id), so two
+        processes or threads putting one key race benignly: both
+        renames land the same bytes.
         """
         existing = self._lookup(key)
         if existing is not None:
@@ -217,7 +220,8 @@ class ResultStore:
         self._memory[key] = blob
         if self.directory is not None:
             path = self._path(key)
-            tmp = path.with_name(path.name + ".tmp")
+            tmp = path.with_name(
+                f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
             tmp.write_bytes(blob)
             os.replace(tmp, path)
         return blob
@@ -317,13 +321,6 @@ class ResultStore:
         Removed keys are also dropped from the in-memory cache.
         Raises :class:`ValueError` on in-memory-only stores (nothing
         durable to collect).
-
-        The shared tiling-memo cache (``<store>/tiling/*.json``, see
-        :class:`repro.fpga.tiling.TilingDiskCache`) is swept in the
-        same pass, reported under ``tiling/<hash>`` pseudo-keys.
-        Those entries are *always* dead -- each is a recomputable
-        pure-function value no journal can pin -- so they age out and
-        budget-evict like any unreferenced result entry.
         """
         if self.directory is None:
             raise ValueError(
@@ -340,10 +337,6 @@ class ResultStore:
             path.stem: path
             for path in sorted(self.directory.glob("*.json"))
         }
-        paths.update({
-            f"tiling/{path.stem}": path
-            for path in sorted((self.directory / "tiling").glob("*.json"))
-        })
         live_bytes = 0
         kept_live = 0
         reclaimed = 0

@@ -57,7 +57,6 @@ def run_job_in_process(
     fallback_checkpoint_dir: str | None = None,
     store_dir: str | None = None,
     pool: WorkerPool | None = None,
-    tiling_dir: str | None = None,
 ) -> tuple[Any, dict[str, Any] | None]:
     """Execute one plan on a pool worker process (blocking).
 
@@ -81,10 +80,6 @@ def run_job_in_process(
     running each shard, write-through after) -- the process-backend
     spelling of the thread backend's live store handle, and a
     shared-filesystem contract exactly like the checkpoint directory.
-    It also anchors the cross-process tiling memo: workers point their
-    disk tier at ``<store_dir>/tiling`` (or an explicit ``tiling_dir``
-    when given), so one job's layer designs warm every later job on
-    the same store.
 
     Raises whatever the plan's execution raised --
     :class:`~repro.core.search.SearchCancelled` included -- or
@@ -101,7 +96,6 @@ def run_job_in_process(
             cancel_requested=cancel_requested,
             fallback_checkpoint_dir=fallback_checkpoint_dir,
             store_dir=store_dir,
-            tiling_dir=tiling_dir,
         )
     except WorkerDied as exc:
         raise ProcessWorkerError(

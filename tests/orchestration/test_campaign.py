@@ -271,12 +271,16 @@ class TestExecutionRuntimeIdentity:
     and the same merged campaign result."""
 
     def _stored_bytes(self, directory):
-        """Top-level store entries as {name: bytes} (the tiling memo's
-        ``tiling/`` subdir is a cache, not a result, and is excluded)."""
-        return {
-            p.name: p.read_bytes()
-            for p in sorted(directory.glob("*.json"))
-        }
+        """A leg's store entries as {name: bytes}.
+
+        The directory must hold nothing but ``*.json`` result entries:
+        no cache subdirectory (workers keep tilings in memory) and no
+        temp file left behind by a write."""
+        entries = sorted(directory.iterdir())
+        strays = [p.name for p in entries
+                  if not (p.is_file() and p.suffix == ".json")]
+        assert strays == [], f"{directory.name}: {strays}"
+        return {p.name: p.read_bytes() for p in entries}
 
     def test_byte_identity_wall(self, tmp_path):
         from repro.orchestration import plan_shards

@@ -54,12 +54,12 @@ def _pid(_):
     return os.getpid()
 
 
-def _run(pool, fn, values, **kwargs):
+def _run(pool, fn, values):
     """Submit one batch and drive it to its terminal; returns
     (handle, {index: value})."""
     results = {}
     handle = pool.submit(fn, [(v,) for v in values],
-                         on_item=results.__setitem__, **kwargs)
+                         on_item=results.__setitem__)
     while not handle.finished:
         pool.wait([handle], timeout=0.5)
     return handle, results
@@ -78,28 +78,12 @@ class TestBatchDispatch:
             with pytest.raises(ValueError, match="at least one"):
                 pool.submit(_square, [])
 
-    def test_setup_runs_before_first_call(self, tmp_path):
-        marker = tmp_path / "setup-ran"
-        import functools
-        with WorkerPool(1) as pool:
-            handle, results = _run(
-                pool, _square, [3],
-                setup=functools.partial(_touch, str(marker)),
-            )
-        assert results == {0: 9}
-        assert marker.exists()
-
     def test_submit_after_close_raises(self):
         pool = WorkerPool(1)
         pool.close()
         with pytest.raises(RuntimeError, match="closed"):
             pool.submit(_square, [(1,)])
         pool.close()  # idempotent
-
-
-def _touch(path):
-    with open(path, "w") as fh:
-        fh.write("ran")
 
 
 class TestWorkerReuse:

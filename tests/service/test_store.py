@@ -1,6 +1,7 @@
 """Canonical plan hashing and the content-addressed result store."""
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.plans import (
 )
 from repro.service.store import (
     ResultStore,
+    canonical_payload_bytes,
     decode_result,
     encode_result,
     is_cacheable,
@@ -153,3 +155,56 @@ class TestTornStore:
         (tmp_path / "k.json").write_bytes(b"{tor")
         assert store.get_bytes("k") == blob
         assert ResultStore(tmp_path).get_bytes("k") is None
+
+
+def _race_payload(index):
+    return {"index": index, "pad": "x" * 2048}
+
+
+def _put_in_lockstep(directory, barrier, errors, keys):
+    """Put every key once, meeting the other writer at each key."""
+    store = ResultStore(directory)
+    for index in range(keys):
+        barrier.wait()
+        try:
+            store.put(f"k{index}", _race_payload(index))
+        except OSError:
+            with errors.get_lock():
+                errors.value += 1
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs the fork start method",
+)
+class TestConcurrentWriters:
+    """Two processes putting one key into one directory race benignly:
+    each stages its bytes in its own temp file, and both renames land
+    the same content-addressed bytes."""
+
+    KEYS = 200
+
+    def test_two_processes_put_the_same_keys(self, tmp_path):
+        ctx = multiprocessing.get_context("fork")
+        barrier = ctx.Barrier(2, timeout=30)
+        errors = ctx.Value("i", 0)
+        writers = [
+            ctx.Process(target=_put_in_lockstep,
+                        args=(str(tmp_path), barrier, errors, self.KEYS))
+            for _ in range(2)
+        ]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=60)
+            if writer.is_alive():
+                writer.kill()
+                writer.join()
+        assert [w.exitcode for w in writers] == [0, 0]
+        assert errors.value == 0
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == sorted(f"k{i}.json" for i in range(self.KEYS))
+        store = ResultStore(tmp_path)
+        for index in range(self.KEYS):
+            assert store.get_bytes(f"k{index}") == canonical_payload_bytes(
+                _race_payload(index))

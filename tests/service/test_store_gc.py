@@ -127,6 +127,17 @@ class TestGCBudgets:
         assert report.examined == 0
         assert (tmp_path / "journal.jsonl").exists()
 
+    def test_leftover_tiling_cache_is_inert(self, tmp_path):
+        """Older releases cached tilings under ``<store>/tiling``; gc
+        neither counts nor removes what is left there."""
+        leftover = tmp_path / "tiling" / "abc.json"
+        leftover.parent.mkdir()
+        leftover.write_text('{"tiling":{}}')
+        store = ResultStore(tmp_path)
+        report = store.gc(max_age_seconds=0)
+        assert report.examined == 0
+        assert leftover.exists()
+
 
 class TestJournalLiveness:
     def _journal(self, tmp_path, transitions):
@@ -232,7 +243,7 @@ class TestGCSafety:
 
     def test_recovering_service_resumes_from_gc_survivors(self, tmp_path):
         """End-to-end: crash mid-sweep, GC, restart -> cached shards serve."""
-        from repro.events import ShardCached
+        from repro.events import EventBus, ShardCached
 
         store_dir = tmp_path / "store"
         plan = sweep_plan()
@@ -251,8 +262,12 @@ class TestGCSafety:
         ResultStore(store_dir).gc(live=live, max_age_seconds=0)
 
         events = []
-        with SearchService(workers=1, store=ResultStore(store_dir)) as svc:
-            svc.bus.subscribe(events.append)
+        # Subscribe before the service starts: recovery runs the job
+        # on a worker thread as soon as the constructor returns.
+        bus = EventBus()
+        bus.subscribe(events.append)
+        with SearchService(workers=1, store=ResultStore(store_dir),
+                           bus=bus) as svc:
             (job_id,) = svc.recovered_jobs
             svc.job(job_id).result(timeout=300)
         cached = [e for e in events if isinstance(e, ShardCached)]
@@ -302,66 +317,3 @@ def run_campaign_result(plan):
     from repro.service.executor import execute_plan
 
     return execute_plan(plan)
-
-
-class TestTilingMemoSweep:
-    """``store gc`` owns the tiling-memo cache dir too: its entries are
-    always-dead recomputable cache lines -- aged and budget-evicted
-    alongside result entries, torn files removed as corrupt."""
-
-    def _seed_tiling(self, store_dir, count=3):
-        from repro.core.architecture import ConvLayerSpec
-        from repro.fpga.tiling import TilingDiskCache, TilingVector
-
-        cache = TilingDiskCache(str(store_dir / "tiling"))
-        for n in range(1, count + 1):
-            spec = ConvLayerSpec(in_channels=n, out_channels=4, kernel=3,
-                                 in_rows=8, in_cols=8)
-            cache.put(spec, 16, 64 * 1024, "max-reuse",
-                      TilingVector(tm=1, tn=1, tr=1, tc=1))
-        return sorted((store_dir / "tiling").glob("*.json"))
-
-    def test_tiling_entries_age_out_as_pseudo_keys(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.put("result", {"a": 1})
-        files = self._seed_tiling(tmp_path)
-        report = store.gc(live={"result"}, max_age_seconds=0)
-        assert sorted(report.removed_expired) == sorted(
-            f"tiling/{p.stem}" for p in files
-        )
-        assert not any(p.exists() for p in files)
-        assert store.get_payload("result") == {"a": 1}
-
-    def test_young_tiling_entries_survive_without_budgets(self, tmp_path):
-        store = ResultStore(tmp_path)
-        files = self._seed_tiling(tmp_path)
-        report = store.gc()
-        assert report.removed == 0
-        assert all(p.exists() for p in files)
-        # ... and an age budget they are younger than spares them too.
-        assert store.gc(max_age_seconds=3600).removed == 0
-
-    def test_torn_tiling_entry_is_swept_as_corrupt(self, tmp_path):
-        store = ResultStore(tmp_path)
-        [intact, torn, empty] = self._seed_tiling(tmp_path)
-        torn.write_bytes(torn.read_bytes()[:7])
-        empty.write_bytes(b"")
-        report = store.gc()
-        assert sorted(report.removed_corrupt) == sorted(
-            [f"tiling/{torn.stem}", f"tiling/{empty.stem}"]
-        )
-        assert intact.exists() and not torn.exists() and not empty.exists()
-
-    def test_byte_budget_counts_and_evicts_tiling_entries(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.put("result", {"pad": "x" * 4096})
-        files = self._seed_tiling(tmp_path)
-        for path in files:
-            _age(path, 3600)   # older than the result entry
-        report = store.gc(live={"result"}, max_bytes=4096)
-        # Oldest dead entries go first: every tiling file precedes the
-        # (live, hence untouchable) result entry.
-        assert sorted(report.removed_over_budget) == sorted(
-            f"tiling/{p.stem}" for p in files
-        )
-        assert store.get_payload("result") is not None
