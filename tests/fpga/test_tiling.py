@@ -10,6 +10,7 @@ from repro.fpga.tiling import (
     DOUBLE_BUFFER,
     WORD_BYTES,
     LayerDesign,
+    LayerDesignMemo,
     TilingDesigner,
     TilingVector,
     _channel_tiling,
@@ -275,6 +276,84 @@ class TestTileCandidates:
             _tile_size_candidates(0)
 
 
+class TestLayerDesignMemo:
+    """The per-estimator tiling memo: in memory, keyed on every input."""
+
+    def _entry(self):
+        return (spec_of(), 64, 256 * 1024, "max-reuse")
+
+    def test_round_trip(self):
+        memo = LayerDesignMemo()
+        tiling = TilingVector(tm=4, tn=3, tr=8, tc=8)
+        memo.store(*self._entry(), tiling)
+        assert memo.lookup(*self._entry()) == tiling
+        assert len(memo) == 1
+
+    def test_distinct_inputs_get_distinct_keys(self):
+        memo = LayerDesignMemo()
+        memo.store(*self._entry(), TilingVector(tm=4, tn=3, tr=8, tc=8))
+        for variant in (
+            (spec_of(n=9), 64, 256 * 1024, "max-reuse"),
+            (spec_of(), 63, 256 * 1024, "max-reuse"),
+            (spec_of(), 64, 256 * 1024 - 1, "max-reuse"),
+            (spec_of(), 64, 256 * 1024, "min-start"),
+        ):
+            assert memo.lookup(*variant) is None, variant
+        assert memo.lookup(*self._entry()) is not None
+
+    def test_memos_share_nothing(self):
+        """A fresh memo starts cold: no other memo warms it, so its
+        tilings are always the ones the current selection computes."""
+        stale = TilingVector(tm=1, tn=1, tr=1, tc=1)
+        LayerDesignMemo().store(*self._entry(), stale)
+
+        fresh = LayerDesignMemo()
+        assert fresh.lookup(*self._entry()) is None
+        spec, dsp, bram, strategy = self._entry()
+        tiling = TilingDesigner(strategy, memo=fresh).design_layer(
+            spec, dsp, bram)
+        assert tiling != stale
+        assert tiling == TilingDesigner(strategy).design_layer(
+            spec, dsp, bram)
+
+    def test_designer_stores_then_reuses(self):
+        memo = LayerDesignMemo()
+        designer = TilingDesigner(memo=memo)
+        first = designer.design_layer(spec_of(), 64, 256 * 1024)
+        assert (memo.stats.hits, memo.stats.misses) == (0, 1)
+        assert designer.design_layer(spec_of(), 64, 256 * 1024) == first
+        assert (memo.stats.hits, memo.stats.misses) == (1, 1)
+        assert first == TilingDesigner().design_layer(
+            spec_of(), 64, 256 * 1024)
+
+    def test_strategies_share_channels_not_tilings(self):
+        """Both spatial strategies start from one ``(Tm, Tn)`` choice,
+        but each keeps its own tiling entry."""
+        memo = LayerDesignMemo()
+        spec = spec_of(size=28)
+        tilings = {
+            strategy: TilingDesigner(strategy, memo=memo).design_layer(
+                spec, 64, 10**6)
+            for strategy in STRATEGIES
+        }
+        for strategy in STRATEGIES:
+            assert tilings[strategy] == TilingDesigner(
+                strategy).design_layer(spec, 64, 10**6)
+        assert len(memo) == 2
+        assert tilings["max-reuse"] != tilings["min-start"]
+        for tiling in tilings.values():
+            assert memo.channel_tiling(spec, 64, 10**6) == (
+                tiling.tm, tiling.tn)
+
+    def test_clear_drops_entries_and_keeps_counters(self):
+        memo = LayerDesignMemo()
+        TilingDesigner(memo=memo).design_layer(spec_of(), 64, 256 * 1024)
+        memo.clear()
+        assert len(memo) == 0
+        assert memo.lookup(*self._entry()) is None
+        assert (memo.stats.hits, memo.stats.misses) == (0, 2)
+
+
 class TestProcessMemoStats:
     """The process-wide counters behind ``/metrics`` ``tiling_memo``."""
 
@@ -296,3 +375,47 @@ class TestProcessMemoStats:
         memo.lookup(*entry)                         # hit
         snapshot = process_memo_snapshot()
         assert snapshot["all"] == {"hits": 1, "misses": 1, "hit_rate": 0.5}
+
+    def test_kind_buckets_count_each_layer_kind(self):
+        """Exactly the memory-tier buckets exist, each counting its own
+        layer kind; the ``all`` bucket totals them."""
+        from repro.fpga.tiling import LayerDesignMemo, process_memo_snapshot
+
+        depthwise = ConvLayerSpec(in_channels=8, out_channels=8, kernel=3,
+                                  in_rows=16, in_cols=16, kind="depthwise")
+        memo = LayerDesignMemo()
+        for spec in (spec_of(k=3), spec_of(k=1), spec_of(k=1), depthwise):
+            memo.lookup(spec, 64, 256 * 1024, "max-reuse")
+        misses = {kind: counts["misses"]
+                  for kind, counts in process_memo_snapshot().items()}
+        assert misses == {"all": 4, "standard": 1, "pointwise": 2,
+                          "depthwise": 1}
+        assert {kind: stats.misses
+                for kind, stats in memo.kind_stats.items()} == {
+            "standard": 1, "pointwise": 2, "depthwise": 1}
+
+    def test_designing_a_pipeline_totals_per_kind_lookups(
+            self, mnist_arch, pynq_platform):
+        from repro.fpga.tiling import LayerDesignMemo, process_memo_snapshot
+
+        designer = TilingDesigner(memo=LayerDesignMemo())
+        designer.design(mnist_arch, pynq_platform)
+        designer.design(mnist_arch, pynq_platform)
+        snapshot = process_memo_snapshot()
+        assert set(snapshot) <= {"all", "standard", "pointwise",
+                                 "depthwise"}
+        for field in ("hits", "misses"):
+            assert snapshot["all"][field] == sum(
+                counts[field] for kind, counts in snapshot.items()
+                if kind != "all")
+        assert snapshot["all"]["hits"] == mnist_arch.depth
+
+    def test_reset_clears_every_bucket(self):
+        from repro.fpga.tiling import (
+            LayerDesignMemo, process_memo_snapshot, reset_process_memo_stats,
+        )
+
+        LayerDesignMemo().lookup(spec_of(), 64, 256 * 1024, "max-reuse")
+        assert process_memo_snapshot() != {}
+        reset_process_memo_stats()
+        assert process_memo_snapshot() == {}

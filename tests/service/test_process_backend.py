@@ -14,7 +14,10 @@ from repro.core.search import SearchCancelled
 from repro.events import JobCancelled, JobCompleted, JobStarted
 from repro.plans import ExecutionPolicy, RunPlan, ScenarioPlan, SearchPlan
 from repro.registry import EVALUATORS
-from repro.service import ProcessWorkerError, SearchService, run_job_in_process
+from repro.service import (
+    ProcessWorkerError, ResultStore, SearchService, run_job_in_process,
+)
+from repro.service.journal import JOURNAL_FILENAME
 
 
 def search_plan(seed=0, trials=5, **execution):
@@ -59,6 +62,22 @@ class TestParity:
         import json
 
         assert json.loads(stored)["wall_seconds"] == 0.0
+
+    def test_persistent_store_holds_only_results_and_journal(
+            self, tmp_path):
+        """Workers keep tilings in memory: a job on a persistent store
+        leaves its result entries and the journal, and nothing else."""
+        with SearchService(workers=1, backend="process",
+                           store=ResultStore(tmp_path)) as service:
+            handle = service.submit(search_plan(seed=5))
+            stored = handle.result_bytes(timeout=300)
+        assert (tmp_path / JOURNAL_FILENAME).is_file()
+        entries = [p for p in tmp_path.iterdir() if p.name != JOURNAL_FILENAME]
+        assert all(p.is_file() and p.suffix == ".json" for p in entries), \
+            sorted(p.name for p in entries)
+        store = ResultStore(tmp_path)
+        assert all(store.get_bytes(p.stem) is not None for p in entries)
+        assert store.get_bytes(handle.plan_hash) == stored
 
     def test_caching_off_still_returns_the_result_object(self):
         with SearchService(workers=1, backend="process",

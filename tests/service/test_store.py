@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+import threading
 
 import pytest
 
@@ -173,17 +174,25 @@ def _put_in_lockstep(directory, barrier, errors, keys):
                 errors.value += 1
 
 
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="needs the fork start method",
-)
 class TestConcurrentWriters:
-    """Two processes putting one key into one directory race benignly:
+    """Two writers putting one key into one directory race benignly:
     each stages its bytes in its own temp file, and both renames land
     the same content-addressed bytes."""
 
     KEYS = 200
 
+    def _assert_every_entry_intact(self, directory):
+        names = sorted(p.name for p in directory.iterdir())
+        assert names == sorted(f"k{i}.json" for i in range(self.KEYS))
+        store = ResultStore(directory)
+        for index in range(self.KEYS):
+            assert store.get_bytes(f"k{index}") == canonical_payload_bytes(
+                _race_payload(index))
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method",
+    )
     def test_two_processes_put_the_same_keys(self, tmp_path):
         ctx = multiprocessing.get_context("fork")
         barrier = ctx.Barrier(2, timeout=30)
@@ -202,9 +211,23 @@ class TestConcurrentWriters:
                 writer.join()
         assert [w.exitcode for w in writers] == [0, 0]
         assert errors.value == 0
-        names = sorted(p.name for p in tmp_path.iterdir())
-        assert names == sorted(f"k{i}.json" for i in range(self.KEYS))
-        store = ResultStore(tmp_path)
-        for index in range(self.KEYS):
-            assert store.get_bytes(f"k{index}") == canonical_payload_bytes(
-                _race_payload(index))
+        self._assert_every_entry_intact(tmp_path)
+
+    def test_two_threads_put_the_same_keys(self, tmp_path):
+        """One process, two stores on one directory: the thread id in
+        the temp name keeps same-pid writers apart too."""
+        barrier = threading.Barrier(2, timeout=30)
+        errors = multiprocessing.Value("i", 0)
+        writers = [
+            threading.Thread(target=_put_in_lockstep,
+                             args=(str(tmp_path), barrier, errors, self.KEYS),
+                             daemon=True)
+            for _ in range(2)
+        ]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=60)
+        assert not any(writer.is_alive() for writer in writers)
+        assert errors.value == 0
+        self._assert_every_entry_intact(tmp_path)

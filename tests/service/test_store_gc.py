@@ -138,6 +138,31 @@ class TestGCBudgets:
         assert report.examined == 0
         assert leftover.exists()
 
+    def test_torn_leftover_tiling_file_is_not_swept_as_corrupt(
+            self, tmp_path):
+        torn = tmp_path / "tiling" / "abc.json"
+        torn.parent.mkdir()
+        torn.write_bytes(b'{"til')
+        report = ResultStore(tmp_path).gc()
+        assert report.removed_corrupt == ()
+        assert torn.exists()
+
+    def test_leftover_tiling_files_do_not_count_toward_byte_budget(
+            self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put("live", {"pad": "x" * 4096})
+        store.put("dead", {"pad": "y" * 1024})
+        budget = sum(p.stat().st_size for p in tmp_path.glob("*.json"))
+        leftover = tmp_path / "tiling" / "abc.json"
+        leftover.parent.mkdir()
+        leftover.write_text('{"tiling":"' + "z" * 8192 + '"}')
+        _age(leftover, 3600)   # older than every result entry
+        report = store.gc(live={"live"}, max_bytes=budget)
+        assert report.removed == 0
+        assert report.examined == 2
+        assert leftover.exists()
+        assert store.get_payload("dead") is not None
+
 
 class TestJournalLiveness:
     def _journal(self, tmp_path, transitions):

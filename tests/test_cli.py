@@ -236,6 +236,12 @@ class TestServiceVerbs:
         assert (args.port, args.workers) == (0, 3)
         assert (args.store_dir, args.checkpoint_dir) == ("s", "c")
 
+    def test_serve_has_no_tiling_cache_option(self, capsys):
+        """Pool workers keep tilings in memory: no cache dir to name."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--tiling-cache-dir", "t"])
+        assert "--tiling-cache-dir" in capsys.readouterr().err
+
     def test_submit_flags(self):
         args = build_parser().parse_args([
             "submit", "plan.json", "--url", "http://h:1", "--priority", "2",
