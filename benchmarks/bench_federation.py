@@ -37,7 +37,7 @@ from repro.plans import RunPlan, ScenarioPlan, SearchPlan
 from repro.service.agent import WorkerAgent
 from repro.service.client import ServiceClient
 from repro.service.faults import CRASH_POINTS_ENV
-from repro.service.http import make_server
+from repro.service.gateway import GatewayRunner
 
 JOBS = 4
 TRIALS = 300
@@ -72,33 +72,19 @@ def _plans(trials=TRIALS):
     ]
 
 
-class _Coordinator:
+def _coordinator(tmp_path) -> GatewayRunner:
     """A live HTTP coordinator over throwaway directories."""
-
-    def __init__(self, tmp_path, lease_seconds=LEASE_SECONDS):
-        self.server = make_server(
-            port=0, workers=1,
-            store_dir=str(tmp_path / "store"),
-            checkpoint_dir=str(tmp_path / "ckpt"),
-            lease_seconds=lease_seconds)
-        self.thread = threading.Thread(
-            target=self.server.serve_forever, daemon=True)
-        self.thread.start()
-        host, port = self.server.server_address[:2]
-        self.url = f"http://{host}:{port}"
-
-    def close(self):
-        self.server.shutdown()
-        self.server.server_close()
-        self.server.service.shutdown(wait=True, cancel_running=True)
-        self.thread.join(timeout=30)
+    return GatewayRunner(
+        workers=1, store_dir=str(tmp_path / "store"),
+        checkpoint_dir=str(tmp_path / "ckpt"),
+        lease_seconds=LEASE_SECONDS, drain_grace=0).start()
 
 
 def _run_throughput(tmp_path, agent_count) -> ThroughputPoint:
     """Push every plan through ``agent_count`` in-process agents."""
-    coordinator = _Coordinator(tmp_path / f"agents-{agent_count}")
-    client = ServiceClient(coordinator.url)
-    agents = [WorkerAgent(coordinator.url, name=f"bench-{i}",
+    coordinator = _coordinator(tmp_path / f"agents-{agent_count}")
+    client = ServiceClient(coordinator.base_url)
+    agents = [WorkerAgent(coordinator.base_url, name=f"bench-{i}",
                           poll_seconds=0.02)
               for i in range(agent_count)]
     runners = []
@@ -120,7 +106,7 @@ def _run_throughput(tmp_path, agent_count) -> ThroughputPoint:
             agent.stop()
         for runner in runners:
             runner.join(timeout=60)
-        coordinator.close()
+        coordinator.stop()
     return ThroughputPoint(
         agents=agent_count, jobs=JOBS, trials_per_job=TRIALS,
         wall_seconds=wall, jobs_per_second=JOBS / wall,
@@ -129,14 +115,14 @@ def _run_throughput(tmp_path, agent_count) -> ThroughputPoint:
 
 def _run_recovery(tmp_path) -> dict:
     """Kill a lease holder; time the re-queue and the completion."""
-    coordinator = _Coordinator(tmp_path / "recovery")
-    client = ServiceClient(coordinator.url)
+    coordinator = _coordinator(tmp_path / "recovery")
+    client = ServiceClient(coordinator.base_url)
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     env[CRASH_POINTS_ENV] = "agent.event=3"  # die mid event stream
     doomed = subprocess.Popen(
         [sys.executable, "-m", "repro", "agent",
-         "--coordinator", coordinator.url,
+         "--coordinator", coordinator.base_url,
          "--agent-id", "doomed", "--name", "doomed",
          "--poll-seconds", "0.05", "--max-jobs", "1"],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
@@ -170,7 +156,7 @@ def _run_recovery(tmp_path) -> dict:
         if doomed.poll() is None:
             doomed.kill()
             doomed.wait(timeout=30)
-        coordinator.close()
+        coordinator.stop()
     return {
         "lease_seconds": LEASE_SECONDS,
         "trials": RECOVERY_TRIALS,

@@ -1,20 +1,12 @@
 """Gateway fanout: event-delivery latency under hundreds of streams.
 
-Two measurements against live front ends:
-
-* **async fanout** -- 4 long jobs held queued behind blockers while
-  200 SSE streams and 50 long-pollers attach, then released; every
-  consumer's receipt of its job's ``job-completed`` event is timed
-  against the moment the service published it.  The gateway's wakeup
-  fanout (one ``asyncio.Event`` per watcher, set from the service's
-  job-listener hook) should deliver with a p99 well under 250 ms even
-  with hundreds of parked connections on one asyncio loop.
-
-* **sync baseline** -- the same stream attach against the threaded
-  ``http.server`` front end, which has no streaming route: every
-  attempt must be refused with 404, and a ``wait=``-style long poll
-  returns immediately (no parking), which is exactly why the async
-  gateway exists.  The baseline quantifies the refusal, not a race.
+4 long jobs are held queued behind blockers while 200 SSE streams and
+50 long-pollers attach to a live gateway, then released; every
+consumer's receipt of its job's ``job-completed`` event is timed
+against the moment the service published it.  The gateway's wakeup
+fanout (one ``asyncio.Event`` per watcher, set from the service's
+job-listener hook) should deliver with a p99 well under 250 ms even
+with hundreds of parked connections on one asyncio loop.
 
 Emits the measurements as ``BENCH_gateway.json`` next to the repo
 root so trajectory tooling can track fanout latency across PRs.  The
@@ -30,8 +22,6 @@ import json
 import os
 import threading
 import time
-import urllib.error
-import urllib.request
 
 import pytest
 
@@ -39,7 +29,6 @@ from repro.events import JobCompleted
 from repro.plans import RunPlan, ScenarioPlan, SearchPlan
 from repro.service.client import ServiceClient
 from repro.service.gateway import GatewayRunner
-from repro.service.http import make_server
 from pathlib import Path
 
 SSE_STREAMS = 200
@@ -102,7 +91,7 @@ def _poll_consumer(url, job_id, completed_at, latencies, errors):
         errors.append(f"{job_id}: {exc}")
 
 
-def _run_async_fanout(tmp_path) -> dict:
+def run_gateway_fanout(tmp_path) -> dict:
     """Time publish -> receipt across SSE_STREAMS + LONG_POLLERS."""
     runner = GatewayRunner(workers=JOBS,
                            checkpoint_dir=str(tmp_path / "ckpt")).start()
@@ -160,50 +149,8 @@ def _run_async_fanout(tmp_path) -> dict:
     }
 
 
-def _run_sync_baseline(tmp_path) -> dict:
-    """The sync front end: streams refused, long polls not parked."""
-    server = make_server(port=0, workers=1,
-                         checkpoint_dir=str(tmp_path / "sync-ckpt"))
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    url = f"http://{host}:{port}"
-    client = ServiceClient(url)
-    try:
-        info = client.submit(_plans(count=1, trials=40)[0])
-        job_id = info["job_id"]
-        client.wait(job_id, timeout=600)
-        refused = 0
-        for _ in range(SSE_STREAMS):
-            try:
-                urllib.request.urlopen(
-                    f"{url}/jobs/{job_id}/events/stream", timeout=10)
-            except urllib.error.HTTPError as exc:
-                refused += exc.code == 404
-        cursor = client.events(job_id)["next"]
-        started = time.perf_counter()
-        page = client.events(job_id, since=cursor, wait=10)
-        poll_return = time.perf_counter() - started
-    finally:
-        server.shutdown()
-        server.server_close()
-        server.service.shutdown(wait=True, cancel_running=True)
-        thread.join(timeout=30)
-    return {
-        "stream_attempts": SSE_STREAMS,
-        "streams_refused_404": refused,
-        "long_poll_parked": bool(page["events"]) or poll_return > 1.0,
-        "long_poll_return_seconds": poll_return,
-    }
-
-
-def run_gateway_fanout(tmp_path):
-    """Async fanout under load, then the sync refusal baseline."""
-    return _run_async_fanout(tmp_path), _run_sync_baseline(tmp_path)
-
-
 def test_gateway_fanout_latency(tmp_path, once, emit):
-    fanout, baseline = once(run_gateway_fanout, tmp_path)
+    fanout = once(run_gateway_fanout, tmp_path)
     cores = os.cpu_count() or 1
 
     emit("\n=== Gateway event fanout (publish -> receipt latency) ===")
@@ -214,11 +161,6 @@ def test_gateway_fanout_latency(tmp_path, once, emit):
     emit(f"latency p50 {fanout['p50_latency_seconds'] * 1000:.1f}ms  "
          f"p99 {fanout['p99_latency_seconds'] * 1000:.1f}ms  "
          f"max {fanout['max_latency_seconds'] * 1000:.1f}ms")
-    emit(f"sync baseline: {baseline['streams_refused_404']}/"
-         f"{baseline['stream_attempts']} stream attempts refused (404), "
-         f"long poll returned in "
-         f"{baseline['long_poll_return_seconds'] * 1000:.1f}ms "
-         f"(parked: {baseline['long_poll_parked']})")
 
     OUTPUT_PATH.write_text(json.dumps(
         {
@@ -226,7 +168,6 @@ def test_gateway_fanout_latency(tmp_path, once, emit):
             "cpu_count": cores,
             "p99_bar_seconds": P99_BAR_SECONDS,
             "async": fanout,
-            "sync_baseline": baseline,
         },
         indent=2,
     ) + "\n")
@@ -234,8 +175,6 @@ def test_gateway_fanout_latency(tmp_path, once, emit):
 
     # Delivery is all-or-nothing: every consumer saw its completion.
     assert fanout["delivered"] == SSE_STREAMS + LONG_POLLERS, fanout
-    # The sync front end cannot hold a stream open at all.
-    assert baseline["streams_refused_404"] == SSE_STREAMS, baseline
     if cores < 4:
         pytest.skip(
             f"p99 latency bar needs >= 4 cores, host has {cores}; "

@@ -1,9 +1,9 @@
 """Gateway concurrency smoke: a crowd of streams, then a graceful drain.
 
-Drives the asyncio gateway (``repro serve --async``) end to end over
+Drives the asyncio gateway behind ``repro serve`` end to end over
 real HTTP, real threads, and a real SIGTERM:
 
-1. starts ``repro serve --async`` with a persistent store (journal on);
+1. starts ``repro serve`` with a persistent store (journal on);
 2. submits a batch of search jobs, then attaches **hundreds** of
    concurrent event consumers -- half over SSE
    (``GET /jobs/<id>/events/stream``), half over long-poll
@@ -13,9 +13,9 @@ real HTTP, real threads, and a real SIGTERM:
    the server mid-run: the gateway must stop accepting, let the job
    finish, close the stream with an ``end`` frame, flush the journal,
    and exit 0;
-4. replays the same plan against a plain sync ``repro serve`` and
-   asserts the drained gateway's stored result is **byte-identical**
-   to the sync server's ``/result`` body.
+4. runs the same plan on an in-process ``SearchService`` and asserts
+   the drained gateway's stored result is **byte-identical** to the
+   bytes that service stores.
 
 Run it from the repo root::
 
@@ -41,6 +41,7 @@ sys.path.insert(0, str(SRC))
 from repro.plans import RunPlan, ScenarioPlan, SearchPlan, plan_hash  # noqa: E402
 from repro.service.client import ServiceClient  # noqa: E402
 from repro.service.journal import JobJournal  # noqa: E402
+from repro.service.service import SearchService  # noqa: E402
 from repro.service.store import ResultStore  # noqa: E402
 
 PORT = 8747
@@ -67,16 +68,6 @@ def child_env():
 
 
 def start_gateway(store_dir, checkpoint_dir):
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--async",
-         "--port", str(PORT), "--workers", "2",
-         "--store-dir", str(store_dir),
-         "--checkpoint-dir", str(checkpoint_dir)],
-        env=child_env(),
-    )
-
-
-def start_sync_server(store_dir, checkpoint_dir):
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "serve",
          "--port", str(PORT), "--workers", "2",
@@ -189,25 +180,16 @@ def drain_phase(gateway, client, store_dir):
 
 
 def byte_identity_phase(workdir, digest):
-    """The drained gateway's stored result == a sync-server run's."""
+    """The drained gateway's stored result == an in-process run's."""
     gateway_bytes = ResultStore(workdir / "store").get_bytes(digest)
     assert gateway_bytes is not None, "drained store has no result"
-    sync_dir = workdir / "sync"
-    server = start_sync_server(sync_dir / "store", sync_dir / "ckpt")
-    client = ServiceClient(URL)
-    try:
-        wait_for_server(client)
-        info = client.submit(plan(seed=99, trials=DRAIN_TRIALS))
-        client.wait(info["job_id"], timeout=600)
-        sync_bytes = client.result_bytes(info["job_id"])
-        client.shutdown()
-        assert server.wait(timeout=60) == 0
-        server = None
-    finally:
-        stop(server)
-    assert gateway_bytes == sync_bytes, (
-        "drained gateway result is not byte-identical to the sync run")
-    print(f"byte-identical to a sync-server run ({len(gateway_bytes)} "
+    with SearchService(workers=1) as service:
+        handle = service.submit(plan(seed=99, trials=DRAIN_TRIALS))
+        reference = handle.result_bytes(timeout=600)
+    assert gateway_bytes == reference, (
+        "drained gateway result is not byte-identical to the in-process "
+        "run")
+    print(f"byte-identical to an in-process run ({len(gateway_bytes)} "
           f"bytes)")
 
 

@@ -202,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve",
         help="run the search service: an HTTP JSON endpoint accepting "
-             "RunPlan submissions (submit/status/events/result)",
+             "RunPlan submissions (submit/status/events/result), with "
+             "SSE and long-poll event streams and a graceful drain",
     )
     p.add_argument("--host", default="127.0.0.1",
                    help="bind address (default 127.0.0.1)")
@@ -232,11 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "workers; a lease not renewed by heartbeat within "
                         "the term expires and the job re-queues (default "
                         "15)")
-    p.add_argument("--async", dest="async_gateway", action="store_true",
-                   help="serve through the asyncio gateway instead of the "
-                        "thread-per-connection server: adds SSE + long-"
-                        "poll event streams, sustains hundreds of "
-                        "concurrent clients, drains gracefully on SIGTERM")
     p.add_argument("--tenants", default=None, metavar="TENANTS_JSON",
                    help="enable multi-tenant mode from a tenants.json "
                         "config (API keys, per-tenant quotas, fair-share "
@@ -245,12 +241,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bound on queued jobs before submissions get 503 "
                         "backpressure (default: unbounded)")
     p.add_argument("--max-connections", type=int, default=None,
-                   help="async gateway only: cap on concurrently open "
-                        "connections (503 at accept beyond it)")
+                   help="cap on concurrently open connections (503 at "
+                        "accept beyond it)")
     p.add_argument("--drain-grace", type=float, default=None,
-                   help="async gateway only: seconds a graceful drain "
-                        "waits for running jobs before checkpoint-"
-                        "cancelling them (default: wait indefinitely)")
+                   help="seconds a graceful drain (POST /shutdown, "
+                        "SIGTERM, Ctrl-C) waits for running jobs before "
+                        "checkpoint-cancelling them (default: wait "
+                        "indefinitely)")
 
     p = sub.add_parser(
         "agent",
@@ -480,8 +477,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """``repro serve``: run the HTTP job service until shutdown."""
-    from repro.service.http import make_server, run_server
+    """``repro serve``: run the HTTP job service until it drains."""
+    from repro.service.gateway import run_gateway
     from repro.service.service import SearchService
     from repro.service.tenants import TenantRegistry
 
@@ -501,49 +498,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     }
     if args.lease_seconds is not None:
         service_kwargs["lease_seconds"] = args.lease_seconds
-
-    def report_recovery(service):
-        if service.recovered_jobs:
-            print(f"recovered {len(service.recovered_jobs)} unfinished "
-                  "job(s) from the journal: "
-                  f"{', '.join(service.recovered_jobs)}",
-                  file=sys.stderr, flush=True)
-        for error in service.recovery_errors:
-            print(f"journal recovery skipped an entry: {error}",
-                  file=sys.stderr, flush=True)
-
-    mode = " multi-tenant" if tenants is not None else ""
-    if args.async_gateway:
-        from repro.service.gateway import run_gateway
-
-        service = SearchService(**service_kwargs)
-        report_recovery(service)
-        print(f"serving async{mode} gateway on http://{args.host}:"
-              f"{args.port} ({args.workers} {args.backend} worker(s); "
-              "SSE at /jobs/<id>/events/stream; POST /shutdown or "
-              "SIGTERM to drain)",
+    service = SearchService(**service_kwargs)
+    if service.recovered_jobs:
+        print(f"recovered {len(service.recovered_jobs)} unfinished "
+              "job(s) from the journal: "
+              f"{', '.join(service.recovered_jobs)}",
               file=sys.stderr, flush=True)
-        run_gateway(
-            host=args.host, port=args.port, service=service,
-            tenants=tenants, max_pending=args.max_pending,
-            max_connections=args.max_connections,
-            drain_grace=args.drain_grace,
-        )
-        return 0
-    server = make_server(
-        host=args.host,
-        port=args.port,
-        tenants=tenants,
-        max_pending=args.max_pending,
-        **service_kwargs,
+    for error in service.recovery_errors:
+        print(f"journal recovery skipped an entry: {error}",
+              file=sys.stderr, flush=True)
+    run_gateway(
+        host=args.host, port=args.port, service=service,
+        tenants=tenants, max_pending=args.max_pending,
+        max_connections=args.max_connections,
+        drain_grace=args.drain_grace,
     )
-    host, port = server.server_address[:2]
-    report_recovery(server.service)
-    print(f"serving{mode} on http://{host}:{port} "
-          f"({args.workers} {args.backend} worker(s); "
-          "POST /shutdown or Ctrl-C to stop)",
-          file=sys.stderr, flush=True)
-    run_server(server)
     return 0
 
 

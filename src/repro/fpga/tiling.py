@@ -316,7 +316,7 @@ class MemoStats:
 
 #: Process-wide tiling-memo counters, keyed by layer-kind bucket plus an
 #: ``"all"`` total.  Every :class:`LayerDesignMemo` bumps these alongside
-#: its own counters, so the service front ends can report estimator
+#: its own counters, so the service front end can report estimator
 #: cache behavior in ``/metrics`` without holding references to the
 #: per-job estimators that own the memos.
 PROCESS_MEMO_STATS: dict[str, MemoStats] = {}

@@ -24,22 +24,20 @@ service:
   execution backend (:mod:`~repro.service.workers`) and the
   federation agents all dispatch onto it, so GIL-bound searches scale
   with cores without paying one process spawn per unit of work;
-* :func:`serve <repro.service.http.serve>` / :class:`ServiceClient` --
-  a stdlib-only HTTP JSON endpoint (``repro serve``) and its client
-  (``repro submit``);
+* :class:`Gateway` (``repro serve``) / :class:`ServiceClient` -- the
+  stdlib-asyncio HTTP front end and its client (``repro submit``).
+  The gateway serves the JSON wire surface plus Server-Sent Events
+  and long-poll event delivery, API-key tenancy with quotas and
+  fair-share queuing (:class:`TenantRegistry`), backpressure, a
+  ``/metrics`` endpoint (:class:`MetricsRegistry`), and a graceful
+  drain on ``POST /shutdown``, SIGTERM or Ctrl-C;
 * :class:`WorkerAgent` (``repro agent``) -- the federation worker: it
   claims jobs from a coordinator under journal-backed *leases*, renews
   them via heartbeats, executes through the process backend, and
   streams events/results back; a missed lease re-queues the job, which
   resumes from its checkpoint on another agent (or a local worker)
   with byte-identical results (:mod:`~repro.service.faults` provides
-  the deterministic crash points the chaos tests kill agents with);
-* :class:`Gateway` (``repro serve --async``) -- the asyncio HTTP
-  front end: same wire surface as the sync server plus Server-Sent
-  Events and long-poll event delivery, API-key tenancy with quotas
-  and fair-share queuing (:class:`TenantRegistry`), backpressure, a
-  ``/metrics`` endpoint (:class:`MetricsRegistry`), and graceful
-  SIGTERM drain.
+  the deterministic crash points the chaos tests kill agents with).
 """
 
 from repro.service.agent import WorkerAgent, run_agent

@@ -175,44 +175,27 @@ class ServiceClient:
                wait: float | None = None) -> dict[str, Any]:
         """``GET /jobs/<id>/events?since=N`` (cursor in ``"next"``).
 
-        ``wait`` long-polls: the async gateway parks the request up to
-        that many seconds until the job's log grows past ``since``
-        (or the job ends).  Old sync servers ignore the parameter and
-        answer immediately, so callers degrade to plain polling.
+        ``wait`` long-polls: the server parks the request up to that
+        many seconds until the job's log grows past ``since`` (or the
+        job ends).
         """
         path = f"/jobs/{job_id}/events?since={since}"
         if wait is not None:
             path += f"&wait={wait:g}"
         return self._json("GET", path)
 
-    def stream_events(self, job_id: str, since: int = 0,
-                      poll: float = 0.2) -> "Iterator[dict[str, Any]]":
+    def stream_events(self, job_id: str,
+                      since: int = 0) -> "Iterator[dict[str, Any]]":
         """Yield the job's events as they happen, until it ends.
 
-        Each yielded frame is ``{"id": cursor, "event": type_tag,
-        "data": event_doc}``; the final frame has ``event == "end"``
-        and carries the job's terminal state in ``data``.  Against the
-        async gateway this consumes the Server-Sent Events stream
-        (``/jobs/<id>/events/stream``); against a server without SSE
-        support it falls back transparently to long-polling
-        :meth:`events` (and ultimately plain polling every ``poll``
-        seconds against servers that ignore ``wait`` too) -- same
-        frames either way.
+        Consumes the Server-Sent Events stream
+        (``/jobs/<id>/events/stream``).  Each yielded frame is
+        ``{"id": cursor, "event": type_tag, "data": event_doc}``; the
+        final frame has ``event == "end"`` and carries the job's state
+        in ``data``.  An unknown job raises :class:`ServiceError` 404
+        before any frame: the server answers it before it starts the
+        stream.
         """
-        # Probe the job first so "unknown job" surfaces as its own 404
-        # instead of masquerading as a missing stream route.
-        self.status(job_id)
-        try:
-            yield from self._stream_sse(job_id, since)
-            return
-        except ServiceError as exc:
-            if exc.status not in (404, 405):
-                raise
-            # No SSE route: an old sync server.  Fall back.
-        yield from self._stream_poll(job_id, since, poll)
-
-    def _stream_sse(self, job_id: str,
-                    since: int) -> "Iterator[dict[str, Any]]":
         request = urllib.request.Request(
             f"{self.base_url}/jobs/{job_id}/events/stream?since={since}",
             headers=self._headers())
@@ -242,32 +225,6 @@ class ServiceClient:
                 yield parsed
                 if parsed["event"] == "end":
                     return
-
-    def _stream_poll(self, job_id: str, since: int,
-                     poll: float) -> "Iterator[dict[str, Any]]":
-        cursor = since
-        interval = poll
-        while True:
-            started = time.monotonic()
-            page = self.events(job_id, since=cursor,
-                               wait=_POLL_CAP * 2)
-            for doc in page["events"]:
-                cursor += 1
-                interval = poll  # progress: reset the idle backoff
-                yield {"id": cursor, "event": doc.get("event", "event"),
-                       "data": doc}
-            if page["state"] in _TERMINAL:
-                yield {"id": cursor, "event": "end",
-                       "data": {"state": page["state"], "next": cursor,
-                                "reason": "terminal"}}
-                return
-            if not page["events"] and (
-                    time.monotonic() - started) < interval:
-                # The server answered instantly without events: it
-                # ignores ``wait`` (old sync server), so pace the poll
-                # loop client-side.
-                time.sleep(interval)
-                interval = min(interval * 1.5, _POLL_CAP)
 
     def result_bytes(self, job_id: str) -> bytes:
         """``GET /jobs/<id>/result`` -- the canonical stored bytes."""

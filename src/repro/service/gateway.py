@@ -1,11 +1,9 @@
-"""Asyncio HTTP/1.1 gateway: streaming, multi-tenant service front end.
+"""Asyncio HTTP/1.1 gateway: the service's HTTP front end.
 
-The sync :mod:`repro.service.http` server spends one thread per
-connection, which caps it at a few dozen clients and makes "wait for
-the next event" mean client-side polling.  This gateway serves the
-same JSON wire surface from a single ``asyncio`` event loop (stdlib
-only -- no third-party dependency), so hundreds of concurrent clients
-can hold connections open while events are *pushed* to them:
+``repro serve`` runs this gateway over one :class:`SearchService`.  It
+serves a plain JSON wire surface from a single ``asyncio`` event loop
+(stdlib only -- no third-party dependency), so hundreds of concurrent
+clients can hold connections open while events are *pushed* to them:
 
 =========  =====================================  ======================
 Method     Path                                   Meaning
@@ -22,10 +20,31 @@ GET        ``/jobs/<id>/events``                  event page; add
 GET        ``/jobs/<id>/events/stream``           Server-Sent Events
 GET        ``/jobs/<id>/result``                  canonical result bytes
 POST       ``/shutdown``                          graceful drain
-POST       ``/agents`` (+ the whole family)       federation protocol,
-                                                  identical to the sync
-                                                  server
+POST       ``/agents``                            register ``{"name",
+                                                  "agent_id"?}``
+GET        ``/agents``                            list registered agents
+POST       ``/agents/<a>/heartbeat``              renew ``{"jobs":
+                                                  [...]}``
+POST       ``/agents/<a>/claim``                  lease the next queued
+                                                  job
+POST       ``/agents/<a>/leave``                  deregister (leases
+                                                  expire)
+POST       ``/agents/<a>/jobs/<j>/events``        stream typed events
+                                                  back
+POST       ``/agents/<a>/jobs/<j>/complete``      upload terminal
+                                                  outcome
 =========  =====================================  ======================
+
+The ``/agents`` family is the worker-agent federation protocol spoken
+by :class:`repro.service.agent.WorkerAgent` (``repro agent``).  Errors
+are typed: an unknown agent id is ``404`` on ``heartbeat`` and
+``claim`` (the agent re-registers under the same id), an unknown job
+id is ``404``, ``leave`` is idempotent, and acting on a lease no
+longer held is ``409`` (the agent drops the work -- the job re-queued
+and will finish elsewhere, byte-identically).
+
+``/result`` serves the result store's canonical bytes verbatim, so two
+submissions of an identical plan receive byte-identical bodies.
 
 Event delivery is push-based end to end: the service's
 :meth:`~repro.service.SearchService.add_job_listener` hook fires on
@@ -48,15 +67,16 @@ frame a client saw.  Comment heartbeats (``: ping``) flow during quiet
 stretches; a terminal job ends the stream with an ``event: end`` frame
 carrying the final state.
 
-Admission is shared with the sync server
-(:func:`repro.service.http.admit_submission`): API-key tenancy, quotas
+Every submission goes through
+:func:`repro.service.http.admit_submission`: API-key tenancy, quotas
 (429 + ``Retry-After``), fair-share priority weighting, and bounded
 accept-queue backpressure (503).  ``max_connections`` additionally
-caps open sockets (503 at accept).  On SIGTERM or ``POST /shutdown``
-the gateway *drains*: the listener closes, streams end with a final
-frame, running jobs finish (or are checkpoint-cancelled after
-``drain_grace`` seconds), and the service shuts down -- flushing the
-job journal -- before the process exits.
+caps open sockets (503 at accept).  On SIGTERM, SIGINT or
+``POST /shutdown`` the gateway *drains*: the listener closes, streams
+end with a final frame, new submissions get 503, running jobs finish
+(or are checkpoint-cancelled after ``drain_grace`` seconds), and the
+service shuts down -- flushing the job journal -- before the process
+exits.
 """
 
 from __future__ import annotations
@@ -65,6 +85,7 @@ import asyncio
 import contextlib
 import json
 import signal
+import sys
 import threading
 from http import HTTPStatus
 from typing import Any, Iterator
@@ -386,8 +407,7 @@ class Gateway:
         try:
             length = validate_content_length(headers.get("content-length"))
         except BodyTooLargeError as exc:
-            # The body was never read: refuse and close, like the sync
-            # front end.
+            # The body was never read: refuse and close.
             self._send_json(writer, 413, {"error": str(exc)}, close=True)
             return None
         except ValueError as exc:
@@ -404,7 +424,15 @@ class Gateway:
                     {"error": "client stalled mid-body; connection closed"},
                     close=True)
                 return None
-            except (asyncio.IncompleteReadError, ConnectionError):
+            except asyncio.IncompleteReadError as exc:
+                # The client closed its side early; nothing to parse.
+                self._send_json(
+                    writer, 400,
+                    {"error": f"body truncated: got {len(exc.partial)} "
+                              f"of {length} bytes"},
+                    close=True)
+                return None
+            except ConnectionError:
                 return None
         url = urlparse(target)
         return method, unquote(url.path), url.query, headers, body
@@ -854,13 +882,14 @@ def run_gateway(
     drain_grace: float | None = None,
     **service_kwargs: Any,
 ) -> None:
-    """Serve the async gateway until SIGTERM/SIGINT or ``/shutdown``.
+    """Serve the gateway until SIGTERM/SIGINT or ``/shutdown``.
 
-    The blocking entry point behind ``repro serve --async``: builds a
+    The blocking entry point behind ``repro serve``: builds a
     :class:`SearchService` from ``service_kwargs`` when none is
-    passed, installs signal handlers that trigger a graceful drain,
-    and returns only after the drain has flushed the journal and shut
-    the service down.
+    passed, announces the bound URL on stderr once the port is bound
+    (so ``port=0`` reports the port it got), installs signal handlers
+    that trigger a graceful drain, and returns only after the drain
+    has flushed the journal and shut the service down.
     """
     if service is None:
         service = SearchService(**service_kwargs)
@@ -870,6 +899,11 @@ def run_gateway(
             service, tenants=tenants, max_pending=max_pending,
             max_connections=max_connections, drain_grace=drain_grace)
         await gateway.start(host, port)
+        mode = " multi-tenant" if tenants is not None else ""
+        print(f"serving{mode} on http://{host}:{gateway.port} "
+              f"({service.backend} backend; SSE at "
+              "/jobs/<id>/events/stream; POST /shutdown or SIGTERM to "
+              "drain)", file=sys.stderr, flush=True)
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGTERM, signal.SIGINT):
             with contextlib.suppress(NotImplementedError, RuntimeError):

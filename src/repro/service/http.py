@@ -1,102 +1,44 @@
-"""Stdlib-only HTTP JSON front-end for a :class:`SearchService`.
+"""Request limits and the admission path of the HTTP front end.
 
-``repro serve`` binds a :class:`ServiceHTTPServer`
-(:class:`http.server.ThreadingHTTPServer` underneath -- no third-party
-dependency) over one in-process service.  The surface is deliberately
-small and plain JSON:
+:mod:`repro.service.gateway` serves a :class:`SearchService` over HTTP
+(``repro serve``).  This module holds the parts of that front end's
+policy that do not depend on asyncio, so they can be read and tested
+on their own:
 
-=========  ================================  ============================
-Method     Path                              Meaning
-=========  ================================  ============================
-GET        ``/health``                       liveness + job counts
-GET        ``/metrics``                      JSON counters (jobs by
-                                             state, per-tenant queue
-                                             depth, store hit/miss,
-                                             uptime)
-POST       ``/jobs``                         submit ``{"plan": ...,
-                                             "priority"}``
-GET        ``/jobs``                         list job summaries
-GET        ``/jobs/<id>``                    one job summary
-POST       ``/jobs/<id>/cancel``             cancel (checkpoint-
-                                             preserving)
-GET        ``/jobs/<id>/events``             typed events (``?since=N``
-                                             cursor)
-GET        ``/jobs/<id>/result``             stored canonical result
-                                             bytes
-POST       ``/shutdown``                     drain and stop the server
-POST       ``/agents``                       register ``{"name",
-                                             "agent_id"?}``
-GET        ``/agents``                       list registered agents
-POST       ``/agents/<a>/heartbeat``         renew ``{"jobs": [...]}``
-POST       ``/agents/<a>/claim``             lease the next queued job
-POST       ``/agents/<a>/leave``             deregister (leases expire)
-POST       ``/agents/<a>/jobs/<j>/events``   stream typed events back
-POST       ``/agents/<a>/jobs/<j>/complete``  upload terminal outcome
-=========  ================================  ============================
-
-The ``/agents`` family is the worker-agent federation protocol spoken
-by :class:`repro.service.agent.WorkerAgent` (``repro agent``).  Errors
-are typed: an unknown agent id is ``404`` (the agent re-registers under
-the same id), and acting on a lease no longer held is ``409`` (the
-agent drops the work -- the job re-queued and will finish elsewhere,
-byte-identically).
-
-``/result`` streams the result store's canonical bytes verbatim, so two
-submissions of an identical plan receive byte-identical bodies -- the
-service-smoke CI job asserts exactly that.
-
-This module also owns the **request-limit policy** both front ends
-share (:data:`MAX_BODY_BYTES` / :data:`REQUEST_TIMEOUT_SECONDS` and
-the :func:`validate_content_length` helper): a request body larger
-than the cap is refused with ``413`` before it is read, and a client
-that stalls mid-request is cut off with ``408`` instead of pinning a
-handler thread forever.  The asyncio gateway
-(:mod:`repro.service.gateway`) imports the same constants, so the two
-front ends can never drift apart on what they accept.
-
-With a :class:`~repro.service.tenants.TenantRegistry` bound
-(``make_server(tenants=...)`` / ``repro serve --tenants``), job routes
-require an API key (``X-API-Key`` or ``Authorization: Bearer``) and
-submissions pass per-tenant quota checks (429 + ``Retry-After`` on
-breach) and fair-share priority weighting -- the same
-:mod:`repro.service.tenants` gates the gateway uses.
+* the **request limits** -- a body larger than :data:`MAX_BODY_BYTES`
+  is refused with ``413`` before it is read
+  (:func:`validate_content_length`), and a client that stalls
+  mid-request for :data:`REQUEST_TIMEOUT_SECONDS` is cut off with
+  ``408``;
+* the ``/health`` and ``/jobs/<id>/events`` JSON documents
+  (:func:`health_payload`, :func:`events_payload`);
+* :func:`admit_submission`, the one path every submission passes:
+  tenant authentication (401/403), plan-hash dedup, per-tenant quotas
+  (429 + ``Retry-After``), accept-queue backpressure
+  (:class:`BackpressureError`, 503) and fair-share priority weighting,
+  and :func:`require_tenant` for the other job routes.
 """
 
 from __future__ import annotations
 
-import json
-import socket
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
-from urllib.parse import parse_qs, urlparse
 
-from repro.events import event_from_dict
 from repro.plans import RunPlan, plan_hash
-from repro.service.metrics import MetricsRegistry
-from repro.service.service import (
-    JobHandle,
-    SearchService,
-    StaleLeaseError,
-    UnknownAgentError,
-    UnknownJobError,
-)
+from repro.service.service import JobHandle, SearchService
 from repro.service.tenants import (
-    QuotaExceededError,
-    TenantAuthError,
     TenantRegistry,
     api_key_from_headers,
     check_quota,
     fair_share_priority,
 )
 
-#: Largest request body either front end accepts (413 beyond this).
+#: Largest request body the front end accepts (413 beyond this).
 #: Plans are small JSON documents; remote-agent result uploads are the
 #: biggest legitimate bodies and sit far below this.
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
-#: Socket/read timeout for one request on either front end (408 when a
-#: client stalls mid-body; idle keep-alive connections are just closed).
+#: Read timeout for one request, seconds (408 when a client stalls
+#: mid-body; idle keep-alive connections are just closed).
 REQUEST_TIMEOUT_SECONDS = 30.0
 
 
@@ -107,10 +49,6 @@ class BodyTooLargeError(RuntimeError):
     ``ValueError`` to 400, and an oversized body must surface as 413
     even from inside those handlers.
     """
-
-
-class RequestTimeoutError(OSError):
-    """A client stalled mid-request past the read timeout (HTTP 408)."""
 
 
 def validate_content_length(raw: str | None,
@@ -138,7 +76,7 @@ def validate_content_length(raw: str | None,
 
 
 def health_payload(service: SearchService) -> dict[str, Any]:
-    """The ``/health`` JSON document (shared by both front ends)."""
+    """The ``/health`` JSON document."""
     states: dict[str, int] = {}
     for handle in service.jobs():
         state = handle.state
@@ -149,7 +87,7 @@ def health_payload(service: SearchService) -> dict[str, Any]:
 
 
 def events_payload(handle: JobHandle, since: int) -> dict[str, Any]:
-    """The ``/jobs/<id>/events`` JSON page (shared by both front ends).
+    """The ``/jobs/<id>/events`` JSON page (long-polls re-read it).
 
     The state is read *before* the event log: the service appends a
     job's final events and flips it to a terminal state under one lock
@@ -189,7 +127,7 @@ def admit_submission(
     priority: int,
     max_pending: int | None = None,
 ) -> tuple[JobHandle, bool]:
-    """The one admission path both front ends submit through.
+    """The one admission path every submission goes through.
 
     Runs, in order: tenant authentication (:class:`TenantAuthError`
     -> 401/403), dedup short-circuit (a plan the service already
@@ -237,347 +175,3 @@ def require_tenant(tenants: TenantRegistry | None,
     """
     if tenants is not None:
         tenants.authenticate(api_key_from_headers(headers))
-
-
-class ServiceHTTPServer(ThreadingHTTPServer):
-    """A ThreadingHTTPServer bound to one :class:`SearchService`.
-
-    ``tenants`` (a :class:`TenantRegistry`) switches the job routes to
-    authenticated multi-tenant mode; ``max_pending`` bounds the accept
-    queue (503 + ``Retry-After`` beyond it).  Both default to off so a
-    bare server keeps the historical open, unbounded behaviour.
-    """
-
-    #: Threads die with the process; ``/shutdown`` is the clean path.
-    daemon_threads = True
-
-    def __init__(self, address: tuple[str, int], service: SearchService,
-                 tenants: TenantRegistry | None = None,
-                 max_pending: int | None = None):
-        super().__init__(address, _Handler)
-        self.service = service
-        self.tenants = tenants
-        self.max_pending = max_pending
-        self.metrics = MetricsRegistry(service)
-        self._shutdown_requested = threading.Event()
-
-    def request_shutdown(self) -> None:
-        """Ask the serve loop to exit (from a handler thread)."""
-        self._shutdown_requested.set()
-        # shutdown() must not run on a handler thread (it joins the
-        # serve loop); a helper thread breaks the cycle.
-        threading.Thread(target=self.shutdown, daemon=True).start()
-
-
-class _Handler(BaseHTTPRequestHandler):
-    """Routes requests onto the bound service; JSON in, JSON out."""
-
-    server: ServiceHTTPServer
-    #: Quieter than the default (no per-request stderr lines).
-    protocol_version = "HTTP/1.1"
-    #: Socket timeout (StreamRequestHandler applies it in setup());
-    #: a client that stalls mid-request gets 408 instead of pinning a
-    #: handler thread forever.
-    timeout = REQUEST_TIMEOUT_SECONDS
-
-    def log_message(self, format: str, *args: Any) -> None:
-        """Suppress the default per-request stderr logging."""
-
-    # -- verbs ---------------------------------------------------------------
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        """Dispatch GET routes."""
-        url = urlparse(self.path)
-        parts = [p for p in url.path.split("/") if p]
-        try:
-            if parts == ["health"]:
-                self._send_json(200, health_payload(self.server.service))
-            elif parts == ["metrics"]:
-                self._send_json(200, self.server.metrics.snapshot())
-            elif parts == ["jobs"]:
-                self._require_tenant()
-                service = self.server.service
-                self._send_json(
-                    200,
-                    {"jobs": [h.info() for h in service.jobs()]},
-                )
-            elif len(parts) == 2 and parts[0] == "jobs":
-                self._require_tenant()
-                handle = self.server.service.job(parts[1])
-                self._send_json(200, handle.info())
-            elif len(parts) == 3 and parts[0] == "jobs" and parts[2] == "events":
-                self._require_tenant()
-                self._get_events(parts[1], url.query)
-            elif len(parts) == 3 and parts[0] == "jobs" and parts[2] == "result":
-                self._require_tenant()
-                self._get_result(parts[1])
-            elif parts == ["agents"]:
-                self._send_json(
-                    200, {"agents": self.server.service.agents()})
-            else:
-                self._send_json(404, {"error": f"unknown path {url.path!r}"})
-        except UnknownJobError as exc:
-            self._send_json(404, {"error": str(exc)})
-        except TenantAuthError as exc:
-            self._send_json(exc.status, {"error": str(exc)})
-
-    def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        """Dispatch POST routes."""
-        url = urlparse(self.path)
-        parts = [p for p in url.path.split("/") if p]
-        try:
-            if parts == ["jobs"]:
-                self._post_job()
-            elif len(parts) == 3 and parts[0] == "jobs" and parts[2] == "cancel":
-                self._require_tenant()
-                state = self.server.service.cancel(parts[1])
-                self._send_json(
-                    200, self.server.service.job(parts[1]).info()
-                    | {"state": state})
-            elif parts == ["agents"]:
-                self._post_register()
-            elif (len(parts) == 3 and parts[0] == "agents"
-                    and parts[2] in ("heartbeat", "claim", "leave")):
-                self._post_agent_verb(parts[1], parts[2])
-            elif (len(parts) == 5 and parts[0] == "agents"
-                    and parts[2] == "jobs"
-                    and parts[4] in ("events", "complete")):
-                self._post_agent_job(parts[1], parts[3], parts[4])
-            elif parts == ["shutdown"]:
-                self._require_tenant()
-                # Finish the reply *before* the serve loop starts dying:
-                # flush the bytes to the socket and mark the connection
-                # for close, only then trigger shutdown -- handler
-                # threads are daemonic, so an unflushed reply would race
-                # process exit and the client could read a torn body.
-                self._send_json(200, {"status": "shutting down"})
-                self.wfile.flush()
-                self.close_connection = True
-                self.server.request_shutdown()
-            else:
-                self._send_json(404, {"error": f"unknown path {url.path!r}"})
-        except (UnknownJobError, UnknownAgentError) as exc:
-            self._send_json(404, {"error": str(exc)})
-        except StaleLeaseError as exc:
-            self._send_json(409, {"error": str(exc)})
-        except TenantAuthError as exc:
-            self._send_json(exc.status, {"error": str(exc)})
-        except QuotaExceededError as exc:
-            self.server.metrics.inc("quota_rejections")
-            self._send_json(429, {"error": str(exc),
-                                  "tenant": exc.tenant, "limit": exc.limit},
-                            headers={"Retry-After":
-                                     f"{exc.retry_after:g}"})
-        except BackpressureError as exc:
-            self.server.metrics.inc("backpressure_rejections")
-            self._send_json(503, {"error": str(exc)},
-                            headers={"Retry-After":
-                                     f"{exc.retry_after:g}"})
-        except BodyTooLargeError as exc:
-            # The oversized body was never read, so the connection is
-            # unusable for another request -- close it with the reply.
-            self._send_json(413, {"error": str(exc)})
-            self.close_connection = True
-        except (RequestTimeoutError, socket.timeout) as exc:
-            self._send_json(408, {"error": f"request timed out: {exc}"})
-            self.close_connection = True
-
-    # -- route bodies --------------------------------------------------------
-
-    def _require_tenant(self) -> None:
-        require_tenant(self.server.tenants, self._header_map())
-
-    def _header_map(self) -> dict[str, str]:
-        return {k.lower(): v for k, v in self.headers.items()}
-
-    def _post_job(self) -> None:
-        try:
-            body = self._read_body()
-            plan = RunPlan.from_dict(body["plan"])
-            priority = int(body.get("priority", 0))
-        except (KeyError, TypeError, ValueError) as exc:
-            self._send_json(400, {"error": f"bad submission: {exc}"})
-            return
-        handle, deduped = admit_submission(
-            self.server.service, self.server.tenants, self._header_map(),
-            plan, priority, max_pending=self.server.max_pending)
-        self.server.metrics.inc("submissions")
-        info = handle.info()
-        info["deduped"] = deduped
-        self._send_json(200, info)
-
-    def _get_events(self, job_id: str, query: str) -> None:
-        handle = self.server.service.job(job_id)
-        params = parse_qs(query)
-        try:
-            since = int(params.get("since", ["0"])[0])
-        except ValueError:
-            self._send_json(
-                400, {"error": "since must be an integer cursor"})
-            return
-        self._send_json(200, events_payload(handle, since))
-
-    def _post_register(self) -> None:
-        try:
-            body = self._read_body()
-            name = body.get("name")
-            agent_id = body.get("agent_id")
-            for value in (name, agent_id):
-                if value is not None and not isinstance(value, str):
-                    raise ValueError("name/agent_id must be strings")
-        except (TypeError, ValueError) as exc:
-            self._send_json(400, {"error": f"bad registration: {exc}"})
-            return
-        self._send_json(
-            200, self.server.service.register_agent(
-                name=name, agent_id=agent_id))
-
-    def _post_agent_verb(self, agent_id: str, verb: str) -> None:
-        service = self.server.service
-        if verb == "claim":
-            claim = service.claim_job(agent_id)
-            self._send_json(200, {"job": claim})
-            return
-        if verb == "leave":
-            service.deregister_agent(agent_id)
-            self._send_json(200, {"status": "left"})
-            return
-        try:
-            body = self._read_body()
-            jobs = body.get("jobs", [])
-            if not isinstance(jobs, list):
-                raise ValueError("'jobs' must be a list of job ids")
-        except (TypeError, ValueError) as exc:
-            self._send_json(400, {"error": f"bad heartbeat: {exc}"})
-            return
-        self._send_json(
-            200, service.heartbeat(agent_id, [str(j) for j in jobs]))
-
-    def _post_agent_job(self, agent_id: str, job_id: str, verb: str) -> None:
-        service = self.server.service
-        try:
-            body = self._read_body()
-            if verb == "events":
-                events = [event_from_dict(doc) for doc in body["events"]]
-            else:
-                outcome = body["outcome"]
-                if outcome not in ("done", "failed", "cancelled"):
-                    raise ValueError(f"unknown outcome {outcome!r}")
-        except (KeyError, TypeError, ValueError) as exc:
-            self._send_json(400, {"error": f"bad upload: {exc}"})
-            return
-        if verb == "events":
-            recorded = service.record_agent_events(agent_id, job_id, events)
-            self._send_json(200, {"recorded": recorded})
-            return
-        info = service.complete_job(
-            agent_id, job_id, outcome,
-            payload=body.get("payload"),
-            message=body.get("message"),
-            completed=int(body.get("completed", 0)),
-        )
-        self._send_json(200, info)
-
-    def _get_result(self, job_id: str) -> None:
-        handle = self.server.service.job(job_id)
-        state = handle.state
-        if state != "done":
-            self._send_json(409, {
-                "error": f"job {job_id} is {state}, not done",
-                "state": state,
-            })
-            return
-        blob = handle.stored_result_bytes()
-        if blob is None:
-            self._send_json(406, {
-                "error": f"workload {handle.plan.workload!r} has no result "
-                "codec; inspect the job in-process instead",
-            })
-            return
-        self._send_bytes(200, blob)
-
-    # -- plumbing ------------------------------------------------------------
-
-    def _read_body(self) -> dict[str, Any]:
-        length = validate_content_length(
-            self.headers.get("Content-Length"))
-        try:
-            raw = self.rfile.read(length) if length else b"{}"
-        except socket.timeout as exc:
-            raise RequestTimeoutError(
-                f"client stalled mid-body after sending "
-                f"{length}-byte Content-Length") from exc
-        if length and len(raw) < length:
-            # The client closed early; nothing sensible to parse.
-            raise ValueError(
-                f"body truncated: got {len(raw)} of {length} bytes")
-        data = json.loads(raw)
-        if not isinstance(data, dict):
-            raise ValueError("request body must be a JSON object")
-        return data
-
-    def _send_json(self, status: int, payload: dict[str, Any],
-                   headers: dict[str, str] | None = None) -> None:
-        self._send_bytes(status, json.dumps(payload).encode(),
-                         headers=headers)
-
-    def _send_bytes(self, status: int, blob: bytes,
-                    headers: dict[str, str] | None = None) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(blob)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(blob)
-
-
-def make_server(
-    host: str = "127.0.0.1",
-    port: int = 8765,
-    service: SearchService | None = None,
-    tenants: TenantRegistry | None = None,
-    max_pending: int | None = None,
-    **service_kwargs: Any,
-) -> ServiceHTTPServer:
-    """Build (without starting) a bound service HTTP server.
-
-    ``port=0`` binds an ephemeral port (tests); ``service_kwargs`` go
-    to the :class:`SearchService` constructor when no service is
-    passed.  ``tenants`` / ``max_pending`` enable multi-tenant
-    admission and backpressure (see :class:`ServiceHTTPServer`).
-    """
-    if service is None:
-        service = SearchService(**service_kwargs)
-    return ServiceHTTPServer((host, port), service, tenants=tenants,
-                             max_pending=max_pending)
-
-
-def run_server(server: ServiceHTTPServer) -> None:
-    """Serve until ``/shutdown`` or Ctrl-C, then tear down cleanly.
-
-    Blocks the calling thread; the bound service is shut down (asking
-    running jobs to stop cooperatively, then waiting) before
-    returning.  Both :func:`serve` and the ``repro serve`` CLI verb
-    run through here, so teardown semantics exist once.
-    """
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-        server.service.shutdown(wait=True, cancel_running=True)
-
-
-def serve(
-    host: str = "127.0.0.1",
-    port: int = 8765,
-    service: SearchService | None = None,
-    tenants: TenantRegistry | None = None,
-    max_pending: int | None = None,
-    **service_kwargs: Any,
-) -> None:
-    """Build a bound server and run it (see :func:`run_server`)."""
-    run_server(make_server(host, port, service=service, tenants=tenants,
-                           max_pending=max_pending, **service_kwargs))

@@ -1,8 +1,7 @@
 """Service observability: one registry, one ``/metrics`` JSON shape.
 
-Both HTTP front ends -- the sync :mod:`repro.service.http` server and
-the asyncio :mod:`repro.service.gateway` -- answer ``GET /metrics``
-from a :class:`MetricsRegistry` bound to their
+The HTTP front end (:mod:`repro.service.gateway`) answers
+``GET /metrics`` from a :class:`MetricsRegistry` bound to its
 :class:`~repro.service.SearchService`.  The snapshot is plain JSON
 counters and gauges, cheap enough to poll:
 

@@ -487,7 +487,7 @@ class SearchService:
           is re-queued, and its shards resume from their checkpoints.
 
         ``tenant`` attributes the job to a named tenant (the HTTP
-        front ends pass the authenticated tenant's name): it lands in
+        front end passes the authenticated tenant's name): it lands in
         the job's :meth:`~JobHandle.info`, the journal's ``queued``
         entry (so accounting survives restarts) and the per-tenant
         queue-depth metrics.  A job keeps its original tenant across
@@ -587,7 +587,7 @@ class SearchService:
     def job_by_hash(self, digest: str) -> JobHandle | None:
         """The hash-addressable job for ``digest``, or ``None``.
 
-        What the front ends use to recognise a dedup-coalescing submit
+        What the front end uses to recognise a dedup-coalescing submit
         before admission control runs: a resubmission of a plan the
         service already tracks adds no load, so quota/backpressure
         gates wave it through.
@@ -599,8 +599,8 @@ class SearchService:
     def tenant_load(self, tenant: str | None) -> dict[str, int]:
         """One tenant's current ``{"queued": n, "running": n}`` load.
 
-        Read under the service lock; the admission gates in the HTTP
-        front ends compare these counts against the tenant's quotas
+        Read under the service lock; the admission gates of the HTTP
+        front end compare these counts against the tenant's quotas
         and feed the queued+running sum into the fair-share priority.
         """
         queued = running = 0
@@ -1101,7 +1101,7 @@ class SearchService:
         ``callback(job_id)`` fires every time events are appended to
         that job's log -- lifecycle transitions *and* in-flight shard
         events, which plain bus subscription cannot attribute to a job.
-        The async gateway's SSE/long-poll fanout hangs off this hook.
+        The gateway's SSE/long-poll fanout hangs off this hook.
 
         The callback runs on service worker threads, sometimes under
         the service lock: it must be cheap, must never block, and must

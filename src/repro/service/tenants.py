@@ -1,6 +1,6 @@
 """Multi-tenant admission control: API keys, quotas, fair-share priority.
 
-Both HTTP front ends can bind a :class:`TenantRegistry` (built from a
+The HTTP front end can bind a :class:`TenantRegistry` (built from a
 ``tenants.json`` config via :meth:`TenantRegistry.load`); with one
 bound, every job route requires an API key (``X-API-Key`` header or
 ``Authorization: Bearer``), and submissions are admitted through three
@@ -48,7 +48,7 @@ AUTHORIZATION_HEADER = "authorization"
 class TenantAuthError(PermissionError):
     """Base class of tenant authentication failures."""
 
-    #: HTTP status the front ends map this error onto.
+    #: HTTP status the front end maps this error onto.
     status = 403
 
 

@@ -11,7 +11,6 @@ to an uninterrupted run.
 import os
 import subprocess
 import sys
-import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -23,7 +22,7 @@ from repro.service import SearchService
 from repro.service.agent import WorkerAgent
 from repro.service.client import ServiceClient
 from repro.service.faults import CRASH_POINTS_ENV
-from repro.service.http import make_server
+from repro.service.gateway import GatewayRunner
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -73,20 +72,11 @@ def wait_for(predicate, timeout=60.0, interval=0.05):
 
 @contextmanager
 def live_coordinator(tmp_path, lease_seconds):
-    server = make_server(port=0, workers=1,
-                         store_dir=str(tmp_path / "store"),
-                         checkpoint_dir=str(tmp_path / "ckpt"),
-                         lease_seconds=lease_seconds)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    try:
-        yield server.service, f"http://{host}:{port}"
-    finally:
-        server.shutdown()
-        server.server_close()
-        server.service.shutdown(wait=True, cancel_running=True)
-        thread.join(timeout=10)
+    with GatewayRunner(workers=1, store_dir=str(tmp_path / "store"),
+                       checkpoint_dir=str(tmp_path / "ckpt"),
+                       lease_seconds=lease_seconds,
+                       drain_grace=0) as runner:
+        yield runner.service, runner.base_url
 
 
 @pytest.fixture()

@@ -18,7 +18,7 @@ from repro.plans import RunPlan, ScenarioPlan, SearchPlan
 from repro.service.agent import WorkerAgent
 from repro.service.client import ServiceClient
 from repro.service.faults import CRASH_POINTS_ENV, FaultInjector
-from repro.service.http import make_server
+from repro.service.gateway import GatewayRunner
 
 from tests.service.chaos_proxy import ChaosProxy
 
@@ -87,22 +87,14 @@ class TestFaultInjector:
 @pytest.fixture()
 def proxied_service(tmp_path):
     """A live coordinator plus a chaos proxy in front of it."""
-    server = make_server(port=0, workers=1,
-                         store_dir=str(tmp_path / "store"),
-                         checkpoint_dir=str(tmp_path / "ckpt"),
-                         lease_seconds=1.0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    proxy = ChaosProxy(host, port)
-    try:
-        yield server.service, proxy
-    finally:
-        proxy.stop()
-        server.shutdown()
-        server.server_close()
-        server.service.shutdown(wait=True, cancel_running=True)
-        thread.join(timeout=10)
+    with GatewayRunner(workers=1, store_dir=str(tmp_path / "store"),
+                       checkpoint_dir=str(tmp_path / "ckpt"),
+                       lease_seconds=1.0, drain_grace=0) as runner:
+        proxy = ChaosProxy(runner.host, runner.port)
+        try:
+            yield runner.service, proxy
+        finally:
+            proxy.stop()
 
 
 class TestChaosProxyScenarios:

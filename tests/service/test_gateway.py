@@ -11,7 +11,6 @@ import pytest
 from repro.plans import RunPlan, ScenarioPlan, SearchPlan
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.gateway import GatewayRunner
-from repro.service.http import make_server
 from repro.service.journal import JobJournal
 from repro.service.service import SearchService
 from repro.service.tenants import Tenant, TenantRegistry
@@ -40,7 +39,7 @@ def get_json(url, timeout=10):
 
 
 class TestWireParity:
-    """The gateway answers byte-for-byte like the sync front end."""
+    """The wire schema: submit, result bytes, keep-alive, agents."""
 
     def test_submit_wait_result_roundtrip(self, live_gateway):
         client = ServiceClient(live_gateway.base_url)
@@ -128,7 +127,26 @@ class TestEventDelivery:
             urllib.request.urlopen(
                 f"{live_gateway.base_url}/jobs/nope/events/stream",
                 timeout=10)
-        assert err.value.code == 404
+        with err.value as error:
+            assert error.code == 404
+            assert error.headers["Content-Type"] == "application/json"
+
+    def test_stream_events_on_unknown_job_is_one_404_request(
+            self, live_gateway, monkeypatch):
+        sent = []
+        urlopen = urllib.request.urlopen
+
+        def counting_urlopen(request, *args, **kwargs):
+            sent.append(request.full_url)
+            return urlopen(request, *args, **kwargs)
+
+        monkeypatch.setattr(urllib.request, "urlopen", counting_urlopen)
+        client = ServiceClient(live_gateway.base_url)
+        with pytest.raises(ServiceError) as err:
+            next(client.stream_events("j-missing"))
+        assert err.value.status == 404
+        assert sent == [
+            f"{live_gateway.base_url}/jobs/j-missing/events/stream?since=0"]
 
     def test_long_poll_parks_until_events_arrive(self, live_gateway):
         client = ServiceClient(live_gateway.base_url)
@@ -158,27 +176,6 @@ class TestEventDelivery:
         assert page["state"] == "done"
         assert page["events"] == []
 
-    def test_stream_events_falls_back_to_polling_on_sync_servers(
-            self, tmp_path):
-        server = make_server(port=0, workers=1,
-                             store_dir=str(tmp_path / "store"))
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        try:
-            client = ServiceClient(f"http://{host}:{port}")
-            info = client.submit(search_plan(seed=15))
-            frames = list(client.stream_events(info["job_id"]))
-            tags = [f["event"] for f in frames]
-            assert "job-completed" in tags
-            assert tags[-1] == "end"
-            assert frames[-1]["data"]["state"] == "done"
-        finally:
-            server.shutdown()
-            server.server_close()
-            server.service.shutdown(wait=True, cancel_running=True)
-            thread.join(timeout=10)
-
 
 class TestAdmission:
     def test_backpressure_is_503_with_retry_after(self, tmp_path):
@@ -195,8 +192,9 @@ class TestAdmission:
                     headers={"Content-Type": "application/json"})
                 with pytest.raises(urllib.error.HTTPError) as err:
                     urllib.request.urlopen(request, timeout=10)
-                assert err.value.code == 503
-                assert err.value.headers["Retry-After"]
+                with err.value as error:
+                    assert error.code == 503
+                    assert error.headers["Retry-After"]
             finally:
                 client.cancel(queued["job_id"])
                 client.cancel(running["job_id"])
@@ -257,7 +255,7 @@ class TestGracefulDrain:
         ops = [e["op"] for e in entries if e["hash"] == info["plan_hash"]]
         assert ops[-1] == "done"
 
-    def test_drained_gateway_result_matches_a_sync_server_run(
+    def test_drained_gateway_result_matches_an_in_process_run(
             self, tmp_path):
         plan = search_plan(seed=31)
         gw_store = tmp_path / "gw-store"
@@ -266,18 +264,18 @@ class TestGracefulDrain:
             client = ServiceClient(runner.base_url)
             info = client.submit(plan)
             client.wait(info["job_id"], timeout=120)
-            async_bytes = client.result_bytes(info["job_id"])
+            gateway_bytes = client.result_bytes(info["job_id"])
         finally:
             runner.stop()
-        sync_service = SearchService(
-            workers=1, store_dir=str(tmp_path / "sync-store"))
+        service = SearchService(
+            workers=1, store_dir=str(tmp_path / "in-process-store"))
         try:
-            handle = sync_service.submit(plan)
+            handle = service.submit(plan)
             handle.wait(timeout=120)
-            sync_bytes = handle.stored_result_bytes()
+            in_process_bytes = handle.stored_result_bytes()
         finally:
-            sync_service.shutdown(wait=True)
-        assert async_bytes == sync_bytes
+            service.shutdown(wait=True)
+        assert gateway_bytes == in_process_bytes
 
     def test_sse_streams_end_with_a_drain_frame(self, tmp_path):
         runner = GatewayRunner(workers=1,

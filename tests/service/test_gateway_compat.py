@@ -4,22 +4,30 @@
 :class:`ServiceClient`: one-shot urllib requests, no API-key header,
 no keep-alive, ``GET /jobs/<id>/events?since=N`` with no ``wait``
 parameter, and a submit -> poll -> result loop.  The test drives that
-exact session against the asyncio gateway and pins the observable
-transcript -- response schemas, event tags, and the stored result
-bytes -- to what a sync-server run of the same plan produces.
+exact session against the gateway and pins the observable transcript:
+the response schema and event tags literally, and the result bytes to
+what an in-process :class:`SearchService` stores for the same plan.
 
 If a gateway change breaks an old deployed client, this file is where
 it fails.
 """
 
 import json
-import threading
 import time
 import urllib.request
 
-from repro.plans import RunPlan, ScenarioPlan, SearchPlan
+from repro.plans import RunPlan, ScenarioPlan, SearchPlan, plan_hash
 from repro.service.gateway import GatewayRunner
-from repro.service.http import make_server
+from repro.service.service import SearchService
+
+#: The submit reply's keys, as a legacy client sees them.
+SUBMIT_KEYS = ["agent", "cached", "deduped", "error", "events", "job_id",
+               "plan_hash", "priority", "runs", "state", "tenant",
+               "workload"]
+
+#: The event-tag sequence of a fresh single-search job.
+EVENT_TAGS = ["job-queued", "job-started", "run-started", "search-started",
+              "search-finished", "run-finished", "job-completed"]
 
 
 def search_plan(seed=0, trials=4):
@@ -93,34 +101,24 @@ class _LegacyClient:
         }
 
 
-def test_legacy_session_is_identical_against_gateway_and_sync_server(
-        tmp_path):
+def test_legacy_session_matches_pin_and_in_process_run(tmp_path):
     plan = search_plan(seed=77)
-
-    server = make_server(port=0, workers=1,
-                         store_dir=str(tmp_path / "sync-store"))
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    try:
-        sync_run = _LegacyClient(f"http://{host}:{port}").run_session(plan)
-    finally:
-        server.shutdown()
-        server.server_close()
-        server.service.shutdown(wait=True, cancel_running=True)
-        thread.join(timeout=10)
-
     with GatewayRunner(workers=1,
                        store_dir=str(tmp_path / "gw-store")) as runner:
         gateway_run = _LegacyClient(runner.base_url).run_session(plan)
 
+    with SearchService(workers=1) as service:
+        handle = service.submit(plan)
+        handle.wait(timeout=120)
+        reference = handle.stored_result_bytes()
+
     # The submit response schema, terminal state, plan hash, event-tag
     # sequence, and the stored result BYTES are all pinned.
-    assert gateway_run["submit_keys"] == sync_run["submit_keys"]
-    assert gateway_run["final_state"] == sync_run["final_state"] == "done"
-    assert gateway_run["plan_hash"] == sync_run["plan_hash"]
-    assert gateway_run["event_tags"] == sync_run["event_tags"]
-    assert gateway_run["result"] == sync_run["result"]
+    assert gateway_run["submit_keys"] == SUBMIT_KEYS
+    assert gateway_run["final_state"] == "done"
+    assert gateway_run["plan_hash"] == plan_hash(plan)
+    assert gateway_run["event_tags"] == EVENT_TAGS
+    assert gateway_run["result"] == reference
 
 
 def test_legacy_session_schema_snapshot(tmp_path):
@@ -128,10 +126,7 @@ def test_legacy_session_schema_snapshot(tmp_path):
     with GatewayRunner(workers=1,
                        store_dir=str(tmp_path / "store")) as runner:
         run = _LegacyClient(runner.base_url).run_session(search_plan(seed=78))
-    assert run["submit_keys"] == ["agent", "cached", "deduped", "error",
-                                  "events", "job_id", "plan_hash",
-                                  "priority", "runs", "state", "tenant",
-                                  "workload"]
+    assert run["submit_keys"] == SUBMIT_KEYS
     assert run["event_tags"][0] == "job-queued"
     assert run["event_tags"][-1] == "job-completed"
     assert run["result"].endswith(b"\n") or run["result"]

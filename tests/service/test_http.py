@@ -1,14 +1,14 @@
-"""The stdlib HTTP endpoint and its client, over a live loopback server."""
+"""The HTTP endpoint and its client, over a live loopback server."""
 
 import json
 import socket
-import threading
+import time
 
 import pytest
 
 from repro.plans import RunPlan, ScenarioPlan, SearchPlan
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.http import make_server, run_server
+from repro.service.gateway import GatewayRunner
 
 
 def search_plan(seed=0, trials=4):
@@ -23,18 +23,10 @@ def search_plan(seed=0, trials=4):
 @pytest.fixture()
 def live_service(tmp_path):
     """A served SearchService on an ephemeral loopback port."""
-    server = make_server(port=0, workers=2, store_dir=str(tmp_path / "store"),
-                         checkpoint_dir=str(tmp_path / "ckpt"))
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    try:
-        yield ServiceClient(f"http://{host}:{port}")
-    finally:
-        server.shutdown()
-        server.server_close()
-        server.service.shutdown(wait=True, cancel_running=True)
-        thread.join(timeout=10)
+    with GatewayRunner(workers=2, store_dir=str(tmp_path / "store"),
+                       checkpoint_dir=str(tmp_path / "ckpt"),
+                       drain_grace=0) as runner:
+        yield ServiceClient(runner.base_url)
 
 
 class TestHTTPEndpoint:
@@ -112,31 +104,30 @@ class TestHTTPEndpoint:
 
 
 class TestShutdownFlush:
-    """Pin the /shutdown fix: the reply is complete before the server dies.
+    """Pin the /shutdown reply: it is complete before the server dies.
 
-    The old handler triggered the serve-loop shutdown while the
-    response could still be unflushed on a daemon handler thread, so a
-    client racing process teardown could read a torn (or empty) body.
-    The response must now arrive complete -- headers, declared
+    A server that starts tearing down while the response is still
+    unflushed lets a client racing process exit read a torn (or empty)
+    body.  The response must arrive complete -- headers, declared
     Content-Length, parseable JSON -- on a raw socket that reads
-    *after* the server has begun shutting down.
+    *after* the server has begun draining.
     """
 
     def test_shutdown_reply_is_complete_on_the_wire(self):
-        server = make_server(port=0, workers=1)
-        thread = threading.Thread(target=run_server, args=(server,))
-        thread.start()
-        host, port = server.server_address[:2]
+        runner = GatewayRunner(workers=1).start()
         try:
-            with socket.create_connection((host, port), timeout=30) as sock:
+            with socket.create_connection((runner.host, runner.port),
+                                          timeout=30) as sock:
                 sock.sendall(
                     b"POST /shutdown HTTP/1.1\r\n"
                     b"Host: test\r\nContent-Length: 0\r\n\r\n"
                 )
-                # Wait for the serve loop to be told to stop, *then*
-                # read -- the reply must already be flushed to the
-                # socket by that point.
-                assert server._shutdown_requested.wait(timeout=30)
+                # Wait for the drain to begin, *then* read -- the reply
+                # must already be flushed to the socket by that point.
+                deadline = time.monotonic() + 30
+                while not runner.gateway.draining:
+                    assert time.monotonic() < deadline, "drain never began"
+                    time.sleep(0.01)
                 sock.settimeout(30)
                 raw = b""
                 while b"\r\n\r\n" not in raw:
@@ -155,5 +146,4 @@ class TestShutdownFlush:
                     body += chunk
                 assert json.loads(body) == {"status": "shutting down"}
         finally:
-            thread.join(timeout=60)
-            assert not thread.is_alive(), "server failed to shut down"
+            runner.stop(timeout=60)

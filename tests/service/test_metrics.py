@@ -1,4 +1,4 @@
-"""The metrics registry and the ``/metrics`` endpoint on both front ends."""
+"""The metrics registry and the gateway's ``/metrics`` endpoint."""
 
 import json
 import threading
@@ -8,7 +8,7 @@ import pytest
 
 from repro.plans import RunPlan, ScenarioPlan, SearchPlan, plan_hash
 from repro.service.client import ServiceClient
-from repro.service.http import make_server
+from repro.service.gateway import GatewayRunner
 from repro.service.metrics import ANONYMOUS_TENANT, MetricsRegistry
 from repro.service.service import SearchService
 
@@ -150,19 +150,12 @@ class TestRegistry:
             service.shutdown(wait=True, cancel_running=True)
 
 
-class TestSyncMetricsEndpoint:
+class TestMetricsEndpoint:
     @pytest.fixture()
     def live_server(self, tmp_path):
-        server = make_server(port=0, workers=1,
-                             store_dir=str(tmp_path / "store"))
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        yield f"http://{host}:{port}"
-        server.shutdown()
-        server.server_close()
-        server.service.shutdown(wait=True, cancel_running=True)
-        thread.join(timeout=10)
+        with GatewayRunner(workers=1, store_dir=str(tmp_path / "store"),
+                           drain_grace=0) as runner:
+            yield runner.base_url
 
     def test_metrics_route_serves_the_snapshot(self, live_server):
         client = ServiceClient(live_server)

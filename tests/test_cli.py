@@ -1,8 +1,26 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+import queue
+import re
+import signal
+import subprocess
+import sys
+import threading
+import time
+from contextlib import contextmanager
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.plans import RunPlan, ScenarioPlan, SearchPlan
+from repro.service.client import ServiceClient
+from repro.service.journal import JobJournal
+from repro.service.store import ResultStore
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestParser:
@@ -242,6 +260,13 @@ class TestServiceVerbs:
             build_parser().parse_args(["serve", "--tiling-cache-dir", "t"])
         assert "--tiling-cache-dir" in capsys.readouterr().err
 
+    def test_serve_has_no_async_option(self, capsys):
+        """The gateway is the only front end: nothing to opt into."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve", "--async"])
+        assert exit_info.value.code == 2
+        assert "--async" in capsys.readouterr().err
+
     def test_submit_flags(self):
         args = build_parser().parse_args([
             "submit", "plan.json", "--url", "http://h:1", "--priority", "2",
@@ -259,24 +284,17 @@ class TestServiceVerbs:
 
     def test_submit_against_live_server(self, capsys, tmp_path):
         """The whole CLI loop: dump a plan, serve, submit, fetch bytes."""
-        import json
-        import threading
-
-        from repro.service.http import make_server
+        from repro.service.gateway import GatewayRunner
 
         assert main([
             "table1", "--trials", "3", "--dump-plan",
             str(tmp_path / "plan.json"),
         ]) == 0
-        server = make_server(port=0, workers=1)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        try:
+        with GatewayRunner(workers=1, drain_grace=0) as runner:
             capsys.readouterr()  # drop the table1 output
             code = main([
                 "submit", str(tmp_path / "plan.json"),
-                "--url", f"http://{host}:{port}",
+                "--url", runner.base_url,
                 "--output", str(tmp_path / "result.json"),
             ])
             out = capsys.readouterr().out
@@ -292,17 +310,12 @@ class TestServiceVerbs:
             }))
             code = main([
                 "submit", str(tmp_path / "search.json"),
-                "--url", f"http://{host}:{port}",
+                "--url", runner.base_url,
                 "--output", str(tmp_path / "result.json"),
             ])
             assert code == 0
             payload = json.loads((tmp_path / "result.json").read_text())
             assert len(payload["trials"]) == 3
-        finally:
-            server.shutdown()
-            server.server_close()
-            server.service.shutdown(wait=True, cancel_running=True)
-            thread.join(timeout=10)
 
     def test_submit_connection_refused_errors_cleanly(
         self, capsys, tmp_path
@@ -317,3 +330,134 @@ class TestServiceVerbs:
                      "--url", "http://127.0.0.1:9"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+def search_plan(seed, trials):
+    return RunPlan(
+        workload="search",
+        search=SearchPlan(seed=seed, trials=trials),
+        scenario=ScenarioPlan(datasets=("mnist",), devices=("pynq-z1",),
+                              specs_ms=(5.0,)),
+    )
+
+
+@contextmanager
+def served(*flags):
+    """Run ``repro serve --port 0 FLAGS`` in a subprocess.
+
+    Yields ``(process, url)`` once the server has announced the URL it
+    bound on stderr; kills the process on the way out if it still runs.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--workers", "1", *flags],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True)
+    lines = queue.Queue()
+
+    def drain_stderr():
+        for line in proc.stderr:
+            lines.put(line)
+        lines.put(None)
+
+    reader = threading.Thread(target=drain_stderr, daemon=True)
+    reader.start()
+    try:
+        url = None
+        while url is None:
+            line = lines.get(timeout=60)
+            assert line is not None, "server exited before announcing"
+            match = re.match(r"serving.* on (http://\S+) ", line)
+            url = match and match.group(1)
+        yield proc, url
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait(timeout=30)
+        reader.join(timeout=10)
+        proc.stderr.close()
+
+
+def wait_until_running(client, job_id):
+    deadline = time.monotonic() + 60
+    while client.status(job_id)["state"] != "running":
+        assert time.monotonic() < deadline, "job never started"
+        time.sleep(0.02)
+
+
+def journal_ops(store, job_id):
+    entries = JobJournal.replay(store / "journal.jsonl")
+    return [e["op"] for e in entries if e["job"] == job_id]
+
+
+class TestServeProcess:
+    """``repro serve`` as a process: announce, stream, drain, exit 0."""
+
+    def test_port_zero_announces_the_bound_port(self):
+        with served() as (proc, url):
+            assert int(url.rpartition(":")[2]) > 0
+            client = ServiceClient(url)
+            assert client.health()["status"] == "ok"
+            assert client.shutdown() == {"status": "shutting down"}
+            assert proc.wait(timeout=60) == 0
+
+    def test_events_stream_over_sse_to_the_end_frame(self):
+        with served() as (proc, url):
+            client = ServiceClient(url)
+            info = client.submit(search_plan(seed=5, trials=8))
+            frames = list(client.stream_events(info["job_id"]))
+            tags = [f["event"] for f in frames]
+            assert tags[0] == "job-queued"
+            assert "job-completed" in tags
+            assert tags[-1] == "end"
+            assert frames[-1]["data"] == {
+                "state": "done", "next": len(frames) - 1,
+                "reason": "terminal"}
+            client.shutdown()
+            assert proc.wait(timeout=60) == 0
+
+    def test_sigterm_drains_the_running_job_and_exits_0(self, tmp_path):
+        store = tmp_path / "store"
+        with served("--store-dir", str(store)) as (proc, url):
+            client = ServiceClient(url)
+            info = client.submit(search_plan(seed=6, trials=2000))
+            wait_until_running(client, info["job_id"])
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=300) == 0
+        assert journal_ops(store, info["job_id"])[-1] == "done"
+
+    def test_ctrl_c_drains_the_running_job_and_exits_0(self, tmp_path):
+        store = tmp_path / "store"
+        with served("--store-dir", str(store)) as (proc, url):
+            client = ServiceClient(url)
+            info = client.submit(search_plan(seed=8, trials=2000))
+            wait_until_running(client, info["job_id"])
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=300) == 0
+        assert journal_ops(store, info["job_id"])[-1] == "done"
+
+    def test_drain_grace_cancels_the_running_job(self, tmp_path):
+        store = tmp_path / "store"
+        with served("--store-dir", str(store),
+                    "--drain-grace", "0") as (proc, url):
+            client = ServiceClient(url)
+            # Far too long to finish: only the grace expiry ends it.
+            info = client.submit(search_plan(seed=9, trials=1_000_000))
+            wait_until_running(client, info["job_id"])
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 0
+        assert journal_ops(store, info["job_id"])[-1] == "cancelled"
+
+    def test_shutdown_lets_the_running_job_finish(self, tmp_path):
+        store = tmp_path / "store"
+        with served("--store-dir", str(store)) as (proc, url):
+            client = ServiceClient(url)
+            info = client.submit(search_plan(seed=7, trials=2000))
+            wait_until_running(client, info["job_id"])
+            assert client.shutdown() == {"status": "shutting down"}
+            assert proc.wait(timeout=300) == 0
+        assert journal_ops(store, info["job_id"])[-1] == "done"
+        blob = ResultStore(str(store)).get_bytes(info["plan_hash"])
+        assert len(json.loads(blob)["trials"]) == 2000
