@@ -70,14 +70,7 @@ class TestSeedEquivalence:
         observed = [
             (t.tokens, t.reward, t.trained, t.accuracy) for t in result.trials
         ]
-        for got, want in zip(observed, GOLDEN_FNAS):
-            assert got[0] == want[0]
-            assert got[1] == pytest.approx(want[1], rel=1e-12)
-            assert got[2] == want[2]
-            if want[3] is None:
-                assert got[3] is None
-            else:
-                assert got[3] == pytest.approx(want[3], rel=1e-12)
+        assert observed == GOLDEN_FNAS
 
     def test_default_run_is_batch_size_one(self, setup):
         space, evaluator = setup

@@ -187,14 +187,7 @@ class TestResumeDeterminism:
             (t.tokens, t.reward, t.trained, t.accuracy)
             for t in resumed.trials
         ]
-        for got, want in zip(observed, GOLDEN_FNAS):
-            assert got[0] == want[0]
-            assert got[1] == pytest.approx(want[1], rel=1e-12)
-            assert got[2] == want[2]
-            if want[3] is None:
-                assert got[3] is None
-            else:
-                assert got[3] == pytest.approx(want[3], rel=1e-12)
+        assert observed == GOLDEN_FNAS
 
     @pytest.mark.parametrize("batch_size,kill_at,every", [
         (1, 9, 4),    # kill between checkpoint multiples
