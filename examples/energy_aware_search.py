@@ -5,6 +5,11 @@ only constrains latency; this example runs the energy-aware extension,
 which prunes children violating either budget, then inspects the
 winning design's energy breakdown and steady-state throughput.
 
+``EnergyAwareFnasSearch`` is an ``FnasSearch``: ``run`` returns the
+usual ``SearchResult`` (and takes the same ``batch_size`` and
+checkpoint options), and ``energy_facts(result)`` derives each trial's
+energy and which budget it broke from that ledger.
+
 Run:  python examples/energy_aware_search.py
 """
 
@@ -38,7 +43,8 @@ def main() -> None:
     )
     print(f"energy-aware FNAS on {PYNQ_Z1.name}: "
           f"latency <= {SPEC_MS} ms AND energy <= {SPEC_MJ} mJ")
-    result, facts = search.run(TRIALS, np.random.default_rng(0))
+    result = search.run(TRIALS, np.random.default_rng(0))
+    facts = search.energy_facts(result)
 
     lat_pruned = sum(1 for f in facts if f.latency_violated)
     eng_pruned = sum(1 for f in facts

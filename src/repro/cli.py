@@ -646,7 +646,7 @@ def _print_notes(command: str, execution: ExecutionPolicy) -> None:
     if (command != "sweep" and execution.eval_workers > 1
             and execution.batch_size == 1):
         print("note: --eval-workers only takes effect with --batch-size > 1 "
-              "(the sequential path evaluates one child at a time)",
+              "(a batch of one child has nothing to fan out)",
               file=sys.stderr)
     if command == "ablations":
         if execution.eval_workers > 1:

@@ -83,8 +83,11 @@ class Controller(Protocol):
     ) -> float:
         """One REINFORCE step on the mean per-sample gradient.
 
-        Returns the mean policy-gradient loss.  With a single-sample
-        batch this is exactly one :meth:`update` step.
+        Returns the mean policy-gradient loss.  A single-sample batch
+        is one :meth:`update` step up to rounding: the tabular
+        controller's two paths differ in the last bit.  That is why the
+        search loops pick scalar or batched calls by the run's
+        ``batch_size``, not by the size of the batch in hand.
         """
         ...
 

@@ -15,19 +15,21 @@ Each trial is logged to a :class:`SearchResult` ledger that records both
 the simulated search cost (what Table 1's "Elapsed" column measures)
 and the outcome quality.
 
-Both loops accept a ``batch_size``.  With ``batch_size=1`` (the
-default) they run the original sequential loop -- sample, evaluate,
-update, one candidate at a time -- and reproduce the seed trajectories
-token-for-token.  With ``batch_size > 1`` each step samples a whole
-batch from the controller in one vectorized pass, estimates latencies
-through the two-tier cache (:meth:`LatencyEstimator.estimate_batch`),
-evaluates survivors together (parallelisable via
-:class:`~repro.core.evaluator.ParallelEvaluator`) and applies one
-batched REINFORCE update.  Advantages within a batch are computed
-against the baseline value at the start of the batch -- every sample
-was drawn from the same policy, so this is standard batch REINFORCE --
-and the ledger keeps one :class:`TrialRecord` per candidate in sample
-order, preserving trial-ledger semantics.
+Each search has one loop, which takes the trials ``batch_size`` at a
+time.  At ``batch_size=1`` (the default) it calls the controller's
+scalar ``sample`` and ``update`` -- sample, evaluate, update, one
+candidate at a time -- and reproduces the seed trajectories
+token-for-token.  At ``batch_size > 1`` each step samples a whole batch
+in one vectorized pass (even a trailing batch of one: a tabular
+controller's scalar and batched updates round apart), estimates
+latencies through the two-tier cache
+(:meth:`LatencyEstimator.estimate_batch`), evaluates survivors together
+(parallelisable via :class:`~repro.core.evaluator.ParallelEvaluator`)
+and applies one batched REINFORCE update.  Advantages within a batch
+are computed against the baseline value at the start of the batch --
+every sample was drawn from the same policy, so this is standard batch
+REINFORCE -- and the ledger keeps one :class:`TrialRecord` per
+candidate in sample order, preserving trial-ledger semantics.
 
 Both loops are also **checkpointable**: ``run(...,
 checkpoint_every=N, checkpoint_path=p)`` atomically snapshots the
@@ -59,7 +61,7 @@ from repro.core.controller import (
 from repro.core.evaluator import AccuracyEvaluator, evaluate_many
 from repro.core.reward import AccuracyBaseline, FnasReward
 from repro.core.search_space import SearchSpace
-from repro.latency.estimator import LatencyEstimator
+from repro.latency.estimator import LatencyEstimate, LatencyEstimator
 
 
 @dataclass(frozen=True)
@@ -281,10 +283,10 @@ class _RunControl:
 class Search:
     """Shared run / checkpoint / resume machinery of the search loops.
 
-    Subclasses provide the actual sampling loops (``_run_sequential``,
-    ``_run_batched``), a ledger name, and any end-of-run finalisation;
-    this base owns the driving logic so checkpointing behaves
-    identically for NAS and FNAS.
+    Subclasses provide the sampling loop ``_run(trials, rng,
+    batch_size, result, start, plan)``, a ledger name, and any
+    end-of-run finalisation; this base owns the driving logic so
+    checkpointing behaves identically for NAS and FNAS.
 
     Attributes expected on subclasses: ``controller``, ``baseline`` and
     ``latency_estimator`` (``None`` is fine for the last).
@@ -304,8 +306,8 @@ class Search:
     ) -> SearchResult:
         """Run the search for ``trials`` children.
 
-        ``batch_size=1`` reproduces the sequential seed trajectory
-        exactly; larger batches drive the vectorized path.  With
+        ``batch_size=1`` reproduces the seed trajectory exactly;
+        larger batches drive the vectorized controller calls.  With
         ``checkpoint_every`` and ``checkpoint_path`` set, the search
         atomically snapshots its full state every that many trials --
         see :meth:`resume`.  ``should_stop`` (a zero-argument callable)
@@ -421,12 +423,8 @@ class Search:
             if should_stop():
                 raise SearchCancelled(start_index)
             control = _RunControl(plan, should_stop)
-        if batch_size == 1:
-            self._run_sequential(trials, rng, result, start=start_index,
-                                 plan=control)
-        else:
-            self._run_batched(trials, rng, batch_size, result,
-                              start=start_index, plan=control)
+        self._run(trials, rng, batch_size, result, start=start_index,
+                  plan=control)
         self._finalize(result)
         result.wall_seconds = wall_offset + (time.perf_counter() - started)
         return result
@@ -477,34 +475,16 @@ class Search:
     def _finalize(self, result: SearchResult) -> None:
         """End-of-run hook (FNAS uses it for the min-latency fallback)."""
 
-    def _run_sequential(
-        self,
-        trials: int,
-        rng: np.random.Generator,
-        result: SearchResult,
-        start: int = 0,
-        plan: _CheckpointPlan | None = None,
-    ) -> None:
-        raise NotImplementedError
-
-    def _run_batched(
-        self,
-        trials: int,
-        rng: np.random.Generator,
-        batch_size: int,
-        result: SearchResult,
-        start: int = 0,
-        plan: _CheckpointPlan | None = None,
-    ) -> None:
-        raise NotImplementedError
 
 
 def _sample_candidates(
-    controller: Controller, rng: np.random.Generator, count: int
+    controller: Controller, rng: np.random.Generator, count: int,
+    batch_size: int,
 ) -> ControllerBatch:
-    """Draw ``count`` samples, vectorized when the controller supports it."""
+    """Draw ``count`` samples: vectorized only when the run's
+    ``batch_size > 1`` and the controller has ``sample_batch``."""
     sampler = getattr(controller, "sample_batch", None)
-    if sampler is not None:
+    if batch_size > 1 and sampler is not None:
         return sampler(rng, count)
     return ControllerBatch(
         samples=[controller.sample(rng) for _ in range(count)]
@@ -552,43 +532,7 @@ class NasSearch(Search):
     def _result_name(self) -> str:
         return "nas"
 
-    def _run_sequential(
-        self,
-        trials: int,
-        rng: np.random.Generator,
-        result: SearchResult,
-        start: int = 0,
-        plan: _CheckpointPlan | None = None,
-    ) -> None:
-        """The original one-candidate-at-a-time loop (seed behaviour)."""
-        for index in range(start, trials):
-            sample = self.controller.sample(rng)
-            architecture = self.space.decode(sample.tokens)
-            outcome = self.evaluator.evaluate(architecture)
-            advantage = outcome.accuracy - self.baseline.value
-            if not self.baseline.initialized:
-                advantage = 0.0
-            self.baseline.update(outcome.accuracy)
-            self.controller.update(sample, advantage)
-            latency_ms = None
-            if self.latency_estimator is not None:
-                latency_ms = self.latency_estimator.estimate(architecture).ms
-            result.trials.append(
-                TrialRecord(
-                    index=index,
-                    tokens=tuple(sample.tokens),
-                    architecture=architecture,
-                    latency_ms=latency_ms,
-                    accuracy=outcome.accuracy,
-                    reward=outcome.accuracy,
-                    trained=True,
-                    sim_seconds=outcome.train_seconds,
-                )
-            )
-            if plan is not None:
-                plan.after(index + 1, rng, result)
-
-    def _run_batched(
+    def _run(
         self,
         trials: int,
         rng: np.random.Generator,
@@ -597,11 +541,12 @@ class NasSearch(Search):
         start: int = 0,
         plan: _CheckpointPlan | None = None,
     ) -> None:
-        """Batch REINFORCE: one vectorized update per sampled batch."""
+        """Batch REINFORCE: one controller update per sampled batch."""
         index = start
         while index < trials:
             count = min(batch_size, trials - index)
-            batch = _sample_candidates(self.controller, rng, count)
+            batch = _sample_candidates(self.controller, rng, count,
+                                       batch_size)
             architectures = [
                 self.space.decode(s.tokens) for s in batch.samples
             ]
@@ -700,52 +645,21 @@ class FnasSearch(Search):
         ):
             self._append_fallback_trial(result)
 
-    def _run_sequential(
-        self,
-        trials: int,
-        rng: np.random.Generator,
-        result: SearchResult,
-        start: int = 0,
-        plan: _CheckpointPlan | None = None,
-    ) -> None:
-        """The original one-candidate-at-a-time loop (seed behaviour)."""
-        for index in range(start, trials):
-            sample = self.controller.sample(rng)
-            architecture = self.space.decode(sample.tokens)
-            latency_ms = self.latency_estimator.estimate(architecture).ms
-            sim_seconds = self.evaluator.latency_eval_seconds()
-            if self.reward_fn.violates(latency_ms):
-                signal = self.reward_fn.violation(latency_ms)
-                accuracy = None
-                trained = False
-                advantage = signal.value
-            else:
-                outcome = self.evaluator.evaluate(architecture)
-                accuracy = outcome.accuracy
-                sim_seconds += outcome.train_seconds
-                signal = self.reward_fn.satisfaction(
-                    accuracy, latency_ms, self.baseline.value
-                )
-                trained = True
-                advantage = signal.value
-                self.baseline.update(accuracy)
-            self.controller.update(sample, advantage)
-            result.trials.append(
-                TrialRecord(
-                    index=index,
-                    tokens=tuple(sample.tokens),
-                    architecture=architecture,
-                    latency_ms=latency_ms,
-                    accuracy=accuracy,
-                    reward=signal.value,
-                    trained=trained,
-                    sim_seconds=sim_seconds,
-                )
-            )
-            if plan is not None:
-                plan.after(index + 1, rng, result)
+    def _violation(self, estimate: LatencyEstimate) -> float | None:
+        """Eq. (1)'s violation reward, or None when the child may train."""
+        if not self.reward_fn.violates(estimate.ms):
+            return None
+        return self.reward_fn.violation(estimate.ms).value
 
-    def _run_batched(
+    def _satisfaction(
+        self, accuracy: float, estimate: LatencyEstimate, reference: float
+    ) -> float:
+        """Eq. (1)'s satisfaction reward against the baseline ``reference``."""
+        return self.reward_fn.satisfaction(
+            accuracy, estimate.ms, reference
+        ).value
+
+    def _run(
         self,
         trials: int,
         rng: np.random.Generator,
@@ -754,26 +668,27 @@ class FnasSearch(Search):
         start: int = 0,
         plan: _CheckpointPlan | None = None,
     ) -> None:
-        """Figure 2's loop over whole batches.
+        """Figure 2's loop, a batch at a time.
 
-        The latency check partitions each batch: violators are rewarded
-        (negatively) straight from eq. (1), survivors are trained --
-        together, so a :class:`~repro.core.evaluator.ParallelEvaluator`
-        can fan them across processes -- and all candidates share one
-        vectorized controller update.
+        :meth:`_violation` partitions each batch: violators are rewarded
+        (negatively) untrained, survivors are trained together -- so a
+        :class:`~repro.core.evaluator.ParallelEvaluator` can fan them
+        across processes -- and rewarded by :meth:`_satisfaction`.
         """
         index = start
         while index < trials:
             count = min(batch_size, trials - index)
-            batch = _sample_candidates(self.controller, rng, count)
+            batch = _sample_candidates(self.controller, rng, count,
+                                       batch_size)
             architectures = [
                 self.space.decode(s.tokens) for s in batch.samples
             ]
             estimates = self.latency_estimator.estimate_batch(architectures)
             latency_cost = self.evaluator.latency_eval_seconds()
+            violations = [self._violation(e) for e in estimates]
             survivors = [
-                offset for offset, estimate in enumerate(estimates)
-                if not self.reward_fn.violates(estimate.ms)
+                offset for offset, violation in enumerate(violations)
+                if violation is None
             ]
             outcomes = evaluate_many(
                 self.evaluator, [architectures[o] for o in survivors]
@@ -783,31 +698,26 @@ class FnasSearch(Search):
             rewards: list[float] = []
             records: list[TrialRecord] = []
             for offset, estimate in enumerate(estimates):
-                latency_ms = estimate.ms
                 sim_seconds = latency_cost
                 outcome = outcome_of.get(offset)
                 if outcome is None:
-                    signal = self.reward_fn.violation(latency_ms)
+                    reward = violations[offset]
                     accuracy = None
-                    trained = False
                 else:
                     accuracy = outcome.accuracy
                     sim_seconds += outcome.train_seconds
-                    signal = self.reward_fn.satisfaction(
-                        accuracy, latency_ms, reference
-                    )
-                    trained = True
+                    reward = self._satisfaction(accuracy, estimate, reference)
                     self.baseline.update(accuracy)
-                rewards.append(signal.value)
+                rewards.append(reward)
                 records.append(
                     TrialRecord(
                         index=index + offset,
                         tokens=tuple(batch.samples[offset].tokens),
                         architecture=architectures[offset],
-                        latency_ms=latency_ms,
+                        latency_ms=estimate.ms,
                         accuracy=accuracy,
-                        reward=signal.value,
-                        trained=trained,
+                        reward=reward,
+                        trained=outcome is not None,
                         sim_seconds=sim_seconds,
                     )
                 )
@@ -821,21 +731,21 @@ class FnasSearch(Search):
         """Train the smallest architecture if it meets the spec."""
         tokens = [0] * self.space.num_decisions
         architecture = self.space.decode(tokens)
-        latency_ms = self.latency_estimator.estimate(architecture).ms
-        if self.reward_fn.violates(latency_ms):
+        estimate = self.latency_estimator.estimate(architecture)
+        if self._violation(estimate) is not None:
             return  # the spec is unsatisfiable even by the smallest child
         outcome = self.evaluator.evaluate(architecture)
-        signal = self.reward_fn.satisfaction(
-            outcome.accuracy, latency_ms, self.baseline.value
+        reward = self._satisfaction(
+            outcome.accuracy, estimate, self.baseline.value
         )
         result.trials.append(
             TrialRecord(
                 index=len(result.trials),
                 tokens=tuple(tokens),
                 architecture=architecture,
-                latency_ms=latency_ms,
+                latency_ms=estimate.ms,
                 accuracy=outcome.accuracy,
-                reward=signal.value,
+                reward=reward,
                 trained=True,
                 sim_seconds=(self.evaluator.latency_eval_seconds()
                              + outcome.train_seconds),

@@ -14,22 +14,21 @@ symmetric to equation (1)'s latency term::
 The energy estimate reuses the analytical design: compute energy from
 DSP-cycles, traffic energy from the schedule-free worst case (an upper
 bound, so the guarantee direction is conservative).
+
+The search is an :class:`~repro.core.search.FnasSearch` with its two
+reward hooks overridden, so it batches, checkpoints and resumes like one.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.core.controller import Controller, LstmController
+from repro.core.controller import Controller
 from repro.core.evaluator import AccuracyEvaluator
-from repro.core.reward import AccuracyBaseline
-from repro.core.search import SearchResult, TrialRecord
+from repro.core.search import FnasSearch, SearchResult
 from repro.core.search_space import SearchSpace
 from repro.fpga.energy import EnergyModel
-from repro.latency.estimator import LatencyEstimator
+from repro.latency.estimator import LatencyEstimate, LatencyEstimator
 
 
 @dataclass(frozen=True)
@@ -42,8 +41,10 @@ class EnergyAwareTrial:
     latency_violated: bool
 
 
-class EnergyAwareFnasSearch:
+class EnergyAwareFnasSearch(FnasSearch):
     """FNAS with a joint latency + energy specification."""
+
+    _kind = "fnas-e"
 
     def __init__(
         self,
@@ -58,81 +59,74 @@ class EnergyAwareFnasSearch:
     ):
         if required_latency_ms <= 0 or required_energy_mj <= 0:
             raise ValueError("latency and energy budgets must be positive")
-        self.space = space
-        self.evaluator = evaluator
-        self.latency_estimator = latency_estimator
-        self.required_latency_ms = required_latency_ms
-        self.required_energy_mj = required_energy_mj
-        self.controller = (
-            controller if controller is not None else LstmController(space)
+        super().__init__(
+            space, evaluator, latency_estimator, required_latency_ms,
+            controller=controller, baseline_decay=baseline_decay,
         )
+        self.required_energy_mj = required_energy_mj
         self.energy_model = (
             energy_model if energy_model is not None else EnergyModel()
         )
-        self.baseline = AccuracyBaseline(decay=baseline_decay)
 
     def energy_of(self, estimate) -> float:
         """Analytical inference energy (mJ) of one latency estimate."""
         return self.energy_model.estimate(
             estimate.design, estimate.cycles).total_mj
 
-    def run(
-        self, trials: int, rng: np.random.Generator
-    ) -> tuple[SearchResult, list[EnergyAwareTrial]]:
-        """Run the joint-budget search; returns (ledger, energy facts)."""
-        if trials <= 0:
-            raise ValueError(f"trials must be positive, got {trials}")
-        result = SearchResult(
-            name=f"fnas-e-{self.required_latency_ms:g}ms-"
-                 f"{self.required_energy_mj:g}mJ")
-        energy_facts: list[EnergyAwareTrial] = []
-        started = time.perf_counter()
-        rl, re = self.required_latency_ms, self.required_energy_mj
-        for index in range(trials):
-            sample = self.controller.sample(rng)
-            architecture = self.space.decode(sample.tokens)
-            estimate = self.latency_estimator.estimate(architecture)
-            latency = estimate.ms
+    def energy_facts(self, result: SearchResult) -> list[EnergyAwareTrial]:
+        """Per-trial energy facts of a ledger this search produced.
+
+        Each trial's architecture is re-estimated; the estimator's
+        architecture cache answers those for the children the run priced.
+        """
+        facts = []
+        for trial in result.trials:
+            estimate = self.latency_estimator.estimate(trial.architecture)
             energy = self.energy_of(estimate)
-            sim_seconds = self.evaluator.latency_eval_seconds()
-            latency_bad = latency > rl
-            energy_bad = energy > re
-            if latency_bad:
-                reward = (rl - latency) / rl - 1.0
-                accuracy = None
-                trained = False
-            elif energy_bad:
-                reward = (re - energy) / re - 1.0
-                accuracy = None
-                trained = False
-            else:
-                outcome = self.evaluator.evaluate(architecture)
-                accuracy = outcome.accuracy
-                sim_seconds += outcome.train_seconds
-                reward = (accuracy - self.baseline.value
-                          + 0.5 * (latency / rl + energy / re))
-                self.baseline.update(accuracy)
-                trained = True
-            self.controller.update(sample, reward)
-            result.trials.append(
-                TrialRecord(
-                    index=index,
-                    tokens=tuple(sample.tokens),
-                    architecture=architecture,
-                    latency_ms=latency,
-                    accuracy=accuracy,
-                    reward=reward,
-                    trained=trained,
-                    sim_seconds=sim_seconds,
-                )
-            )
-            energy_facts.append(
+            facts.append(
                 EnergyAwareTrial(
-                    index=index,
+                    index=trial.index,
                     energy_mj=energy,
-                    energy_violated=energy_bad,
-                    latency_violated=latency_bad,
+                    energy_violated=energy > self.required_energy_mj,
+                    latency_violated=(
+                        trial.latency_ms > self.required_latency_ms
+                    ),
                 )
             )
-        result.wall_seconds = time.perf_counter() - started
-        return result, energy_facts
+        return facts
+
+    def _violation(self, estimate: LatencyEstimate) -> float | None:
+        """The latency violation first, then the energy one."""
+        latency_violation = super()._violation(estimate)
+        if latency_violation is not None:
+            return latency_violation
+        re = self.required_energy_mj
+        energy = self.energy_of(estimate)
+        if energy > re:
+            return (re - energy) / re - 1.0
+        return None
+
+    def _satisfaction(
+        self, accuracy: float, estimate: LatencyEstimate, reference: float
+    ) -> float:
+        """Accuracy advantage plus both budgets' utilisation terms."""
+        rl, re = self.required_latency_ms, self.required_energy_mj
+        return (accuracy - reference
+                + 0.5 * (estimate.ms / rl + self.energy_of(estimate) / re))
+
+    def _result_name(self) -> str:
+        return (f"fnas-e-{self.required_latency_ms:g}ms-"
+                f"{self.required_energy_mj:g}mJ")
+
+    def _snapshot_extras(self) -> dict:
+        return {**super()._snapshot_extras(),
+                "required_energy_mj": self.required_energy_mj}
+
+    def _check_snapshot_compatible(self, snapshot: dict) -> None:
+        super()._check_snapshot_compatible(snapshot)
+        budget = snapshot.get("required_energy_mj")
+        if budget is not None and budget != self.required_energy_mj:
+            raise ValueError(
+                f"checkpoint targets a {budget}mJ energy budget, this "
+                f"search targets {self.required_energy_mj}mJ"
+            )

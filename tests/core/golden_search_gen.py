@@ -143,14 +143,14 @@ def run_energy() -> dict:
         required_energy_mj=ENERGY["energy_mj"],
         controller=LstmController(space, seed=ENERGY["controller_seed"]),
     )
-    result, facts = search.run(
+    result = search.run(
         ENERGY["trials"], np.random.default_rng(ENERGY["rng_seed"])
     )
     return {
         **ledger(result),
         "facts": [
             [f.index, f.energy_mj, f.energy_violated, f.latency_violated]
-            for f in facts
+            for f in search.energy_facts(result)
         ],
     }
 
