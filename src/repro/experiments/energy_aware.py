@@ -96,7 +96,7 @@ class EnergyAwareFnasSearch(FnasSearch):
         return facts
 
     def _violation(self, estimate: LatencyEstimate) -> float | None:
-        """The latency violation first, then the energy one."""
+        """Latency violation first, then energy; None when both hold."""
         latency_violation = super()._violation(estimate)
         if latency_violation is not None:
             return latency_violation
