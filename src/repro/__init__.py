@@ -34,7 +34,7 @@ Public API tour:
   its merged Pareto frontier).
 """
 
-from repro.api import Session, SessionEvent, run_plan
+from repro.api import Session, run_plan
 from repro.events import Event, EventBus
 from repro.core import (
     Architecture,
@@ -98,7 +98,6 @@ __all__ = [
     "SearchPlan",
     "SearchService",
     "Session",
-    "SessionEvent",
     "load_plan",
     "plan_hash",
     "run_plan",

@@ -44,14 +44,6 @@ from repro.latency.estimator import LatencyEstimator
 from repro.plans import RunPlan, ScenarioPlan, SearchPlan
 from repro.registry import CONTROLLERS, DEVICES, ESTIMATORS, EVALUATORS
 
-#: Progress notifications are typed :mod:`repro.events` records now;
-#: the pre-service ``SessionEvent`` name remains as an alias of the
-#: shared base class.  Events keep ``.kind`` / ``.scope`` /
-#: ``.message``, so callbacks reading them are unaffected; code that
-#: constructed SessionEvents must build the typed classes instead
-#: (``kind`` is a class attribute now, not a constructor argument).
-SessionEvent = Event
-
 ProgressCallback = Callable[[Event], None]
 
 
@@ -256,36 +248,14 @@ def resolve_execution(
     shard_workers: int = 1,
     checkpoint_dir: Any = None,
     checkpoint_every: int | None = None,
-    parallel_workers: int | None = None,  # deprecated alias: eval_workers
-    campaign_dir: Any = None,  # deprecated alias: checkpoint_dir
 ) -> "ExecutionPolicy":
-    """Merge legacy kwarg spellings into one :class:`ExecutionPolicy`.
+    """The :class:`ExecutionPolicy` of a kwarg entry point's arguments.
 
-    The deprecation shim behind the pre-plan entry points: canonical
-    names win when both spellings are given, deprecated ones warn.
+    ``eval_workers=None`` means 1 and ``checkpoint_dir`` may be any
+    path-like; the experiments' ``run_*`` functions lower through this.
     """
-    import warnings
-
     from repro.plans import ExecutionPolicy
 
-    if parallel_workers not in (None, 1):  # deprecated: silent at the default
-        warnings.warn(
-            "parallel_workers is deprecated; use eval_workers "  # deprecated
-            "(ExecutionPolicy.eval_workers)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if eval_workers is None:
-            eval_workers = parallel_workers  # deprecated alias wins only alone
-    if campaign_dir is not None:  # deprecated alias
-        warnings.warn(
-            "campaign_dir is deprecated; use checkpoint_dir "  # deprecated
-            "(ExecutionPolicy.checkpoint_dir)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if checkpoint_dir is None:
-            checkpoint_dir = campaign_dir  # deprecated alias wins only alone
     return ExecutionPolicy(
         batch_size=batch_size,
         eval_workers=1 if eval_workers is None else eval_workers,

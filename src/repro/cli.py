@@ -22,9 +22,7 @@ plan, reproducing the original run's trial ledgers byte for byte.
 
 Flags are named after :class:`~repro.plans.ExecutionPolicy` fields:
 ``--batch-size``, ``--eval-workers``, ``--shard-workers``,
-``--checkpoint-dir``, ``--checkpoint-every``.  The pre-plan spellings
-``--workers`` and ``--campaign-dir`` remain as hidden deprecated
-aliases.
+``--checkpoint-dir``, ``--checkpoint-every``.
 """
 
 from __future__ import annotations
@@ -62,10 +60,6 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
                         help="process-pool workers for child evaluation "
                              "(default 1 = in-process; useful with real "
                              "training evaluators)")
-    parser.add_argument("--workers",  # deprecated: --eval-workers
-                        dest="workers_alias", type=int,
-                        default=None,
-                        help=argparse.SUPPRESS)  # deprecated: --eval-workers
     parser.add_argument("--shard-workers", type=int, default=1,
                         help="worker-pool processes for whole search shards "
                              "in campaign mode (default 1 = serial)")
@@ -78,10 +72,6 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
                         help="snapshot searches under this directory; "
                              "re-running with the same directory resumes "
                              "interrupted searches")
-    parser.add_argument("--campaign-dir",  # deprecated: --checkpoint-dir
-                        dest="campaign_dir_alias",  # deprecated alias
-                        default=None,
-                        help=argparse.SUPPRESS)  # deprecated: --checkpoint-dir
     parser.add_argument("--checkpoint-every", type=int, default=None,
                         help="trials between snapshots (default: ~10 per "
                              "search)")
@@ -209,8 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bind address (default 127.0.0.1)")
     p.add_argument("--port", type=int, default=8765,
                    help="bind port (default 8765; 0 = ephemeral)")
-    p.add_argument("--workers", type=int,  # not the deprecated search alias
-                   default=2,
+    p.add_argument("--workers", type=int, default=2,
                    help="service workers = jobs in flight at once "
                         "(default 2)")
     p.add_argument("--backend", choices=("thread", "process"),
@@ -338,25 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _execution_from_args(args: argparse.Namespace) -> ExecutionPolicy:
-    """Merge canonical flags and deprecated aliases into one policy."""
+    """The execution flags of a parsed command line, as one policy."""
     eval_workers = getattr(args, "eval_workers", None)
-    if getattr(args, "workers_alias", None) is not None:
-        print("note: --workers is deprecated; use --eval-workers",
-              file=sys.stderr)
-        if eval_workers is None:
-            eval_workers = args.workers_alias
-    checkpoint_dir = getattr(args, "checkpoint_dir", None)
-    if getattr(args, "campaign_dir_alias", None) is not None:  # deprecated
-        print("note: --campaign-dir is deprecated; use --checkpoint-dir",
-              file=sys.stderr)
-        if checkpoint_dir is None:
-            checkpoint_dir = args.campaign_dir_alias  # deprecated alias
     return ExecutionPolicy(
         batch_size=getattr(args, "batch_size", 1),
         eval_workers=1 if eval_workers is None else eval_workers,
         shard_workers=getattr(args, "shard_workers", 1),
         shard_batch_trials=getattr(args, "shard_batch_trials", None),
-        checkpoint_dir=checkpoint_dir,
+        checkpoint_dir=getattr(args, "checkpoint_dir", None),
         checkpoint_every=getattr(args, "checkpoint_every", None),
     )
 

@@ -12,17 +12,18 @@ Two interchangeable implementations behind one protocol:
 Batches are scored through :func:`evaluate_many`, which uses an
 evaluator's ``evaluate_batch`` when it has one and falls back to a
 serial loop otherwise; :class:`ParallelEvaluator` wraps any evaluator
-with an ``evaluate_batch`` that fans across a process pool, turning the
-independent child trainings of one search batch into parallel work.
+with an ``evaluate_batch`` that fans one task per child across a
+:class:`~repro.service.pool.WorkerPool` (the one process runtime),
+turning the independent child trainings of one search batch into
+parallel work.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from functools import partial
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -157,37 +158,43 @@ class TrainedAccuracyEvaluator:
 
 # -- process-pool fan-out ----------------------------------------------------
 
-#: Per-process evaluator installed by the pool initializer, so the
-#: (potentially large) evaluator is pickled once per worker instead of
-#: once per task.
-_WORKER_EVALUATOR: AccuracyEvaluator | None = None
 
-
-def _init_worker(evaluator: AccuracyEvaluator) -> None:
-    global _WORKER_EVALUATOR
-    _WORKER_EVALUATOR = evaluator
-
-
-def _worker_evaluate(architecture: Architecture) -> EvaluationOutcome:
-    assert _WORKER_EVALUATOR is not None, "pool worker not initialised"
-    return _WORKER_EVALUATOR.evaluate(architecture)
+def _evaluate(
+    evaluator: AccuracyEvaluator, architecture: Architecture
+) -> EvaluationOutcome:
+    """Pool task body: score one architecture in a worker process."""
+    return evaluator.evaluate(architecture)
 
 
 class ParallelEvaluator:
-    """Fans ``evaluate_batch`` across a process pool.
+    """Fans ``evaluate_batch`` out as one worker-pool task per child.
 
     Wraps any picklable :class:`AccuracyEvaluator`.  Child evaluations
     within one search batch are independent, so spec-meeting candidates
-    can train concurrently; single-candidate ``evaluate`` calls stay
-    in-process.  With ``max_workers <= 1``, or if the platform cannot
-    spawn worker processes (or a pool dies mid-run), evaluation
-    degrades to the serial path -- results are identical either way
-    because the wrapped evaluators are deterministic per architecture.
-    Exceptions *raised by the evaluator itself* are not swallowed: they
-    propagate exactly as they would on the serial path.
+    can train concurrently; single-candidate ``evaluate`` calls, and
+    every batch when ``max_workers <= 1``, stay in-process.  Results
+    are identical either way because the wrapped evaluators are
+    deterministic per architecture.
 
-    Use as a context manager (or call :meth:`close`) to reclaim the
-    worker processes.
+    Each architecture of a batch is one task on a private
+    :class:`~repro.service.pool.WorkerPool`, submitted in input order
+    while a worker is free, so a slow child never holds back the rest.
+    The wrapped evaluator is pickled with every task, which costs
+    milliseconds against the seconds a trained child takes.  Failures
+    keep the serial path's semantics:
+
+    * once a task raises, no further items are dispatched; the
+      in-flight tasks settle, and the exception of the *first* failed
+      index is raised -- the original exception, or
+      :class:`~repro.service.pool.WorkerTaskError` when it could not be
+      pickled back -- which is exactly what the serial loop raises;
+    * an architecture whose worker died (OOM kill, hard crash) is
+      scored in-process instead, with a :class:`RuntimeWarning` naming
+      the child and the worker's exit code.  The pool replaces the dead
+      worker lazily, so later batches fan out again.
+
+    Either way the pool comes back with every worker idle.  Use as a
+    context manager (or call :meth:`close`) to reclaim the workers.
     """
 
     def __init__(self, evaluator: AccuracyEvaluator, max_workers: int = 2):
@@ -195,8 +202,7 @@ class ParallelEvaluator:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self.evaluator = evaluator
         self.max_workers = max_workers
-        self._pool: ProcessPoolExecutor | None = None
-        self._pool_broken = False
+        self._pool = None  # a WorkerPool, made by the first fanned batch
 
     def evaluate(self, architecture: Architecture) -> EvaluationOutcome:
         """Single candidate: delegate in-process."""
@@ -208,53 +214,70 @@ class ParallelEvaluator:
         """Score a batch across the pool, preserving input order."""
         if self.max_workers <= 1 or len(architectures) <= 1:
             return [self.evaluator.evaluate(a) for a in architectures]
-        pool = self._ensure_pool()
-        if pool is None:
-            return [self.evaluator.evaluate(a) for a in architectures]
+        # Deferred import: importing repro.core must not pull in the
+        # service package.
+        from repro.service.pool import WorkerPool, WorkerTaskError
+
+        if self._pool is None:
+            self._pool = WorkerPool(self.max_workers, name="repro-eval")
+        pool = self._pool
+        total = len(architectures)
+        outcomes: dict[int, EvaluationOutcome] = {}
+        unscored = {}  # index -> handle of a task that failed or died
+        inflight = {}  # handle -> index
+        submitted, failed = 0, False
         try:
-            return list(pool.map(_worker_evaluate, architectures))
-        except BrokenProcessPool:
-            # Pool infrastructure died (worker OOM-killed, interpreter
-            # crash).  That must not kill the search: fall back to serial
-            # for the rest of the run.  Evaluation errors raised *inside*
-            # the evaluator are not caught here -- they propagate like on
-            # the serial path.
-            self._mark_broken("process pool broke mid-run")
-            return [self.evaluator.evaluate(a) for a in architectures]
+            while inflight or (submitted < total and not failed):
+                # Never submit while every worker is busy: a worker frees
+                # up only when this thread pumps its pipe in wait().
+                while (submitted < total and not failed
+                       and pool.available() > 0):
+                    call = (self.evaluator, architectures[submitted])
+                    handle = pool.submit(
+                        _evaluate, [call],
+                        on_item=partial(_file_outcome, outcomes, submitted),
+                    )
+                    inflight[handle] = submitted
+                    submitted += 1
+                for handle in pool.wait(list(inflight), timeout=0.5):
+                    index = inflight.pop(handle)
+                    if handle.error is not None:  # the worker died
+                        unscored[index] = handle
+                    elif handle.outcome[0] == "failed":
+                        unscored[index] = handle
+                        failed = True
+        except BaseException:
+            self.close()  # terminates the workers of unsettled tasks
+            raise
+        results = []
+        for index, architecture in enumerate(architectures):
+            if index in outcomes:
+                results.append(outcomes[index])
+                continue
+            handle = unscored[index]
+            if handle.error is None:
+                message, original = handle.outcome[2], handle.outcome[3]
+                if original is not None:
+                    raise original
+                raise WorkerTaskError(message)
+            warnings.warn(
+                f"ParallelEvaluator: the worker scoring child {index} of "
+                f"the batch died (exit code {handle.error.exitcode}); "
+                "evaluating that child in-process",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            results.append(self.evaluator.evaluate(architecture))
+        return results
 
     def latency_eval_seconds(self) -> float:
         """Delegate the FNAS-tool cost constant."""
         return self.evaluator.latency_eval_seconds()
 
-    def _ensure_pool(self) -> ProcessPoolExecutor | None:
-        if self._pool_broken:
-            return None
-        if self._pool is None:
-            try:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.max_workers,
-                    initializer=_init_worker,
-                    initargs=(self.evaluator,),
-                )
-            except Exception as exc:
-                self._mark_broken(f"could not start process pool ({exc!r})")
-                return None
-        return self._pool
-
-    def _mark_broken(self, reason: str) -> None:
-        """Disable the pool for the rest of the run -- audibly."""
-        self._pool_broken = True
-        self.close()
-        warnings.warn(
-            f"ParallelEvaluator: {reason}; evaluating serially from here on",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
     def close(self) -> None:
-        """Shut down the worker processes (idempotent)."""
+        """Shut down the worker processes (idempotent; reusable after)."""
         if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool.close()
             self._pool = None
 
     def __enter__(self) -> "ParallelEvaluator":
@@ -262,6 +285,11 @@ class ParallelEvaluator:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _file_outcome(outcomes: dict, index: int, _item: int, outcome) -> None:
+    """``on_item`` of a one-item task: file its outcome by batch index."""
+    outcomes[index] = outcome
 
 
 # --- Registry entries -----------------------------------------------------

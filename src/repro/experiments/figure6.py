@@ -189,15 +189,13 @@ def run_figure6(
     devices: tuple[FpgaDevice, ...] = (XC7Z020, XC7A50T),
     evaluator: AccuracyEvaluator | None = None,
     batch_size: int = 1,
-    parallel_workers: int = 1,  # deprecated alias: eval_workers
-    campaign_dir: str | None = None,  # deprecated alias: checkpoint_dir
-    shard_workers: int = 1,
     *,
+    shard_workers: int = 1,
     eval_workers: int | None = None,
     checkpoint_dir: str | None = None,
     checkpoint_every: int | None = None,
 ) -> Figure6Result:
-    """Legacy kwarg entry point -- a deprecation shim over the plan API.
+    """Kwarg entry point over the plan API.
 
     Lowers the arguments onto :func:`figure6_plan` and runs the
     plan-native core, forwarding the live device objects so
@@ -216,8 +214,6 @@ def run_figure6(
             shard_workers=shard_workers,
             checkpoint_dir=checkpoint_dir,
             checkpoint_every=checkpoint_every,
-            parallel_workers=parallel_workers,  # deprecated passthrough
-            campaign_dir=campaign_dir,  # deprecated passthrough
         ),
     )
     return run_figure6_plan(plan, evaluator=evaluator, devices=tuple(devices))

@@ -105,15 +105,13 @@ def generate_report(
     trials: int | None = None,
     seed: int = 0,
     batch_size: int = 1,
-    parallel_workers: int = 1,  # deprecated alias: eval_workers
-    campaign_dir: str | None = None,  # deprecated alias: checkpoint_dir
-    shard_workers: int = 1,
     *,
+    shard_workers: int = 1,
     eval_workers: int | None = None,
     checkpoint_dir: str | None = None,
     checkpoint_every: int | None = None,
 ) -> str:
-    """Legacy kwarg entry point -- a deprecation shim over the plan API.
+    """Kwarg entry point over the plan API.
 
     Lowers the arguments onto :func:`report_plan` and runs it through
     :class:`repro.api.Session`.
@@ -129,8 +127,6 @@ def generate_report(
             shard_workers=shard_workers,
             checkpoint_dir=checkpoint_dir,
             checkpoint_every=checkpoint_every,
-            parallel_workers=parallel_workers,  # deprecated passthrough
-            campaign_dir=campaign_dir,  # deprecated passthrough
         ),
     )
     return Session.from_plan(plan).run()

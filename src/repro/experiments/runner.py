@@ -16,9 +16,8 @@ evaluation workers, checkpointing, shard fan-out) from
   interrupted searches.  Both modes produce identical trial ledgers
   (pinned by tests), so campaign mode is purely an execution policy.
 
-:func:`run_paired_search` remains as the legacy kwarg entry point -- a
-thin deprecation shim that lowers its arguments onto a plan and calls
-the engine.
+:func:`run_paired_search` is the kwarg entry point: it lowers its
+arguments onto a plan and calls the engine.
 """
 
 from __future__ import annotations
@@ -241,22 +240,19 @@ def run_paired_search(
     seed: int = 0,
     evaluator: AccuracyEvaluator | None = None,
     batch_size: int = 1,
-    parallel_workers: int = 1,  # deprecated alias: eval_workers
-    campaign_dir: Any = None,  # deprecated alias: checkpoint_dir
-    shard_workers: int = 1,
     *,
+    shard_workers: int = 1,
     eval_workers: int | None = None,
     checkpoint_dir: str | None = None,
     checkpoint_every: int | None = None,
 ) -> PairedSearchOutcome:
-    """Legacy kwarg entry point -- a deprecation shim over the plan API.
+    """Kwarg entry point over the plan API.
 
     Lowers its arguments onto a :class:`~repro.plans.RunPlan` and calls
     :func:`run_paired_plan`; prefer building the plan yourself and
-    running it through :class:`repro.api.Session`.  The old
-    ``parallel_workers`` / ``campaign_dir`` spellings (deprecated) work but
-    warn; ``eval_workers`` / ``checkpoint_dir`` are the canonical
-    names (:class:`~repro.plans.ExecutionPolicy` fields).
+    running it through :class:`repro.api.Session`.  The execution
+    keywords are named after :class:`~repro.plans.ExecutionPolicy`
+    fields (``eval_workers``, ``checkpoint_dir``, ...).
     """
     execution = resolve_execution(
         batch_size=batch_size,
@@ -264,8 +260,6 @@ def run_paired_search(
         shard_workers=shard_workers,
         checkpoint_dir=checkpoint_dir,
         checkpoint_every=checkpoint_every,
-        parallel_workers=parallel_workers,  # deprecated passthrough
-        campaign_dir=campaign_dir,  # deprecated passthrough
     )
     plan = RunPlan(
         workload="paired",

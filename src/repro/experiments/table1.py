@@ -164,15 +164,13 @@ def run_table1(
     specs_ms: tuple[float, ...] = TABLE1_SPECS_MS,
     evaluator: AccuracyEvaluator | None = None,
     batch_size: int = 1,
-    parallel_workers: int = 1,  # deprecated alias: eval_workers
-    campaign_dir: str | None = None,  # deprecated alias: checkpoint_dir
-    shard_workers: int = 1,
     *,
+    shard_workers: int = 1,
     eval_workers: int | None = None,
     checkpoint_dir: str | None = None,
     checkpoint_every: int | None = None,
 ) -> Table1Result:
-    """Legacy kwarg entry point -- a deprecation shim over the plan API.
+    """Kwarg entry point over the plan API.
 
     Lowers the arguments onto :func:`table1_plan` and runs it through
     :class:`repro.api.Session`; a checkpoint directory and/or
@@ -191,8 +189,6 @@ def run_table1(
             shard_workers=shard_workers,
             checkpoint_dir=checkpoint_dir,
             checkpoint_every=checkpoint_every,
-            parallel_workers=parallel_workers,  # deprecated passthrough
-            campaign_dir=campaign_dir,  # deprecated passthrough
         ),
     )
     return Session.from_plan(plan, evaluator=evaluator).run()

@@ -24,7 +24,6 @@ Exposed via the ``repro sweep`` CLI verb and any
 
 from repro.orchestration.campaign import (
     Campaign,
-    CampaignEvent,
     CampaignResult,
     merge_outcomes,
     run_campaign,
@@ -43,7 +42,6 @@ from repro.orchestration.shards import (
 
 __all__ = [
     "Campaign",
-    "CampaignEvent",
     "CampaignResult",
     "FNAS_KIND",
     "NAS_KIND",

@@ -27,8 +27,10 @@ shards and runs them to completion:
   in parallel equal the same shards run serially.
 
 Progress streams through an optional callback as typed
-:class:`CampaignEvent` records -- the CLI prints them, tests assert on
-them, services can forward them to their own telemetry.
+:mod:`repro.events` records (``SearchStarted``, ``SearchFinished``,
+``ShardCached``, ``ShardRequeued``, ``PoolFallback``) -- the CLI
+prints them, tests assert on them, services can forward them to their
+own telemetry.
 """
 
 from __future__ import annotations
@@ -60,16 +62,6 @@ from repro.orchestration.shards import (
 
 #: Campaign artifact schema tag.
 CAMPAIGN_SCHEMA = 1
-
-#: Campaign progress notifications are typed :mod:`repro.events`
-#: records now (``SearchStarted`` / ``SearchFinished`` /
-#: ``ShardRequeued`` / ``PoolFallback``); the old ``CampaignEvent``
-#: name remains as an alias of the shared base class.  Events keep
-#: ``.kind`` / ``.shard_id`` / ``.message``, so consumers *reading*
-#: them are unaffected; code that *constructed* CampaignEvents must
-#: build the typed classes instead (``kind`` is a class attribute
-#: now, not a constructor argument).
-CampaignEvent = Event
 
 ProgressCallback = Callable[[Event], None]
 
@@ -240,7 +232,8 @@ class Campaign:
             shard).
         max_pool_restarts: how many broken-pool rebuilds to attempt
             before falling back to in-process execution.
-        progress: optional :class:`CampaignEvent` callback.
+        progress: optional callback receiving each typed
+            :class:`~repro.events.Event`.
         store: a :class:`~repro.service.store.ResultStore` to memoize
             shards through.  Before a shard runs, the campaign reads
             the store at the shard's canonical hash
@@ -441,9 +434,8 @@ class Campaign:
 
         Uses the injected ``self.pool`` when one was provided (shared
         with the service runtime), else a transient pool sized to the
-        work -- either way the workers are long-lived across shards,
-        which is what the old per-run ``ProcessPoolExecutor`` never
-        gave us.  Shards whose results arrive are moved to
+        work -- either way the workers are long-lived across shards.
+        Shards whose results arrive are moved to
         ``outcomes``; anything still pending when the death budget
         runs out is left for the caller's serial fallback.  Exceptions
         raised *by a shard itself* (bad spec reaching a worker,
@@ -639,9 +631,9 @@ class Campaign:
     def _drain_cancelled(self, pool: Any, inflight: dict) -> None:
         """Cancel and settle every in-flight unit (results dropped).
 
-        Mirrors the old executor semantics: in-flight work runs to its
-        next poll boundary, its results are discarded (callbacks
-        disabled), and the pool comes back with every worker idle --
+        In-flight work runs to its next poll boundary, its results are
+        discarded (callbacks disabled), and the pool comes back with
+        every worker idle --
         mandatory when the pool is shared with the service runtime.
         """
         for handle in inflight:

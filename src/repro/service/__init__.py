@@ -21,9 +21,12 @@ service:
   runtime every parallel surface shares: long-lived worker processes
   with typed event-pipe framing, cooperative cancellation and
   parent-death detection.  Campaign shard fan-out, the ``process``
-  execution backend (:mod:`~repro.service.workers`) and the
-  federation agents all dispatch onto it, so GIL-bound searches scale
-  with cores without paying one process spawn per unit of work;
+  execution backend, the federation agents and
+  :class:`~repro.core.evaluator.ParallelEvaluator`'s child
+  evaluations all dispatch onto it, so GIL-bound work scales with
+  cores without paying one process spawn per unit of work.  A worker
+  that dies mid-job surfaces as :class:`WorkerDied`, a child exception
+  that cannot be pickled back as :class:`WorkerTaskError`;
 * :class:`Gateway` (``repro serve``) / :class:`ServiceClient` -- the
   stdlib-asyncio HTTP front end and its client (``repro submit``).
   The gateway serves the JSON wire surface plus Server-Sent Events
@@ -46,7 +49,7 @@ from repro.service.executor import execute_plan
 from repro.service.gateway import Gateway, GatewayRunner, run_gateway
 from repro.service.journal import JobJournal, PendingJob
 from repro.service.metrics import ANONYMOUS_TENANT, MetricsRegistry
-from repro.service.pool import WorkerDied, WorkerPool
+from repro.service.pool import WorkerDied, WorkerPool, WorkerTaskError
 from repro.service.tenants import (
     QuotaExceededError,
     Tenant,
@@ -66,7 +69,6 @@ from repro.service.service import (
     UnknownJobError,
 )
 from repro.service.store import ResultStore, is_cacheable
-from repro.service.workers import ProcessWorkerError, run_job_in_process
 
 __all__ = [
     "ANONYMOUS_TENANT",
@@ -79,7 +81,6 @@ __all__ = [
     "JobTimeoutError",
     "MetricsRegistry",
     "PendingJob",
-    "ProcessWorkerError",
     "QuotaExceededError",
     "RemoteJobError",
     "ResultStore",
@@ -95,10 +96,10 @@ __all__ = [
     "WorkerAgent",
     "WorkerDied",
     "WorkerPool",
+    "WorkerTaskError",
     "execute_plan",
     "fair_share_priority",
     "is_cacheable",
     "run_agent",
-    "run_job_in_process",
     "tenant_accounting",
 ]

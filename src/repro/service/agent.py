@@ -11,8 +11,10 @@ coordinator -- a ``repro serve`` endpoint -- over the plain HTTP JSON
   lease terms, and the checkpoint directory to snapshot under (a
   shared-filesystem path -- that is what lets another agent resume the
   work if this one dies);
-* **execute** each claimed job through the existing
-  :func:`repro.service.workers.run_job_in_process` process backend.
+* **execute** each claimed job on the agent's one-worker
+  :class:`~repro.service.pool.WorkerPool` via
+  :meth:`~repro.service.pool.WorkerPool.run_plan`, as the service's
+  process backend does.
   The child's orphan detection doubles as the agent's dead-man switch:
   if the agent process is SIGKILLed, the job child notices its parent
   pid change, checkpoints, and exits -- so the very failure the lease
@@ -224,7 +226,6 @@ class WorkerAgent:
         """
         from repro.core.search import SearchCancelled
         from repro.service.pool import WorkerPool
-        from repro.service.workers import run_job_in_process
 
         if self._pool is None:
             self._pool = WorkerPool(1, name=f"agent-{self.name}")
@@ -234,14 +235,13 @@ class WorkerAgent:
             events.put(event.to_dict())
 
         try:
-            result, payload = run_job_in_process(
+            result, payload = self._pool.run_plan(
                 plan,
                 emit=emit,
                 cancel_requested=lambda: (cancel.is_set() or lost.is_set()
                                           or self._stop.is_set()),
                 fallback_checkpoint_dir=claim.get("checkpoint_dir"),
                 store_dir=claim.get("store_dir"),
-                pool=self._pool,
             )
         except SearchCancelled as exc:
             return ("cancelled", exc.completed)

@@ -1,12 +1,10 @@
-"""One worker-pool runtime for every parallel execution surface.
+"""The one process runtime: a pool of long-lived worker processes.
 
-Before this module existed the repo ran *two* process runtimes side by
-side: ``Campaign._run_pooled`` stood up a throwaway
-``ProcessPoolExecutor`` per run (every shard paying process spawn,
-module import and a cold tiling memo), while
-:mod:`repro.service.workers` owned a separately-hardened
-one-subprocess-per-job backend.  :class:`WorkerPool` collapses both
-into a single pool of **long-lived** worker processes that
+Every parallel execution surface runs on :class:`WorkerPool`: campaign
+shard fan-out, the service's ``--backend process`` jobs, the
+federation agent's jobs and
+:class:`~repro.core.evaluator.ParallelEvaluator`'s child evaluations.
+Its workers
 
 * are spawned lazily (first checkout) under the fork-preferring
   context, so registry state survives the boundary and a warm tiling
@@ -14,12 +12,11 @@ into a single pool of **long-lived** worker processes that
 * stay alive across tasks -- a campaign's 40th shard and a service's
   40th job run on a worker whose imports, caches and allocator are
   already hot (``worker.reuse`` in :meth:`stats` counts exactly this);
-* keep the event-pipe framing, cooperative cancellation and
-  parent-death semantics of the old process backend: every
-  child->parent message is a ``(tag, seq, ...)`` tuple, cancellation
-  is a per-worker *generation* value the child polls between trials
-  (and between batch items), and a worker orphaned by a SIGKILLed
-  parent notices the changed ppid and exits at its next poll;
+* frame every child->parent message as a ``(tag, seq, ...)`` tuple;
+  cancellation is a per-worker *generation* value the child polls
+  between trials (and between batch items), and a worker orphaned by
+  a SIGKILLed parent notices the changed ppid and exits at its next
+  poll;
 * report worker death explicitly: a handle whose worker died carries
   a :class:`WorkerDied` error plus the set of batch items that already
   landed, so the caller can re-queue exactly the lost items
@@ -27,13 +24,13 @@ into a single pool of **long-lived** worker processes that
   resume).
 
 Tasks come in two kinds.  :meth:`WorkerPool.submit` runs a batch of
-calls ``fn(*call)`` -- the campaign's shard dispatch, one
-``item-done`` frame per call so results stream back as they finish.
-:meth:`WorkerPool.run_plan` runs one full
+calls ``fn(*call)``, one ``item-done`` frame per call so results stream
+back as they finish -- the campaign's shard dispatch and the
+evaluator's one-child tasks.  :meth:`WorkerPool.run_plan` runs one full
 :class:`~repro.plans.RunPlan` through
 :func:`~repro.service.executor.execute_plan` with typed events
 streamed back -- the service's process backend and the federation
-agent's job execution, both now free of their one-spawn-per-job tax.
+agent's job execution.
 
 Thread safety is by *checkout*: a worker belongs to exactly one
 handle (hence one calling thread) from dispatch until its terminal
@@ -68,9 +65,9 @@ class WorkerDied(RuntimeError):
     """A pool worker died mid-task without a terminal frame.
 
     Carries the worker's ``exitcode`` (None when it could not be
-    reaped).  Callers translate this into their own vocabulary: the
-    campaign re-queues the lost shards, the process backend raises
-    :class:`~repro.service.workers.ProcessWorkerError`.
+    reaped).  The campaign re-queues the lost shards, the evaluator
+    scores the lost child in-process, and :meth:`WorkerPool.run_plan`
+    raises it to the service and agent, whose job then fails.
     """
 
     def __init__(self, message: str, exitcode: int | None = None):
@@ -176,8 +173,7 @@ def _child_run_plan(conn, seq: int, cancel_seq, parent_pid: int,
                     payload) -> None:
     """Execute one plan, streaming typed events; exactly one terminal.
 
-    Mirrors the old per-job child of :mod:`repro.service.workers`:
-    the plan crosses as canonical JSON, a persistent store directory
+    The plan crosses as canonical JSON, a persistent store directory
     is rebuilt child-side (a live store handle cannot cross), and
     cacheable results come back as their canonical payload so the
     store's byte-identity guarantee holds whichever backend ran the
@@ -391,8 +387,7 @@ class WorkerPool:
 
         ``pool.dispatch`` counts tasks handed to workers;
         ``worker.reuse`` counts dispatches that found a warm worker
-        (one that had already run at least one task) -- the number
-        the old spawn-per-task runtimes held at zero.
+        (one that had already run at least one task).
         """
         with self._lock:
             return {
@@ -442,8 +437,7 @@ class WorkerPool:
     ) -> tuple[Any, dict[str, Any] | None]:
         """Execute one plan on a pool worker (blocking).
 
-        The persistent-worker spelling of the old per-job subprocess:
-        events stream through ``emit`` in order, a pending cancel
+        Events stream through ``emit`` in order, a pending cancel
         request is forwarded exactly once, and the return is
         ``(result_obj, payload)`` with exactly one side set (cacheable
         workloads come back as their canonical store payload).

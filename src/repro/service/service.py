@@ -19,10 +19,11 @@ and executes them on a bounded pool of workers:
 * **execution back-ends** -- every claimed job runs through
   :func:`~repro.service.executor.execute_plan`, either directly on the
   worker thread (``backend="thread"``, the exactness-first default) or
-  in a dedicated subprocess streaming typed events back over a pipe
-  (``backend="process"``, see :mod:`repro.service.workers`), which is
-  what lets the serve worker count scale GIL-bound searches with cores; the
-  two back-ends produce identical event sequences and byte-identical
+  on a long-lived :class:`~repro.service.pool.WorkerPool` process
+  streaming typed events back over a pipe (``backend="process"``, see
+  :meth:`~repro.service.pool.WorkerPool.run_plan`), which is what lets
+  the serve worker count scale GIL-bound searches with cores; the two
+  back-ends produce identical event sequences and byte-identical
   stored results;
 * **cancellation that checkpoints** -- a cancelled running job stops
   cooperatively between trials *after* forcing a snapshot (see
@@ -343,9 +344,10 @@ class SearchService:
             not choose one -- ``"thread"`` runs the job on its worker
             thread (the exactness-first default), ``"process"`` on a
             long-lived worker process drawn from the service's shared
-            :class:`~repro.service.pool.WorkerPool` (see
-            :mod:`repro.service.workers`), which is what makes
-            GIL-bound searches scale with cores.
+            :class:`~repro.service.pool.WorkerPool`, which is what
+            makes GIL-bound searches scale with cores.  A worker that
+            dies mid-job fails the job with
+            :class:`~repro.service.pool.WorkerDied`.
             Jobs with a live evaluator override always run on the
             thread backend (the object cannot cross a process
             boundary).
@@ -1327,15 +1329,12 @@ class SearchService:
         try:
             payload = None
             if backend == "process":
-                from repro.service.workers import run_job_in_process
-
-                result, payload = run_job_in_process(
+                result, payload = self._get_pool().run_plan(
                     job.plan,
                     emit=lambda event: self._publish(job, event),
                     cancel_requested=job.cancel_event.is_set,
                     fallback_checkpoint_dir=self._job_checkpoint_dir(job),
                     store_dir=self._shared_store_dir(),
-                    pool=self._get_pool(),
                 )
             else:
                 result = execute_plan(

@@ -178,18 +178,19 @@ class TestEvaluatorOverride:
 
 
 class TestDeprecationShims:
-    def test_legacy_aliases_warn_and_still_work(self, tmp_path):
+    @pytest.mark.parametrize("removed", ["campaign_dir", "parallel_workers"])
+    def test_removed_aliases_are_rejected(self, tmp_path, removed):
         from repro.experiments.runner import run_paired_search
         from repro.fpga.device import PYNQ_Z1
         from repro.fpga.platform import Platform
 
-        with pytest.warns(DeprecationWarning, match="checkpoint_dir"):
-            outcome = run_paired_search(
+        value = {"campaign_dir": str(tmp_path), "parallel_workers": 2}
+        with pytest.raises(TypeError, match=removed):
+            run_paired_search(
                 "mnist", Platform.single(PYNQ_Z1), specs_ms=[5.0],
-                trials=4, campaign_dir=str(tmp_path),
+                trials=4, **{removed: value[removed]},
             )
-        assert len(outcome.nas.trials) == 4
-        assert list(tmp_path.glob("*.checkpoint.json"))
+        assert not list(tmp_path.glob("*.checkpoint.json"))
 
     def test_canonical_kwargs_do_not_warn(self, tmp_path, recwarn):
         from repro.experiments.table1 import run_table1

@@ -1,5 +1,10 @@
 """ParallelEvaluator: process-pool fan-out must be a pure speed knob."""
 
+import os
+import signal
+import time
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +22,40 @@ class ExplodingEvaluator:
 
     def evaluate(self, architecture):
         raise ValueError(f"boom: {architecture.describe()}")
+
+    def latency_eval_seconds(self):
+        return 0.0
+
+
+class DieOnceEvaluator:
+    """SIGKILLs its worker on ``victim`` until ``sentinel`` exists."""
+
+    def __init__(self, inner, victim, sentinel):
+        self.inner, self.victim, self.sentinel = inner, victim, sentinel
+
+    def evaluate(self, architecture):
+        if architecture == self.victim and not self.sentinel.exists():
+            self.sentinel.write_text("died once")
+            os.kill(os.getpid(), signal.SIGKILL)
+        return self.inner.evaluate(architecture)
+
+    def latency_eval_seconds(self):
+        return 0.0
+
+
+class SlowAndFastFailures:
+    """Fails ``slow`` after a delay and ``fast`` at once."""
+
+    def __init__(self, inner, slow, fast):
+        self.inner, self.slow, self.fast = inner, slow, fast
+
+    def evaluate(self, architecture):
+        if architecture == self.slow:
+            time.sleep(0.5)
+            raise ValueError("slow failure")
+        if architecture == self.fast:
+            raise ValueError("fast failure")
+        return self.inner.evaluate(architecture)
 
     def latency_eval_seconds(self):
         return 0.0
@@ -67,11 +106,87 @@ class TestParallelEvaluator:
 
     def test_evaluator_exceptions_propagate(self, architectures):
         """Errors raised by the wrapped evaluator are not swallowed and
-        must not permanently mark the pool broken."""
+        leave the pool idle and healthy."""
         with ParallelEvaluator(ExplodingEvaluator(), max_workers=2) as ev:
             with pytest.raises(ValueError, match="boom"):
                 ev.evaluate_batch(architectures)
-            assert not ev._pool_broken
+            assert ev._pool.available() == 2
+            assert ev._pool.stats()["worker.death"] == 0
+
+    def test_first_failed_index_wins(self, space, architectures):
+        """Index 1 fails slowly, index 3 at once: index 1's error is
+        the one raised, as on the serial path."""
+        assert len(set(architectures)) == len(architectures)
+        inner = SurrogateAccuracyEvaluator(space)
+        failing = SlowAndFastFailures(inner, slow=architectures[1],
+                                      fast=architectures[3])
+        with ParallelEvaluator(failing, max_workers=2) as ev:
+            with pytest.raises(ValueError, match="slow failure"):
+                ev.evaluate_batch(architectures)
+            assert ev._pool.available() == ev.max_workers
+
+    def test_dead_worker_child_is_scored_in_process(
+        self, space, architectures, tmp_path
+    ):
+        """A SIGKILLed worker costs one in-process evaluation and a
+        warning; the batch equals serial and the next batch fans out."""
+        inner = SurrogateAccuracyEvaluator(space)
+        serial = [inner.evaluate(a) for a in architectures]
+        sentinel = tmp_path / "died"
+        dying = DieOnceEvaluator(inner, architectures[2], sentinel)
+        with ParallelEvaluator(dying, max_workers=2) as ev:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                fanned = ev.evaluate_batch(architectures)
+            assert sentinel.exists()
+            assert fanned == serial
+            died = [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+            assert len(died) == 1
+            assert "child 2" in str(died[0].message)
+            assert "exit code -9" in str(died[0].message)
+
+            dispatched = ev._pool.stats()["pool.dispatch"]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert ev.evaluate_batch(architectures) == serial
+            stats = ev._pool.stats()
+            assert stats["pool.dispatch"] == dispatched + len(architectures)
+            assert stats["worker.death"] == 1
+            assert ev._pool.available() == 2
+
+    def test_interrupted_batch_leaves_a_usable_evaluator(
+        self, space, architectures, monkeypatch
+    ):
+        """An interrupt mid-batch closes the pool (its workers hold
+        unsettled tasks); the next batch starts a fresh one."""
+        from repro.service.pool import WorkerPool
+
+        inner = SurrogateAccuracyEvaluator(space)
+        real_wait = WorkerPool.wait
+
+        def interrupted_wait(pool, handles, timeout=0.5):
+            monkeypatch.setattr(WorkerPool, "wait", real_wait)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(WorkerPool, "wait", interrupted_wait)
+        with ParallelEvaluator(inner, max_workers=2) as ev:
+            with pytest.raises(KeyboardInterrupt):
+                ev.evaluate_batch(architectures)
+            assert ev._pool is None
+            assert ev.evaluate_batch(architectures) == [
+                inner.evaluate(a) for a in architectures
+            ]
+
+    def test_close_then_reuse(self, space, architectures):
+        inner = SurrogateAccuracyEvaluator(space)
+        serial = [inner.evaluate(a) for a in architectures]
+        evaluator = ParallelEvaluator(inner, max_workers=2)
+        assert evaluator.evaluate_batch(architectures) == serial
+        evaluator.close()
+        assert evaluator._pool is None
+        assert evaluator.evaluate_batch(architectures) == serial
+        evaluator.close()
 
     def test_close_is_idempotent(self, space):
         evaluator = ParallelEvaluator(

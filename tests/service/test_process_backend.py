@@ -6,6 +6,7 @@ byte-identical stored result, the same cancel/resume semantics and the
 same error propagation.  The only permitted difference is throughput.
 """
 
+import os
 import time
 
 import pytest
@@ -14,9 +15,7 @@ from repro.core.search import SearchCancelled
 from repro.events import JobCancelled, JobCompleted, JobStarted
 from repro.plans import ExecutionPolicy, RunPlan, ScenarioPlan, SearchPlan
 from repro.registry import EVALUATORS
-from repro.service import (
-    ProcessWorkerError, ResultStore, SearchService, run_job_in_process,
-)
+from repro.service import ResultStore, SearchService, WorkerDied, WorkerPool
 from repro.service.journal import JOURNAL_FILENAME
 
 
@@ -32,6 +31,29 @@ def search_plan(seed=0, trials=5, **execution):
 
 def comparable(events):
     return [(type(e).__name__, e.scope, e.message) for e in events]
+
+
+def exit_in_child(parent_pid):
+    """An evaluator factory that kills the pool worker building it."""
+    def factory(space, config, seed):
+        if os.getpid() != parent_pid:
+            os._exit(3)
+        raise RuntimeError("the dying evaluator ran in the test process")
+    return factory
+
+
+@pytest.fixture
+def dying_plan():
+    EVALUATORS.register("exit-in-child", exit_in_child(os.getpid()),
+                        replace=True)
+    try:
+        yield RunPlan(
+            workload="search",
+            search=SearchPlan(seed=0, trials=3, evaluator="exit-in-child"),
+            scenario=search_plan().scenario,
+        )
+    finally:
+        EVALUATORS.unregister("exit-in-child")
 
 
 class TestParity:
@@ -154,6 +176,27 @@ class TestFailurePropagation:
         finally:
             EVALUATORS.unregister("broken-child")
 
+    def test_dead_worker_fails_the_job_and_the_pool_recovers(
+        self, dying_plan
+    ):
+        with SearchService(workers=1, backend="process") as service:
+            handle = service.submit(dying_plan)
+            assert handle.wait(timeout=120) == "failed"
+            with pytest.raises(WorkerDied) as died:
+                handle.result(timeout=10)
+            assert died.value.exitcode == 3
+            # The pool replaces the dead worker for the next job.
+            after = service.submit(search_plan(seed=6))
+            assert len(after.result(timeout=300).trials) == 5
+            assert service.pool_stats()["worker.death"] == 1
+
+    def test_run_plan_raises_worker_died(self, dying_plan):
+        with WorkerPool(1) as pool:
+            with pytest.raises(WorkerDied) as died:
+                pool.run_plan(dying_plan, emit=lambda e: None,
+                              cancel_requested=lambda: False)
+        assert died.value.exitcode == 3
+
     def test_evaluator_override_jobs_run_on_the_thread_backend(self):
         """A live evaluator object cannot cross a process boundary."""
         plan = RunPlan(workload="table1",
@@ -166,13 +209,16 @@ class TestFailurePropagation:
 
 
 class TestRunJobInProcess:
+    """One job on a pool worker process, via ``WorkerPool.run_plan``."""
+
     def test_streams_events_and_returns_the_canonical_payload(self):
         events = []
-        result, payload = run_job_in_process(
-            search_plan(seed=4, trials=3),
-            emit=events.append,
-            cancel_requested=lambda: False,
-        )
+        with WorkerPool(1) as pool:
+            result, payload = pool.run_plan(
+                search_plan(seed=4, trials=3),
+                emit=events.append,
+                cancel_requested=lambda: False,
+            )
         assert result is None and payload is not None
         assert len(payload["trials"]) == 3
         names = [type(e).__name__ for e in events]
@@ -180,12 +226,12 @@ class TestRunJobInProcess:
         assert "SearchStarted" in names and "SearchFinished" in names
 
     def test_cancel_before_start_raises_search_cancelled(self):
-        with pytest.raises(SearchCancelled):
-            run_job_in_process(
-                search_plan(seed=5, trials=50),
-                emit=lambda e: None,
-                cancel_requested=lambda: True,
-            )
-
-    def test_worker_error_type_is_exported(self):
-        assert issubclass(ProcessWorkerError, RuntimeError)
+        with WorkerPool(1) as pool:
+            with pytest.raises(SearchCancelled):
+                pool.run_plan(
+                    search_plan(seed=5, trials=50),
+                    emit=lambda e: None,
+                    cancel_requested=lambda: True,
+                )
+            # The cancelled worker went back to the pool idle.
+            assert pool.available() == 1

@@ -211,37 +211,22 @@ class TestPlanFlow:
         assert "nothing written" in out
         assert not (tmp_path / "reproduction_report.md").exists()
 
-    def test_deprecated_workers_alias_warns_and_works(self, capsys):
-        assert main(["table1", "--trials", "3", "--batch-size", "2",
-                     "--workers", "1"]) == 0
-        captured = capsys.readouterr()
-        assert "--workers is deprecated" in captured.err
-        assert "NAS" in captured.out
-
-    def test_deprecated_campaign_dir_alias_warns_and_works(
-        self, capsys, tmp_path
-    ):
-        assert main(["table1", "--trials", "3",
-                     "--campaign-dir", str(tmp_path)]) == 0
-        captured = capsys.readouterr()
-        assert "--campaign-dir is deprecated" in captured.err
-        assert list(tmp_path.glob("*.checkpoint.json"))
-
     def test_canonical_flags_do_not_warn(self, capsys, tmp_path):
         assert main(["table1", "--trials", "3",
                      "--checkpoint-dir", str(tmp_path)]) == 0
         assert "deprecated" not in capsys.readouterr().err
 
-    def test_alias_and_canonical_conflict_resolves_to_canonical(
-        self, capsys, tmp_path
-    ):
-        canonical = tmp_path / "canonical"
-        legacy = tmp_path / "legacy"
-        assert main(["table1", "--trials", "3",
-                     "--checkpoint-dir", str(canonical),
-                     "--campaign-dir", str(legacy)]) == 0
-        assert list(canonical.glob("*.checkpoint.json"))
-        assert not legacy.exists()
+    @pytest.mark.parametrize("flag, value", [
+        ("--campaign-dir", "ck"),
+        ("--workers", "1"),
+    ])
+    def test_removed_search_aliases_are_rejected(self, capsys, flag, value):
+        """The pre-plan spellings of --checkpoint-dir and --eval-workers
+        are gone: argparse rejects them with its usage error."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table1", "--trials", "3", flag, value])
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
 class TestServiceVerbs:
