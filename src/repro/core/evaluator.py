@@ -214,8 +214,8 @@ class ParallelEvaluator:
         """Score a batch across the pool, preserving input order."""
         if self.max_workers <= 1 or len(architectures) <= 1:
             return [self.evaluator.evaluate(a) for a in architectures]
-        # Deferred import: importing repro.core must not pull in the
-        # service package.
+        # Deferred import, as in Campaign._run_pooled: core keeps no
+        # import-time dependency on the service layer.
         from repro.service.pool import WorkerPool, WorkerTaskError
 
         if self._pool is None:

@@ -216,13 +216,13 @@ class TestPlanFlow:
                      "--checkpoint-dir", str(tmp_path)]) == 0
         assert "deprecated" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--campaign-dir", "ck"),
-        ("--workers", "1"),
-    ])
-    def test_removed_search_aliases_are_rejected(self, capsys, flag, value):
+    @pytest.mark.parametrize("flag", ["--campaign-dir", "--workers"])
+    def test_removed_search_aliases_are_rejected(
+        self, capsys, tmp_path, flag
+    ):
         """The pre-plan spellings of --checkpoint-dir and --eval-workers
         are gone: argparse rejects them with its usage error."""
+        value = str(tmp_path) if flag == "--campaign-dir" else "1"
         with pytest.raises(SystemExit) as exit_info:
             main(["table1", "--trials", "3", flag, value])
         assert exit_info.value.code == 2
