@@ -6,13 +6,22 @@ B=1 sampling draws through ``Generator.choice(p=...)`` and every update
 builds a fresh gradient per array.  Nothing at runtime calls it; the
 exactness wall in ``test_controller.py`` requires
 :mod:`repro.core.controller` to reproduce it bit for bit.
+
+:func:`list_state_dict` is the original list-form ``state_dict``: one
+nested list per array.  Snapshots written before controller state was
+packed hold this form, and the golden pin digests it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.controller import ControllerBatch, ControllerSample
+from repro.core.controller import (
+    ControllerBatch,
+    ControllerSample,
+    LstmController,
+    TabularController,
+)
 from repro.core.search_space import SearchSpace
 
 
@@ -393,3 +402,43 @@ class ReferenceTabularController:
             loss += float(-(adv * np.log(probs[toks] + 1e-12)).sum()) / b
         self._adam.step(grads)
         return loss
+
+
+def list_state_dict(controller) -> dict:
+    """``controller``'s state in the list form written before packing.
+
+    Read from the live parameter views and ``_adam.m``/``v``/``t``, so
+    it needs no help from the controller's own ``state_dict``.  A
+    :class:`~repro.core.controller.RandomController` has only its type
+    tag.
+    """
+    name = type(controller).__name__
+    if not isinstance(controller, (LstmController, TabularController)):
+        return {"type": name}
+    adam = controller._adam
+    adam_state = {
+        "t": adam.t,
+        "m": [m.tolist() for m in adam.m],
+        "v": [v.tolist() for v in adam.v],
+    }
+    if isinstance(controller, TabularController):
+        return {
+            "type": name,
+            "logits": [step.tolist() for step in controller.logits],
+            "adam": adam_state,
+        }
+    return {
+        "type": name,
+        "start_embedding": controller.start_embedding.tolist(),
+        "w_lstm": controller.w_lstm.tolist(),
+        "b_lstm": controller.b_lstm.tolist(),
+        "embeddings": {
+            kind: table.tolist()
+            for kind, table in controller.embeddings.items()
+        },
+        "heads": {
+            kind: {"w": w.tolist(), "b": b.tolist()}
+            for kind, (w, b) in controller.heads.items()
+        },
+        "adam": adam_state,
+    }

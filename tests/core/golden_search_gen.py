@@ -2,7 +2,7 @@
 
 Run from the repo root::
 
-    PYTHONPATH=src python tests/core/golden_search_gen.py
+    PYTHONPATH=src python -m tests.core.golden_search_gen
 
 The fixture must only ever be regenerated from a revision whose search
 trajectories are known-good: it freezes, for NAS and FNAS with each
@@ -18,6 +18,12 @@ Ledgers, controller states and snapshots are pinned as SHA-256 digests
 of their canonical JSON (an LSTM state alone is ~20k floats).  Each
 ledger's per-trial facts, the energy facts and the cache counters are
 also pinned in full, so a failure shows where a trajectory diverged.
+
+Controller states are digested in their list form
+(``controller_reference.list_state_dict``), whatever form
+``state_dict`` writes: the final controller directly, and the
+snapshot's controller after loading it into a fresh controller.  The
+pin therefore fixes the values a snapshot restores, not its encoding.
 """
 
 from __future__ import annotations
@@ -44,6 +50,8 @@ from repro.experiments.energy_aware import EnergyAwareFnasSearch
 from repro.fpga.device import PYNQ_Z1
 from repro.fpga.platform import Platform
 from repro.latency.estimator import LatencyEstimator
+
+from tests.core.controller_reference import list_state_dict
 
 OUTPUT = Path(__file__).resolve().parent / "golden_search.json"
 
@@ -126,9 +134,12 @@ def run_case(kind, controller, batch_size, spec_ms) -> dict:
         snapshot = json.loads(path.read_text())
     snapshot.pop("elapsed_wall_seconds")
     snapshot["result"].pop("wall_seconds")
+    restored = CONTROLLERS[controller](space)
+    restored.load_state_dict(snapshot["controller"])
+    snapshot["controller"] = list_state_dict(restored)
     return {
         **ledger(result),
-        "controller_sha256": digest(policy.state_dict()),
+        "controller_sha256": digest(list_state_dict(policy)),
         "snapshot_sha256": digest(snapshot),
         "cache_stats": cache_stats_to_dict(estimator),
     }
