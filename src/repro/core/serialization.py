@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from pathlib import Path
 from typing import Any
 
@@ -260,12 +261,19 @@ def atomic_write_text(text: str, path: str | Path) -> None:
     moved over ``path`` with :func:`os.replace`, which is atomic on
     POSIX and Windows.  A crash mid-write leaves the previous file
     intact -- the property the campaign runner's re-queue-from-last-
-    checkpoint recovery depends on.
+    checkpoint recovery depends on.  Each writer stages in its own
+    temporary file (named by pid and thread id), so two writers of one
+    path never move each other's file; the last rename wins.
     """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    tmp = path.with_name(
+        f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def atomic_write_json(data: Any, path: str | Path) -> None:

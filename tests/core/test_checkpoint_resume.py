@@ -253,7 +253,7 @@ class TestCheckpointMechanics:
             checkpoint_path=path,
         )
         assert path.exists()
-        assert not (tmp_path / "ck.json.tmp").exists()
+        assert not list(tmp_path.glob("*.tmp"))
         snapshot = json.loads(path.read_text())
         assert snapshot["kind"] == "fnas"
         assert snapshot["next_index"] == 10

@@ -1,10 +1,14 @@
 """Tests for JSON serialization of architectures and search ledgers."""
 
 import json
+import multiprocessing
+import os
+import threading
 
 import numpy as np
 import pytest
 
+from repro.core import serialization
 from repro.core.architecture import Architecture
 from repro.core.evaluator import SurrogateAccuracyEvaluator
 from repro.core.search import NasSearch
@@ -80,3 +84,87 @@ class TestSearchResultSerialization:
         loaded = json.loads(path.read_text())
         assert loaded["name"] == "nas"
         assert len(loaded["trials"]) == 5
+
+
+def _write_in_lockstep(path, barrier, errors, writes, writer):
+    """Write ``path`` ``writes`` times, meeting the other writer each time."""
+    payload = {"writer": writer, "pad": "x" * 4096}
+    for _ in range(writes):
+        barrier.wait()
+        try:
+            serialization.atomic_write_json(payload, path)
+        except OSError:
+            with errors.get_lock():
+                errors.value += 1
+
+
+class TestConcurrentAtomicWrites:
+    """Two writers of one path -- e.g. two holders of one checkpoint
+    after a lease expired -- each stage in their own temp file, so
+    neither moves the other's file out from under its rename."""
+
+    def test_write_racing_inside_another_writers_replace(
+        self, tmp_path, monkeypatch
+    ):
+        """Writer A's rename runs only after writer B, on another thread,
+        has completed a whole write of the same path."""
+        path = tmp_path / "ck.json"
+        real_replace = os.replace
+        raced, errors = [], []
+
+        def write_b():
+            try:
+                serialization.atomic_write_json({"writer": "B"}, path)
+            except Exception as exc:  # noqa: BLE001 -- reported below
+                errors.append(exc)
+
+        def replace_after_b(src, dst):
+            if not raced:
+                raced.append(True)
+                other = threading.Thread(target=write_b)
+                other.start()
+                other.join()
+            real_replace(src, dst)
+
+        monkeypatch.setattr(serialization.os, "replace", replace_after_b)
+        serialization.atomic_write_json({"writer": "A"}, path)
+        assert raced and errors == []
+        assert json.loads(path.read_text()) == {"writer": "A"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.json"]
+
+    def test_failed_replace_removes_its_temp_file(self, tmp_path,
+                                                  monkeypatch):
+        def refuse(src, dst):
+            raise PermissionError("refused")
+
+        monkeypatch.setattr(serialization.os, "replace", refuse)
+        with pytest.raises(PermissionError):
+            serialization.atomic_write_json({"a": 1}, tmp_path / "ck.json")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method",
+    )
+    def test_two_processes_write_one_path(self, tmp_path):
+        writes = 200
+        path = tmp_path / "ck.json"
+        ctx = multiprocessing.get_context("fork")
+        barrier = ctx.Barrier(2, timeout=30)
+        errors = ctx.Value("i", 0)
+        writers = [
+            ctx.Process(target=_write_in_lockstep,
+                        args=(str(path), barrier, errors, writes, name))
+            for name in ("A", "B")
+        ]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=60)
+            if writer.is_alive():
+                writer.kill()
+                writer.join()
+        assert [w.exitcode for w in writers] == [0, 0]
+        assert errors.value == 0
+        assert json.loads(path.read_text())["writer"] in ("A", "B")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.json"]
