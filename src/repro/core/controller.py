@@ -19,6 +19,7 @@ Both share the :class:`Controller` protocol used by the search loops.
 
 from __future__ import annotations
 
+import base64
 import math
 from dataclasses import dataclass
 from typing import Protocol
@@ -96,9 +97,10 @@ class Controller(Protocol):
 
         Together with :meth:`load_state_dict` this is what makes a
         search checkpointable: restoring the state and the RNG stream
-        reproduces the remaining trajectory exactly.  A third-party
-        controller without these methods still searches fine but cannot
-        be checkpointed.
+        reproduces the remaining trajectory exactly; the built-in
+        controllers pack it (:meth:`_AdamState.state_dict`) to round-trip
+        bit for bit.  A third-party controller without these methods
+        still searches fine but cannot be checkpointed.
         """
         ...
 
@@ -106,7 +108,8 @@ class Controller(Protocol):
         """Restore a snapshot produced by :meth:`state_dict`.
 
         Must leave the controller byte-identical to the one snapshotted:
-        parameters, optimizer moments and step count included.
+        parameters, optimizer moments and step count included.  The
+        built-in controllers also read the older list form.
         """
         ...
 
@@ -215,6 +218,9 @@ class _AdamState:
     step is a handful of ufuncs however many arrays there are.
     """
 
+    #: Byte order and width of :meth:`state_dict`'s packed vectors.
+    DTYPE = "<f8"
+
     def __init__(self, params: list[np.ndarray], lr: float):
         shapes = [p.shape for p in params]
         self.flat = np.concatenate([p.ravel() for p in params])
@@ -245,16 +251,42 @@ class _AdamState:
         v += (1 - b2) * g * g
         self.flat -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
 
+    def _packed(self) -> tuple:
+        return ("params", self.flat), ("m", self.m_flat), ("v", self.v_flat)
+
     def state_dict(self) -> dict:
-        """Optimizer moments (one list per parameter) and step count."""
+        """Base64 of the little-endian float64 ``flat``, ``m_flat`` and
+        ``v_flat``, plus the parameter shapes and the step count."""
         return {
+            "dtype": self.DTYPE,
+            "shapes": [list(p.shape) for p in self.params],
             "t": self.t,
-            "m": [m.tolist() for m in self.m],
-            "v": [v.tolist() for v in self.v],
+            **{key: base64.b64encode(
+                vector.astype(self.DTYPE, copy=False).tobytes()
+            ).decode("ascii") for key, vector in self._packed()},
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore moments in place, through the per-parameter views."""
+        """Restore :meth:`state_dict` output in place.  Every check runs
+        before the first copy, so a state that fails changes nothing."""
+        dtype, shapes = state["dtype"], [list(p.shape) for p in self.params]
+        if dtype != self.DTYPE:
+            raise ValueError(f"packed dtype {dtype!r} is not {self.DTYPE!r}")
+        if state["shapes"] != shapes:
+            raise ValueError(f"packed shapes {state['shapes']} != {shapes}")
+        decoded = []
+        for key, target in self._packed():
+            raw = base64.b64decode(state[key], validate=True)
+            if len(raw) != target.nbytes:
+                raise ValueError(f"packed {key} does not fit shape "
+                                 f"{target.shape}")
+            decoded.append(np.frombuffer(raw, dtype=self.DTYPE))
+        self.t = int(state["t"])
+        for (_, target), values in zip(self._packed(), decoded):
+            target[...] = values
+
+    def _load_list_state(self, state: dict) -> None:
+        """Restore list-form moments in place, through the views."""
         if len(state["m"]) != len(self.m) or len(state["v"]) != len(self.v):
             raise ValueError(
                 f"Adam state has {len(state['m'])} moment arrays, "
@@ -605,31 +637,20 @@ class LstmController:
     # -- checkpointing -------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """All learnable state (weights + Adam) as a JSON-ready dict."""
-        return {
-            "type": type(self).__name__,
-            "start_embedding": self.start_embedding.tolist(),
-            "w_lstm": self.w_lstm.tolist(),
-            "b_lstm": self.b_lstm.tolist(),
-            "embeddings": {
-                kind: table.tolist()
-                for kind, table in self.embeddings.items()
-            },
-            "heads": {
-                kind: {"w": w.tolist(), "b": b.tolist()}
-                for kind, (w, b) in self.heads.items()
-            },
-            "adam": self._adam.state_dict(),
-        }
+        """All learnable state (weights + Adam), packed by the optimizer."""
+        return {"type": type(self).__name__, **self._adam.state_dict()}
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output into this controller.
-
-        The controller must have been constructed with the same search
-        space and sizes; values are copied into the existing arrays,
-        which are views into the optimizer's flat buffer.
-        """
+        """Restore :meth:`state_dict` output, or the list form (no
+        ``params``), in place; the space and sizes must match."""
         _check_state_type(state, type(self).__name__)
+        if "params" in state:
+            self._adam.load_state_dict(state)
+        else:
+            self._load_list_state(state)
+
+    def _load_list_state(self, state: dict) -> None:
+        """Restore list-form state: one nested list per named array."""
         _copy_into(self.start_embedding, state["start_embedding"],
                    "start_embedding")
         _copy_into(self.w_lstm, state["w_lstm"], "w_lstm")
@@ -650,7 +671,7 @@ class LstmController:
             w, b = self.heads[kind]
             _copy_into(w, head["w"], f"heads[{kind}].w")
             _copy_into(b, head["b"], f"heads[{kind}].b")
-        self._adam.load_state_dict(state["adam"])
+        self._adam._load_list_state(state["adam"])
 
 
 def _check_state_type(state: dict, expected: str) -> None:
@@ -825,16 +846,20 @@ class TabularController:
         return loss
 
     def state_dict(self) -> dict:
-        """Per-step logits plus Adam state as a JSON-ready dict."""
-        return {
-            "type": type(self).__name__,
-            "logits": [step.tolist() for step in self.logits],
-            "adam": self._adam.state_dict(),
-        }
+        """Per-step logits plus Adam state, packed by the optimizer."""
+        return {"type": type(self).__name__, **self._adam.state_dict()}
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output (same search space required)."""
+        """Restore :meth:`state_dict` output, or the list form (no
+        ``params``), in place; the search space must match."""
         _check_state_type(state, type(self).__name__)
+        if "params" in state:
+            self._adam.load_state_dict(state)
+        else:
+            self._load_list_state(state)
+
+    def _load_list_state(self, state: dict) -> None:
+        """Restore list-form state: one list of logits per step."""
         if len(state["logits"]) != len(self.logits):
             raise ValueError(
                 f"state has {len(state['logits'])} logit vectors, "
@@ -842,7 +867,7 @@ class TabularController:
             )
         for target, source in zip(self.logits, state["logits"]):
             _copy_into(target, source, "logits")
-        self._adam.load_state_dict(state["adam"])
+        self._adam._load_list_state(state["adam"])
 
 
 # --- Registry entries -----------------------------------------------------

@@ -9,6 +9,7 @@ ledger itself.  These tests extend PR 1's golden-ledger pin: the seed
 trajectory must survive not just batching but interruption.
 """
 
+import base64
 import json
 
 import numpy as np
@@ -34,6 +35,7 @@ from repro.fpga.device import PYNQ_Z1
 from repro.fpga.platform import Platform
 from repro.latency.estimator import LatencyEstimator
 
+from tests.core.controller_reference import list_state_dict
 from tests.core.test_batched_search import GOLDEN_FNAS
 
 
@@ -66,9 +68,13 @@ def ledger_bytes(result) -> str:
 
 
 def run_killed_then_resumed(make_search, trials, rng_seed, batch_size,
-                            kill_at, every, path, monkeypatch):
+                            kill_at, every, path, monkeypatch, rewrite=None):
     """Run with checkpoints, die right after trial ``kill_at``'s
-    snapshot, then resume a *fresh* search object from the file."""
+    snapshot, then resume a *fresh* search object from the file.
+
+    ``rewrite``, when given, edits the parsed snapshot in place before
+    it is written back and resumed (e.g. into a pre-upgrade form).
+    """
     from repro.core import search as search_mod
 
     orig_after = search_mod._CheckpointPlan.after
@@ -85,7 +91,28 @@ def run_killed_then_resumed(make_search, trials, rng_seed, batch_size,
             checkpoint_every=every, checkpoint_path=path,
         )
     monkeypatch.setattr(search_mod._CheckpointPlan, "after", orig_after)
+    if rewrite is not None:
+        snapshot = json.loads(path.read_text())
+        rewrite(snapshot)
+        path.write_text(json.dumps(snapshot))
     return make_search().resume(path)
+
+
+def to_list_form(make_controller):
+    """A ``rewrite`` that turns the snapshot's controller state into the
+    list form snapshots held before controller state was packed."""
+    def rewrite(snapshot):
+        controller = make_controller()
+        controller.load_state_dict(snapshot["controller"])
+        snapshot["controller"] = list_state_dict(controller)
+    return rewrite
+
+
+def buffers(controller) -> tuple:
+    """The bytes of every packed vector plus the Adam step count."""
+    adam = controller._adam
+    return (adam.flat.tobytes(), adam.m_flat.tobytes(),
+            adam.v_flat.tobytes(), adam.t)
 
 
 class TestRngRoundTrip:
@@ -100,18 +127,39 @@ class TestRngRoundTrip:
             rng_from_state({"bit_generator": "NoSuchGenerator"})
 
 
+def _trained(controller, steps):
+    rng = np.random.default_rng(0)
+    for step in range(steps):
+        controller.update(controller.sample(rng), 0.5 - step)
+    return controller
+
+
+def trained_lstm(space, steps=5):
+    """An LSTM controller after ``steps`` REINFORCE updates."""
+    return _trained(LstmController(space, seed=3), steps)
+
+
+def trained_tabular(space, steps=5):
+    """A tabular controller after ``steps`` REINFORCE updates."""
+    return _trained(TabularController(space), steps)
+
+
 class TestControllerStateDicts:
     @pytest.mark.parametrize("make", [
         lambda space: LstmController(space, seed=3, entropy_weight=0.01),
         lambda space: TabularController(space),
     ])
-    def test_round_trip_preserves_future_trajectory(self, setup, make):
+    @pytest.mark.parametrize("form", [
+        lambda controller: controller.state_dict(),
+        list_state_dict,
+    ], ids=["packed", "list"])
+    def test_round_trip_preserves_future_trajectory(self, setup, make, form):
         space, _ = setup
         rng = np.random.default_rng(0)
         trained = make(space)
         for step in range(5):
             trained.update(trained.sample(rng), 0.5 - step)
-        state = json.loads(json.dumps(trained.state_dict()))
+        state = json.loads(json.dumps(form(trained)))
         fresh = make(space)
         fresh.load_state_dict(state)
         # Same future samples *and* same future updates (Adam moments
@@ -145,13 +193,69 @@ class TestControllerStateDicts:
             LstmController(space, hidden_size=32).load_state_dict(state)
 
     def test_missing_head_kind_rejected(self, setup):
-        """A truncated snapshot must not load silently with a fresh
-        (wrong) head left in place."""
+        """A truncated list-form snapshot must not load silently with a
+        fresh (wrong) head left in place."""
         space, _ = setup
-        state = LstmController(space, seed=3).state_dict()
+        state = list_state_dict(LstmController(space, seed=3))
         del state["heads"]["filter_size"]
         with pytest.raises(ValueError, match="head kinds"):
             LstmController(space, seed=3).load_state_dict(state)
+
+    def test_packed_state_names_its_format(self, setup):
+        space, _ = setup
+        controller = trained_lstm(space)
+        state = controller.state_dict()
+        assert list(state) == ["type", "dtype", "shapes", "t", "params",
+                               "m", "v"]
+        assert state["dtype"] == "<f8"
+        assert state["shapes"] == [
+            list(p.shape) for p in controller._param_list()]
+        assert state["t"] == 5
+
+
+def _one_float_short(key):
+    def corrupt(state):
+        raw = base64.b64decode(state[key])[:-8]
+        state[key] = base64.b64encode(raw).decode("ascii")
+    return corrupt
+
+
+def _not_base64(state):
+    state["params"] = "not base64!"
+
+
+def _big_endian(state):
+    state["dtype"] = ">f8"
+
+
+class TestPackedStateRejections:
+    """A bad packed state raises ValueError before touching anything:
+    every buffer and the step count keep their bytes.  A short ``v``
+    is the last vector decoded, so ``params`` and ``m`` would already
+    be copied if checking and copying interleaved."""
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (_one_float_short("params"), "shape"),
+        (_one_float_short("v"), "shape"),
+        (_not_base64, None),
+        (_big_endian, "dtype"),
+    ], ids=["params-one-float-short", "v-one-float-short", "not-base64",
+            "big-endian"])
+    @pytest.mark.parametrize("make", [
+        trained_lstm,
+        trained_tabular,
+    ], ids=["lstm", "tabular"])
+    def test_bad_state_leaves_the_target_unchanged(
+        self, setup, make, corrupt, message
+    ):
+        space, _ = setup
+        state = json.loads(json.dumps(make(space).state_dict()))
+        corrupt(state)
+        target = make(space, steps=2)
+        before = buffers(target)
+        with pytest.raises(ValueError, match=message):
+            target.load_state_dict(state)
+        assert buffers(target) == before
 
 
 class TestLedgerRoundTrip:
@@ -194,19 +298,27 @@ class TestResumeDeterminism:
         (4, 8, 4),    # batched path, kill at a batch boundary
         (8, 16, 8),   # batch == cadence
     ])
+    @pytest.mark.parametrize("snapshot_form", ["packed", "list"])
     def test_resume_is_byte_identical_to_uninterrupted(
-        self, setup, tmp_path, monkeypatch, batch_size, kill_at, every
+        self, setup, tmp_path, monkeypatch, batch_size, kill_at, every,
+        snapshot_form,
     ):
+        """The ``list`` variant resumes from a snapshot whose controller
+        state is in the pre-upgrade list form."""
         space, evaluator = setup
         trials = 21
         uninterrupted = make_fnas(space, evaluator, fallback=True).run(
             trials, np.random.default_rng(42), batch_size=batch_size
         )
         path = tmp_path / "ck.json"
+        rewrite = None
+        if snapshot_form == "list":
+            rewrite = to_list_form(lambda: LstmController(space, seed=3))
         resumed = run_killed_then_resumed(
             lambda: make_fnas(space, evaluator, fallback=True), trials,
             rng_seed=42, batch_size=batch_size, kill_at=kill_at,
             every=every, path=path, monkeypatch=monkeypatch,
+            rewrite=rewrite,
         )
         assert ledger_bytes(resumed) == ledger_bytes(uninterrupted)
 
@@ -259,6 +371,23 @@ class TestCheckpointMechanics:
         assert snapshot["next_index"] == 10
         assert snapshot["controller"]["type"] == "LstmController"
         assert snapshot["cache_stats"]["architecture_tier"]["misses"] > 0
+
+    def test_snapshot_holds_the_controller_buffers_bytes(
+        self, setup, tmp_path
+    ):
+        """Format pin: a snapshot at the last trial packs exactly the
+        bytes of the controller's parameter and moment vectors."""
+        space, evaluator = setup
+        path = tmp_path / "ck.json"
+        search = make_fnas(space, evaluator)
+        search.run(10, np.random.default_rng(0), checkpoint_every=5,
+                   checkpoint_path=path)
+        state = json.loads(path.read_text())["controller"]
+        adam = search.controller._adam
+        for key, vector in (("params", adam.flat), ("m", adam.m_flat),
+                            ("v", adam.v_flat)):
+            assert base64.b64decode(state[key]) == vector.tobytes()
+        assert state["t"] == adam.t == 10
 
     def test_snapshot_is_one_line_of_compact_json(self, setup, tmp_path):
         space, evaluator = setup

@@ -1,5 +1,8 @@
 """Tests for the LSTM and tabular controllers."""
 
+import json
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -378,3 +381,82 @@ class TestMatchesPerArrayReference:
         for m_new, m_old in zip(new._adam.m + new._adam.v,
                                 old._adam.m + old._adam.v, strict=True):
             assert_bit_equal(m_new, m_old)
+
+
+# -- state round-trip wall ------------------------------------------------------
+
+#: Doubles that decimal formatting or a careless decoder could bend:
+#: negative zero, the smallest and a mid-range subnormal, both
+#: infinities and the largest finite double.
+SPECIAL_DOUBLES = (-0.0, 5e-324, 2.5e-310, np.inf, -np.inf,
+                   sys.float_info.max)
+
+
+def drive(controller, steps, rng_seed: int) -> None:
+    """Run ``steps`` (see ``step_sequences``) through ``controller``."""
+    rng = np.random.default_rng(rng_seed)
+    for batch_size, advs in steps:
+        if batch_size is None:
+            controller.update(controller.sample(rng), advs[0])
+        else:
+            batch = controller.sample_batch(rng, batch_size)
+            controller.update_batch(batch, advs[:batch_size])
+
+
+def plant_specials(controller, shift: int) -> None:
+    """Write :data:`SPECIAL_DOUBLES`, rotated by ``shift``, into the head
+    of the parameter vector and both Adam moments."""
+    adam = controller._adam
+    for offset, vector in enumerate((adam.flat, adam.m_flat, adam.v_flat)):
+        values = np.roll(SPECIAL_DOUBLES, shift + offset)[:vector.size]
+        vector[:values.size] = values
+
+
+def assert_same_state(restored, original) -> None:
+    for name in ("flat", "m_flat", "v_flat"):
+        assert_bit_equal(getattr(restored._adam, name),
+                         getattr(original._adam, name))
+    assert restored._adam.t == original._adam.t
+
+
+def through_json(state: dict) -> dict:
+    return json.loads(json.dumps(state))
+
+
+class TestStateRoundTripIsExact:
+    """Exactness wall for checkpoints: the packed ``state_dict`` and the
+    pre-upgrade list form both restore every bit of the parameters, the
+    Adam moments and the step count, special doubles included."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(space=small_spaces(), hidden=st.integers(1, 8),
+           embed=st.integers(1, 6), seed=st.integers(0, 2**16),
+           rng_seed=st.integers(0, 2**16), steps=step_sequences,
+           shift=st.integers(0, len(SPECIAL_DOUBLES) - 1))
+    def test_lstm(self, space, hidden, embed, seed, rng_seed, steps, shift):
+        def make(seed):
+            return LstmController(space, hidden_size=hidden,
+                                  embed_size=embed, seed=seed)
+
+        original = make(seed)
+        drive(original, steps, rng_seed)
+        plant_specials(original, shift)
+        for state in (original.state_dict(),
+                      reference.list_state_dict(original)):
+            restored = make(seed + 1)
+            restored.load_state_dict(through_json(state))
+            assert_same_state(restored, original)
+
+    @settings(deadline=None, max_examples=60)
+    @given(space=small_spaces(), rng_seed=st.integers(0, 2**16),
+           steps=step_sequences,
+           shift=st.integers(0, len(SPECIAL_DOUBLES) - 1))
+    def test_tabular(self, space, rng_seed, steps, shift):
+        original = TabularController(space)
+        drive(original, steps, rng_seed)
+        plant_specials(original, shift)
+        for state in (original.state_dict(),
+                      reference.list_state_dict(original)):
+            restored = TabularController(space)
+            restored.load_state_dict(through_json(state))
+            assert_same_state(restored, original)
