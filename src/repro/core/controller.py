@@ -251,7 +251,7 @@ class _AdamState:
         v += (1 - b2) * g * g
         self.flat -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
 
-    def _packed(self) -> tuple:
+    def _vectors(self) -> tuple:
         return ("params", self.flat), ("m", self.m_flat), ("v", self.v_flat)
 
     def state_dict(self) -> dict:
@@ -263,7 +263,7 @@ class _AdamState:
             "t": self.t,
             **{key: base64.b64encode(
                 vector.astype(self.DTYPE, copy=False).tobytes()
-            ).decode("ascii") for key, vector in self._packed()},
+            ).decode("ascii") for key, vector in self._vectors()},
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -275,14 +275,14 @@ class _AdamState:
         if state["shapes"] != shapes:
             raise ValueError(f"packed shapes {state['shapes']} != {shapes}")
         decoded = []
-        for key, target in self._packed():
+        for key, target in self._vectors():
             raw = base64.b64decode(state[key], validate=True)
             if len(raw) != target.nbytes:
                 raise ValueError(f"packed {key} does not fit shape "
                                  f"{target.shape}")
             decoded.append(np.frombuffer(raw, dtype=self.DTYPE))
         self.t = int(state["t"])
-        for (_, target), values in zip(self._packed(), decoded):
+        for (_, target), values in zip(self._vectors(), decoded):
             target[...] = values
 
     def _load_list_state(self, state: dict) -> None:

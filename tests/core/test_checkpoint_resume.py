@@ -201,17 +201,6 @@ class TestControllerStateDicts:
         with pytest.raises(ValueError, match="head kinds"):
             LstmController(space, seed=3).load_state_dict(state)
 
-    def test_packed_state_names_its_format(self, setup):
-        space, _ = setup
-        controller = trained_lstm(space)
-        state = controller.state_dict()
-        assert list(state) == ["type", "dtype", "shapes", "t", "params",
-                               "m", "v"]
-        assert state["dtype"] == "<f8"
-        assert state["shapes"] == [
-            list(p.shape) for p in controller._param_list()]
-        assert state["t"] == 5
-
 
 def _one_float_short(key):
     def corrupt(state):
@@ -383,6 +372,11 @@ class TestCheckpointMechanics:
         search.run(10, np.random.default_rng(0), checkpoint_every=5,
                    checkpoint_path=path)
         state = json.loads(path.read_text())["controller"]
+        assert list(state) == ["type", "dtype", "shapes", "t", "params",
+                               "m", "v"]
+        assert state["dtype"] == "<f8"
+        assert state["shapes"] == [
+            list(p.shape) for p in search.controller._param_list()]
         adam = search.controller._adam
         for key, vector in (("params", adam.flat), ("m", adam.m_flat),
                             ("v", adam.v_flat)):

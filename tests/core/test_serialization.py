@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import sys
 import threading
 
 import numpy as np
@@ -87,7 +88,7 @@ class TestSearchResultSerialization:
 
 
 def _write_in_lockstep(path, barrier, errors, writes, writer):
-    """Write ``path`` ``writes`` times, meeting the other writer each time."""
+    """Write ``path`` ``writes`` times, meeting the other writers each time."""
     payload = {"writer": writer, "pad": "x" * 4096}
     for _ in range(writes):
         barrier.wait()
@@ -167,4 +168,30 @@ class TestConcurrentAtomicWrites:
         assert [w.exitcode for w in writers] == [0, 0]
         assert errors.value == 0
         assert json.loads(path.read_text())["writer"] in ("A", "B")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.json"]
+
+    def test_four_threads_write_one_path(self, tmp_path):
+        """More writers than cores, switching threads every microsecond."""
+        writes = 100
+        path = tmp_path / "ck.json"
+        barrier = threading.Barrier(4, timeout=30)
+        errors = multiprocessing.Value("i", 0)
+        writers = [
+            threading.Thread(target=_write_in_lockstep,
+                             args=(path, barrier, errors, writes, name),
+                             daemon=True)
+            for name in "ABCD"
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for writer in writers:
+                writer.start()
+            for writer in writers:
+                writer.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(writer.is_alive() for writer in writers)
+        assert errors.value == 0
+        assert json.loads(path.read_text())["writer"] in "ABCD"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.json"]
