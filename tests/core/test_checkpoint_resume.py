@@ -155,10 +155,7 @@ class TestControllerStateDicts:
     ], ids=["packed", "list"])
     def test_round_trip_preserves_future_trajectory(self, setup, make, form):
         space, _ = setup
-        rng = np.random.default_rng(0)
-        trained = make(space)
-        for step in range(5):
-            trained.update(trained.sample(rng), 0.5 - step)
+        trained = _trained(make(space), steps=5)
         state = json.loads(json.dumps(form(trained)))
         fresh = make(space)
         fresh.load_state_dict(state)

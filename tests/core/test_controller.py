@@ -412,15 +412,17 @@ def plant_specials(controller, shift: int) -> None:
         vector[:values.size] = values
 
 
-def assert_same_state(restored, original) -> None:
-    for name in ("flat", "m_flat", "v_flat"):
-        assert_bit_equal(getattr(restored._adam, name),
-                         getattr(original._adam, name))
-    assert restored._adam.t == original._adam.t
-
-
-def through_json(state: dict) -> dict:
-    return json.loads(json.dumps(state))
+def assert_both_forms_restore(original, make_fresh) -> None:
+    """The packed state and the list form, each through JSON into a
+    fresh controller, restore every bit of all three vectors and ``t``."""
+    for state in (original.state_dict(),
+                  reference.list_state_dict(original)):
+        restored = make_fresh()
+        restored.load_state_dict(json.loads(json.dumps(state)))
+        for name in ("flat", "m_flat", "v_flat"):
+            assert_bit_equal(getattr(restored._adam, name),
+                             getattr(original._adam, name))
+        assert restored._adam.t == original._adam.t
 
 
 class TestStateRoundTripIsExact:
@@ -441,11 +443,7 @@ class TestStateRoundTripIsExact:
         original = make(seed)
         drive(original, steps, rng_seed)
         plant_specials(original, shift)
-        for state in (original.state_dict(),
-                      reference.list_state_dict(original)):
-            restored = make(seed + 1)
-            restored.load_state_dict(through_json(state))
-            assert_same_state(restored, original)
+        assert_both_forms_restore(original, lambda: make(seed + 1))
 
     @settings(deadline=None, max_examples=60)
     @given(space=small_spaces(), rng_seed=st.integers(0, 2**16),
@@ -455,8 +453,4 @@ class TestStateRoundTripIsExact:
         original = TabularController(space)
         drive(original, steps, rng_seed)
         plant_specials(original, shift)
-        for state in (original.state_dict(),
-                      reference.list_state_dict(original)):
-            restored = TabularController(space)
-            restored.load_state_dict(through_json(state))
-            assert_same_state(restored, original)
+        assert_both_forms_restore(original, lambda: TabularController(space))

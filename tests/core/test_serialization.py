@@ -116,7 +116,7 @@ class TestConcurrentAtomicWrites:
         def write_b():
             try:
                 serialization.atomic_write_json({"writer": "B"}, path)
-            except Exception as exc:  # noqa: BLE001 -- reported below
+            except Exception as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
         def replace_after_b(src, dst):
