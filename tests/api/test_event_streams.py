@@ -5,6 +5,10 @@ execute a single-search plan through the same engine, so the typed
 search-level event sequence -- classes, scopes *and* messages -- must be
 identical whichever surface ran it.  Checked for the plain, batched and
 checkpointed (sharded-runtime) variants.
+
+The experiment workloads' streams are pinned too: the exact
+``(class, scope, message)`` sequence :func:`execute_plan` emits for
+Table 1 (in-process and checkpointed) and Figure 9.
 """
 
 import dataclasses
@@ -12,10 +16,13 @@ import dataclasses
 import pytest
 
 from repro.api import Session
-from repro.events import SearchFinished, SearchStarted
+from repro.events import Event, SearchFinished, SearchStarted
+from repro.experiments.figure9 import figure9_plan
+from repro.experiments.table1 import table1_plan
 from repro.orchestration import Campaign, ShardSpec
 from repro.plans import ExecutionPolicy, RunPlan, ScenarioPlan, SearchPlan
 from repro.service import SearchService
+from repro.service.executor import execute_plan
 
 TRIALS = 5
 
@@ -120,3 +127,67 @@ def test_session_still_wraps_search_events_in_run_events():
     finish = kinds.index(("finish", "search"))
     inner = [k for k, _ in kinds[start + 1:finish]]
     assert inner == ["start", "finish"]  # the shard's start/finish
+
+
+# --- the experiments' streams, pinned ---------------------------------------
+
+
+def typed_stream(plan):
+    """Every event ``execute_plan`` emits, as (class, scope, message)."""
+    events = []
+    execute_plan(plan, emit=events.append)
+    return [(type(e).__name__, e.scope, e.message) for e in events]
+
+
+def test_table1_stream_is_pinned():
+    assert typed_stream(table1_plan(trials=3)) == [
+        ("RunStarted", "table1", "session started"),
+        ("SearchStarted", "nas", "3 trials on mnist"),
+        ("SearchFinished", "nas", "3 trials"),
+        ("SearchStarted", "fnas-10ms", "3 trials on mnist"),
+        ("SearchFinished", "fnas-10ms", "3 trials"),
+        ("SearchStarted", "fnas-5ms", "3 trials on mnist"),
+        ("SearchFinished", "fnas-5ms", "3 trials"),
+        ("SearchStarted", "fnas-2ms", "3 trials on mnist"),
+        ("SearchFinished", "fnas-2ms", "4 trials"),
+        ("RunFinished", "table1", "session finished"),
+    ]
+
+
+def test_checkpointed_table1_stream_is_pinned(tmp_path):
+    plan = table1_plan(
+        trials=3, execution=ExecutionPolicy(checkpoint_dir=str(tmp_path))
+    )
+    assert typed_stream(plan) == [
+        ("RunStarted", "table1", "session started"),
+        ("SearchStarted", "mnist-pynq-z1-nas-s0", "running in-process"),
+        ("SearchFinished", "mnist-pynq-z1-nas-s0", "3 trials"),
+        ("SearchStarted", "mnist-pynq-z1-fnas10ms-s1-ss0",
+         "running in-process"),
+        ("SearchFinished", "mnist-pynq-z1-fnas10ms-s1-ss0", "3 trials"),
+        ("SearchStarted", "mnist-pynq-z1-fnas5ms-s2-ss0",
+         "running in-process"),
+        ("SearchFinished", "mnist-pynq-z1-fnas5ms-s2-ss0", "3 trials"),
+        ("SearchStarted", "mnist-pynq-z1-fnas2ms-s3-ss0",
+         "running in-process"),
+        ("SearchFinished", "mnist-pynq-z1-fnas2ms-s3-ss0", "4 trials"),
+        ("RunFinished", "table1", "session finished"),
+    ]
+
+
+def test_figure9_stream_is_pinned():
+    """One base :class:`Event` per frontier; the CLI prints ``[event]``."""
+    events = []
+    execute_plan(figure9_plan(samples=8, seed=1), emit=events.append)
+    fronts = events[1:-1]
+    assert [type(e) for e in fronts] == [Event] * 4
+    assert [e.kind for e in fronts] == ["event"] * 4
+    assert [(e.scope, e.message) for e in fronts] == [
+        ("xc7z020-ddr-wide", "separable: 4 frontier point(s) from 8 sampled"),
+        ("xc7z020-ddr-narrow",
+         "separable: 3 frontier point(s) from 8 sampled"),
+        ("xc7z020-ddr-wide", "standard: 4 frontier point(s) from 8 sampled"),
+        ("xc7z020-ddr-narrow", "standard: 3 frontier point(s) from 8 sampled"),
+    ]
+    assert [type(e).__name__ for e in (events[0], events[-1])] == [
+        "RunStarted", "RunFinished"]
