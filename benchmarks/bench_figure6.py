@@ -6,11 +6,12 @@ NAS's single architecture exceeds it by 2.54-7.81x; accuracy
 degradation stays under a point.
 """
 
-from repro.experiments.figure6 import run_figure6
+from repro.api import run_plan
+from repro.experiments.figure6 import figure6_plan
 
 
 def test_figure6(once, emit):
-    result = once(run_figure6, seed=0)
+    result = once(run_plan, figure6_plan(seed=0))
 
     emit("\n=== Figure 6 (reproduced) ===")
     emit(result.format())

@@ -5,11 +5,12 @@ search-time reduction growing as the spec tightens (peaks: 11.13x
 MNIST, 10.89x CIFAR-10, 10.38x ImageNet).
 """
 
-from repro.experiments.figure7 import run_figure7
+from repro.api import run_plan
+from repro.experiments.figure7 import figure7_plan
 
 
 def test_figure7(once, emit):
-    result = once(run_figure7, seed=0)
+    result = once(run_plan, figure7_plan(seed=0))
 
     emit("\n=== Figure 7 (reproduced) ===")
     emit(result.format())

@@ -6,8 +6,9 @@ regret of each Table 1 FNAS search against it -- how much accuracy the
 60-trial search left on the table at its own spec.
 """
 
+from repro.api import run_plan
 from repro.experiments.pareto import compute_pareto_front
-from repro.experiments.table1 import TABLE1_SPECS_MS, run_table1
+from repro.experiments.table1 import TABLE1_SPECS_MS, table1_plan
 from repro.core.search_space import SearchSpace
 from repro.configs import MNIST_CONFIG
 from repro.fpga.device import PYNQ_Z1
@@ -17,7 +18,7 @@ from repro.fpga.platform import Platform
 def run_study():
     space = SearchSpace.from_config(MNIST_CONFIG)
     front = compute_pareto_front(space, Platform.single(PYNQ_Z1))
-    table1 = run_table1(seed=0)
+    table1 = run_plan(table1_plan(seed=0))
     return front, table1
 
 

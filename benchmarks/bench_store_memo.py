@@ -51,9 +51,9 @@ def _run(plan, store):
 
     def watch(event):
         if isinstance(event, ShardCached):
-            cached.append(event.shard_id)
-        elif isinstance(event, SearchStarted) and event.shard_id != "sweep":
-            executed.append(event.shard_id)
+            cached.append(event.scope)
+        elif isinstance(event, SearchStarted) and event.scope != "sweep":
+            executed.append(event.scope)
 
     result = execute_plan(plan, emit=watch, store=store)
     return result, executed, cached

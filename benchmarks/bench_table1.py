@@ -8,11 +8,12 @@ Paper reference rows::
     FNAS  TC=2       17m07s    11.13x 1.80ms   10.94x  98.61%  -0.81%
 """
 
-from repro.experiments.table1 import run_table1
+from repro.api import run_plan
+from repro.experiments.table1 import table1_plan
 
 
 def test_table1(once, emit):
-    result = once(run_table1, seed=0)
+    result = once(run_plan, table1_plan(seed=0))
 
     emit("\n=== Table 1 (reproduced) ===")
     emit(result.format())

@@ -72,9 +72,9 @@ def run_sweep(client, plan):
     client.wait(job["job_id"], timeout=300)
     events = [event_from_dict(doc)
               for doc in client.events(job["job_id"])["events"]]
-    executed = [e.shard_id for e in events
-                if isinstance(e, SearchStarted) and e.shard_id != "sweep"]
-    cached = [e.shard_id for e in events if isinstance(e, ShardCached)]
+    executed = [e.scope for e in events
+                if isinstance(e, SearchStarted) and e.scope != "sweep"]
+    cached = [e.scope for e in events if isinstance(e, ShardCached)]
     return executed, cached
 
 

@@ -54,9 +54,9 @@ def run_sweep(service, plan):
     """Submit one sweep; returns (bytes, executed_ids, cached_ids)."""
     handle = service.submit(plan)
     blob = handle.result_bytes(timeout=600)
-    executed = [e.shard_id for e in handle.events()
-                if isinstance(e, SearchStarted) and e.shard_id != "sweep"]
-    cached = [e.shard_id for e in handle.events()
+    executed = [e.scope for e in handle.events()
+                if isinstance(e, SearchStarted) and e.scope != "sweep"]
+    cached = [e.scope for e in handle.events()
               if isinstance(e, ShardCached)]
     return blob, executed, cached
 

@@ -27,24 +27,24 @@ execution engine (:func:`repro.service.executor.execute_plan`).
 Sessions also expose a progress stream: :meth:`Session.subscribe`
 callbacks receive the typed :mod:`repro.events` records -- workload
 start/finish, per-search and per-shard events, and the service's job
-lifecycle.
+lifecycle -- in the job log's order, on the thread that called
+:meth:`Session.run`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+import threading
+from typing import Any
 
 from repro.configs import ExperimentConfig, get_config
 from repro.core.evaluator import AccuracyEvaluator, ParallelEvaluator
 from repro.core.search import FnasSearch, NasSearch, Search
 from repro.core.search_space import SearchSpace
-from repro.events import Event, legacy_event
+from repro.events import Event, EventCallback
 from repro.fpga.platform import Platform
 from repro.latency.estimator import LatencyEstimator
 from repro.plans import RunPlan, ScenarioPlan, SearchPlan
 from repro.registry import CONTROLLERS, DEVICES, ESTIMATORS, EVALUATORS
-
-ProgressCallback = Callable[[Event], None]
 
 
 # --- Component builders ----------------------------------------------------
@@ -173,7 +173,7 @@ class Session:
     def __init__(self, plan: RunPlan, evaluator: AccuracyEvaluator | None = None):
         self.plan = plan
         self._evaluator = evaluator
-        self._subscribers: list[ProgressCallback] = []
+        self._subscribers: list[EventCallback] = []
 
     @classmethod
     def from_plan(
@@ -182,33 +182,30 @@ class Session:
         """The canonical constructor: ``Session.from_plan(plan).run()``."""
         return cls(plan, evaluator=evaluator)
 
-    def subscribe(self, callback: ProgressCallback) -> ProgressCallback:
+    def subscribe(self, callback: EventCallback) -> EventCallback:
         """Register a progress callback; returns it for unsubscribing."""
         self._subscribers.append(callback)
         return callback
 
-    def unsubscribe(self, callback: ProgressCallback) -> None:
+    def unsubscribe(self, callback: EventCallback) -> None:
         """Remove a previously subscribed callback."""
         self._subscribers.remove(callback)
-
-    def emit(self, kind: str, scope: str, message: str) -> None:
-        """Deliver one string-kind event to every subscriber.
-
-        Kept from the pre-typed-events surface; builds the matching
-        typed event (:func:`repro.events.legacy_event`) and delivers
-        it in subscribe order.
-        """
-        self._deliver(legacy_event(kind, scope, message))
 
     def run(self) -> Any:
         """Execute the plan's workload and return its result object.
 
         A thin synchronous wrapper over a one-job
         :class:`~repro.service.SearchService`: the plan is submitted,
-        the session blocks on the job, progress events stream to the
-        session's subscribers, and a failed job re-raises its original
-        exception.  Result caching is off -- an interactive run always
-        executes.
+        the session blocks on the job, and a failed job re-raises its
+        original exception.  Result caching is off -- an interactive
+        run always executes.
+
+        Subscribers receive the job's events in its log's order
+        (``queued``, ``running``, the workload's events, the terminal
+        event), on the calling thread.  An exception raised while
+        waiting -- Ctrl-C's ``KeyboardInterrupt``, or one a subscriber
+        raises -- cancels the job cooperatively (it snapshots first when
+        it checkpoints) before propagating.
 
         Result types by workload: ``table1`` -> ``Table1Result``,
         ``figure6`` -> ``Figure6Result``, ``figure7`` ->
@@ -222,12 +219,27 @@ class Session:
         from repro.service import SearchService
 
         service = SearchService(workers=1, cache_results=False)
-        service.bus.subscribe(self._deliver)
+        wake = threading.Event()
+        service.add_job_listener(lambda job_id: wake.set())
         try:
             handle = service.submit(self.plan, evaluator=self._evaluator)
-            return handle.result()
+            seen = 0
+            while True:
+                # State before events: the service appends a job's last
+                # events and makes it terminal under one lock hold, so
+                # a terminal state read here means the read below
+                # returns the whole log.
+                state = handle.state
+                events = handle.events(since=seen)
+                seen += len(events)
+                for event in events:
+                    self._deliver(event)
+                if state not in ("queued", "running"):
+                    return handle.result()
+                wake.wait(0.1)
+                wake.clear()
         finally:
-            service.shutdown(wait=True)
+            service.shutdown(wait=True, cancel_running=True)
 
     # -- internals -----------------------------------------------------------
 
@@ -241,25 +253,3 @@ def run_plan(plan: RunPlan, evaluator: AccuracyEvaluator | None = None) -> Any:
     """One-call convenience: ``Session.from_plan(plan).run()``."""
     return Session.from_plan(plan, evaluator=evaluator).run()
 
-
-def resolve_execution(
-    batch_size: int = 1,
-    eval_workers: int | None = None,
-    shard_workers: int = 1,
-    checkpoint_dir: Any = None,
-    checkpoint_every: int | None = None,
-) -> "ExecutionPolicy":
-    """The :class:`ExecutionPolicy` of a kwarg entry point's arguments.
-
-    ``eval_workers=None`` means 1 and ``checkpoint_dir`` may be any
-    path-like; the experiments' ``run_*`` functions lower through this.
-    """
-    from repro.plans import ExecutionPolicy
-
-    return ExecutionPolicy(
-        batch_size=batch_size,
-        eval_workers=1 if eval_workers is None else eval_workers,
-        shard_workers=shard_workers,
-        checkpoint_dir=None if checkpoint_dir is None else str(checkpoint_dir),
-        checkpoint_every=checkpoint_every,
-    )

@@ -51,26 +51,20 @@ def register_event(cls: type["Event"]) -> type["Event"]:
 class Event:
     """Base progress event: a kind, a scope and a message.
 
-    ``kind`` is a class-level discriminator kept for backward
-    compatibility with the string-kind era (``"start"``, ``"finish"``,
-    ``"requeue"``, ...); ``type_tag`` names the concrete class in
-    serialized form.  ``scope`` names what the event is about -- a
-    workload, a search/shard id, or a job id -- and is also exposed as
-    :attr:`shard_id` for campaign-era callers.
+    ``kind`` is the short class-level label the CLI prints
+    (``[start]``, ``[finish]``, ``[requeue]``, ...) and the wire form
+    carries; ``type_tag`` names the concrete class in serialized form.
+    ``scope`` names what the event is about -- a workload, a
+    search/shard id, or a job id.
     """
 
     scope: str = ""
     message: str = ""
 
-    #: String kind, the pre-typed-events discriminator.
+    #: Short label: the CLI's ``[kind]`` prefix and the wire ``kind`` key.
     kind: ClassVar[str] = "event"
     #: Serialization tag identifying the concrete class.
     type_tag: ClassVar[str] = "event"
-
-    @property
-    def shard_id(self) -> str:
-        """Campaign-era alias for :attr:`scope`."""
-        return self.scope
 
     def to_dict(self) -> dict[str, Any]:
         """Lossless plain-dict form (JSON-compatible).
@@ -194,30 +188,6 @@ class ShardCached(Event):
 
     kind: ClassVar[str] = "cache-hit"
     type_tag: ClassVar[str] = "shard-cached"
-
-
-#: Map from string kinds to the search/campaign event classes -- the
-#: adapter between ``emit(kind, scope, message)`` call sites and typed
-#: events (:func:`legacy_event`).
-_KIND_TO_CLASS: dict[str, type[Event]] = {
-    "start": SearchStarted,
-    "finish": SearchFinished,
-    "requeue": ShardRequeued,
-    "fallback": PoolFallback,
-}
-
-
-def legacy_event(kind: str, scope: str, message: str) -> Event:
-    """Typed event for an ``emit(kind, scope, message)``-era call.
-
-    Unrecognised kinds fall back to the base :class:`Event` so old
-    emitters keep working; the four campaign kinds map onto their
-    typed classes.
-    """
-    cls = _KIND_TO_CLASS.get(kind)
-    if cls is None:
-        return Event(scope=scope, message=message)
-    return cls(scope=scope, message=message)
 
 
 # --- service job events -----------------------------------------------------

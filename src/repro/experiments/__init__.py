@@ -15,8 +15,18 @@ from repro.experiments.ablation import (
     run_pruning_ablation,
     run_reuse_ablation,
 )
-from repro.experiments.figure6 import Figure6Bar, Figure6Result, run_figure6
-from repro.experiments.figure7 import Figure7Point, Figure7Result, run_figure7
+from repro.experiments.figure6 import (
+    Figure6Bar,
+    Figure6Result,
+    figure6_plan,
+    run_figure6_plan,
+)
+from repro.experiments.figure7 import (
+    Figure7Point,
+    Figure7Result,
+    figure7_plan,
+    run_figure7_plan,
+)
 from repro.experiments.figure8 import (
     Figure8Point,
     Figure8Result,
@@ -29,8 +39,13 @@ from repro.experiments.pareto import (
     compute_pareto_front,
 )
 from repro.experiments.reporting import format_minutes, format_table, improvement
-from repro.experiments.runner import PairedSearchOutcome, run_paired_search
-from repro.experiments.table1 import Table1Result, Table1Row, run_table1
+from repro.experiments.runner import PairedSearchOutcome, run_paired_plan
+from repro.experiments.table1 import (
+    Table1Result,
+    Table1Row,
+    run_table1_plan,
+    table1_plan,
+)
 
 __all__ = [
     "PruningAblationResult",
@@ -49,10 +64,12 @@ __all__ = [
     "get_config",
     "Figure6Bar",
     "Figure6Result",
-    "run_figure6",
+    "figure6_plan",
+    "run_figure6_plan",
     "Figure7Point",
     "Figure7Result",
-    "run_figure7",
+    "figure7_plan",
+    "run_figure7_plan",
     "Figure8Point",
     "Figure8Result",
     "figure8_architectures",
@@ -61,8 +78,9 @@ __all__ = [
     "format_table",
     "improvement",
     "PairedSearchOutcome",
-    "run_paired_search",
+    "run_paired_plan",
     "Table1Result",
     "Table1Row",
-    "run_table1",
+    "run_table1_plan",
+    "table1_plan",
 ]

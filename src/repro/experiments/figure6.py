@@ -16,15 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.api import resolve_execution
 from repro.core.evaluator import AccuracyEvaluator
+from repro.events import EventCallback
 from repro.experiments.configs import MNIST_CONFIG
 from repro.experiments.reporting import format_minutes, format_table
-from repro.experiments.runner import (
-    EmitFn,
-    PairedSearchOutcome,
-    run_paired_plan,
-)
+from repro.experiments.runner import PairedSearchOutcome, run_paired_plan
 from repro.fpga.device import XC7A50T, XC7Z020, FpgaDevice, get_device
 from repro.fpga.platform import Platform
 from repro.plans import RunPlan, ScenarioPlan, SearchPlan
@@ -121,7 +117,7 @@ def run_figure6_plan(
     plan: RunPlan,
     evaluator: AccuracyEvaluator | None = None,
     devices: tuple[FpgaDevice, ...] | None = None,
-    emit: EmitFn | None = None,
+    emit: EventCallback | None = None,
     should_stop=None,
 ) -> Figure6Result:
     """Regenerate Figure 6 from its declarative plan.
@@ -181,39 +177,3 @@ def run_figure6_plan(
                 )
             )
     return Figure6Result(bars=bars, outcomes=outcomes)
-
-
-def run_figure6(
-    trials: int | None = None,
-    seed: int = 0,
-    devices: tuple[FpgaDevice, ...] = (XC7Z020, XC7A50T),
-    evaluator: AccuracyEvaluator | None = None,
-    batch_size: int = 1,
-    *,
-    shard_workers: int = 1,
-    eval_workers: int | None = None,
-    checkpoint_dir: str | None = None,
-    checkpoint_every: int | None = None,
-) -> Figure6Result:
-    """Kwarg entry point over the plan API.
-
-    Lowers the arguments onto :func:`figure6_plan` and runs the
-    plan-native core, forwarding the live device objects so
-    non-catalog devices keep working.
-    """
-    from repro.registry import DEVICES
-
-    catalog = tuple(d.name for d in devices if d.name in DEVICES)
-    plan = figure6_plan(
-        trials=trials,
-        seed=seed,
-        devices=catalog if len(catalog) == len(devices) else FIGURE6_DEVICES,
-        execution=resolve_execution(
-            batch_size=batch_size,
-            eval_workers=eval_workers,
-            shard_workers=shard_workers,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every=checkpoint_every,
-        ),
-    )
-    return run_figure6_plan(plan, evaluator=evaluator, devices=tuple(devices))

@@ -18,15 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.api import resolve_execution
 from repro.core.evaluator import AccuracyEvaluator
+from repro.events import EventCallback
 from repro.experiments.configs import get_config
 from repro.experiments.reporting import format_table, improvement
-from repro.experiments.runner import (
-    EmitFn,
-    PairedSearchOutcome,
-    run_paired_plan,
-)
+from repro.experiments.runner import PairedSearchOutcome, run_paired_plan
 from repro.fpga.device import XC7Z020, XCZU9EG
 from repro.fpga.platform import Platform
 from repro.plans import RunPlan, ScenarioPlan, SearchPlan
@@ -109,7 +105,7 @@ class Figure7Result:
 def run_figure7_plan(
     plan: RunPlan,
     evaluator: AccuracyEvaluator | None = None,
-    emit: EmitFn | None = None,
+    emit: EventCallback | None = None,
     should_stop=None,
 ) -> Figure7Result:
     """Regenerate Figure 7 from its declarative plan.
@@ -165,37 +161,3 @@ def run_figure7_plan(
                 )
             )
     return Figure7Result(points=points, outcomes=outcomes)
-
-
-def run_figure7(
-    datasets: tuple[str, ...] = ("mnist", "cifar10", "imagenet"),
-    trials: int | None = None,
-    seed: int = 0,
-    evaluator: AccuracyEvaluator | None = None,
-    batch_size: int = 1,
-    *,
-    shard_workers: int = 1,
-    eval_workers: int | None = None,
-    checkpoint_dir: str | None = None,
-    checkpoint_every: int | None = None,
-) -> Figure7Result:
-    """Kwarg entry point over the plan API.
-
-    Lowers the arguments onto :func:`figure7_plan` and runs it through
-    :class:`repro.api.Session`.
-    """
-    from repro.api import Session
-
-    plan = figure7_plan(
-        trials=trials,
-        seed=seed,
-        datasets=tuple(datasets),
-        execution=resolve_execution(
-            batch_size=batch_size,
-            eval_workers=eval_workers,
-            shard_workers=shard_workers,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every=checkpoint_every,
-        ),
-    )
-    return Session.from_plan(plan, evaluator=evaluator).run()

@@ -25,6 +25,7 @@ from typing import Any
 
 from repro.core.evaluator import AccuracyEvaluator, SurrogateAccuracyEvaluator
 from repro.core.search_space import SearchSpace
+from repro.events import Event, EventCallback
 from repro.experiments.configs import MOBILENET_CONFIG
 from repro.experiments.pareto import ParetoFront, compute_pareto_front
 from repro.experiments.reporting import format_table
@@ -150,7 +151,7 @@ def run_figure9_plan(
     plan: RunPlan,
     evaluator: AccuracyEvaluator | None = None,
     devices: tuple[FpgaDevice, ...] | None = None,
-    emit=None,
+    emit: EventCallback | None = None,
     should_stop=None,
 ) -> Figure9Result:
     """Regenerate Figure 9 from its declarative plan.
@@ -160,7 +161,8 @@ def run_figure9_plan(
     Each family gets its own surrogate landscape (the spaces differ),
     but within a family the same architectures are scored on both
     devices, so latency shifts -- not sampling noise -- move the
-    frontiers apart.
+    frontiers apart.  ``emit`` receives one base
+    :class:`~repro.events.Event` per frontier, scoped to its device.
     """
     if devices is None:
         names = plan.scenario.devices or FIGURE9_DEVICES
@@ -186,22 +188,10 @@ def run_figure9_plan(
                 seed=seed,
             )
             if emit is not None:
-                emit("pareto", device.name,
-                     f"{family}: {len(front.points)} frontier point(s) "
-                     f"from {front.evaluated_count} sampled")
+                emit(Event(device.name,
+                           f"{family}: {len(front.points)} frontier "
+                           f"point(s) from {front.evaluated_count} sampled"))
             curves.append(
                 Figure9Curve(device=device.name, family=family, front=front)
             )
     return Figure9Result(curves=curves, devices=tuple(d.name for d in devices))
-
-
-def run_figure9(
-    samples: int | None = None,
-    seed: int = 0,
-    devices: tuple[FpgaDevice, ...] | None = None,
-) -> Figure9Result:
-    """Legacy kwarg entry point over the plan API."""
-    live = (tuple(get_device(name) for name in FIGURE9_DEVICES)
-            if devices is None else tuple(devices))
-    plan = figure9_plan(samples=samples, seed=seed, devices=FIGURE9_DEVICES)
-    return run_figure9_plan(plan, devices=live)

@@ -16,12 +16,11 @@ import io
 import time
 from typing import Any
 
-from repro.api import resolve_execution
+from repro.events import EventCallback
 from repro.experiments.ablation import run_pruning_ablation, run_reuse_ablation
 from repro.experiments.figure6 import figure6_plan, run_figure6_plan
 from repro.experiments.figure7 import figure7_plan, run_figure7_plan
 from repro.experiments.figure8 import run_figure8
-from repro.experiments.runner import EmitFn
 from repro.experiments.table1 import run_table1_plan, table1_plan
 from repro.plans import RunPlan, SearchPlan
 
@@ -42,7 +41,8 @@ def report_plan(
     )
 
 
-def generate_report_plan(plan: RunPlan, emit: EmitFn | None = None) -> str:
+def generate_report_plan(plan: RunPlan,
+                         emit: EventCallback | None = None) -> str:
     """Run everything the plan describes and return the markdown text.
 
     The plan-native core: :class:`repro.api.Session` dispatches
@@ -99,34 +99,3 @@ def generate_report_plan(plan: RunPlan, emit: EmitFn | None = None) -> str:
 
     write(f"_generated in {time.perf_counter() - started:.1f}s_\n")
     return out.getvalue()
-
-
-def generate_report(
-    trials: int | None = None,
-    seed: int = 0,
-    batch_size: int = 1,
-    *,
-    shard_workers: int = 1,
-    eval_workers: int | None = None,
-    checkpoint_dir: str | None = None,
-    checkpoint_every: int | None = None,
-) -> str:
-    """Kwarg entry point over the plan API.
-
-    Lowers the arguments onto :func:`report_plan` and runs it through
-    :class:`repro.api.Session`.
-    """
-    from repro.api import Session
-
-    plan = report_plan(
-        trials=trials,
-        seed=seed,
-        execution=resolve_execution(
-            batch_size=batch_size,
-            eval_workers=eval_workers,
-            shard_workers=shard_workers,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every=checkpoint_every,
-        ),
-    )
-    return Session.from_plan(plan).run()

@@ -16,8 +16,10 @@ evaluation workers, checkpointing, shard fan-out) from
   interrupted searches.  Both modes produce identical trial ledgers
   (pinned by tests), so campaign mode is purely an execution policy.
 
-:func:`run_paired_search` is the kwarg entry point: it lowers its
-arguments onto a plan and calls the engine.
+Progress goes to an :data:`~repro.events.EventCallback` as typed
+events: ``SearchStarted``/``SearchFinished`` per search in-process, and
+the campaign runtime's own events, forwarded unchanged, in campaign
+mode.
 """
 
 from __future__ import annotations
@@ -33,19 +35,15 @@ from repro.api import (
     build_estimator,
     build_evaluator,
     landscape_seed,
-    resolve_execution,
 )
 from repro.core.evaluator import AccuracyEvaluator, ParallelEvaluator
 from repro.core.search import FnasSearch, NasSearch, SearchResult
 from repro.core.search_space import SearchSpace
+from repro.events import Event, EventCallback, SearchFinished, SearchStarted
 from repro.experiments.configs import ExperimentConfig, get_config
 from repro.fpga.device import DEVICE_CATALOG
 from repro.fpga.platform import Platform
-from repro.plans import RunPlan, ScenarioPlan, SearchPlan, spec_key
-
-#: Signature of the progress emitter threaded through the engine
-#: (kind, scope, message) -- :meth:`repro.api.Session.emit` satisfies it.
-EmitFn = Callable[[str, str, str], None]
+from repro.plans import RunPlan, SearchPlan, spec_key
 
 
 @dataclass
@@ -137,7 +135,7 @@ def run_paired_plan(
     platform: Platform | None = None,
     specs_ms: list[float] | None = None,
     evaluator: AccuracyEvaluator | None = None,
-    emit: EmitFn | None = None,
+    emit: EventCallback | None = None,
     should_stop: Callable[[], bool] | None = None,
 ) -> PairedSearchOutcome:
     """Run NAS once and FNAS once per timing spec on one dataset/platform.
@@ -152,7 +150,7 @@ def run_paired_plan(
     from ``plan.search.seed``) so runs are independent, reproducible
     and comparable -- the protocol behind Table 1 and Figures 6/7.
     ``evaluator`` overrides the plan's evaluator key with a live
-    instance (in-process mode only).  ``emit`` receives per-search
+    instance (in-process mode only).  ``emit`` receives the typed
     progress events.  ``should_stop`` cancels cooperatively between
     trials (:class:`~repro.core.search.SearchCancelled`; snapshots
     first when the execution policy checkpoints).
@@ -190,12 +188,12 @@ def run_paired_plan(
         )
     estimator = build_estimator(search_plan, platform)
 
-    def _notify(kind: str, name: str, message: str) -> None:
+    def _notify(event: Event) -> None:
         if emit is not None:
-            emit(kind, name, message)
+            emit(event)
 
     try:
-        _notify("start", "nas", f"{n_trials} trials on {dataset}")
+        _notify(SearchStarted("nas", f"{n_trials} trials on {dataset}"))
         nas = NasSearch(
             space,
             evaluator,
@@ -204,12 +202,12 @@ def run_paired_plan(
         ).run(n_trials, np.random.default_rng(seed),
               batch_size=plan.execution.batch_size,
               should_stop=should_stop)
-        _notify("finish", "nas", f"{len(nas.trials)} trials")
+        _notify(SearchFinished("nas", f"{len(nas.trials)} trials"))
 
         fnas_results: dict[float, SearchResult] = {}
         for offset, spec in enumerate(specs_ms, start=1):
             name = f"fnas-{spec_key(spec)}ms"
-            _notify("start", name, f"{n_trials} trials on {dataset}")
+            _notify(SearchStarted(name, f"{n_trials} trials on {dataset}"))
             search = FnasSearch(
                 space,
                 evaluator,
@@ -223,77 +221,13 @@ def run_paired_plan(
                 batch_size=plan.execution.batch_size,
                 should_stop=should_stop,
             )
-            _notify("finish", name, f"{len(fnas_results[spec].trials)} trials")
+            _notify(SearchFinished(
+                name, f"{len(fnas_results[spec].trials)} trials"))
     finally:
         if pool is not None:
             pool.close()
     return PairedSearchOutcome(
         config=config, platform=platform, nas=nas, fnas=fnas_results
-    )
-
-
-def run_paired_search(
-    dataset: str,
-    platform: Platform,
-    specs_ms: list[float],
-    trials: int | None = None,
-    seed: int = 0,
-    evaluator: AccuracyEvaluator | None = None,
-    batch_size: int = 1,
-    *,
-    shard_workers: int = 1,
-    eval_workers: int | None = None,
-    checkpoint_dir: str | None = None,
-    checkpoint_every: int | None = None,
-) -> PairedSearchOutcome:
-    """Kwarg entry point over the plan API.
-
-    Lowers its arguments onto a :class:`~repro.plans.RunPlan` and calls
-    :func:`run_paired_plan`; prefer building the plan yourself and
-    running it through :class:`repro.api.Session`.  The execution
-    keywords are named after :class:`~repro.plans.ExecutionPolicy`
-    fields (``eval_workers``, ``checkpoint_dir``, ...).
-    """
-    execution = resolve_execution(
-        batch_size=batch_size,
-        eval_workers=eval_workers,
-        shard_workers=shard_workers,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_every=checkpoint_every,
-    )
-    plan = RunPlan(
-        workload="paired",
-        search=SearchPlan(seed=seed, trials=trials),
-        execution=execution,
-        scenario=_scenario_for(dataset, platform, specs_ms),
-    )
-    return run_paired_plan(
-        plan, dataset=dataset, platform=platform, specs_ms=list(specs_ms),
-        evaluator=evaluator,
-    )
-
-
-def _scenario_for(
-    dataset: str, platform: Platform, specs_ms: list[float]
-) -> ScenarioPlan:
-    """Best-effort scenario for a legacy call (documents the run).
-
-    Non-catalog platforms cannot be named by plan data; the scenario
-    then records no device and the engine uses the explicit platform
-    object.
-    """
-    names = {d.name for d in platform.devices}
-    devices: tuple[str, ...] = ()
-    boards = 1
-    if len(names) == 1 and next(iter(names)) in DEVICE_CATALOG:
-        devices = (next(iter(names)),)
-        boards = len(platform.devices)
-    return ScenarioPlan(
-        datasets=(dataset,),
-        devices=devices,
-        boards=boards,
-        specs_ms=tuple(specs_ms),
-        include_nas=True,
     )
 
 
@@ -325,7 +259,7 @@ def _run_paired_campaign(
     platform: Platform,
     specs_ms: list[float],
     evaluator: AccuracyEvaluator | None,
-    emit: EmitFn | None,
+    emit: EventCallback | None,
     should_stop: Callable[[], bool] | None = None,
 ) -> PairedSearchOutcome:
     """Campaign-mode body of :func:`run_paired_plan`.
@@ -367,15 +301,11 @@ def _run_paired_campaign(
         shards.append(
             ShardSpec(kind="fnas", spec_ms=spec, seed=seed + offset, **common)
         )
-    progress = None
-    if emit is not None:
-        def progress(event):
-            emit(event.kind, event.shard_id, event.message)
     outcome = Campaign(
         shards,
         checkpoint_dir=plan.execution.checkpoint_dir,
         checkpoint_every=plan.execution.checkpoint_every,
-        progress=progress,
+        progress=emit,
     ).run(max_workers=plan.execution.shard_workers,
           should_stop=should_stop)
     nas = outcome.outcomes[0].result

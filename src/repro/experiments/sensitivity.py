@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.api import run_plan
 from repro.experiments.reporting import format_table
-from repro.experiments.table1 import TABLE1_SPECS_MS, run_table1
+from repro.experiments.table1 import TABLE1_SPECS_MS, table1_plan
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,8 @@ def run_sensitivity(
         spec: {"speedup": [], "deg": [], "meets": []} for spec in specs_ms
     }
     for seed in seeds:
-        table = run_table1(trials=trials, seed=seed, specs_ms=specs_ms)
+        table = run_plan(
+            table1_plan(trials=trials, seed=seed, specs_ms=specs_ms))
         for row in table.rows[1:]:
             bucket = per_spec[row.spec_ms]
             bucket["speedup"].append(row.elapsed_improvement)

@@ -15,14 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.api import build_platform, resolve_execution
+from repro.api import build_platform
 from repro.core.evaluator import AccuracyEvaluator
+from repro.events import EventCallback
 from repro.experiments.reporting import format_minutes, format_table, improvement
-from repro.experiments.runner import (
-    EmitFn,
-    PairedSearchOutcome,
-    run_paired_plan,
-)
+from repro.experiments.runner import PairedSearchOutcome, run_paired_plan
 from repro.plans import RunPlan, ScenarioPlan, SearchPlan
 
 #: The paper's three timing specifications for Table 1 (ms).
@@ -100,7 +97,7 @@ class Table1Result:
 def run_table1_plan(
     plan: RunPlan,
     evaluator: AccuracyEvaluator | None = None,
-    emit: EmitFn | None = None,
+    emit: EventCallback | None = None,
     should_stop=None,
 ) -> Table1Result:
     """Regenerate Table 1 from its declarative plan.
@@ -156,39 +153,3 @@ def run_table1_plan(
             )
         )
     return Table1Result(rows=rows, outcome=outcome)
-
-
-def run_table1(
-    trials: int | None = None,
-    seed: int = 0,
-    specs_ms: tuple[float, ...] = TABLE1_SPECS_MS,
-    evaluator: AccuracyEvaluator | None = None,
-    batch_size: int = 1,
-    *,
-    shard_workers: int = 1,
-    eval_workers: int | None = None,
-    checkpoint_dir: str | None = None,
-    checkpoint_every: int | None = None,
-) -> Table1Result:
-    """Kwarg entry point over the plan API.
-
-    Lowers the arguments onto :func:`table1_plan` and runs it through
-    :class:`repro.api.Session`; a checkpoint directory and/or
-    ``shard_workers > 1`` run the four searches as a resumable
-    campaign.
-    """
-    from repro.api import Session
-
-    plan = table1_plan(
-        trials=trials,
-        seed=seed,
-        specs_ms=specs_ms,
-        execution=resolve_execution(
-            batch_size=batch_size,
-            eval_workers=eval_workers,
-            shard_workers=shard_workers,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every=checkpoint_every,
-        ),
-    )
-    return Session.from_plan(plan, evaluator=evaluator).run()

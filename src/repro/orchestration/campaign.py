@@ -40,12 +40,13 @@ import time
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from repro.core.search import SearchCancelled, SearchResult
 from repro.core.serialization import atomic_write_json, search_result_to_dict
 from repro.events import (
     Event,
+    EventCallback,
     PoolFallback,
     SearchFinished,
     SearchStarted,
@@ -62,8 +63,6 @@ from repro.orchestration.shards import (
 
 #: Campaign artifact schema tag.
 CAMPAIGN_SCHEMA = 1
-
-ProgressCallback = Callable[[Event], None]
 
 
 @dataclass
@@ -264,7 +263,7 @@ class Campaign:
         checkpoint_dir: str | Path | None = None,
         checkpoint_every: int | None = None,
         max_pool_restarts: int = 2,
-        progress: ProgressCallback | None = None,
+        progress: EventCallback | None = None,
         store: Any = None,
         batch_trials: int | None = None,
         pool: Any = None,
@@ -667,7 +666,7 @@ def run_campaign(
     max_workers: int = 1,
     checkpoint_dir: str | Path | None = None,
     checkpoint_every: int | None = None,
-    progress: ProgressCallback | None = None,
+    progress: EventCallback | None = None,
     store: Any = None,
     batch_trials: int | None = None,
     pool: Any = None,

@@ -21,7 +21,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.events import Event, RunFinished, RunStarted, SearchStarted, legacy_event
+from repro.events import Event, EventCallback, RunFinished, RunStarted, SearchStarted
 from repro.plans import RunPlan
 
 #: Workloads whose in-process engine accepts a live evaluator override
@@ -47,7 +47,7 @@ def check_evaluator_override(plan: RunPlan, evaluator: Any) -> None:
 
 def execute_plan(
     plan: RunPlan,
-    emit: Callable[[Event], None] | None = None,
+    emit: EventCallback | None = None,
     evaluator: Any = None,
     should_stop: Callable[[], bool] | None = None,
     fallback_checkpoint_dir: str | None = None,
@@ -94,9 +94,6 @@ def execute_plan(
         if emit is not None:
             emit(event)
 
-    def publish_legacy(kind: str, scope: str, message: str) -> None:
-        publish(legacy_event(kind, scope, message))
-
     if should_stop is not None and should_stop():
         from repro.core.search import SearchCancelled
 
@@ -104,7 +101,7 @@ def execute_plan(
     workload = plan.workload
     publish(RunStarted(workload, "session started"))
     runner = _WORKLOAD_RUNNERS[workload]
-    result = runner(plan, publish, publish_legacy, evaluator, should_stop,
+    result = runner(plan, publish, evaluator, should_stop,
                     fallback_checkpoint_dir, store)
     publish(RunFinished(workload, "session finished"))
     return result
@@ -113,34 +110,34 @@ def execute_plan(
 # -- workload runners --------------------------------------------------------
 
 
-def _run_table1(plan, publish, legacy, evaluator, should_stop,
+def _run_table1(plan, publish, evaluator, should_stop,
                 fallback_dir, store):
     """Table 1 workload body."""
     from repro.experiments.table1 import run_table1_plan
 
-    return run_table1_plan(plan, evaluator=evaluator, emit=legacy,
+    return run_table1_plan(plan, evaluator=evaluator, emit=publish,
                            should_stop=should_stop)
 
 
-def _run_figure6(plan, publish, legacy, evaluator, should_stop,
+def _run_figure6(plan, publish, evaluator, should_stop,
                  fallback_dir, store):
     """Figure 6 workload body."""
     from repro.experiments.figure6 import run_figure6_plan
 
-    return run_figure6_plan(plan, evaluator=evaluator, emit=legacy,
+    return run_figure6_plan(plan, evaluator=evaluator, emit=publish,
                             should_stop=should_stop)
 
 
-def _run_figure7(plan, publish, legacy, evaluator, should_stop,
+def _run_figure7(plan, publish, evaluator, should_stop,
                  fallback_dir, store):
     """Figure 7 workload body."""
     from repro.experiments.figure7 import run_figure7_plan
 
-    return run_figure7_plan(plan, evaluator=evaluator, emit=legacy,
+    return run_figure7_plan(plan, evaluator=evaluator, emit=publish,
                             should_stop=should_stop)
 
 
-def _run_figure8(plan, publish, legacy, evaluator, should_stop,
+def _run_figure8(plan, publish, evaluator, should_stop,
                  fallback_dir, store):
     """Figure 8 workload body."""
     from repro.experiments.figure8 import run_figure8
@@ -148,15 +145,15 @@ def _run_figure8(plan, publish, legacy, evaluator, should_stop,
     return run_figure8()
 
 
-def _run_figure9(plan, publish, legacy, evaluator, should_stop,
+def _run_figure9(plan, publish, evaluator, should_stop,
                  fallback_dir, store):
     """Figure 9 workload body (conv-type Pareto fronts, DRAM devices)."""
     from repro.experiments.figure9 import run_figure9_plan
 
-    return run_figure9_plan(plan, emit=legacy, should_stop=should_stop)
+    return run_figure9_plan(plan, emit=publish, should_stop=should_stop)
 
 
-def _run_ablations(plan, publish, legacy, evaluator, should_stop,
+def _run_ablations(plan, publish, evaluator, should_stop,
                    fallback_dir, store):
     """Ablation-study workload body."""
     from repro.experiments.ablation import (
@@ -173,18 +170,18 @@ def _run_ablations(plan, publish, legacy, evaluator, should_stop,
     return reuse, pruning
 
 
-def _run_report(plan, publish, legacy, evaluator, should_stop,
+def _run_report(plan, publish, evaluator, should_stop,
                 fallback_dir, store):
     """Report workload body (writes ``plan.output`` when set)."""
     from repro.experiments.report import generate_report_plan
 
-    text = generate_report_plan(plan, emit=legacy)
+    text = generate_report_plan(plan, emit=publish)
     if plan.output is not None:
         Path(plan.output).write_text(text)
     return text
 
 
-def _run_sweep(plan, publish, legacy, evaluator, should_stop,
+def _run_sweep(plan, publish, evaluator, should_stop,
                fallback_dir, store):
     """Sweep workload body: the full campaign runtime."""
     from repro.orchestration import (
@@ -212,16 +209,16 @@ def _run_sweep(plan, publish, legacy, evaluator, should_stop,
     return result
 
 
-def _run_paired(plan, publish, legacy, evaluator, should_stop,
+def _run_paired(plan, publish, evaluator, should_stop,
                 fallback_dir, store):
     """Paired NAS+FNAS workload body."""
     from repro.experiments.runner import run_paired_plan
 
-    return run_paired_plan(plan, evaluator=evaluator, emit=legacy,
+    return run_paired_plan(plan, evaluator=evaluator, emit=publish,
                            should_stop=should_stop)
 
 
-def _run_search(plan, publish, legacy, evaluator, should_stop,
+def _run_search(plan, publish, evaluator, should_stop,
                 fallback_dir, store):
     """Single-search workload body: a one-shard campaign.
 

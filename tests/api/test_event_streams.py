@@ -8,7 +8,8 @@ checkpointed (sharded-runtime) variants.
 
 The experiment workloads' streams are pinned too: the exact
 ``(class, scope, message)`` sequence :func:`execute_plan` emits for
-Table 1 (in-process and checkpointed) and Figure 9.
+Table 1 (in-process and checkpointed) and Figure 9, and a checkpointed
+paired run forwards its campaign's events as the very same objects.
 """
 
 import dataclasses
@@ -16,7 +17,7 @@ import dataclasses
 import pytest
 
 from repro.api import Session
-from repro.events import Event, SearchFinished, SearchStarted
+from repro.events import Event, SearchFinished, SearchStarted, ShardCached
 from repro.experiments.figure9 import figure9_plan
 from repro.experiments.table1 import table1_plan
 from repro.orchestration import Campaign, ShardSpec
@@ -191,3 +192,29 @@ def test_figure9_stream_is_pinned():
     ]
     assert [type(e).__name__ for e in (events[0], events[-1])] == [
         "RunStarted", "RunFinished"]
+
+
+def test_checkpointed_paired_run_forwards_campaign_events(tmp_path,
+                                                          monkeypatch):
+    """Campaign events reach ``execute_plan``'s caller unchanged."""
+    import repro.orchestration
+
+    planted = ShardCached("planted-shard", "served from the store",
+                          plan_hash="ab" * 32)
+
+    class PlantingCampaign(Campaign):
+        def run(self, *args, **kwargs):
+            self._publish(planted)
+            return super().run(*args, **kwargs)
+
+    monkeypatch.setattr(repro.orchestration, "Campaign", PlantingCampaign)
+    plan = RunPlan(
+        workload="paired",
+        search=SearchPlan(trials=3),
+        execution=ExecutionPolicy(checkpoint_dir=str(tmp_path)),
+        scenario=ScenarioPlan(datasets=("mnist",), devices=("pynq-z1",),
+                              specs_ms=(5.0,), include_nas=True),
+    )
+    events = []
+    execute_plan(plan, emit=events.append)
+    assert any(event is planted for event in events)

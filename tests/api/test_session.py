@@ -1,12 +1,15 @@
-"""Session facade: plan-driven runs must equal the legacy kwarg paths.
+"""Session facade: one plan, one ledger, however it travels or runs.
 
-The golden-ledger acceptance criterion of the RunPlan redesign: for
-table1 and sweep, a run built from a plan (including one that went
-through a JSON round-trip, as ``--dump-plan`` / ``repro run`` do) must
-produce trial ledgers byte-identical to the legacy kwarg entry points.
+The golden-ledger acceptance criterion of the RunPlan redesign: a plan
+that went through a JSON round-trip (as ``--dump-plan`` / ``repro run``
+do) must produce trial ledgers byte-identical to the plan it came from,
+a checkpointed table1 run must match the in-process one, and a sweep
+plan must match the campaign built from its shard grid.
 """
 
+import importlib
 import json
+import threading
 
 import pytest
 
@@ -29,29 +32,37 @@ def ledger_bytes(result) -> bytes:
     return json.dumps(payload, sort_keys=True).encode()
 
 
-class TestTable1Equivalence:
-    def test_plan_run_matches_legacy_kwargs(self):
-        from repro.experiments.table1 import run_table1, table1_plan
+def assert_same_ledgers(mine, theirs):
+    """Two paired outcomes hold byte-identical NAS and FNAS ledgers."""
+    assert ledger_bytes(mine.nas) == ledger_bytes(theirs.nas)
+    assert sorted(mine.fnas) == sorted(theirs.fnas)
+    for spec, result in theirs.fnas.items():
+        assert ledger_bytes(mine.fnas_for(spec)) == ledger_bytes(result)
 
-        legacy = run_table1(trials=TRIALS, seed=1)
+
+class TestTable1Equivalence:
+    def test_replayed_plan_matches_the_plan(self):
+        from repro.experiments.table1 import table1_plan
+
         plan = table1_plan(trials=TRIALS, seed=1)
+        direct = run_plan(plan)
         # The JSON round-trip is part of the contract: --dump-plan then
         # `repro run` must reproduce the run exactly.
-        replayed = RunPlan.from_json(plan.to_json())
-        planned = Session.from_plan(replayed).run()
-        assert ledger_bytes(planned.outcome.nas) == \
-            ledger_bytes(legacy.outcome.nas)
-        assert sorted(planned.outcome.fnas) == sorted(legacy.outcome.fnas)
-        for spec, result in legacy.outcome.fnas.items():
-            assert ledger_bytes(planned.outcome.fnas_for(spec)) == \
-                ledger_bytes(result)
+        replayed = Session.from_plan(RunPlan.from_json(plan.to_json())).run()
+        assert_same_ledgers(replayed.outcome, direct.outcome)
+        assert replayed.rows == direct.rows
 
-    def test_rows_match_legacy(self):
-        from repro.experiments.table1 import run_table1, table1_plan
+    def test_checkpointed_run_matches_in_process(self, tmp_path):
+        from repro.experiments.table1 import table1_plan
 
-        legacy = run_table1(trials=TRIALS, seed=0)
-        planned = run_plan(table1_plan(trials=TRIALS, seed=0))
-        assert planned.rows == legacy.rows
+        in_process = run_plan(table1_plan(trials=TRIALS, seed=0))
+        checkpointed = run_plan(table1_plan(
+            trials=TRIALS, seed=0,
+            execution=ExecutionPolicy(checkpoint_dir=str(tmp_path)),
+        ))
+        assert list(tmp_path.glob("*.checkpoint.json"))
+        assert_same_ledgers(checkpointed.outcome, in_process.outcome)
+        assert checkpointed.rows == in_process.rows
 
 
 class TestSweepEquivalence:
@@ -161,6 +172,61 @@ class TestSessionEvents:
         session.run()
         assert events == []
 
+    def test_events_arrive_in_job_log_order(self, monkeypatch):
+        """A late ``JobQueued`` bus publish cannot reorder the stream."""
+        from repro.events import EventBus, JobQueued, JobStarted
+
+        started = threading.Event()
+        publish = EventBus.publish
+
+        def hold_back_queued(bus, event):
+            if isinstance(event, JobQueued):
+                started.wait(5)
+            publish(bus, event)
+            if isinstance(event, JobStarted):
+                started.set()
+
+        monkeypatch.setattr(EventBus, "publish", hold_back_queued)
+        events = []
+        session = Session.from_plan(RunPlan(workload="figure8"))
+        session.subscribe(events.append)
+        session.run()
+        kinds = [e.kind for e in events]
+        assert kinds[:2] == ["queued", "running"]
+        assert kinds[-1] == "done"
+
+    def test_interrupt_cancels_the_running_job(self, tmp_path):
+        """Ctrl-C stops a checkpointed search early; it snapshots first."""
+        import _thread
+
+        from repro.events import SearchStarted
+
+        trials = 3000
+        plan = RunPlan(
+            workload="search",
+            search=SearchPlan(seed=0, trials=trials),
+            execution=ExecutionPolicy(checkpoint_dir=str(tmp_path),
+                                      checkpoint_every=500),
+            scenario=ScenarioPlan(datasets=("mnist",), devices=("pynq-z1",),
+                                  specs_ms=(5.0,)),
+        )
+        interrupted = []
+
+        def interrupt_on_start(event):
+            if isinstance(event, SearchStarted) and not interrupted:
+                interrupted.append(event)
+                _thread.interrupt_main()
+
+        session = Session.from_plan(plan)
+        session.subscribe(interrupt_on_start)
+        with pytest.raises(KeyboardInterrupt):
+            session.run()
+        snapshots = list(tmp_path.glob("*.checkpoint.json"))
+        assert snapshots
+        for path in snapshots:
+            trials_done = json.loads(path.read_text())["result"]["trials"]
+            assert len(trials_done) < trials
+
 
 class TestEvaluatorOverride:
     def test_rejected_for_workloads_that_rebuild_evaluators(self):
@@ -177,38 +243,60 @@ class TestEvaluatorOverride:
             Session.from_plan(plan, evaluator=Double()).run()
 
 
-class TestDeprecationShims:
-    @pytest.mark.parametrize("removed", ["campaign_dir", "parallel_workers"])
-    def test_removed_aliases_are_rejected(self, tmp_path, removed):
-        from repro.experiments.runner import run_paired_search
-        from repro.fpga.device import PYNQ_Z1
-        from repro.fpga.platform import Platform
+class TestRemovedSpellings:
+    """A plan is the one way in; typed events the one way out."""
 
-        value = {"campaign_dir": str(tmp_path), "parallel_workers": 2}
-        with pytest.raises(TypeError, match=removed):
-            run_paired_search(
-                "mnist", Platform.single(PYNQ_Z1), specs_ms=[5.0],
-                trials=4, **{removed: value[removed]},
-            )
-        assert not list(tmp_path.glob("*.checkpoint.json"))
+    @pytest.mark.parametrize("module, name", [
+        ("repro.events", "legacy_event"),
+        ("repro.events", "_KIND_TO_CLASS"),
+        ("repro.events", "Event.shard_id"),
+        ("repro.api", "ProgressCallback"),
+        ("repro.api", "Session.emit"),
+        ("repro.api", "resolve_execution"),
+        ("repro.orchestration.campaign", "ProgressCallback"),
+        ("repro.experiments.runner", "EmitFn"),
+        ("repro.experiments.runner", "run_paired_search"),
+        ("repro.experiments.runner", "_scenario_for"),
+        ("repro.experiments.table1", "run_table1"),
+        ("repro.experiments.figure6", "run_figure6"),
+        ("repro.experiments.figure7", "run_figure7"),
+        ("repro.experiments.figure9", "run_figure9"),
+        ("repro.experiments.report", "generate_report"),
+        ("repro.experiments", "run_table1"),
+        ("repro.experiments", "run_figure6"),
+        ("repro.experiments", "run_figure7"),
+        ("repro.experiments", "run_paired_search"),
+    ])
+    def test_removed_name_is_gone(self, module, name):
+        owner = importlib.import_module(module)
+        *parents, leaf = name.split(".")
+        for parent in parents:
+            owner = getattr(owner, parent)
+        assert not hasattr(owner, leaf)
 
-    def test_canonical_kwargs_do_not_warn(self, tmp_path, recwarn):
-        from repro.experiments.table1 import run_table1
+    def test_checkpointed_plan_does_not_warn(self, tmp_path, recwarn):
+        from repro.experiments.table1 import table1_plan
 
-        run_table1(trials=3, checkpoint_dir=str(tmp_path))
+        run_plan(table1_plan(
+            trials=3, execution=ExecutionPolicy(checkpoint_dir=str(tmp_path))
+        ))
         assert not [w for w in recwarn
                     if issubclass(w.category, DeprecationWarning)]
 
 
+def paired_plan(*specs_ms):
+    """A 3-trial paired NAS+FNAS plan on MNIST/PYNQ at ``specs_ms``."""
+    return RunPlan(
+        workload="paired",
+        search=SearchPlan(trials=3),
+        scenario=ScenarioPlan(datasets=("mnist",), devices=("pynq-z1",),
+                              specs_ms=specs_ms, include_nas=True),
+    )
+
+
 class TestFnasForLookup:
     def test_tolerant_and_string_lookup(self):
-        from repro.experiments.runner import run_paired_search
-        from repro.fpga.device import PYNQ_Z1
-        from repro.fpga.platform import Platform
-
-        outcome = run_paired_search(
-            "mnist", Platform.single(PYNQ_Z1), specs_ms=[2.5], trials=3,
-        )
+        outcome = run_plan(paired_plan(2.5))
         exact = outcome.fnas[2.5]
         assert outcome.fnas_for(2.5) is exact
         assert outcome.fnas_for("2.5") is exact
@@ -217,17 +305,9 @@ class TestFnasForLookup:
             outcome.fnas_for(7.5)
 
     def test_serialized_outcome_uses_string_spec_keys(self):
-        from repro.experiments.runner import (
-            PairedSearchOutcome,
-            run_paired_search,
-        )
-        from repro.fpga.device import PYNQ_Z1
-        from repro.fpga.platform import Platform
+        from repro.experiments.runner import PairedSearchOutcome
 
-        outcome = run_paired_search(
-            "mnist", Platform.single(PYNQ_Z1), specs_ms=[10.0, 2.5],
-            trials=3,
-        )
+        outcome = run_plan(paired_plan(10.0, 2.5))
         data = json.loads(json.dumps(outcome.to_dict()))
         assert sorted(data["fnas"]) == ["10", "2.5"]
         restored = PairedSearchOutcome.from_dict(data)

@@ -196,20 +196,25 @@ class TestParallelEvaluator:
         evaluator.close()
 
     def test_paired_runner_wraps_and_closes_pool(self, space):
-        """run_paired_search(eval_workers=2) must produce the same
+        """A paired plan with ``eval_workers=2`` must produce the same
         ledgers as the serial run (evaluators are deterministic)."""
-        from repro.experiments.runner import run_paired_search
+        from repro.experiments.runner import run_paired_plan
+        from repro.plans import (
+            ExecutionPolicy,
+            RunPlan,
+            ScenarioPlan,
+            SearchPlan,
+        )
 
         def run(workers):
-            return run_paired_search(
-                dataset="mnist",
-                platform=Platform.single(PYNQ_Z1),
-                specs_ms=[5.0],
-                trials=8,
-                seed=0,
-                batch_size=4,
-                eval_workers=workers,
-            )
+            return run_paired_plan(RunPlan(
+                workload="paired",
+                search=SearchPlan(seed=0, trials=8),
+                execution=ExecutionPolicy(batch_size=4, eval_workers=workers),
+                scenario=ScenarioPlan(datasets=("mnist",),
+                                      devices=("pynq-z1",),
+                                      specs_ms=(5.0,), include_nas=True),
+            ))
 
         serial, pooled = run(1), run(2)
         assert ([t.tokens for t in serial.nas.trials]

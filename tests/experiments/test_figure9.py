@@ -12,7 +12,6 @@ from repro.experiments.figure9 import (
     FAMILIES,
     FIGURE9_DEVICES,
     figure9_plan,
-    run_figure9,
     run_figure9_plan,
 )
 from repro.service.executor import check_evaluator_override, execute_plan
@@ -103,11 +102,3 @@ class TestExecutorDispatch:
         with pytest.raises(ValueError, match="evaluator"):
             check_evaluator_override(figure9_plan(samples=8),
                                      evaluator=object())
-
-    def test_legacy_entry_point_matches_the_plan_path(self, figure9):
-        legacy = run_figure9(samples=SAMPLES, seed=0)
-        assert legacy.devices == figure9.devices
-        for a, b in zip(legacy.curves, figure9.curves):
-            assert (a.device, a.family) == (b.device, b.family)
-            assert a.min_latency_ms == b.min_latency_ms
-            assert a.best_accuracy == b.best_accuracy

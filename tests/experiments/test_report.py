@@ -1,11 +1,12 @@
 """Tests for the reproduction report generator."""
 
-from repro.experiments.report import generate_report
+from repro.api import run_plan
+from repro.experiments.report import report_plan
 
 
 class TestReport:
     def test_contains_every_section(self):
-        text = generate_report(trials=6, seed=0)
+        text = run_plan(report_plan(trials=6, seed=0))
         for heading in ("Table 1", "Figure 6", "Figure 7", "Figure 8",
                         "reuse strategy", "early pruning"):
             assert heading in text, f"missing section {heading!r}"

@@ -8,20 +8,40 @@ import math
 
 import pytest
 
-from repro.experiments.figure6 import run_figure6
-from repro.experiments.figure7 import run_figure7
+from repro.api import run_plan
+from repro.experiments.figure6 import figure6_plan
+from repro.experiments.figure7 import figure7_plan
 from repro.experiments.figure8 import figure8_architectures, run_figure8
-from repro.experiments.runner import run_paired_search
-from repro.experiments.table1 import run_table1
+from repro.experiments.runner import run_paired_plan
+from repro.experiments.table1 import table1_plan
 from repro.fpga.device import XC7Z020
 from repro.fpga.platform import Platform
+from repro.plans import ExecutionPolicy, RunPlan, ScenarioPlan, SearchPlan
 
 TRIALS = 25  # reduced from the paper's 60 for test speed
 
 
+def paired_run(dataset, platform, specs_ms, trials=None, seed=0,
+               evaluator=None, **execution):
+    """Run the paired engine on the plan these arguments describe.
+
+    ``execution`` holds :class:`ExecutionPolicy` fields; the live
+    ``platform`` rides the engine's override, so non-catalog devices
+    reach it too.
+    """
+    plan = RunPlan(
+        workload="paired",
+        search=SearchPlan(seed=seed, trials=trials),
+        execution=ExecutionPolicy(**execution),
+        scenario=ScenarioPlan(datasets=(dataset,), specs_ms=tuple(specs_ms),
+                              include_nas=True),
+    )
+    return run_paired_plan(plan, platform=platform, evaluator=evaluator)
+
+
 @pytest.fixture(scope="module")
 def table1():
-    return run_table1(trials=TRIALS, seed=0)
+    return run_plan(table1_plan(trials=TRIALS, seed=0))
 
 
 class TestTable1:
@@ -56,7 +76,7 @@ class TestTable1:
 class TestFigure6:
     @pytest.fixture(scope="class")
     def figure6(self):
-        return run_figure6(trials=TRIALS, seed=0)
+        return run_plan(figure6_plan(trials=TRIALS, seed=0))
 
     def test_two_devices_four_bars_each(self, figure6):
         assert len(figure6.bars) == 8
@@ -88,7 +108,8 @@ class TestFigure7:
     @pytest.fixture(scope="class")
     def figure7(self):
         # MNIST only: CIFAR/ImageNet paths are exercised in benchmarks.
-        return run_figure7(datasets=("mnist",), trials=TRIALS, seed=0)
+        return run_plan(
+            figure7_plan(trials=TRIALS, seed=0, datasets=("mnist",)))
 
     def test_four_points_per_dataset(self, figure7):
         assert len(figure7.points_for("mnist")) == 4
@@ -144,7 +165,7 @@ class TestFigure8:
 
 class TestPairedSearch:
     def test_trials_default_to_config(self):
-        outcome = run_paired_search(
+        outcome = paired_run(
             "mnist", Platform.single(XC7Z020), specs_ms=[10.0], trials=5,
             seed=0,
         )
@@ -152,7 +173,7 @@ class TestPairedSearch:
         assert len(outcome.fnas[10.0].trials) == 5
 
     def test_nas_best_properties(self):
-        outcome = run_paired_search(
+        outcome = paired_run(
             "mnist", Platform.single(XC7Z020), specs_ms=[10.0], trials=5,
             seed=0,
         )
@@ -173,8 +194,8 @@ class TestCampaignMode:
 
     def test_campaign_matches_serial_ledgers(self, tmp_path):
         platform = Platform.single(XC7Z020)
-        serial = run_paired_search(platform=platform, **self.KWARGS)
-        campaign = run_paired_search(
+        serial = paired_run(platform=platform, **self.KWARGS)
+        campaign = paired_run(
             platform=platform, checkpoint_dir=str(tmp_path), shard_workers=2,
             **self.KWARGS,
         )
@@ -187,11 +208,11 @@ class TestCampaignMode:
 
     def test_reinvocation_resumes_from_checkpoints(self, tmp_path):
         platform = Platform.single(XC7Z020)
-        first = run_paired_search(
+        first = paired_run(
             platform=platform, checkpoint_dir=str(tmp_path), **self.KWARGS,
         )
         assert list(tmp_path.glob("*.checkpoint.json"))
-        second = run_paired_search(
+        second = paired_run(
             platform=platform, checkpoint_dir=str(tmp_path), **self.KWARGS,
         )
         assert self.tokens_of(second.nas) == self.tokens_of(first.nas)
@@ -203,7 +224,7 @@ class TestCampaignMode:
 
         space = SearchSpace.from_config(get_config("mnist"))
         with pytest.raises(ValueError, match="evaluator"):
-            run_paired_search(
+            paired_run(
                 platform=Platform.single(XC7Z020),
                 evaluator=SurrogateAccuracyEvaluator(space),
                 checkpoint_dir=str(tmp_path), **self.KWARGS,
@@ -212,7 +233,7 @@ class TestCampaignMode:
     def test_campaign_rejects_non_catalog_device(self, tmp_path):
         custom = XC7Z020.scaled(0.5, name="half-zynq")
         with pytest.raises(ValueError, match="catalog"):
-            run_paired_search(
+            paired_run(
                 platform=Platform.single(custom), checkpoint_dir=str(tmp_path),
                 **self.KWARGS,
             )

@@ -206,7 +206,7 @@ class TestWorkerDeathRecovery:
 
         assert sentinel.exists(), "victim worker never died"
         requeued = [e for e in events if e.kind == "requeue"]
-        assert any(e.shard_id == victim for e in requeued)
+        assert any(e.scope == victim for e in requeued)
         victim_outcome = result.outcome(victim)
         assert victim_outcome.requeues >= 1
         assert victim_outcome.resumed_from is not None
@@ -372,7 +372,7 @@ class TestBatchDeathRecovery:
             progress=events.append, batch_trials=30,
         ).run(max_workers=2)
 
-        requeued = {e.shard_id for e in events if e.kind == "requeue"}
+        requeued = {e.scope for e in events if e.kind == "requeue"}
         assert requeued == {victim, shards[2].shard_id}
         assert result.outcome(victim).requeues == 1
         assert result.outcome(victim).resumed_from is not None

@@ -174,7 +174,7 @@ class TestCampaignMemoization:
         events = []
         warm = Campaign(shards, store=store, progress=events.append).run()
         cached = [e for e in events if isinstance(e, ShardCached)]
-        assert sorted(e.shard_id for e in cached) == sorted(
+        assert sorted(e.scope for e in cached) == sorted(
             s.shard_id for s in shards
         )
         assert all(o.cached for o in warm.outcomes)

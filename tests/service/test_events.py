@@ -24,7 +24,6 @@ from repro.events import (
     event_from_dict,
     event_from_json,
     event_to_json,
-    legacy_event,
 )
 
 #: Arbitrary wire-safe text: ids and messages cross JSON and pipes, so
@@ -44,9 +43,11 @@ class TestEventTypes:
         assert ShardRequeued("x").kind == "requeue"
         assert PoolFallback("").kind == "fallback"
 
-    def test_shard_id_aliases_scope(self):
+    def test_events_have_no_shard_id(self):
+        """``scope`` is the one name for what an event is about."""
         event = SearchStarted("mnist-pynq-z1-nas-s0", "running in-process")
-        assert event.shard_id == event.scope == "mnist-pynq-z1-nas-s0"
+        assert not hasattr(event, "shard_id")
+        assert "shard_id" not in event.to_dict()
 
     def test_events_are_frozen(self):
         with pytest.raises(Exception):
@@ -74,11 +75,6 @@ class TestEventTypes:
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError, match="unknown event type"):
             event_from_dict({"event": "nope", "scope": "", "message": ""})
-
-    def test_legacy_kind_mapping(self):
-        assert type(legacy_event("start", "s", "m")) is SearchStarted
-        assert type(legacy_event("requeue", "s", "m")) is ShardRequeued
-        assert type(legacy_event("custom", "s", "m")) is Event
 
     @pytest.mark.parametrize("event", [
         SearchStarted("shard-1", "running"),

@@ -74,7 +74,7 @@ def test_cancelled_sweeps_completed_shards_serve_from_the_store(
         interrupted_bytes = resumed.result_bytes(timeout=600)
         cached = [e for e in resumed.events() if isinstance(e, ShardCached)]
         assert 1 <= len(cached) <= 2
-        shard_ids = {e.shard_id for e in cached}
+        shard_ids = {e.scope for e in cached}
         assert all(s.startswith("mnist-pynq-z1-fnas") for s in shard_ids)
 
     assert interrupted_bytes == reference_bytes(plan, tmp_path)
@@ -102,7 +102,7 @@ def test_shard_results_shared_across_plans_not_just_jobs(tmp_path):
         cached = [e for e in wide_handle.events()
                   if isinstance(e, ShardCached)]
         # Different plan hash (no whole-plan dedup), shared shard.
-        assert [e.shard_id for e in cached] == ["mnist-pynq-z1-fnas5ms-s0"]
+        assert [e.scope for e in cached] == ["mnist-pynq-z1-fnas5ms-s0"]
 
 
 def test_search_and_sweep_share_one_shard_namespace(tmp_path):
@@ -125,7 +125,7 @@ def test_search_and_sweep_share_one_shard_namespace(tmp_path):
         handle = service.submit(sweep)
         handle.result(timeout=120)
         cached = [e for e in handle.events() if isinstance(e, ShardCached)]
-        assert [e.shard_id for e in cached] == ["mnist-pynq-z1-fnas5ms-s0"]
+        assert [e.scope for e in cached] == ["mnist-pynq-z1-fnas5ms-s0"]
 
 
 def test_caching_disabled_disables_shard_memoization(tmp_path):

@@ -296,7 +296,7 @@ class TestGCSafety:
             (job_id,) = svc.recovered_jobs
             svc.job(job_id).result(timeout=300)
         cached = [e for e in events if isinstance(e, ShardCached)]
-        assert [e.shard_id for e in cached] == [shards[0].shard_id]
+        assert [e.scope for e in cached] == [shards[0].shard_id]
 
     def test_remote_agents_shard_uploads_stay_live_under_lease(
         self, tmp_path
