@@ -17,11 +17,14 @@ dims of layer ``i``'s output feature map are ``ceil(R_in / stride)``.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, field
 
+#: A quantity :class:`ConvLayerSpec` derives from its inputs at construction.
+_derived = functools.partial(field, init=False, repr=False, compare=False)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class ConvLayerSpec:
     """One convolutional layer as seen by both the FPGA and NN paths.
 
@@ -35,6 +38,10 @@ class ConvLayerSpec:
         kind:         ``"standard"`` (dense cross-channel conv) or
             ``"depthwise"`` (one filter per channel; requires
             ``out_channels == in_channels``).
+        macs:         multiply-accumulate operations for one inference.
+
+    ``out_rows``, ``out_cols`` and ``macs`` are derived at construction
+    and take no part in equality.  Slots keep a search's many specs small.
     """
 
     STANDARD = "standard"
@@ -48,6 +55,9 @@ class ConvLayerSpec:
     in_cols: int
     stride: int = 1
     kind: str = "standard"
+    out_rows: int = _derived()
+    out_cols: int = _derived()
+    macs: int = _derived()
 
     def __post_init__(self) -> None:
         for attr in ("in_channels", "out_channels", "kernel", "in_rows",
@@ -71,30 +81,20 @@ class ConvLayerSpec:
                 f"depthwise layers keep the channel count: in_channels "
                 f"{self.in_channels} != out_channels {self.out_channels}"
             )
+        # Same padding: ceil(in / stride) output rows and columns.
+        out_rows = -(-self.in_rows // self.stride)
+        out_cols = -(-self.in_cols // self.stride)
+        macs = self.kernel * self.kernel * self.in_channels * out_rows * out_cols
+        if self.kind != self.DEPTHWISE:
+            macs *= self.out_channels
+        object.__setattr__(self, "out_rows", out_rows)
+        object.__setattr__(self, "out_cols", out_cols)
+        object.__setattr__(self, "macs", macs)
 
     @property
     def is_depthwise(self) -> bool:
         """True for depthwise (per-channel) convolutions."""
         return self.kind == self.DEPTHWISE
-
-    @property
-    def out_rows(self) -> int:
-        """Output feature-map rows (same padding)."""
-        return math.ceil(self.in_rows / self.stride)
-
-    @property
-    def out_cols(self) -> int:
-        """Output feature-map columns (same padding)."""
-        return math.ceil(self.in_cols / self.stride)
-
-    @property
-    def macs(self) -> int:
-        """Multiply-accumulate operations for one inference of this layer."""
-        if self.kind == self.DEPTHWISE:
-            return (self.kernel * self.kernel * self.in_channels
-                    * self.out_rows * self.out_cols)
-        return (self.kernel * self.kernel * self.in_channels
-                * self.out_channels * self.out_rows * self.out_cols)
 
     @property
     def weight_count(self) -> int:
@@ -289,8 +289,11 @@ class Architecture:
         layers keep the seed's three-part field so existing
         fingerprints (and everything keyed off them -- shard ids, the
         surrogate's noise) are unchanged; depthwise layers append a
-        ``dw`` marker.
+        ``dw`` marker.  Computed once per instance.
         """
+        cached = vars(self).get("_fingerprint")
+        if cached is not None:
+            return cached
         fields: list[str] = [str(self.input_size), str(self.input_channels),
                              str(self.num_classes)]
         for l in self.layers:
@@ -298,4 +301,5 @@ class Architecture:
             if l.is_depthwise:
                 part += ".dw"
             fields.append(part)
-        return "|".join(fields)
+        fingerprint = vars(self)["_fingerprint"] = "|".join(fields)
+        return fingerprint

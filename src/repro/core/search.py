@@ -491,6 +491,18 @@ def _sample_candidates(
     )
 
 
+def _decode_candidates(
+    space: SearchSpace, batch: ControllerBatch,
+    decoded: dict[tuple, Architecture],
+) -> list[Architecture]:
+    """The batch's architectures, each distinct token row decoded once
+    per run (``decoded``).  The memo is not kept on ``space``: evaluators
+    hold the space, and ``ParallelEvaluator`` pickles one per task."""
+    keys = [tuple(sample.tokens) for sample in batch.samples]
+    return [decoded.get(key) or decoded.setdefault(key, space.decode(key))
+            for key in keys]
+
+
 def _update_candidates(
     controller: Controller, batch: ControllerBatch, advantages: list[float]
 ) -> float:
@@ -543,13 +555,12 @@ class NasSearch(Search):
     ) -> None:
         """Batch REINFORCE: one controller update per sampled batch."""
         index = start
+        decoded: dict[tuple, Architecture] = {}
         while index < trials:
             count = min(batch_size, trials - index)
             batch = _sample_candidates(self.controller, rng, count,
                                        batch_size)
-            architectures = [
-                self.space.decode(s.tokens) for s in batch.samples
-            ]
+            architectures = _decode_candidates(self.space, batch, decoded)
             outcomes = evaluate_many(self.evaluator, architectures)
             accuracies = [o.accuracy for o in outcomes]
             # All samples came from the same policy, so one shared
@@ -676,13 +687,12 @@ class FnasSearch(Search):
         across processes -- and rewarded by :meth:`_satisfaction`.
         """
         index = start
+        decoded: dict[tuple, Architecture] = {}
         while index < trials:
             count = min(batch_size, trials - index)
             batch = _sample_candidates(self.controller, rng, count,
                                        batch_size)
-            architectures = [
-                self.space.decode(s.tokens) for s in batch.samples
-            ]
+            architectures = _decode_candidates(self.space, batch, decoded)
             estimates = self.latency_estimator.estimate_batch(architectures)
             latency_cost = self.evaluator.latency_eval_seconds()
             violations = [self._violation(e) for e in estimates]

@@ -315,10 +315,10 @@ class MemoStats:
 
 
 #: Process-wide tiling-memo counters, keyed by layer-kind bucket plus an
-#: ``"all"`` total.  Every :class:`LayerDesignMemo` bumps these alongside
-#: its own counters, so the service front end can report estimator
-#: cache behavior in ``/metrics`` without holding references to the
-#: per-job estimators that own the memos.
+#: ``"all"`` total.  Every :class:`LayerDesignMemo` adds its counts here
+#: alongside its own, once per probe call, so the service front end can
+#: report estimator cache behavior in ``/metrics`` without holding
+#: references to the per-job estimators that own the memos.
 PROCESS_MEMO_STATS: dict[str, MemoStats] = {}
 
 _PROCESS_STATS_LOCK = threading.Lock()
@@ -343,14 +343,32 @@ def reset_process_memo_stats() -> None:
         PROCESS_MEMO_STATS.clear()
 
 
-def _bump_process_stats(bucket: str, hit: bool) -> None:
-    with _PROCESS_STATS_LOCK:
-        for kind in ("all", bucket):
-            stats = PROCESS_MEMO_STATS.setdefault(kind, MemoStats())
-            if hit:
-                stats.hits += 1
-            else:
-                stats.misses += 1
+def _stats_for(table: dict[str, MemoStats], name: str) -> MemoStats:
+    """``table[name]``, created empty on first use."""
+    return table.get(name) or table.setdefault(name, MemoStats())
+
+
+def _kind_bucket(spec: ConvLayerSpec) -> str:
+    """Counter bucket for a layer: standard / pointwise / depthwise.
+
+    Pointwise (1x1 standard) convs are counted apart from general
+    standard convs so the MobileNet dw/pw path is observable in
+    ``/metrics`` without inspecting tilings.
+    """
+    if spec.kind == ConvLayerSpec.DEPTHWISE:
+        return "depthwise"
+    if spec.kernel == 1:
+        return "pointwise"
+    return "standard"
+
+
+def _layer_key(
+    spec: ConvLayerSpec, dsp_budget: int, bram_budget_bytes: int
+) -> tuple:
+    """A layer and its PE budgets as a plain tuple (``key[:7]`` is the spec)."""
+    return (spec.in_channels, spec.out_channels, spec.kernel, spec.in_rows,
+            spec.in_cols, spec.stride, spec.kind, dsp_budget,
+            bram_budget_bytes)
 
 
 @dataclass
@@ -364,54 +382,57 @@ class LayerDesignMemo:
     reuse the tiling work done for fingerprints seen earlier.  This is
     the layer-level tier of the latency estimator's two-tier cache.
 
-    Two smaller tables ride along, neither counted in the statistics:
-
-    * channel tilings per (spec, DSP budget, BRAM budget), because both
-      spatial strategies start from the same ``(Tm, Tn)`` -- see
-      :meth:`channel_tiling`;
-    * DRAM phase latencies per (spec, tiling, device) -- see
-      :meth:`phase_latency`.
+    The counted table holds one tiling per (spec, DSP budget, BRAM
+    budget, spatial strategy), and each layer designed is one probe of
+    it.  Uncounted tables ride along, each keyed on what its value is a
+    function of: channel tilings per (spec, DSP, BRAM), shared by both
+    spatial strategies; spatial tilings per (spec, Tm, Tn, BRAM,
+    strategy); DRAM phases per (kernel, stride, kind, tiling, the
+    device's DRAM fields and clock); and whole :class:`LayerDesign`
+    values per (layer index, spec, budgets, strategy, DRAM fields and
+    clock).  Keys are plain tuples of those fields.
 
     Thread-safe: the memo is shared by every designer an estimator
     builds, and estimators are themselves shared across service and
-    evaluation threads, so the dicts and counters mutate only under
-    an internal lock.  Entries are values of a pure function, so a race
-    on the same key stores the same value twice -- harmless.
+    evaluation threads, so the tables and counters mutate only under an
+    internal lock.
     """
 
     stats: MemoStats = field(default_factory=MemoStats)
     kind_stats: dict[str, MemoStats] = field(default_factory=dict)
-    _memo: dict[tuple, TilingVector] = field(default_factory=dict)
+    _tilings: dict[str, dict[tuple, TilingVector]] = field(
+        default_factory=dict)
     _channels: dict[tuple, tuple[int, int]] = field(default_factory=dict)
+    _spatial: dict[tuple, TilingVector] = field(default_factory=dict)
     _phases: dict[tuple, PhaseLatency] = field(default_factory=dict)
+    _designs: dict[str, dict[tuple, LayerDesign]] = field(
+        default_factory=dict)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
 
-    @staticmethod
-    def _kind_bucket(spec: ConvLayerSpec) -> str:
-        """Counter bucket for a layer: standard / pointwise / depthwise.
-
-        Pointwise (1x1 standard) convs are counted apart from general
-        standard convs so the MobileNet dw/pw path is observable in
-        ``/metrics`` without inspecting tilings.
-        """
-        if spec.is_depthwise:
-            return "depthwise"
-        if spec.kernel == 1:
-            return "pointwise"
-        return "standard"
-
     def __len__(self) -> int:
         with self._lock:
-            return len(self._memo)
+            return sum(len(table) for table in self._tilings.values())
 
     def clear(self) -> None:
         """Drop all memoised tilings and phases (counters are kept)."""
         with self._lock:
-            self._memo.clear()
-            self._channels.clear()
-            self._phases.clear()
+            for table in (self._tilings, self._channels, self._spatial,
+                          self._phases, self._designs):
+                table.clear()
+
+    def _count(self, tally: dict[str, list[int]]) -> None:
+        """Add one call's ``bucket -> [hits, misses]`` tally to this
+        memo's counters (the caller holds the lock) and to the
+        process-wide ones."""
+        with _PROCESS_STATS_LOCK:
+            for bucket, (hits, misses) in tally.items():
+                for stats in (self.stats, _stats_for(self.kind_stats, bucket),
+                              _stats_for(PROCESS_MEMO_STATS, "all"),
+                              _stats_for(PROCESS_MEMO_STATS, bucket)):
+                    stats.hits += hits
+                    stats.misses += misses
 
     def lookup(
         self,
@@ -421,18 +442,11 @@ class LayerDesignMemo:
         spatial_strategy: str,
     ) -> TilingVector | None:
         """Return the memoised tiling for this layer shape, if any."""
-        key = (spec, dsp_budget, bram_budget_bytes, spatial_strategy)
-        bucket = self._kind_bucket(spec)
+        key = _layer_key(spec, dsp_budget, bram_budget_bytes)
         with self._lock:
-            tiling = self._memo.get(key)
-            kind = self.kind_stats.setdefault(bucket, MemoStats())
-            if tiling is None:
-                self.stats.misses += 1
-                kind.misses += 1
-            else:
-                self.stats.hits += 1
-                kind.hits += 1
-        _bump_process_stats(bucket, hit=tiling is not None)
+            tiling = self._tilings.get(spatial_strategy, {}).get(key)
+            self._count({_kind_bucket(spec): [int(tiling is not None),
+                                              int(tiling is None)]})
         return tiling
 
     def store(
@@ -444,9 +458,9 @@ class LayerDesignMemo:
         tiling: TilingVector,
     ) -> None:
         """Memoise a freshly computed tiling."""
-        key = (spec, dsp_budget, bram_budget_bytes, spatial_strategy)
+        key = _layer_key(spec, dsp_budget, bram_budget_bytes)
         with self._lock:
-            self._memo[key] = tiling
+            self._tilings.setdefault(spatial_strategy, {})[key] = tiling
 
     def channel_tiling(
         self, spec: ConvLayerSpec, dsp_budget: int, bram_budget_bytes: int
@@ -456,27 +470,96 @@ class LayerDesignMemo:
         Channel tiling does not depend on the spatial strategy, so the
         strategy that misses first chooses it and the other reuses it.
         """
-        key = (spec, dsp_budget, bram_budget_bytes)
         with self._lock:
-            channels = self._channels.get(key)
+            return self._channels_of(
+                spec, _layer_key(spec, dsp_budget, bram_budget_bytes))
+
+    def layer_designs(
+        self,
+        specs: tuple[ConvLayerSpec, ...],
+        allocations: list[PeAllocation] | tuple[PeAllocation, ...],
+        spatial_strategy: str,
+    ) -> tuple[LayerDesign, ...]:
+        """Every layer of an allocated architecture, designed.
+
+        Each layer is one counted probe, and a miss is chosen and
+        stored before the next layer probes, so a key repeated within
+        one architecture misses once and then hits -- the counts of a
+        :meth:`lookup` and :meth:`store` per layer.  The lock is taken
+        once for the whole call and the counters are added once.
+        """
+        tally: dict[str, list[int]] = {}
+        designs = []
+        last_device = dram = None
+        with self._lock:
+            tilings = self._tilings.setdefault(spatial_strategy, {})
+            built = self._designs.setdefault(spatial_strategy, {})
+            try:
+                for spec, allocation in zip(specs, allocations):
+                    key = _layer_key(spec, allocation.dsp_budget,
+                                     allocation.bram_budget_bytes)
+                    counts = tally.setdefault(_kind_bucket(spec), [0, 0])
+                    tiling = tilings.get(key)
+                    if tiling is None:
+                        counts[1] += 1
+                        tiling = tilings[key] = self._tiling_of(
+                            spec, key, spatial_strategy)
+                    else:
+                        counts[0] += 1
+                    device = allocation.device
+                    if device is not last_device:
+                        last_device, dram = device, _dram_key(device)
+                    design_key = (allocation.layer_index, key, dram)
+                    design = built.get(design_key)
+                    if design is None:
+                        design = built[design_key] = LayerDesign(
+                            allocation.layer_index, spec, tiling,
+                            self._phases_of(spec, tiling, device, dram))
+                    designs.append(design)
+            finally:
+                self._count(tally)
+        return tuple(designs)
+
+    # The helpers below fill the uncounted tables; the caller holds the lock.
+    def _channels_of(self, spec: ConvLayerSpec, key: tuple) -> tuple[int, int]:
+        channels = self._channels.get(key)
         if channels is None:
-            channels = _channel_tiling(spec, dsp_budget, bram_budget_bytes)
-            with self._lock:
-                self._channels[key] = channels
+            channels = self._channels[key] = _channel_tiling(
+                spec, key[7], key[8])
         return channels
 
-    def phase_latency(
-        self, spec: ConvLayerSpec, tiling: TilingVector, device
-    ) -> PhaseLatency:
-        """The DRAM phases of one tiled layer on ``device``, computed once."""
-        key = (spec, tiling, device)
-        with self._lock:
-            phases = self._phases.get(key)
+    def _tiling_of(
+        self, spec: ConvLayerSpec, key: tuple, spatial_strategy: str
+    ) -> TilingVector:
+        tm, tn = self._channels_of(spec, key)
+        spatial_key = (key[:7], tm, tn, key[8], spatial_strategy)
+        tiling = self._spatial.get(spatial_key)
+        if tiling is None:
+            tr, tc = _spatial_tiling(spec, tm, tn, key[8], spatial_strategy)
+            tiling = self._spatial[spatial_key] = TilingVector(tm, tn, tr, tc)
+        return tiling
+
+    def _phases_of(
+        self, spec: ConvLayerSpec, tiling: TilingVector, device,
+        dram: tuple | None,
+    ) -> PhaseLatency | None:
+        if dram is None:
+            return None
+        key = (spec.kernel, spec.stride, spec.kind, tiling.tm, tiling.tn,
+               tiling.tr, tiling.tc, dram)
+        phases = self._phases.get(key)
         if phases is None:
-            phases = _phase_latency(spec, tiling, device)
-            with self._lock:
-                self._phases[key] = phases
+            phases = self._phases[key] = _phase_latency(spec, tiling, device)
         return phases
+
+
+def _dram_key(device) -> tuple | None:
+    """What the phase closed form reads of a device (None without DRAM)."""
+    dram = getattr(device, "dram", None)
+    if dram is None:
+        return None
+    return (dram.port_width_bits, dram.burst_beats, dram.frequency_mhz,
+            dram.latency_cycles, device.clock_mhz)
 
 
 class TilingDesigner:
@@ -524,25 +607,27 @@ class TilingDesigner:
 
         :class:`~repro.latency.explorer.DesignExplorer` allocates each
         architecture once and designs both spatial strategies from that
-        one allocation.  On a DRAM-modeled device every layer carries
-        its :class:`~repro.fpga.dram.PhaseLatency`; devices without one
+        one allocation.  With a memo, every layer is one counted probe,
+        all under one lock acquisition
+        (:meth:`LayerDesignMemo.layer_designs`).  On a DRAM-modeled
+        device every layer carries its
+        :class:`~repro.fpga.dram.PhaseLatency`; devices without one
         keep the flat-bandwidth seed behavior (``phases=None``).
         """
-        memo = self.memo
-        layers = []
-        for allocation, spec in zip(allocations, architecture.layers):
-            tiling = self.design_layer(spec, allocation.dsp_budget,
-                                       allocation.bram_budget_bytes)
-            device = allocation.device
-            if getattr(device, "dram", None) is None:
-                phases = None
-            elif memo is None:
-                phases = _phase_latency(spec, tiling, device)
-            else:
-                phases = memo.phase_latency(spec, tiling, device)
-            layers.append(
-                LayerDesign(allocation.layer_index, spec, tiling, phases)
-            )
+        specs = architecture.layers
+        if self.memo is not None:
+            layers = self.memo.layer_designs(
+                specs, allocations, self.spatial_strategy)
+        else:
+            layers = []
+            for allocation, spec in zip(allocations, specs):
+                tiling = self.design_layer(spec, allocation.dsp_budget,
+                                           allocation.bram_budget_bytes)
+                device = allocation.device
+                phases = (None if getattr(device, "dram", None) is None
+                          else _phase_latency(spec, tiling, device))
+                layers.append(LayerDesign(allocation.layer_index, spec,
+                                          tiling, phases))
         return PipelineDesign(
             architecture=architecture,
             platform=platform,
@@ -553,25 +638,23 @@ class TilingDesigner:
     def design_layer(
         self, spec: ConvLayerSpec, dsp_budget: int, bram_budget_bytes: int
     ) -> TilingVector:
-        """Choose one layer's tiling under its PE's resource budget."""
-        memo = self.memo
+        """Choose one layer's tiling under its PE's resource budget.
+
+        With a memo this is one counted :meth:`~LayerDesignMemo.lookup`,
+        as :meth:`design_allocated` counts each layer.
+        """
+        memo, strategy = self.memo, self.spatial_strategy
         if memo is None:
             tm, tn = _channel_tiling(spec, dsp_budget, bram_budget_bytes)
         else:
-            cached = memo.lookup(
-                spec, dsp_budget, bram_budget_bytes, self.spatial_strategy
-            )
+            cached = memo.lookup(spec, dsp_budget, bram_budget_bytes, strategy)
             if cached is not None:
                 return cached
             tm, tn = memo.channel_tiling(spec, dsp_budget, bram_budget_bytes)
-        tr, tc = _spatial_tiling(
-            spec, tm, tn, bram_budget_bytes, self.spatial_strategy
-        )
+        tr, tc = _spatial_tiling(spec, tm, tn, bram_budget_bytes, strategy)
         tiling = TilingVector(tm=tm, tn=tn, tr=tr, tc=tc)
         if memo is not None:
-            memo.store(
-                spec, dsp_budget, bram_budget_bytes, self.spatial_strategy, tiling
-            )
+            memo.store(spec, dsp_budget, bram_budget_bytes, strategy, tiling)
         return tiling
 
 

@@ -31,7 +31,8 @@ is a tight lower bound on the simulated makespan):
   to either delta.  FNAS-Sched orders row/col tiles outermost, so this
   prefix term is exact for both reuse strategies; which upstream tiles
   the first downstream tile needs is decided by the same overlap rule
-  FNAS-GG uses (:func:`repro.taskgraph.graph.rc_dependencies`).
+  FNAS-GG uses (:func:`repro.taskgraph.graph.rc_dependencies`), solved
+  in closed form for that first tile.
 
 * ``Latsys = sum of per-layer start deltas + PT_last``  (eq. (5)).
 
@@ -42,9 +43,10 @@ out for the alternating assignment (odd layers OFM reuse, even layers
 IFM reuse); this implementation accepts any strategy assignment.
 
 Both deltas of every boundary are computed once per design
-(:func:`boundary_deltas`), so ranking several reuse assignments of one
-design -- as :class:`~repro.latency.explorer.DesignExplorer` does -- is
-one integer pass each (:meth:`FnasAnalyzer.total_cycles`), and a full
+(:func:`boundary_deltas`), so ranking the two alternating reuse
+assignments of one design -- as
+:class:`~repro.latency.explorer.DesignExplorer` does -- is one integer
+pass for both (:func:`alternating_totals`), and a full
 :class:`LatencyReport` is built only when asked for.
 """
 
@@ -56,7 +58,7 @@ from repro.fpga.dram import PhaseLatency
 from repro.fpga.tiling import LayerDesign, PipelineDesign
 from repro.scheduling.base import IFM_REUSE, OFM_REUSE
 from repro.scheduling.fnas_sched import alternating_strategies
-from repro.taskgraph.graph import rc_dependencies, resolve_rc_mapping
+from repro.taskgraph.graph import resolve_rc_mapping
 
 
 @dataclass(frozen=True)
@@ -131,69 +133,45 @@ class FnasAnalyzer:
         self.rc_mapping = rc_mapping
 
     def analyze(self, design: PipelineDesign) -> LatencyReport:
-        """Compute the eq. (5) latency for ``design``."""
-        strategies = self._strategies(design)
-        starts, total_cycles = self._schedule(design, strategies)
-        layers: list[LayerLatency] = []
-        previous = 0
-        for idx, (layer, start) in enumerate(zip(design.layers, starts)):
-            layers.append(
-                LayerLatency(
-                    layer_index=idx,
-                    reuse=strategies[idx],
-                    execution_time=layer.effective_execution_time,
-                    processing_time=layer.effective_processing_time,
-                    start_delta=start - previous,
-                    start_time=start,
-                    phases=layer.phases,
-                )
-            )
-            previous = start
-        return LatencyReport(
-            layers=tuple(layers),
-            total_cycles=total_cycles,
-            total_ms=design.platform.cycles_to_ms(total_cycles),
-        )
+        """Compute the eq. (5) latency for ``design``.
 
-    def total_cycles(self, design: PipelineDesign) -> int:
-        """Eq. (5) latency of ``design`` in cycles, without a report.
-
-        Always equal to ``analyze(design).total_cycles``; the explorer
-        ranks its candidate designs with it.
+        Start times accumulate the boundary deltas.  Since upstream PEs
+        can keep feeding the last PE after it starts, the pipeline
+        drains when the *slowest suffix* finishes; taking the max over
+        finish bounds keeps the bound tight when an interior PE
+        dominates.
         """
-        return self._schedule(design, self._strategies(design))[1]
-
-    def _strategies(self, design: PipelineDesign) -> list[str]:
         n_layers = len(design.layers)
         strategies = self.strategies or alternating_strategies(n_layers)
         if len(strategies) != n_layers:
             raise ValueError(
                 f"{len(strategies)} strategies for {n_layers} layers"
             )
-        return strategies
-
-    def _schedule(
-        self, design: PipelineDesign, strategies: list[str]
-    ) -> tuple[list[int], int]:
-        """Every PE's start time and the total cycles, in one pass.
-
-        Eq. (5): start-time accumulation plus the last PE's processing
-        time.  Since upstream PEs can keep feeding the last PE after it
-        starts, the pipeline drains when the *slowest suffix* finishes;
-        taking the max over finish bounds keeps the bound tight when an
-        interior PE dominates.
-        """
-        layers = design.layers
-        start = 0
-        starts = [start]
-        total = layers[0].effective_processing_time
-        for deltas, reuse, layer in zip(
-            boundary_deltas(design, self.rc_mapping), strategies, layers[1:]
-        ):
-            start += _delta_for(deltas, reuse)
-            starts.append(start)
+        deltas = [0] + [
+            _delta_for(pair, reuse) for pair, reuse in zip(
+                boundary_deltas(design, self.rc_mapping), strategies)
+        ]
+        layers: list[LayerLatency] = []
+        start = total = 0
+        for idx, (layer, delta) in enumerate(zip(design.layers, deltas)):
+            start += delta
             total = max(total, start + layer.effective_processing_time)
-        return starts, total
+            layers.append(
+                LayerLatency(
+                    layer_index=idx,
+                    reuse=strategies[idx],
+                    execution_time=layer.effective_execution_time,
+                    processing_time=layer.effective_processing_time,
+                    start_delta=delta,
+                    start_time=start,
+                    phases=layer.phases,
+                )
+            )
+        return LatencyReport(
+            layers=tuple(layers),
+            total_cycles=total,
+            total_ms=design.platform.cycles_to_ms(total),
+        )
 
     @staticmethod
     def start_delta(
@@ -237,6 +215,28 @@ def boundary_deltas(
     return deltas
 
 
+def alternating_totals(
+    design: PipelineDesign, rc_mapping: str = "auto"
+) -> tuple[int, int]:
+    """Eq. (5) cycles of ``design`` under the alternating assignments
+    that start layer 0 with OFM reuse and with IFM reuse: their
+    :meth:`FnasAnalyzer.analyze` totals, from one pass and no report."""
+    layers = design.layers
+    ofm_start = ifm_start = 0
+    ofm_total = ifm_total = layers[0].effective_processing_time
+    for index, ((dt_ofm, dt_ifm), layer) in enumerate(
+        zip(boundary_deltas(design, rc_mapping), layers[1:])
+    ):
+        if index % 2:  # odd upstream layers run the other reuse order
+            dt_ofm, dt_ifm = dt_ifm, dt_ofm
+        ofm_start += dt_ofm
+        ifm_start += dt_ifm
+        work = layer.effective_processing_time
+        ofm_total = max(ofm_total, ofm_start + work)
+        ifm_total = max(ifm_total, ifm_start + work)
+    return ofm_total, ifm_total
+
+
 def _delta_for(deltas: tuple[int, int], upstream_reuse: str) -> int:
     """The delta of one boundary under the upstream PE's reuse order."""
     if upstream_reuse == OFM_REUSE:
@@ -275,8 +275,23 @@ def _last_rc_tile_needed(
     upstream: LayerDesign, downstream: LayerDesign, rc_mapping: str
 ) -> int:
     """Index of the last upstream row/col tile feeding the
-    downstream's first IFM tile (0 when the grids map one-to-one)."""
-    mode = resolve_rc_mapping(upstream, downstream, rc_mapping)
-    if mode == "identity":
+    downstream's first IFM tile (0 when the grids map one-to-one).
+
+    ``max(rc_dependencies(upstream, downstream, 0))`` in closed form:
+    the first tile's input window ends at ``in_r1``, so every upstream
+    row tile from 0 to ``(in_r1 - 1) // Tr_up`` overlaps it (capped at
+    the grid); columns work the same way.
+    """
+    if resolve_rc_mapping(upstream, downstream, rc_mapping) == "identity":
         return 0
-    return max(rc_dependencies(upstream, downstream, 0))
+    spec, tiling = downstream.spec, downstream.tiling
+    # Output row r reads input rows up to r * stride - pad + K
+    # (exclusive), with the same-padding pad = (K - 1) // 2.
+    reach = spec.kernel - (spec.kernel - 1) // 2
+    in_r1 = min(spec.in_rows,
+                (min(spec.out_rows, tiling.tr) - 1) * spec.stride + reach)
+    in_c1 = min(spec.in_cols,
+                (min(spec.out_cols, tiling.tc) - 1) * spec.stride + reach)
+    row = min((in_r1 - 1) // upstream.tiling.tr, upstream.n_row_tiles - 1)
+    col = min((in_c1 - 1) // upstream.tiling.tc, upstream.n_col_tiles - 1)
+    return row * upstream.n_col_tiles + col

@@ -26,13 +26,15 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.core.architecture import Architecture
 from repro.fpga.platform import Platform
 from repro.fpga.tiling import LayerDesignMemo, MemoStats, PipelineDesign, TilingDesigner
-from repro.latency.analyzer import FnasAnalyzer, LatencyReport
+from repro.latency.analyzer import FnasAnalyzer, LatencyReport, alternating_totals
 from repro.latency.explorer import DesignExplorer
-from repro.scheduling.fnas_sched import FnasScheduler
+from repro.scheduling.base import OFM_REUSE
+from repro.scheduling.fnas_sched import FnasScheduler, alternating_strategies
 from repro.scheduling.simulator import PipelineSimulator
 from repro.taskgraph.graph import TaskGraphGenerator
 
@@ -56,14 +58,24 @@ class CacheStats(MemoStats):
 
 @dataclass(frozen=True)
 class LatencyEstimate:
-    """Latency of one architecture on one platform."""
+    """Latency of one architecture on one platform; ``design`` runs the
+    alternating reuse assignment that starts with ``first_reuse``."""
 
     architecture: Architecture
     cycles: int
     ms: float
     method: str
     design: PipelineDesign
-    report: LatencyReport | None = None
+    first_reuse: str = OFM_REUSE
+
+    @cached_property
+    def report(self) -> LatencyReport:
+        """The analyzer's full report of ``design``, built on first read
+        (a search reads only ``ms``)."""
+        strategies = alternating_strategies(
+            len(self.design.layers), first=self.first_reuse
+        )
+        return FnasAnalyzer(strategies=strategies).analyze(self.design)
 
     def meets(self, required_ms: float) -> bool:
         """Whether this latency satisfies a timing specification."""
@@ -200,43 +212,29 @@ class LatencyEstimator:
 
     def _estimate_fresh(self, architecture: Architecture) -> LatencyEstimate:
         """Run the full FNAS tool chain for one uncached architecture."""
-        first_reuse = None
         if self.explore_designs:
             best = self._explorer.explore(architecture, self.platform).best
-            design = best.design
-            analytical_report = best.report
+            design, cycles = best.design, best.total_cycles
             first_reuse = best.first_reuse
         else:
             designer = self.designer if self.designer is not None else TilingDesigner(
                 memo=self._designer_memo
             )
             design = designer.design(architecture, self.platform)
-            analytical_report = FnasAnalyzer().analyze(design)
-        if self.method == ANALYTICAL:
-            return LatencyEstimate(
-                architecture=architecture,
-                cycles=analytical_report.total_cycles,
-                ms=analytical_report.total_ms,
-                method=self.method,
-                design=design,
-                report=analytical_report,
-            )
-        graph = TaskGraphGenerator(rc_mapping=self.rc_mapping).generate(design)
-        scheduler = (
-            FnasScheduler(first_reuse=first_reuse)
-            if first_reuse is not None
-            else FnasScheduler()
-        )
-        schedule = scheduler.schedule(graph)
-        result = PipelineSimulator().run(schedule)
-        cycles = result.makespan
+            cycles = alternating_totals(design)[0]
+            first_reuse = OFM_REUSE
+        if self.method == SIMULATE:
+            graph = TaskGraphGenerator(rc_mapping=self.rc_mapping).generate(
+                design)
+            schedule = FnasScheduler(first_reuse=first_reuse).schedule(graph)
+            cycles = PipelineSimulator().run(schedule).makespan
         return LatencyEstimate(
             architecture=architecture,
             cycles=cycles,
             ms=self.platform.cycles_to_ms(cycles),
             method=self.method,
             design=design,
-            report=analytical_report,
+            first_reuse=first_reuse,
         )
 
 

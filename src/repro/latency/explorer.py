@@ -16,7 +16,11 @@ from functools import cached_property
 from repro.core.architecture import Architecture
 from repro.fpga.platform import Platform
 from repro.fpga.tiling import LayerDesignMemo, PipelineDesign, TilingDesigner
-from repro.latency.analyzer import FnasAnalyzer, LatencyReport
+from repro.latency.analyzer import (
+    FnasAnalyzer,
+    LatencyReport,
+    alternating_totals,
+)
 from repro.scheduling.base import IFM_REUSE, OFM_REUSE
 from repro.scheduling.fnas_sched import alternating_strategies
 
@@ -74,10 +78,10 @@ class DesignExplorer:
         """Evaluate every policy combination and return the best design.
 
         The architecture is allocated once and each spatial strategy
-        designed once from that allocation.  The reuse choices of one
-        design share its start deltas and are ranked by total cycles
-        alone; the first minimum wins.  No :class:`LatencyReport` is
-        built here: each choice builds its own when it is read.
+        designed once from that allocation; one integer pass gives both
+        reuse choices' totals (:func:`alternating_totals`).  The four
+        choices are ranked by total cycles alone; the first minimum
+        wins.  Each choice builds its report only when it is read.
         """
         allocations = platform.allocate(architecture)
         choices: list[ExplorationChoice] = []
@@ -86,11 +90,8 @@ class DesignExplorer:
             design = designer.design_allocated(
                 architecture, platform, allocations
             )
-            for first in self.FIRST_REUSE_CHOICES:
-                strategies = alternating_strategies(
-                    architecture.depth, first=first
-                )
-                cycles = FnasAnalyzer(strategies=strategies).total_cycles(design)
+            for first, cycles in zip(self.FIRST_REUSE_CHOICES,
+                                     alternating_totals(design)):
                 choices.append(
                     ExplorationChoice(
                         spatial_strategy=spatial,

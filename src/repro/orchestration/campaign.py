@@ -42,7 +42,7 @@ from functools import partial
 from pathlib import Path
 from typing import Any
 
-from repro.core.search import SearchCancelled, SearchResult
+from repro.core.search import SearchCancelled
 from repro.core.serialization import atomic_write_json, search_result_to_dict
 from repro.events import (
     Event,

@@ -45,6 +45,10 @@ from typing import Any, Callable, Iterable
 
 from repro.plans import RunPlan
 
+#: Age at which :meth:`ResultStore.gc` removes a ``put`` staging file; a
+#: live writer holds one for microseconds, so an older one is orphaned.
+STAGING_GRACE_SECONDS = 300.0
+
 
 def _encode_search(result: Any) -> dict[str, Any]:
     from repro.core.serialization import search_result_to_dict
@@ -211,19 +215,25 @@ class ResultStore:
         construction the same result).  Each writer stages its bytes
         in its own temp file (named by pid and thread id), so two
         processes or threads putting one key race benignly: both
-        renames land the same bytes.
+        renames land the same bytes.  A write or rename that raises
+        removes the staging file and caches nothing, so the next put of
+        the key writes again; :meth:`gc` reclaims a killed writer's file.
         """
         existing = self._lookup(key)
         if existing is not None:
             return existing
         blob = canonical_payload_bytes(payload)
-        self._memory[key] = blob
         if self.directory is not None:
             path = self._path(key)
             tmp = path.with_name(
                 f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-            tmp.write_bytes(blob)
-            os.replace(tmp, path)
+            try:
+                tmp.write_bytes(blob)
+                os.replace(tmp, path)
+            except BaseException:
+                tmp.unlink(missing_ok=True)
+                raise
+        self._memory[key] = blob
         return blob
 
     def get_bytes(self, key: str) -> bytes | None:
@@ -315,8 +325,10 @@ class ResultStore:
           (live entries count against it but are never evicted).
 
         Entries whose file no longer validates (torn or corrupt JSON)
-        are removed unconditionally -- they can only ever be misses.
-        With no budget given, only that corrupt-file cleanup runs.
+        are removed unconditionally -- they can only ever be misses --
+        and so are :meth:`put` staging files older than
+        :data:`STAGING_GRACE_SECONDS`.  With no budget given, only that
+        cleanup runs.
         ``dry_run`` computes the same report without deleting.
         Removed keys are also dropped from the in-memory cache.
         Raises :class:`ValueError` on in-memory-only stores (nothing
@@ -341,6 +353,15 @@ class ResultStore:
         kept_live = 0
         reclaimed = 0
         examined = 0
+        staging: list[Path] = []
+        for path in sorted(self.directory.glob("*.json.*.tmp")):
+            try:
+                stat = path.stat()
+            except OSError:
+                continue  # renamed or removed by its writer
+            if now - stat.st_mtime >= STAGING_GRACE_SECONDS:
+                staging.append(path)
+                reclaimed += stat.st_size
         for key, path in paths.items():
             try:
                 stat = path.stat()
@@ -381,6 +402,8 @@ class ResultStore:
                 except OSError:
                     pass  # already gone; the report still counts it
                 self._memory.pop(key, None)
+            for path in staging:
+                path.unlink(missing_ok=True)
         return StoreGCReport(
             examined=examined,
             kept=examined - len(removed),
@@ -388,6 +411,7 @@ class ResultStore:
             removed_corrupt=tuple(corrupt),
             removed_expired=tuple(expired),
             removed_over_budget=tuple(over_budget),
+            removed_staging=tuple(path.name for path in staging),
             reclaimed_bytes=reclaimed,
             dry_run=dry_run,
         )
@@ -405,8 +429,9 @@ class StoreGCReport:
         removed_expired: dead keys past the ``max_age_seconds`` budget.
         removed_over_budget: dead keys evicted (oldest-first) to fit
             ``max_bytes``.
+        removed_staging: stale ``put`` staging files (not entries).
         reclaimed_bytes: on-disk bytes freed (or freeable, under
-            ``dry_run``).
+            ``dry_run``), staging files included.
         dry_run: whether the sweep only reported, without deleting.
     """
 
@@ -416,6 +441,7 @@ class StoreGCReport:
     removed_corrupt: tuple[str, ...] = ()
     removed_expired: tuple[str, ...] = ()
     removed_over_budget: tuple[str, ...] = ()
+    removed_staging: tuple[str, ...] = ()
     reclaimed_bytes: int = 0
     dry_run: bool = False
 
@@ -435,6 +461,7 @@ class StoreGCReport:
             "removed_corrupt": list(self.removed_corrupt),
             "removed_expired": list(self.removed_expired),
             "removed_over_budget": list(self.removed_over_budget),
+            "removed_staging": list(self.removed_staging),
             "reclaimed_bytes": self.reclaimed_bytes,
             "dry_run": self.dry_run,
         }
@@ -448,6 +475,7 @@ class StoreGCReport:
             f"({len(self.removed_corrupt)} corrupt, "
             f"{len(self.removed_expired)} expired, "
             f"{len(self.removed_over_budget)} over budget; "
+            f"{len(self.removed_staging)} stale staging file(s); "
             f"{self.reclaimed_bytes} bytes)"
         )
 

@@ -132,3 +132,32 @@ class TestFnasSearch:
         space, estimator, evaluator = setup
         search = FnasSearch(space, evaluator, estimator, 7.5)
         assert search.required_latency_ms == 7.5
+
+
+class TestDecodeMemo:
+    def test_evaluator_pickles_to_the_same_size_after_a_search(self):
+        """The search loop's decode memo stays out of the space the
+        evaluator holds, so ``ParallelEvaluator`` tasks do not grow
+        with the run."""
+        import pickle
+
+        from repro.api import build_search
+        from repro.plans import (
+            ExecutionPolicy, RunPlan, ScenarioPlan, SearchPlan,
+        )
+
+        search = build_search(RunPlan(
+            workload="search",
+            search=SearchPlan(seed=3, trials=200),
+            scenario=ScenarioPlan(datasets=("mobilenet",),
+                                  devices=("xc7z020-ddr-narrow",),
+                                  specs_ms=(40.0,)),
+            execution=ExecutionPolicy(batch_size=8),
+        ))
+        assert isinstance(search.evaluator, SurrogateAccuracyEvaluator)
+        before = len(pickle.dumps(search.evaluator))
+        result = search.run(200, np.random.default_rng(3), batch_size=8)
+        assert len(result.trials) == 200
+        # Controllers resample children, so the memo had repeats to serve.
+        assert len({t.tokens for t in result.trials}) < 200
+        assert len(pickle.dumps(search.evaluator)) == before

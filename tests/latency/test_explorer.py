@@ -76,19 +76,34 @@ class TestSavedWork:
     """One seeded 1200-trial MobileNet search at B=32, counted."""
 
     def test_each_piece_of_work_happens_once(self, monkeypatch):
-        explores, allocations, analyses, bram_usage = [], [], [], []
-        chosen, designed = [], []
+        explores, analyses, bram_usage = [], [], []
+        chosen, spatial, allocated = [], [], []
         for owner, name, calls, record in (
-            (DesignExplorer, "explore", explores, None),
-            (Platform, "allocate", allocations, None),
             (FnasAnalyzer, "analyze", analyses, None),
             (tiling_reference, "_bram_usage", bram_usage, None),
             (tiling, "_channel_tiling", chosen, lambda *key: key),
-            (TilingDesigner, "design_layer", designed,
-             lambda self, *key: key),
+            (tiling, "_spatial_tiling", spatial, lambda *key: key),
         ):
             monkeypatch.setattr(
                 owner, name, _counting(calls, getattr(owner, name), record))
+        allocate = Platform.allocate
+
+        def allocate_and_record(self, architecture):
+            allocations = allocate(self, architecture)
+            allocated.append([
+                (spec, a.dsp_budget, a.bram_budget_bytes)
+                for spec, a in zip(architecture.layers, allocations)])
+            return allocations
+
+        monkeypatch.setattr(Platform, "allocate", allocate_and_record)
+        explore = DesignExplorer.explore
+
+        def explore_and_record(self, architecture, platform):
+            result = explore(self, architecture, platform)
+            explores.append(result)
+            return result
+
+        monkeypatch.setattr(DesignExplorer, "explore", explore_and_record)
         plan = RunPlan(
             workload="search",
             search=SearchPlan(seed=7, trials=1200),
@@ -100,12 +115,27 @@ class TestSavedWork:
         build_search(plan).run(1200, np.random.default_rng(7), batch_size=32)
 
         assert len(explores) > 100
-        # One allocation and one report per fresh architecture.
-        assert len(allocations) == len(explores)
-        assert len(analyses) == len(explores)
+        # The analytical path builds no report; a search reads only ms.
+        assert analyses == []
+        # One allocation per fresh architecture.
+        assert len(allocated) == len(explores)
         # One channel choice per distinct (spec, DSP, BRAM) key, shared
         # by both spatial strategies.
-        assert len(chosen) == len(set(chosen)) == len(set(designed))
+        keys = {layer for layers in allocated for layer in layers}
+        assert len(chosen) == len(set(chosen))
+        assert set(chosen) == keys
+        # One spatial choice per distinct (spec, Tm, Tn, BRAM, strategy):
+        # the DSP budget reaches it only through (Tm, Tn).
+        spatial_keys = {
+            (layer.spec, layer.tiling.tm, layer.tiling.tn,
+             allocation.bram_budget_bytes, choice.spatial_strategy)
+            for result in explores for choice in result.evaluated
+            for layer, allocation in zip(choice.design.layers,
+                                         choice.design.allocations)
+        }
+        assert len(spatial) == len(set(spatial))
+        assert set(spatial) == spatial_keys
+        assert len(spatial) < 2 * len(keys)
         # The enumerating reference is never on the runtime path.
         assert bram_usage == []
         assert not hasattr(tiling, "_bram_usage")

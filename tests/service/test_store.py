@@ -158,6 +158,36 @@ class TestTornStore:
         assert ResultStore(tmp_path).get_bytes("k") is None
 
 
+class TestFailedPut:
+    """A put whose write or rename raises leaves no staging file."""
+
+    @pytest.mark.parametrize("step", ["write", "replace"])
+    def test_failed_put_leaves_no_temp_file(self, tmp_path, monkeypatch,
+                                            step):
+        import errno
+        import os
+        from pathlib import Path
+
+        def no_space(*args, **kwargs):
+            if step == "write":
+                args[0].write_text("{")  # a torn half-written temp file
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        if step == "write":
+            monkeypatch.setattr(Path, "write_bytes", no_space)
+        else:
+            monkeypatch.setattr(os, "replace", no_space)
+        store = ResultStore(tmp_path)
+        with pytest.raises(OSError, match="No space"):
+            store.put("k", {"a": 1})
+        monkeypatch.undo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+        # Nothing unpersisted is served, and the next put writes again.
+        assert store.get_bytes("k") is None
+        blob = store.put("k", {"a": 1})
+        assert ResultStore(tmp_path).get_bytes("k") == blob
+
+
 def _race_payload(index):
     return {"index": index, "pad": "x" * 2048}
 

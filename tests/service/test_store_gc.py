@@ -18,7 +18,7 @@ from repro.orchestration.shards import ShardSpec, plan_shards
 from repro.plans import ExecutionPolicy, RunPlan, ScenarioPlan, SearchPlan, plan_hash
 from repro.service import ResultStore, SearchService
 from repro.service.journal import JobJournal
-from repro.service.store import live_store_keys
+from repro.service.store import STAGING_GRACE_SECONDS, live_store_keys
 
 
 def sweep_plan(trials=3, specs=(5.0, 7.5), **execution):
@@ -162,6 +162,49 @@ class TestGCBudgets:
         assert report.examined == 2
         assert leftover.exists()
         assert store.get_payload("dead") is not None
+
+
+class TestStagingFiles:
+    """Staging files a failed or killed writer left behind."""
+
+    def _plant(self, directory, key, age):
+        """A staging file as ``put`` names it, ``age`` seconds old."""
+        path = directory / f"{key}.json.4242.140000000000.tmp"
+        path.write_bytes(b'{"half":')
+        _age(path, age)
+        return path
+
+    def test_gc_removes_old_staging_files_and_keeps_fresh_ones(
+            self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put("entry", {"a": 1})
+        old = self._plant(tmp_path, "k1", STAGING_GRACE_SECONDS + 60)
+        fresh = self._plant(tmp_path, "k2", 0)
+        report = store.gc()
+        assert report.removed_staging == (old.name,)
+        assert report.reclaimed_bytes == len(b'{"half":')
+        assert report.examined == report.kept == 1
+        assert not old.exists()
+        assert fresh.exists()
+        assert store.get_payload("entry") == {"a": 1}
+        assert "1 stale staging file(s)" in report.format()
+        assert report.to_dict()["removed_staging"] == [old.name]
+
+    def test_dry_run_removes_nothing(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put("dead", {"a": 1})
+        old = self._plant(tmp_path, "k1", STAGING_GRACE_SECONDS + 60)
+        report = store.gc(max_age_seconds=0, max_bytes=0, dry_run=True)
+        assert report.removed_staging == (old.name,)
+        assert report.removed_expired == ("dead",)
+        assert old.exists()
+        assert (tmp_path / "dead.json").exists()
+
+    def test_staging_files_do_not_count_as_entries(self, tmp_path):
+        store = ResultStore(tmp_path)
+        self._plant(tmp_path, "k1", STAGING_GRACE_SECONDS + 60)
+        assert len(store) == 0
+        assert store.gc(max_age_seconds=0, max_bytes=0).examined == 0
 
 
 class TestJournalLiveness:
