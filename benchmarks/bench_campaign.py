@@ -27,7 +27,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.orchestration import run_campaign, shard_grid
+from repro.orchestration import Campaign, plan_shards
+from repro.plans import RunPlan, ScenarioPlan, SearchPlan
 
 SEEDS = (0, 1, 2, 3)
 SPECS_MS = (10.0, 5.0)
@@ -50,10 +51,12 @@ class CampaignPoint:
 
 
 def _grid():
-    return shard_grid(
-        ["mnist"], ["pynq-z1"], seeds=list(SEEDS), specs_ms=list(SPECS_MS),
-        trials=TRIALS,
-    )
+    return plan_shards(RunPlan(
+        workload="sweep",
+        search=SearchPlan(trials=TRIALS),
+        scenario=ScenarioPlan(datasets=("mnist",), devices=("pynq-z1",),
+                              seeds=SEEDS, specs_ms=SPECS_MS),
+    ))
 
 
 def _ledger_fingerprint(result) -> str:
@@ -74,7 +77,7 @@ def run_scaling() -> tuple[list[CampaignPoint], list[str]]:
     points: list[CampaignPoint] = []
     fingerprints: list[str] = []
     for workers in WORKER_COUNTS:
-        result = run_campaign(_grid(), max_workers=workers)
+        result = Campaign(_grid()).run(max_workers=workers)
         points.append(
             CampaignPoint(
                 max_workers=workers,

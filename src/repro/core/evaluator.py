@@ -297,7 +297,7 @@ def _file_outcome(outcomes: dict, index: int, _item: int, outcome) -> None:
 # Factory contract: factory(space, config, seed) -> AccuracyEvaluator.
 # Plans name evaluators by these keys (repro.plans.SearchPlan.evaluator).
 
-from repro.registry import EVALUATORS
+from repro.registry import DATASETS, EVALUATORS
 
 
 @EVALUATORS.register("surrogate")
@@ -319,8 +319,6 @@ def _trained_factory(
     for Table 2-scale data.
     """
     del space  # the dataset, not the space, parameterises training
-    from repro.datasets.registry import load_dataset
-
     return TrainedAccuracyEvaluator(
-        load_dataset(config.dataset, seed=seed), init_seed=seed
+        DATASETS[config.dataset](seed=seed), init_seed=seed
     )

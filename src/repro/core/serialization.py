@@ -17,10 +17,10 @@ machinery relies on.
 
 The second half of the module is that machinery's substrate: RNG stream
 capture (:func:`rng_state_to_dict` / :func:`rng_from_state`), estimator
-cache statistics, and :func:`atomic_write_json` /
-:func:`atomic_write_text`, which make snapshot files crash-safe (a
-checkpoint is either the complete old file or the complete new one,
-never a torn write).
+cache statistics, and the atomic writers (:func:`atomic_write_json`,
+:func:`atomic_write_text`, :func:`atomic_write_bytes`), which make
+snapshot files crash-safe (a checkpoint is either the complete old file
+or the complete new one, never a torn write).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+import time
 from pathlib import Path
 from typing import Any
 
@@ -254,26 +255,59 @@ def restore_cache_stats(estimator: Any, data: dict[str, Any] | None) -> None:
     estimator.layer_memo_stats.misses = int(layer_tier["misses"])
 
 
-def atomic_write_text(text: str, path: str | Path) -> None:
-    """Write ``text`` to ``path`` so readers never observe a torn file.
+#: Age at which a staging file counts as orphaned: a live writer holds
+#: one for milliseconds, so an older one belongs to a killed writer.
+STAGING_GRACE_SECONDS = 300.0
 
-    The payload lands in a same-directory temporary file first and is
+
+def atomic_write_bytes(data: bytes, path: str | Path) -> None:
+    """Write ``data`` to ``path`` so readers never observe a torn file.
+
+    The payload lands in a same-directory *staging file* first and is
     moved over ``path`` with :func:`os.replace`, which is atomic on
     POSIX and Windows.  A crash mid-write leaves the previous file
     intact -- the property the campaign runner's re-queue-from-last-
     checkpoint recovery depends on.  Each writer stages in its own
-    temporary file (named by pid and thread id), so two writers of one
-    path never move each other's file; the last rename wins.
+    file, ``<name>.<pid>.<thread id>.tmp``, so two writers of one path
+    never move each other's file; the last rename wins.  A write or
+    rename that raises removes the staging file; one a killed writer
+    leaves behind is found by :func:`stale_staging_files`.
     """
     path = Path(path)
     tmp = path.with_name(
         f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        tmp.write_text(text)
+        tmp.write_bytes(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def atomic_write_text(text: str, path: str | Path) -> None:
+    """Write ``text`` UTF-8 encoded via :func:`atomic_write_bytes`."""
+    atomic_write_bytes(text.encode(), path)
+
+
+def stale_staging_files(
+    directory: str | Path, name: str, now: float | None = None
+) -> list[tuple[Path, int]]:
+    """Staging files in ``directory`` older than the grace, with sizes.
+
+    ``name`` is a glob over the target file names whose staging files
+    to find (``"*.json"``, or one escaped file name).  A file whose
+    writer renames or removes it during the scan is skipped.
+    """
+    now = time.time() if now is None else now
+    stale: list[tuple[Path, int]] = []
+    for path in sorted(Path(directory).glob(f"{name}.*.tmp")):
+        try:
+            stat = path.stat()
+        except OSError:
+            continue  # renamed or removed by its writer
+        if now - stat.st_mtime >= STAGING_GRACE_SECONDS:
+            stale.append((path, stat.st_size))
+    return stale
 
 
 def atomic_write_json(data: Any, path: str | Path) -> None:

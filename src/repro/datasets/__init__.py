@@ -2,7 +2,6 @@
 stand-ins)."""
 
 from repro.datasets.base import Dataset
-from repro.datasets.registry import dataset_names, load_dataset
 from repro.datasets.synthetic_cifar import make_cifar
 from repro.datasets.synthetic_imagenet import make_imagenet
 from repro.datasets.synthetic_mnist import make_mnist
@@ -10,8 +9,6 @@ from repro.datasets.synthetic_mobilenet import make_mobilenet
 
 __all__ = [
     "Dataset",
-    "dataset_names",
-    "load_dataset",
     "make_cifar",
     "make_imagenet",
     "make_mnist",

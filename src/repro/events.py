@@ -14,28 +14,22 @@ events add the job's plan hash.  :meth:`Event.to_dict` /
 :func:`event_from_dict` round-trip every event losslessly through JSON,
 which is how the service's HTTP endpoint streams them.
 
-Consumption comes in two shapes:
-
-* **sync subscription** -- ``bus.subscribe(callback)`` delivers every
-  published event to the callback, in publish order, on the publishing
-  thread;
-* **async iteration** -- ``async for event in bus.stream(): ...``
-  bridges the bus into asyncio without any third-party dependency
-  (each stream buffers internally; closing the stream or the bus ends
-  the iteration).
+Consumers subscribe: ``bus.subscribe(callback)`` delivers every
+published event to the callback, in publish order, on the publishing
+thread.
 
 The bus is thread-safe: the service's worker threads publish
-concurrently and delivery order within the bus is serialized.
+concurrently, and each publisher's events reach every subscriber in
+that publisher's order.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import queue
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, ClassVar, Iterator
+from typing import Any, Callable, ClassVar
 
 #: Registry of event type tags -> event classes (see :func:`event_from_dict`).
 EVENT_TYPES: dict[str, type["Event"]] = {}
@@ -327,88 +321,21 @@ class LeaseExpired(JobEvent):
 
 EventCallback = Callable[[Event], None]
 
-#: Sentinel closing an :class:`EventStream`'s queue.
-_CLOSED = object()
-
-
-class EventStream:
-    """One subscriber's buffered view of a bus, sync- and async-iterable.
-
-    Created by :meth:`EventBus.stream`; usable as a context manager
-    (closing unsubscribes).  Synchronous iteration blocks until the
-    stream closes; asynchronous iteration (``async for``) awaits
-    without blocking the event loop, via a worker thread per ``get``.
-    """
-
-    def __init__(self, bus: "EventBus"):
-        self._bus = bus
-        self._queue: queue.Queue = queue.Queue()
-        self._closed = False
-
-    def _deliver(self, event: Event) -> None:
-        if not self._closed:
-            self._queue.put(event)
-
-    def close(self) -> None:
-        """Unsubscribe from the bus and end iteration."""
-        if not self._closed:
-            self._closed = True
-            self._bus._detach(self)
-            self._queue.put(_CLOSED)
-
-    def __enter__(self) -> "EventStream":
-        """Context-manager entry: the stream itself."""
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        """Context-manager exit closes the stream."""
-        self.close()
-
-    def __iter__(self) -> Iterator[Event]:
-        """Yield events in publish order until the stream closes."""
-        while True:
-            item = self._queue.get()
-            if item is _CLOSED:
-                return
-            yield item
-
-    def __aiter__(self) -> "EventStream":
-        """Asynchronous iteration protocol entry."""
-        return self
-
-    async def __anext__(self) -> Event:
-        """Await the next event without blocking the event loop."""
-        import asyncio
-
-        if self._closed and self._queue.empty():
-            raise StopAsyncIteration
-        item = await asyncio.to_thread(self._queue.get)
-        if item is _CLOSED:
-            raise StopAsyncIteration
-        return item
-
 
 class EventBus:
     """Thread-safe publish/subscribe hub for typed events.
 
     Callbacks run synchronously on the publishing thread, in subscribe
-    order.  Recording (when on) and the subscriber snapshot happen
-    under one lock, so :attr:`history` reflects a single global order;
-    delivery itself runs *outside* the lock (a callback may safely
-    publish or subscribe), so two racing publishers' callbacks can
-    interleave -- consumers needing strict per-job order read the
-    service's per-job logs, which are appended under the service lock.
-    ``record=True`` additionally appends every event to
-    :attr:`history`.
+    order.  The subscriber snapshot is taken under the lock and
+    delivery runs *outside* it (a callback may safely publish or
+    subscribe), so two racing publishers' callbacks can interleave --
+    consumers needing strict per-job order read the service's per-job
+    logs, which are appended under the service lock.
     """
 
-    def __init__(self, record: bool = False):
+    def __init__(self):
         self._lock = threading.Lock()
         self._subscribers: list[EventCallback] = []
-        self._streams: list[EventStream] = []
-        self._record = record
-        #: Recorded events when ``record=True`` (publish order).
-        self.history: list[Event] = []
 
     def subscribe(self, callback: EventCallback) -> EventCallback:
         """Register a callback; returns it (handy for unsubscribing)."""
@@ -421,35 +348,9 @@ class EventBus:
         with self._lock:
             self._subscribers.remove(callback)
 
-    def stream(self) -> EventStream:
-        """Open a buffered :class:`EventStream` over future events."""
-        stream = EventStream(self)
-        with self._lock:
-            self._streams.append(stream)
-        return stream
-
     def publish(self, event: Event) -> None:
-        """Deliver one event to every subscriber and open stream."""
+        """Deliver one event to every subscriber."""
         with self._lock:
-            if self._record:
-                self.history.append(event)
             subscribers = list(self._subscribers)
-            streams = list(self._streams)
         for callback in subscribers:
             callback(event)
-        for stream in streams:
-            stream._deliver(event)
-
-    def close(self) -> None:
-        """Close every open stream (subscribed callbacks are unaffected)."""
-        with self._lock:
-            streams = list(self._streams)
-        for stream in streams:
-            stream.close()
-
-    # -- internals -----------------------------------------------------------
-
-    def _detach(self, stream: EventStream) -> None:
-        with self._lock:
-            if stream in self._streams:
-                self._streams.remove(stream)

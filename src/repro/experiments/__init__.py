@@ -1,14 +1,5 @@
 """Experiment runners: one per table/figure of the paper's evaluation."""
 
-from repro.experiments.configs import (
-    CIFAR_CONFIG,
-    CONFIGS,
-    IMAGENET_CONFIG,
-    MNIST_CONFIG,
-    ExperimentConfig,
-    TimingSpecs,
-    get_config,
-)
 from repro.experiments.ablation import (
     PruningAblationResult,
     ReuseAblationResult,
@@ -55,13 +46,6 @@ __all__ = [
     "ParetoFront",
     "ParetoPoint",
     "compute_pareto_front",
-    "CIFAR_CONFIG",
-    "CONFIGS",
-    "IMAGENET_CONFIG",
-    "MNIST_CONFIG",
-    "ExperimentConfig",
-    "TimingSpecs",
-    "get_config",
     "Figure6Bar",
     "Figure6Result",
     "figure6_plan",

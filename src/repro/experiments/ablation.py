@@ -19,17 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.api import build_controller
 from repro.core.evaluator import SurrogateAccuracyEvaluator
 from repro.core.search import FnasSearch, SearchResult
 from repro.core.search_space import SearchSpace
 from repro.configs import get_config
 from repro.experiments.figure8 import figure8_architectures
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import make_controller
 from repro.fpga.device import PYNQ_Z1, FpgaDevice
 from repro.fpga.platform import Platform
 from repro.fpga.tiling import TilingDesigner
 from repro.latency.estimator import LatencyEstimator
+from repro.plans import SearchPlan
 from repro.scheduling.fnas_sched import FnasScheduler
 from repro.scheduling.simulator import PipelineSimulator
 from repro.taskgraph.graph import TaskGraphGenerator
@@ -169,7 +170,7 @@ def run_pruning_ablation(
     estimator = LatencyEstimator(Platform.single(device))
     search = FnasSearch(
         space, evaluator, estimator, required_latency_ms,
-        controller=make_controller(space, seed),
+        controller=build_controller(SearchPlan(seed=seed), space),
     ).run(trials if trials is not None else config.trials,
           np.random.default_rng(seed), batch_size=batch_size)
     actual = search.simulated_seconds

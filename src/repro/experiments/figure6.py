@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from repro.configs import MNIST_CONFIG
 from repro.core.evaluator import AccuracyEvaluator
 from repro.events import EventCallback
-from repro.experiments.configs import MNIST_CONFIG
 from repro.experiments.reporting import format_minutes, format_table
 from repro.experiments.runner import PairedSearchOutcome, run_paired_plan
 from repro.fpga.device import XC7A50T, XC7Z020, FpgaDevice, get_device

@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from repro.configs import get_config
 from repro.core.evaluator import AccuracyEvaluator
 from repro.events import EventCallback
-from repro.experiments.configs import get_config
 from repro.experiments.reporting import format_table, improvement
 from repro.experiments.runner import PairedSearchOutcome, run_paired_plan
 from repro.fpga.device import XC7Z020, XCZU9EG

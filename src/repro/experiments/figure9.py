@@ -23,10 +23,10 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any
 
+from repro.configs import MOBILENET_CONFIG
 from repro.core.evaluator import AccuracyEvaluator, SurrogateAccuracyEvaluator
 from repro.core.search_space import SearchSpace
 from repro.events import Event, EventCallback
-from repro.experiments.configs import MOBILENET_CONFIG
 from repro.experiments.pareto import ParetoFront, compute_pareto_front
 from repro.experiments.reporting import format_table
 from repro.fpga.device import FpgaDevice, get_device

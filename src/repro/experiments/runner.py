@@ -36,14 +36,14 @@ from repro.api import (
     build_evaluator,
     landscape_seed,
 )
+from repro.configs import ExperimentConfig, get_config
 from repro.core.evaluator import AccuracyEvaluator, ParallelEvaluator
 from repro.core.search import FnasSearch, NasSearch, SearchResult
 from repro.core.search_space import SearchSpace
 from repro.events import Event, EventCallback, SearchFinished, SearchStarted
-from repro.experiments.configs import ExperimentConfig, get_config
-from repro.fpga.device import DEVICE_CATALOG
 from repro.fpga.platform import Platform
-from repro.plans import RunPlan, SearchPlan, spec_key
+from repro.plans import RunPlan, spec_key
+from repro.registry import DEVICES
 
 
 @dataclass
@@ -122,11 +122,6 @@ class PairedSearchOutcome:
                 for key, result in data["fnas"].items()
             },
         )
-
-
-def make_controller(space: SearchSpace, seed: int):
-    """The default controller used across experiments (registry ``lstm``)."""
-    return build_controller(SearchPlan(seed=seed), space)
 
 
 def run_paired_plan(
@@ -245,10 +240,10 @@ def _campaign_device(platform: Platform) -> tuple[str, int]:
             + ", ".join(sorted(names))
         )
     name = next(iter(names))
-    if name not in DEVICE_CATALOG:
+    if name not in DEVICES:
         raise ValueError(
             f"campaign mode needs a catalog device, got {name!r} "
-            f"(known: {', '.join(sorted(DEVICE_CATALOG))})"
+            f"(known: {', '.join(DEVICES.names())})"
         )
     return name, len(platform.devices)
 

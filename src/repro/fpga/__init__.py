@@ -1,7 +1,6 @@
 """FPGA device models, multi-FPGA platforms and tiling design (FNAS-Design)."""
 
 from repro.fpga.device import (
-    DEVICE_CATALOG,
     PYNQ_Z1,
     XC7A50T,
     XC7Z020,
@@ -21,7 +20,6 @@ from repro.fpga.tiling import (
 )
 
 __all__ = [
-    "DEVICE_CATALOG",
     "PYNQ_Z1",
     "XC7A50T",
     "XC7Z020",

@@ -227,12 +227,9 @@ XC7Z020_DDR_NARROW = FpgaDevice(
 """Bandwidth-starved Zynq-7020 variant: narrow port, short bursts."""
 
 
-#: The catalog is the :data:`repro.registry.DEVICES` registry itself (a
-#: read-only mapping of name -> :class:`FpgaDevice`), so third-party
-#: devices registered via ``DEVICES.register(name, device)`` show up in
-#: every lookup, plan validation and CLI flag automatically.
-DEVICE_CATALOG = DEVICES
-
+# The catalog is the ``repro.registry.DEVICES`` registry itself, so
+# third-party devices registered via ``DEVICES.register(name, device)``
+# show up in every lookup, plan validation and CLI flag automatically.
 for _device in (XC7A50T, XC7Z020, PYNQ_Z1, XCZU9EG,
                 XC7Z020_DDR_WIDE, XC7Z020_DDR_NARROW):
     DEVICES.register(_device.name, _device)

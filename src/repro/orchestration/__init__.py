@@ -9,8 +9,7 @@ The layer that turns single search runs into durable fleets:
   a :class:`ShardSpec` is a thin wrapper over a serialized single-search
   :class:`~repro.plans.RunPlan`, plain data from which any process can
   rebuild the exact search -- and the grid expansion
-  (:func:`plan_shards` from a sweep plan's scenario, :func:`shard_grid`
-  as its kwarg spelling);
+  (:func:`plan_shards` from a sweep plan's scenario);
 * :mod:`repro.orchestration.campaign` fans shard grids across a process
   pool, re-queues shards whose workers die (resuming from their last
   checkpoints), and merges everything into a campaign-level result with
@@ -26,7 +25,6 @@ from repro.orchestration.campaign import (
     Campaign,
     CampaignResult,
     merge_outcomes,
-    run_campaign,
     save_campaign_result,
 )
 from repro.orchestration.shards import (
@@ -37,7 +35,6 @@ from repro.orchestration.shards import (
     build_search,
     plan_shards,
     run_shard,
-    shard_grid,
 )
 
 __all__ = [
@@ -50,8 +47,6 @@ __all__ = [
     "build_search",
     "merge_outcomes",
     "plan_shards",
-    "run_campaign",
     "run_shard",
     "save_campaign_result",
-    "shard_grid",
 ]

@@ -223,7 +223,7 @@ class Campaign:
 
     Parameters:
         shards: the grid, typically from
-            :func:`~repro.orchestration.shards.shard_grid`.
+            :func:`~repro.orchestration.shards.plan_shards`.
         checkpoint_dir: where shards snapshot; ``None`` disables
             checkpointing (shards then restart from scratch on
             re-queue, still correct but wasteful).
@@ -331,15 +331,10 @@ class Campaign:
                              should_stop=should_stop)
         for shard_id, spec in list(pending.items()):
             self._publish(SearchStarted(shard_id, "running in-process"))
-            # Kwarg only when set, so test doubles with the historical
-            # 3-argument run_shard signature keep working.
-            stop_kwargs = (
-                {} if should_stop is None else {"should_stop": should_stop}
-            )
             try:
                 payload = run_shard(
                     spec, self.checkpoint_dir, self.checkpoint_every,
-                    **stop_kwargs,
+                    should_stop=should_stop,
                 )
             except SearchCancelled:
                 raise SearchCancelled(len(outcomes)) from None
@@ -659,25 +654,3 @@ def _submit_should_give_up(inflight: dict, should_stop) -> bool:
     waiting inside submit could deadlock a fully-dispatched pool.
     """
     return bool(inflight) or (should_stop is not None and should_stop())
-
-
-def run_campaign(
-    shards: list[ShardSpec],
-    max_workers: int = 1,
-    checkpoint_dir: str | Path | None = None,
-    checkpoint_every: int | None = None,
-    progress: EventCallback | None = None,
-    store: Any = None,
-    batch_trials: int | None = None,
-    pool: Any = None,
-) -> CampaignResult:
-    """One-call convenience wrapper around :class:`Campaign`."""
-    return Campaign(
-        shards,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_every=checkpoint_every,
-        progress=progress,
-        store=store,
-        batch_trials=batch_trials,
-        pool=pool,
-    ).run(max_workers=max_workers)

@@ -17,22 +17,26 @@ the dead worker was executing.
 
 :func:`plan_shards` expands a sweep plan's scenario -- the
 (dataset x device x seed x search-config) cross product -- into the
-shard grid; :func:`shard_grid` remains as the kwarg spelling of the
-same expansion.
+shard grid.
 """
 
 from __future__ import annotations
 
+import glob
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 import numpy as np
 
 from repro.configs import get_config
 from repro.core.search import Search, SearchResult
-from repro.core.serialization import search_result_from_dict, search_result_to_dict
+from repro.core.serialization import (
+    search_result_from_dict,
+    search_result_to_dict,
+    stale_staging_files,
+)
 from repro.fpga.device import get_device
 from repro.plans import (
     ExecutionPolicy,
@@ -334,46 +338,6 @@ def plan_shards(plan: RunPlan) -> list[ShardSpec]:
     return shards
 
 
-def shard_grid(
-    datasets: Sequence[str],
-    devices: Sequence[str],
-    seeds: Sequence[int],
-    specs_ms: Sequence[float] | None = None,
-    include_nas: bool = False,
-    boards: int = 1,
-    trials: int | None = None,
-    batch_size: int = 1,
-    eval_workers: int = 1,
-    surrogate_seed: int | None = None,
-) -> list[ShardSpec]:
-    """Kwarg spelling of :func:`plan_shards` (the historical surface).
-
-    Builds the equivalent sweep plan and expands it, so both spellings
-    produce identical grids.
-    """
-    for axis, values in (("datasets", datasets), ("devices", devices),
-                         ("seeds", seeds)):
-        if not values:
-            raise ValueError(f"a grid needs at least one entry in {axis}")
-    plan = RunPlan(
-        workload="sweep",
-        search=SearchPlan(trials=trials),
-        execution=ExecutionPolicy(
-            batch_size=batch_size, eval_workers=eval_workers
-        ),
-        scenario=ScenarioPlan(
-            datasets=tuple(datasets),
-            devices=tuple(devices),
-            boards=boards,
-            seeds=tuple(seeds),
-            specs_ms=tuple(specs_ms or ()),
-            include_nas=include_nas,
-            surrogate_seed=surrogate_seed,
-        ),
-    )
-    return plan_shards(plan)
-
-
 def _check_unique(shards: Iterable[ShardSpec]) -> None:
     seen: set[str] = set()
     for shard in shards:
@@ -423,10 +387,12 @@ def run_shard(
     ``checkpoint_every`` trials (default: ~10 snapshots per run) and --
     crucially -- *resumes* from an existing snapshot instead of
     restarting, which is how a re-queued shard continues where a dead
-    worker left off.  ``should_stop`` (in-process callers only; it
-    cannot cross a pool boundary) cancels cooperatively between trials,
-    snapshotting first -- see
-    :class:`~repro.core.search.SearchCancelled`.  Returns a
+    worker left off.  Before either, it removes its own checkpoint's
+    staging files that a killed snapshot writer left behind (those
+    older than :data:`~repro.core.serialization.STAGING_GRACE_SECONDS`).
+    ``should_stop`` (in-process callers only; it cannot cross a pool
+    boundary) cancels cooperatively between trials, snapshotting first
+    -- see :class:`~repro.core.search.SearchCancelled`.  Returns a
     JSON-compatible payload so results cross the process boundary as
     plain data.
     """
@@ -447,6 +413,12 @@ def run_shard(
             )
         else:
             path = spec.checkpoint_path(checkpoint_dir)
+            # A snapshot writer killed between its write and its rename
+            # left its staging file behind; a fresh one may still belong
+            # to a live writer (double execution after a lease expired).
+            for stale, _ in stale_staging_files(path.parent,
+                                                glob.escape(path.name)):
+                stale.unlink(missing_ok=True)
             if checkpoint_every is None:
                 checkpoint_every = max(
                     1, trials // DEFAULT_CHECKPOINT_FRACTION

@@ -9,7 +9,7 @@ flag and shard spec naming that kind of component can use it
 immediately, with no signature widened anywhere.  (Plan *dataset*
 fields are the exception: they name Table 2 search-space configs from
 :mod:`repro.configs`; the ``DATASETS`` registry below serves the data
-generators behind ``load_dataset`` and the ``trained`` evaluator.)
+generators the ``trained`` evaluator trains on.)
 
 Built-in components register themselves from their defining modules via
 the decorator form::

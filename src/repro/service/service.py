@@ -255,14 +255,10 @@ class JobHandle:
         """
         deadline = None
         if timeout is not None:
-            import time
-
             deadline = time.monotonic() + timeout
         while not self._job.done_event.is_set():
             remaining = 0.1
             if deadline is not None:
-                import time
-
                 remaining = min(remaining, deadline - time.monotonic())
                 if remaining <= 0:
                     break
@@ -335,11 +331,11 @@ class SearchService:
             such jobs run un-checkpointed, exactly as their plan says.
         cache_results: store/serve results for cacheable workloads
             (turn off to make every submit re-run).
-        bus: an :class:`~repro.events.EventBus` to share; the default
-            bus (exposed as :attr:`bus`) does not record history --
-            per-job logs live on the jobs themselves, which keeps a
-            long-lived service's footprint proportional to its jobs,
-            not its event volume.
+        bus: an :class:`~repro.events.EventBus` to share (exposed as
+            :attr:`bus`); it delivers every job event to its
+            subscribers and keeps none -- per-job logs live on the
+            jobs themselves, which keeps a long-lived service's
+            footprint proportional to its jobs, not its event volume.
         backend: default execution back-end for jobs whose plans do
             not choose one -- ``"thread"`` runs the job on its worker
             thread (the exactness-first default), ``"process"`` on a
@@ -1048,7 +1044,6 @@ class SearchService:
                 pool, self._pool = self._pool, None
             if pool is not None:
                 pool.close()
-        self.bus.close()
 
     def __enter__(self) -> "SearchService":
         """Context-manager entry: the service itself."""
@@ -1251,13 +1246,18 @@ class SearchService:
         return job.plan.execution.backend or self.backend
 
     def _pop_queued(self, remote: bool = False) -> "_Job | None":
-        """Pop the next claimable queued job (caller holds the lock).
+        """Pop the next queued job this claimant may run (lock held).
 
         Stale heap entries (jobs cancelled while queued) are discarded
-        in passing.  ``remote`` claims skip jobs carrying a live
-        evaluator override -- those cannot cross the wire and stay
-        queued for the local workers.
+        in passing.  A job carrying a live evaluator override cannot
+        cross a process boundary, so ``remote`` claims skip it.  While
+        agents are registered the local workers yield every other job
+        to them -- remote execution is strictly more parallel -- and
+        take only the live-evaluator jobs.  With zero agents (none ever
+        joined, or all were lost) local workers take any job, exactly
+        the pre-federation behavior.
         """
+        yield_to_agents = not remote and bool(self._agents)
         kept: list[tuple[int, int, _Job]] = []
         found: _Job | None = None
         while self._queue:
@@ -1265,35 +1265,8 @@ class SearchService:
             job = entry[2]
             if job.state != "queued":
                 continue
-            if remote and job.evaluator is not None:
-                kept.append(entry)
-                continue
-            found = job
-            break
-        for entry in kept:
-            heapq.heappush(self._queue, entry)
-        return found
-
-    def _claim_local(self) -> "_Job | None":
-        """Pop the next job a *local* worker may run (lock held).
-
-        While agents are registered the local workers yield the queue
-        to them -- remote execution is strictly more parallel -- except
-        for live-evaluator jobs, which cannot cross a process boundary
-        and therefore always run locally.  With zero agents (none ever
-        joined, or all were lost) the service degrades gracefully to
-        plain local execution, exactly the pre-federation behavior.
-        """
-        if not self._agents:
-            return self._pop_queued()
-        kept: list[tuple[int, int, _Job]] = []
-        found: _Job | None = None
-        while self._queue:
-            entry = heapq.heappop(self._queue)
-            job = entry[2]
-            if job.state != "queued":
-                continue
-            if job.evaluator is None:
+            live = job.evaluator is not None
+            if (remote and live) or (yield_to_agents and not live):
                 kept.append(entry)
                 continue
             found = job
@@ -1306,7 +1279,7 @@ class SearchService:
         while True:
             with self._work_ready:
                 while True:
-                    job = self._claim_local()
+                    job = self._pop_queued()
                     if job is not None or self._shutdown:
                         break
                     self._work_ready.wait()

@@ -36,18 +36,19 @@ never served.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
+# STAGING_GRACE_SECONDS is re-exported: it is gc's staging grace.
+from repro.core.serialization import (
+    STAGING_GRACE_SECONDS,
+    atomic_write_bytes,
+    stale_staging_files,
+)
 from repro.plans import RunPlan
-
-#: Age at which :meth:`ResultStore.gc` removes a ``put`` staging file; a
-#: live writer holds one for microseconds, so an older one is orphaned.
-STAGING_GRACE_SECONDS = 300.0
 
 
 def _encode_search(result: Any) -> dict[str, Any]:
@@ -212,27 +213,20 @@ class ResultStore:
         Idempotent: re-putting under an existing key keeps the original
         bytes (first write wins -- the store is content-addressed by
         the *plan*, so a second identical plan's result is by
-        construction the same result).  Each writer stages its bytes
-        in its own temp file (named by pid and thread id), so two
-        processes or threads putting one key race benignly: both
-        renames land the same bytes.  A write or rename that raises
-        removes the staging file and caches nothing, so the next put of
-        the key writes again; :meth:`gc` reclaims a killed writer's file.
+        construction the same result).  The write goes through
+        :func:`~repro.core.serialization.atomic_write_bytes`, whose
+        per-writer staging file makes two processes or threads putting
+        one key race benignly: both renames land the same bytes.  A
+        write or rename that raises removes the staging file and caches
+        nothing, so the next put of the key writes again; :meth:`gc`
+        reclaims a killed writer's file.
         """
         existing = self._lookup(key)
         if existing is not None:
             return existing
         blob = canonical_payload_bytes(payload)
         if self.directory is not None:
-            path = self._path(key)
-            tmp = path.with_name(
-                f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-            try:
-                tmp.write_bytes(blob)
-                os.replace(tmp, path)
-            except BaseException:
-                tmp.unlink(missing_ok=True)
-                raise
+            atomic_write_bytes(blob, self._path(key))
         self._memory[key] = blob
         return blob
 
@@ -353,15 +347,9 @@ class ResultStore:
         kept_live = 0
         reclaimed = 0
         examined = 0
-        staging: list[Path] = []
-        for path in sorted(self.directory.glob("*.json.*.tmp")):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue  # renamed or removed by its writer
-            if now - stat.st_mtime >= STAGING_GRACE_SECONDS:
-                staging.append(path)
-                reclaimed += stat.st_size
+        stale = stale_staging_files(self.directory, "*.json", now)
+        staging = [path for path, _ in stale]
+        reclaimed += sum(size for _, size in stale)
         for key, path in paths.items():
             try:
                 stat = path.stat()

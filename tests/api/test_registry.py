@@ -20,16 +20,6 @@ class TestBuiltins:
         assert set(DATASETS) >= {"mnist", "cifar10", "imagenet"}
         assert set(DEVICES) >= {"pynq-z1", "xc7a50t", "xc7z020", "xczu9eg"}
 
-    def test_device_catalog_is_the_registry(self):
-        from repro.fpga.device import DEVICE_CATALOG
-
-        assert DEVICE_CATALOG is DEVICES
-
-    def test_dataset_names_served_from_registry(self):
-        from repro.datasets import dataset_names
-
-        assert dataset_names() == DATASETS.names()
-
     def test_miss_lists_known_names(self):
         with pytest.raises(KeyError, match="lstm"):
             CONTROLLERS["gru"]

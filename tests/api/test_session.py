@@ -76,12 +76,9 @@ class TestSweepEquivalence:
     )
 
     def test_plan_sweep_matches_legacy_campaign(self):
-        from repro.orchestration import run_campaign, shard_grid
+        from repro.orchestration import Campaign, plan_shards
 
-        legacy = run_campaign(
-            shard_grid(["mnist"], ["pynq-z1"], seeds=[0, 1],
-                       specs_ms=[5.0], include_nas=True, trials=TRIALS)
-        )
+        legacy = Campaign(plan_shards(self.PLAN)).run()
         planned = Session.from_plan(
             RunPlan.from_json(self.PLAN.to_json())
         ).run()
@@ -268,6 +265,20 @@ class TestRemovedSpellings:
         ("repro.experiments", "run_figure6"),
         ("repro.experiments", "run_figure7"),
         ("repro.experiments", "run_paired_search"),
+        ("repro.events", "EventStream"),
+        ("repro.events", "EventBus.stream"),
+        ("repro.events", "EventBus.close"),
+        ("repro.orchestration", "shard_grid"),
+        ("repro.orchestration.shards", "shard_grid"),
+        ("repro.orchestration", "run_campaign"),
+        ("repro.orchestration.campaign", "run_campaign"),
+        ("repro.experiments", "get_config"),
+        ("repro.experiments", "MNIST_CONFIG"),
+        ("repro.experiments.runner", "make_controller"),
+        ("repro.datasets", "load_dataset"),
+        ("repro.datasets", "dataset_names"),
+        ("repro.fpga", "DEVICE_CATALOG"),
+        ("repro.fpga.device", "DEVICE_CATALOG"),
     ])
     def test_removed_name_is_gone(self, module, name):
         owner = importlib.import_module(module)
@@ -275,6 +286,19 @@ class TestRemovedSpellings:
         for parent in parents:
             owner = getattr(owner, parent)
         assert not hasattr(owner, leaf)
+
+    def test_bus_keeps_no_history(self):
+        from repro.events import EventBus
+
+        assert not hasattr(EventBus(), "history")
+
+    @pytest.mark.parametrize("module", [
+        "repro.experiments.configs",
+        "repro.datasets.registry",
+    ])
+    def test_removed_module_is_gone(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
 
     def test_checkpointed_plan_does_not_warn(self, tmp_path, recwarn):
         from repro.experiments.table1 import table1_plan

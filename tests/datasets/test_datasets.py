@@ -5,27 +5,26 @@ import pytest
 
 from repro.datasets import (
     Dataset,
-    dataset_names,
-    load_dataset,
     make_cifar,
     make_imagenet,
     make_mnist,
     make_mobilenet,
 )
+from repro.registry import DATASETS
 
 
 class TestRegistry:
     def test_names(self):
-        assert dataset_names() == ["cifar10", "imagenet", "mnist",
-                                   "mobilenet"]
+        assert DATASETS.names() == ["cifar10", "imagenet", "mnist",
+                                    "mobilenet"]
 
     def test_load_by_name(self):
-        ds = load_dataset("mnist", train_size=50, val_size=20)
+        ds = DATASETS["mnist"](train_size=50, val_size=20)
         assert ds.name == "synthetic-mnist"
 
     def test_unknown_name(self):
         with pytest.raises(KeyError, match="known"):
-            load_dataset("svhn")
+            DATASETS["svhn"]
 
 
 @pytest.mark.parametrize("maker,channels,size,classes", [

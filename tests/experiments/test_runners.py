@@ -218,9 +218,9 @@ class TestCampaignMode:
         assert self.tokens_of(second.nas) == self.tokens_of(first.nas)
 
     def test_campaign_rejects_custom_evaluator(self, tmp_path):
+        from repro.configs import get_config
         from repro.core.evaluator import SurrogateAccuracyEvaluator
         from repro.core.search_space import SearchSpace
-        from repro.experiments.configs import get_config
 
         space = SearchSpace.from_config(get_config("mnist"))
         with pytest.raises(ValueError, match="evaluator"):

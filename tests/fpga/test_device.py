@@ -3,7 +3,6 @@
 import pytest
 
 from repro.fpga.device import (
-    DEVICE_CATALOG,
     PYNQ_Z1,
     XC7A50T,
     XC7Z020,
@@ -11,18 +10,15 @@ from repro.fpga.device import (
     FpgaDevice,
     get_device,
 )
+from repro.registry import DEVICES
 
 
 class TestCatalog:
     def test_contains_all_paper_devices(self):
-        assert {"xc7a50t", "xc7z020", "pynq-z1", "xczu9eg"} <= set(
-            DEVICE_CATALOG
-        )
+        assert {"xc7a50t", "xc7z020", "pynq-z1", "xczu9eg"} <= set(DEVICES)
 
     def test_contains_ddr_variant_pair(self):
-        assert {"xc7z020-ddr-wide", "xc7z020-ddr-narrow"} <= set(
-            DEVICE_CATALOG
-        )
+        assert {"xc7z020-ddr-wide", "xc7z020-ddr-narrow"} <= set(DEVICES)
 
     def test_get_device(self):
         assert get_device("pynq-z1") is PYNQ_Z1

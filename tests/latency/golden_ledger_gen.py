@@ -18,7 +18,7 @@ import json
 from pathlib import Path
 
 from repro.core.architecture import Architecture
-from repro.fpga.device import DEVICE_CATALOG, get_device
+from repro.fpga.device import get_device
 from repro.fpga.platform import Platform
 from repro.latency.estimator import LatencyEstimator
 

@@ -19,17 +19,22 @@ from repro.orchestration import (
     ShardOutcome,
     ShardSpec,
     merge_outcomes,
-    run_campaign,
+    plan_shards,
     run_shard,
     save_campaign_result,
-    shard_grid,
 )
 from repro.orchestration.shards import build_search
+from repro.plans import RunPlan, ScenarioPlan, SearchPlan
 
 
 def small_grid(trials=6):
-    return shard_grid(["mnist"], ["pynq-z1"], seeds=[0, 1],
-                      specs_ms=[5.0], include_nas=True, trials=trials)
+    return plan_shards(RunPlan(
+        workload="sweep",
+        search=SearchPlan(trials=trials),
+        scenario=ScenarioPlan(datasets=("mnist",), devices=("pynq-z1",),
+                              seeds=(0, 1), specs_ms=(5.0,),
+                              include_nas=True),
+    ))
 
 
 def stable_dict(result: CampaignResult) -> str:
@@ -73,9 +78,9 @@ class TestMergeDeterminism:
     def test_parallel_equals_serial(self, tmp_path):
         """The acceptance criterion, head-on."""
         shards = small_grid()
-        serial = run_campaign(shards, max_workers=1)
-        pooled = run_campaign(shards, max_workers=3,
-                              checkpoint_dir=tmp_path / "ck")
+        serial = Campaign(shards).run(max_workers=1)
+        pooled = Campaign(shards, checkpoint_dir=tmp_path / "ck").run(
+            max_workers=3)
         assert stable_dict(serial) == stable_dict(pooled)
 
     def test_merge_ignores_outcome_arrival_order(self):
@@ -92,7 +97,7 @@ class TestMergeDeterminism:
 
     def test_outcomes_stay_in_grid_order(self):
         shards = small_grid()
-        result = run_campaign(shards, max_workers=3)
+        result = Campaign(shards).run(max_workers=3)
         assert [o.spec.shard_id for o in result.outcomes] == \
                [s.shard_id for s in shards]
 
@@ -151,7 +156,8 @@ class TestParetoMerging:
 _DEATH_CONFIG: dict = {}
 
 
-def _die_once_run_shard(spec, ck_dir=None, ck_every=None):
+def _die_once_run_shard(spec, ck_dir=None, ck_every=None,
+                        should_stop=None):
     """Run ``spec`` normally, except: the configured victim shard makes
     some checkpoints and then hard-kills its worker -- once."""
     sentinel = _DEATH_CONFIG["sentinel"]
@@ -170,15 +176,16 @@ def _die_once_run_shard(spec, ck_dir=None, ck_every=None):
         finally:
             sentinel.write_text("dead once")
             os._exit(1)
-    return run_shard(spec, ck_dir, ck_every)
+    return run_shard(spec, ck_dir, ck_every, should_stop=should_stop)
 
 
-def _die_in_workers_run_shard(spec, ck_dir=None, ck_every=None):
+def _die_in_workers_run_shard(spec, ck_dir=None, ck_every=None,
+                              should_stop=None):
     """Kill every pool worker; run normally in the submitting process
     (so the campaign's serial fallback can still succeed)."""
     if os.getpid() != _DEATH_CONFIG["parent_pid"]:
         os._exit(1)
-    return run_shard(spec, ck_dir, ck_every)
+    return run_shard(spec, ck_dir, ck_every, should_stop=should_stop)
 
 
 class TestWorkerDeathRecovery:
@@ -213,7 +220,7 @@ class TestWorkerDeathRecovery:
 
         # The recovered campaign equals a never-interrupted serial one.
         monkeypatch.setattr(campaign_mod, "run_shard", run_shard)
-        clean = run_campaign(shards, max_workers=1)
+        clean = Campaign(shards).run(max_workers=1)
         assert stable_dict(result) == stable_dict(clean)
 
     def test_pool_exhaustion_falls_back_to_in_process(
@@ -243,7 +250,7 @@ class TestWorkerDeathRecovery:
 
 class TestCampaignArtifacts:
     def test_artifact_round_trip(self, tmp_path):
-        result = run_campaign(small_grid(), max_workers=1)
+        result = Campaign(small_grid()).run(max_workers=1)
         path = tmp_path / "campaign.json"
         save_campaign_result(result, path)
         payload = json.loads(path.read_text())
@@ -255,7 +262,7 @@ class TestCampaignArtifacts:
                [o.spec.shard_id for o in result.outcomes]
 
     def test_summary_accessors(self):
-        result = run_campaign(small_grid(trials=5), max_workers=1)
+        result = Campaign(small_grid(trials=5)).run(max_workers=1)
         assert result.total_trials == 5 * len(result.outcomes)
         assert result.requeued_shards == 0
         assert 0.9 < result.best_accuracy() <= 1.0
@@ -283,8 +290,6 @@ class TestExecutionRuntimeIdentity:
         return {p.name: p.read_bytes() for p in entries}
 
     def test_byte_identity_wall(self, tmp_path):
-        from repro.orchestration import plan_shards
-        from repro.plans import RunPlan, ScenarioPlan, SearchPlan
         from repro.service import ResultStore
         from repro.service.pool import WorkerPool
 
@@ -300,11 +305,12 @@ class TestExecutionRuntimeIdentity:
 
         dirs = {leg: tmp_path / leg for leg in
                 ("serial", "pooled", "batched", "process")}
-        serial = run_campaign(shards, max_workers=1,
-                              store=ResultStore(dirs["serial"]))
+        serial = Campaign(shards, store=ResultStore(dirs["serial"])).run(
+            max_workers=1)
         with WorkerPool(2, name="identity-wall") as pool:
-            pooled = run_campaign(shards, max_workers=2, pool=pool,
-                                  store=ResultStore(dirs["pooled"]))
+            pooled = Campaign(shards, pool=pool,
+                              store=ResultStore(dirs["pooled"])).run(
+                max_workers=2)
             # More dispatch units than workers: a worker was reused.
             assert pool.stats()["worker.reuse"] > 0
             # The service's process backend, on the same shared pool.
@@ -314,8 +320,9 @@ class TestExecutionRuntimeIdentity:
                 store_dir=str(dirs["process"]),
             )
         assert payload is not None
-        batched = run_campaign(shards, max_workers=2, batch_trials=100,
-                               store=ResultStore(dirs["batched"]))
+        batched = Campaign(shards, batch_trials=100,
+                           store=ResultStore(dirs["batched"])).run(
+            max_workers=2)
 
         assert stable_dict(serial) == stable_dict(pooled) \
                == stable_dict(batched)
@@ -380,5 +387,5 @@ class TestBatchDeathRecovery:
         assert result.outcome(shards[0].shard_id).requeues == 0
 
         monkeypatch.setattr(campaign_mod, "run_shard", run_shard)
-        clean = run_campaign(shards, max_workers=1)
+        clean = Campaign(shards).run(max_workers=1)
         assert stable_dict(result) == stable_dict(clean)

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 import repro.orchestration.campaign as campaign_mod
 from repro.events import SearchStarted, ShardCached
-from repro.orchestration import Campaign, plan_shards, run_shard, shard_grid
+from repro.orchestration import Campaign, plan_shards, run_shard
 from repro.orchestration.shards import ShardSpec
 from repro.plans import (
     ExecutionPolicy,
@@ -148,8 +148,12 @@ class TestShardHashLaw:
 
 
 def _grid(trials=3, specs=(5.0, 7.5)):
-    return shard_grid(["mnist"], ["pynq-z1"], seeds=[0],
-                      specs_ms=list(specs), trials=trials)
+    return plan_shards(RunPlan(
+        workload="sweep",
+        search=SearchPlan(trials=trials),
+        scenario=ScenarioPlan(datasets=("mnist",), devices=("pynq-z1",),
+                              seeds=(0,), specs_ms=tuple(specs)),
+    ))
 
 
 class TestCampaignMemoization:

@@ -1,15 +1,31 @@
 """Shard specs: validation, identity, grid expansion, reconstruction."""
 
+import os
+import time
+
 import numpy as np
 import pytest
 
 from repro.core.search import FnasSearch, NasSearch
+from repro.core.serialization import STAGING_GRACE_SECONDS
 from repro.orchestration import (
     ShardSpec,
     build_search,
+    plan_shards,
     run_shard,
-    shard_grid,
 )
+from repro.plans import RunPlan, ScenarioPlan, SearchPlan
+
+
+def sweep_grid(devices=("pynq-z1",), seeds=(0,), specs_ms=(),
+               include_nas=False):
+    """The shard grid of an MNIST sweep plan over these axes."""
+    return plan_shards(RunPlan(
+        workload="sweep",
+        scenario=ScenarioPlan(datasets=("mnist",), devices=devices,
+                              seeds=seeds, specs_ms=specs_ms,
+                              include_nas=include_nas),
+    ))
 
 
 class TestShardSpec:
@@ -61,8 +77,8 @@ class TestShardSpec:
 
 class TestShardGrid:
     def test_cross_product_in_grid_order(self):
-        shards = shard_grid(["mnist"], ["pynq-z1", "xc7a50t"], seeds=[0, 1],
-                            specs_ms=[5.0, 2.0], include_nas=True)
+        shards = sweep_grid(devices=("pynq-z1", "xc7a50t"), seeds=(0, 1),
+                            specs_ms=(5.0, 2.0), include_nas=True)
         # 2 devices x 2 seeds x (1 nas + 2 fnas) = 12 shards.
         assert len(shards) == 12
         assert shards[0].device == "pynq-z1" and shards[0].kind == "nas"
@@ -70,37 +86,15 @@ class TestShardGrid:
 
     def test_empty_config_rejected(self):
         with pytest.raises(ValueError, match="specs_ms"):
-            shard_grid(["mnist"], ["pynq-z1"], seeds=[0])
+            sweep_grid()
 
     def test_shared_landscape_by_default(self):
-        shards = shard_grid(["mnist"], ["pynq-z1"], seeds=[3, 4],
-                            specs_ms=[5.0])
+        shards = sweep_grid(seeds=(3, 4), specs_ms=(5.0,))
         assert {s.surrogate_seed for s in shards} == {0}
 
 
 class TestPlanShards:
-    def test_plan_and_kwarg_grids_match(self):
-        """shard_grid is the kwarg spelling of plan_shards: same grid."""
-        from repro.orchestration import plan_shards
-        from repro.plans import RunPlan, ScenarioPlan, SearchPlan
-
-        plan = RunPlan(
-            workload="sweep",
-            search=SearchPlan(trials=9),
-            scenario=ScenarioPlan(
-                datasets=("mnist",), devices=("pynq-z1", "xc7a50t"),
-                seeds=(0, 1), specs_ms=(5.0, 2.0), include_nas=True,
-            ),
-        )
-        assert plan_shards(plan) == shard_grid(
-            ["mnist"], ["pynq-z1", "xc7a50t"], seeds=[0, 1],
-            specs_ms=[5.0, 2.0], include_nas=True, trials=9,
-        )
-
     def test_seeds_default_to_search_seed(self):
-        from repro.orchestration import plan_shards
-        from repro.plans import RunPlan, ScenarioPlan, SearchPlan
-
         plan = RunPlan(
             workload="sweep",
             search=SearchPlan(seed=7),
@@ -111,9 +105,6 @@ class TestPlanShards:
         assert shard.seed == 7
 
     def test_component_keys_flow_into_shards_and_ids(self):
-        from repro.orchestration import plan_shards
-        from repro.plans import RunPlan, ScenarioPlan, SearchPlan
-
         plan = RunPlan(
             workload="sweep",
             search=SearchPlan(controller="tabular"),
@@ -167,3 +158,30 @@ class TestBuildAndRun:
         with pytest.raises(ValueError, match="trials=5"):
             run_shard(ShardSpec(trials=12, **base),
                       checkpoint_dir=str(tmp_path))
+
+    def test_run_shard_sweeps_its_stale_staging_files(self, tmp_path):
+        """A snapshot writer killed between its write and its rename
+        leaves a staging file; the next run of that shard removes it
+        once it is past the grace, and nothing else."""
+        base = dict(dataset="mnist", device="pynq-z1", kind="fnas",
+                    spec_ms=5.0, trials=4)
+        spec = ShardSpec(seed=0, **base)
+        other = ShardSpec(seed=1, **base)
+        run_shard(spec, checkpoint_dir=str(tmp_path))
+
+        def plant(shard, writer, age):
+            path = tmp_path / (
+                f"{shard.checkpoint_path(tmp_path).name}.{writer}.1.tmp")
+            path.write_text('{"half":')
+            past = time.time() - age
+            os.utime(path, (past, past))
+            return path
+
+        old = plant(spec, 4242, STAGING_GRACE_SECONDS + 3600)
+        fresh = plant(spec, 4243, 0)
+        foreign = plant(other, 4242, STAGING_GRACE_SECONDS + 3600)
+        again = run_shard(spec, checkpoint_dir=str(tmp_path))
+        assert again["resumed_from"] is not None
+        assert not old.exists()
+        assert fresh.exists()
+        assert foreign.exists()

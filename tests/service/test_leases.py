@@ -6,10 +6,14 @@ is asserted without process management or HTTP in the way.  The
 full-stack federation paths live in ``test_agent_federation.py``.
 """
 
+import threading
 import time
 
 import pytest
 
+from repro.configs import MNIST_CONFIG
+from repro.core.evaluator import SurrogateAccuracyEvaluator
+from repro.core.search_space import SearchSpace
 from repro.events import AgentJoined, AgentLost, JobLeased, LeaseExpired
 from repro.plans import (
     ExecutionPolicy,
@@ -35,6 +39,29 @@ def search_plan(seed=0, trials=4, **execution):
         scenario=ScenarioPlan(datasets=("mnist",), devices=("pynq-z1",),
                               specs_ms=(5.0,)),
     )
+
+
+def paired_plan():
+    """A 3-trial paired plan: the workload that takes a live evaluator."""
+    return RunPlan(
+        workload="paired",
+        search=SearchPlan(trials=3),
+        scenario=ScenarioPlan(datasets=("mnist",), devices=("pynq-z1",),
+                              specs_ms=(5.0,), include_nas=True),
+    )
+
+
+class _GatedEvaluator(SurrogateAccuracyEvaluator):
+    """A live evaluator whose evaluations wait for ``gate`` to open."""
+
+    def __init__(self, gate):
+        super().__init__(SearchSpace.from_config(MNIST_CONFIG),
+                         config=MNIST_CONFIG)
+        self.gate = gate
+
+    def evaluate(self, architecture):
+        self.gate.wait(timeout=30)
+        return super().evaluate(architecture)
 
 
 def run_payload(plan):
@@ -119,6 +146,35 @@ class TestClaiming:
             claim = service.claim_job(agent_id)
             assert claim["job_id"] == handle.job_id
             service.complete_job(agent_id, handle.job_id, "failed",
+                                 message="test teardown")
+
+    def test_live_evaluator_jobs_stay_local_beside_agents(self):
+        """A job carrying a live evaluator cannot cross the wire: with an
+        agent registered a remote claim skips it and a local worker
+        runs it, while a plain job beside it is left for the agent."""
+        gate = threading.Event()
+        with SearchService(workers=1) as service:
+            agent_id = service.register_agent(name="alpha")["agent_id"]
+            # Occupy the one local worker so the next job stays queued.
+            blocker = service.submit(paired_plan(),
+                                     evaluator=_GatedEvaluator(gate))
+            try:
+                assert wait_until(lambda: blocker.state == "running")
+                live = service.submit(paired_plan(),
+                                      evaluator=_GatedEvaluator(gate))
+                assert live.state == "queued"
+                assert service.claim_job(agent_id) is None
+            finally:
+                gate.set()
+            plain = service.submit(search_plan())
+            assert blocker.wait(timeout=120) == "done"
+            assert live.wait(timeout=120) == "done"
+            assert live.info()["agent"] is None
+            time.sleep(0.3)
+            assert plain.state == "queued"  # locals left it for the agent
+            claim = service.claim_job(agent_id)
+            assert claim["job_id"] == plain.job_id
+            service.complete_job(agent_id, plain.job_id, "failed",
                                  message="test teardown")
 
     def test_zero_agents_degrades_to_local_execution(self):
