@@ -194,7 +194,11 @@ class _CheckpointPlan:
     One snapshot lands after the first completed trial (batch) at or
     past each multiple of ``every``; writes are atomic, so a crash
     between (or during) snapshots costs at most ``every`` trials of
-    progress, never the checkpoint file itself.
+    progress, never the checkpoint file itself.  The plan's
+    :class:`~repro.core.serialization.SnapshotEncoder` keeps the text of
+    the trials already written, so each snapshot encodes only the new
+    ones.  ``written`` is the trial count of the last snapshot this plan
+    wrote (``None`` before its first).
     """
 
     def __init__(
@@ -220,6 +224,10 @@ class _CheckpointPlan:
         self.started = started
         self.wall_offset = wall_offset
         self._next = (start_index // every + 1) * every
+        self.written: int | None = None
+        from repro.core import serialization
+
+        self._encoder = serialization.SnapshotEncoder()
 
     def after(
         self, completed: int, rng: np.random.Generator, result: SearchResult
@@ -250,7 +258,9 @@ class _CheckpointPlan:
             result=result,
             elapsed_wall_seconds=elapsed,
         )
-        serialization.atomic_write_json(payload, self.path)
+        serialization.atomic_write_text(self._encoder.encode(payload),
+                                        self.path)
+        self.written = completed
 
 
 class _RunControl:
@@ -260,8 +270,9 @@ class _RunControl:
     (same ``after`` protocol).  After every completed trial (batch) it
     first lets the checkpoint plan snapshot at its cadence, then
     consults ``should_stop``; a stop request forces a final snapshot
-    (when checkpointing is configured) and raises
-    :class:`SearchCancelled`, so no completed work is lost.
+    (when checkpointing is configured and the cadence has not just
+    written one at this count) and raises :class:`SearchCancelled`, so
+    no completed work is lost.
     """
 
     def __init__(self, plan: _CheckpointPlan | None, should_stop):
@@ -275,7 +286,7 @@ class _RunControl:
         if self.plan is not None:
             self.plan.after(completed, rng, result)
         if self.should_stop is not None and self.should_stop():
-            if self.plan is not None:
+            if self.plan is not None and self.plan.written != completed:
                 self.plan.snapshot_now(completed, rng, result)
             raise SearchCancelled(completed)
 
@@ -439,7 +450,12 @@ class Search:
         result: SearchResult,
         elapsed_wall_seconds: float,
     ) -> dict:
-        """Assemble the JSON checkpoint document."""
+        """Assemble the checkpoint document.
+
+        Its ``"result"`` is the ledger itself, which the plan's
+        :class:`~repro.core.serialization.SnapshotEncoder` writes as
+        :func:`~repro.core.serialization.search_result_to_dict` would.
+        """
         from repro.core import serialization
 
         payload = {
@@ -455,7 +471,7 @@ class Search:
             "cache_stats": serialization.cache_stats_to_dict(
                 self.latency_estimator
             ),
-            "result": serialization.search_result_to_dict(result),
+            "result": result,
             "elapsed_wall_seconds": elapsed_wall_seconds,
         }
         payload.update(self._snapshot_extras())

@@ -17,10 +17,12 @@ machinery relies on.
 
 The second half of the module is that machinery's substrate: RNG stream
 capture (:func:`rng_state_to_dict` / :func:`rng_from_state`), estimator
-cache statistics, and the atomic writers (:func:`atomic_write_json`,
+cache statistics, the atomic writers (:func:`atomic_write_json`,
 :func:`atomic_write_text`, :func:`atomic_write_bytes`), which make
 snapshot files crash-safe (a checkpoint is either the complete old file
-or the complete new one, never a torn write).
+or the complete new one, never a torn write), and
+:class:`SnapshotEncoder`, which writes a running search's snapshots
+encoding each ledger trial once.
 """
 
 from __future__ import annotations
@@ -118,8 +120,8 @@ def trial_to_dict(trial: TrialRecord) -> dict[str, Any]:
     }
 
 
-def search_result_to_dict(result: SearchResult) -> dict[str, Any]:
-    """SearchResult -> plain dict with summary fields."""
+def _result_summary(result: SearchResult) -> dict[str, Any]:
+    """A ledger's summary fields: its dict form without the trials."""
     return {
         "schema": SCHEMA_VERSION,
         "name": result.name,
@@ -127,8 +129,13 @@ def search_result_to_dict(result: SearchResult) -> dict[str, Any]:
         "simulated_seconds": result.simulated_seconds,
         "trained_count": result.trained_count,
         "pruned_count": result.pruned_count,
-        "trials": [trial_to_dict(t) for t in result.trials],
     }
+
+
+def search_result_to_dict(result: SearchResult) -> dict[str, Any]:
+    """SearchResult -> plain dict with summary fields."""
+    return {**_result_summary(result),
+            "trials": [trial_to_dict(t) for t in result.trials]}
 
 
 def trial_from_dict(data: dict[str, Any]) -> TrialRecord:
@@ -319,3 +326,69 @@ def atomic_write_json(data: Any, path: str | Path) -> None:
     one for reading with ``python -m json.tool``.
     """
     atomic_write_text(json.dumps(data), path)
+
+
+class SnapshotEncoder:
+    """The JSON text of one running search's snapshots, each trial
+    encoded once.
+
+    A snapshot holds the whole ledger so far, and a search writes one
+    every ``checkpoint_every`` trials, so re-encoding every trial at
+    every snapshot grows quadratically with the run.  The encoder keeps
+    the text of the trials it has encoded and encodes only the ones
+    appended since its last call.  The text is byte-identical to
+    :func:`json.dumps` of the document with the ledger in its
+    :func:`search_result_to_dict` form: ``json.dumps`` writes a list as
+    ``"[" + ", ".join(items) + "]"`` and an object as ``"{" + ", ".join(
+    key + ": " + value) + "}"``, and the encoder joins the same pieces,
+    once per snapshot.
+
+    A ledger other than the one encoded so far -- a different trial
+    list, one shorter than the encoded part, or one whose last encoded
+    trial was replaced -- is encoded from scratch, so a new encoder
+    (a resumed run's) encodes the restored ledger at its first call.
+    """
+
+    def __init__(self) -> None:
+        self._trials: list[TrialRecord] | None = None
+        self._count = 0
+        self._last: TrialRecord | None = None
+        # The encoded trials' text, every piece after the first
+        # starting with the list separator.
+        self._pieces: list[str] = []
+
+    def encode(self, document: dict[str, Any]) -> str:
+        """``json.dumps(document)``, with ``document["result"]`` (a
+        :class:`~repro.core.search.SearchResult`) written as
+        :func:`search_result_to_dict` would write it."""
+        result = document["result"]
+        trials = result.trials
+        count = self._count
+        if (trials is not self._trials or len(trials) < count
+                or (count and trials[count - 1] is not self._last)):
+            self._trials, self._count, self._pieces = trials, 0, []
+        if len(trials) > self._count:
+            fresh = [trial_to_dict(t) for t in trials[self._count:]]
+            text = json.dumps(fresh)[1:-1]
+            self._pieces.append(", " + text if self._pieces else text)
+            self._count, self._last = len(trials), trials[-1]
+        summary = _object_pieces(_result_summary(result),
+                                 trials=["[", *self._pieces, "]"])
+        return "".join(_object_pieces(document, result=summary))
+
+
+def _object_pieces(fields: dict[str, Any], **encoded: list[str]) -> list[str]:
+    """The text of ``json.dumps({**fields, **encoded})`` as pieces to
+    join, where each ``encoded`` value is given as pieces of JSON
+    text already."""
+    pieces = ["{"]
+    for key, value in {**fields, **encoded}.items():
+        if len(pieces) > 1:
+            pieces.append(", ")
+        pieces.append(json.dumps(key) + ": ")
+        if key in encoded:
+            pieces.extend(encoded[key])
+        else:
+            pieces.append(json.dumps(value))
+    pieces.append("}")
+    return pieces

@@ -60,6 +60,10 @@ class Platform:
                 "all devices in a Platform must share a clock; got "
                 + ", ".join(f"{d.name}@{d.clock_mhz}MHz" for d in self.devices)
             )
+        # One frozen allocation per (layer, device index, DSP, BRAM): the
+        # budgets repeat across a search's architectures, and the keys
+        # are bounded by the layer count and the devices' resources.
+        self._allocations: dict[tuple[int, int, int, int], PeAllocation] = {}
 
     @classmethod
     def single(cls, device: FpgaDevice) -> "Platform":
@@ -100,10 +104,13 @@ class Platform:
         devices so that per-device MAC workload is as even as possible
         (greedy prefix split on cumulative workload).  Within a device,
         DSPs are split between its layers proportionally to layer MACs,
-        with every layer guaranteed at least one DSP.
+        with every layer guaranteed at least one DSP.  The ranges are
+        contiguous and ascending, so the allocations come out in layer
+        order.  Equal budgets return the same :class:`PeAllocation`.
         """
         layer_macs = [layer.macs for layer in architecture.layers]
         ranges = self._partition_layers(layer_macs, len(self.devices))
+        known = self._allocations
         allocations: list[PeAllocation] = []
         for device_index, (device, (start, stop)) in enumerate(
             zip(self.devices, ranges)
@@ -112,18 +119,19 @@ class Platform:
                 continue
             macs = layer_macs[start:stop]
             budgets = _proportional_split(device.dsp_slices, macs)
-            bram_each = device.bram_bytes // (stop - start)
-            for offset, dsp in enumerate(budgets):
-                allocations.append(
-                    PeAllocation(
-                        layer_index=start + offset,
+            bram = max(1, device.bram_bytes // (stop - start))
+            for layer_index, dsp in enumerate(budgets, start):
+                key = (layer_index, device_index, dsp, bram)
+                allocation = known.get(key)
+                if allocation is None:
+                    allocation = known.setdefault(key, PeAllocation(
+                        layer_index=layer_index,
                         device=device,
                         device_index=device_index,
                         dsp_budget=dsp,
-                        bram_budget_bytes=max(1, bram_each),
-                    )
-                )
-        allocations.sort(key=lambda a: a.layer_index)
+                        bram_budget_bytes=bram,
+                    ))
+                allocations.append(allocation)
         return allocations
 
     @staticmethod

@@ -389,8 +389,9 @@ class LayerDesignMemo:
     spatial strategies; spatial tilings per (spec, Tm, Tn, BRAM,
     strategy); DRAM phases per (kernel, stride, kind, tiling, the
     device's DRAM fields and clock); and whole :class:`LayerDesign`
-    values per (layer index, spec, budgets, strategy, DRAM fields and
-    clock).  Keys are plain tuples of those fields.
+    values per (layer index, spec, tiling, DRAM fields and clock), so
+    budgets and strategies that choose one tiling share one design.
+    Keys are plain tuples of those fields.
 
     Thread-safe: the memo is shared by every designer an estimator
     builds, and estimators are themselves shared across service and
@@ -405,8 +406,7 @@ class LayerDesignMemo:
     _channels: dict[tuple, tuple[int, int]] = field(default_factory=dict)
     _spatial: dict[tuple, TilingVector] = field(default_factory=dict)
     _phases: dict[tuple, PhaseLatency] = field(default_factory=dict)
-    _designs: dict[str, dict[tuple, LayerDesign]] = field(
-        default_factory=dict)
+    _designs: dict[tuple, LayerDesign] = field(default_factory=dict)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -493,7 +493,7 @@ class LayerDesignMemo:
         last_device = dram = None
         with self._lock:
             tilings = self._tilings.setdefault(spatial_strategy, {})
-            built = self._designs.setdefault(spatial_strategy, {})
+            built = self._designs
             try:
                 for spec, allocation in zip(specs, allocations):
                     key = _layer_key(spec, allocation.dsp_budget,
@@ -509,7 +509,8 @@ class LayerDesignMemo:
                     device = allocation.device
                     if device is not last_device:
                         last_device, dram = device, _dram_key(device)
-                    design_key = (allocation.layer_index, key, dram)
+                    design_key = (allocation.layer_index, key[:7], tiling.tm,
+                                  tiling.tn, tiling.tr, tiling.tc, dram)
                     design = built.get(design_key)
                     if design is None:
                         design = built[design_key] = LayerDesign(

@@ -25,6 +25,7 @@ is the paper-scale stand-in, not the only path.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -74,8 +75,19 @@ CALIBRATIONS: dict[str, SurrogateCalibration] = {
 }
 
 
+# A 1200-trial search evaluates at most 1,201 distinct architectures
+# (one more with the min-latency fallback): the memo holds all of them.
+@functools.lru_cache(maxsize=2048, typed=True)
 def _fingerprint_noise(fingerprint: str, seed: int, sigma: float) -> float:
-    """Reproducible N(0, sigma) noise keyed by architecture + seed."""
+    """Reproducible N(0, sigma) noise keyed by architecture + seed.
+
+    A pure function of its arguments, so each draw is memoised (keyed
+    on all three, by type too, since ``seed`` is formatted into the
+    digest): a search re-scores the architectures it keeps sampling,
+    and each draw costs a SHA-256 digest and a fresh generator.  The
+    memo is module-level rather than on the model because evaluators
+    are pickled once per task into pool workers.
+    """
     if sigma == 0.0:
         return 0.0
     digest = hashlib.sha256(f"{fingerprint}|{seed}".encode()).digest()

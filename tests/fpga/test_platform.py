@@ -98,6 +98,41 @@ class TestAllocation:
             assert used <= XC7A50T.dsp_slices
 
 
+#: One shared platform per shape, and every allocation it returned:
+#: allocations accumulate across examples.
+SHARED_PLATFORMS = {
+    "single": lambda: Platform.single(PYNQ_Z1),
+    "two-boards": lambda: Platform.replicated(XC7A50T, 2),
+    "three-boards": lambda: Platform([PYNQ_Z1, XC7A50T, PYNQ_Z1]),
+}
+SHARED = {shape: (make(), {}) for shape, make in SHARED_PLATFORMS.items()}
+
+
+class TestAllocationReuse:
+    """Equal budgets share one frozen :class:`PeAllocation`."""
+
+    @pytest.mark.parametrize("shape", sorted(SHARED_PLATFORMS))
+    @given(counts=st.lists(st.sampled_from([4, 8, 16, 32]), min_size=1,
+                           max_size=7))
+    def test_allocations_equal_a_fresh_platforms(self, shape, counts):
+        platform, seen = SHARED[shape]
+        arch = arch_of(counts)
+        allocations = platform.allocate(arch)
+        assert allocations == SHARED_PLATFORMS[shape]().allocate(arch)
+        assert [a.layer_index for a in allocations] == list(range(len(counts)))
+        for allocation in allocations:
+            assert seen.setdefault(allocation, allocation) is allocation
+
+    def test_other_architectures_share_equal_budgets(self):
+        platform = Platform.replicated(PYNQ_Z1, 4)
+        # One layer per board: each gets the whole board, whatever its shape.
+        first = platform.allocate(arch_of([8, 16]))
+        second = platform.allocate(arch_of([32, 4]))
+        assert [a.dsp_budget for a in first] == [PYNQ_Z1.dsp_slices] * 2
+        assert second is not first
+        assert all(a is b for a, b in zip(first, second))
+
+
 class TestProportionalSplit:
     def test_exact_budget_consumed(self):
         shares = _proportional_split(10, [1, 1, 1])

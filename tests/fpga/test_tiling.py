@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.architecture import Architecture, ConvLayerSpec
-from repro.fpga.device import PYNQ_Z1
-from repro.fpga.platform import Platform
+from repro.fpga.device import PYNQ_Z1, XC7Z020_DDR_NARROW
+from repro.fpga.platform import PeAllocation, Platform
 from repro.fpga.tiling import (
     DOUBLE_BUFFER,
     WORD_BYTES,
@@ -344,6 +344,31 @@ class TestLayerDesignMemo:
         for tiling in tilings.values():
             assert memo.channel_tiling(spec, 64, 10**6) == (
                 tiling.tm, tiling.tn)
+
+    def test_budgets_that_choose_one_tiling_share_one_design(self):
+        """A design is keyed on its tiling, not on the budgets or the
+        strategy that chose it; the counted probes are unchanged."""
+        memo = LayerDesignMemo()
+        # 8 -> 16 channels, 1x1 kernel on a 1x1 map: every DSP budget
+        # from 128 up and both strategies choose Tm=16, Tn=8, Tr=Tc=1.
+        spec = spec_of(k=1, size=1)
+
+        def design(dsp, strategy, device=PYNQ_Z1, layer_index=0):
+            allocation = PeAllocation(layer_index, device, 0, dsp, 10**6)
+            return memo.layer_designs((spec,), [allocation], strategy)[0]
+
+        first = design(128, "max-reuse")
+        assert first.tiling == TilingVector(tm=16, tn=8, tr=1, tc=1)
+        assert first == LayerDesign(0, spec, first.tiling)
+        for dsp in (128, 200, 220):
+            for strategy in STRATEGIES:
+                assert design(dsp, strategy) is first
+        # Seven probes of six distinct (budgets, strategy) keys.
+        assert (memo.stats.hits, memo.stats.misses) == (1, 6)
+        assert design(128, "max-reuse", layer_index=1) is not first
+        on_dram = design(128, "max-reuse", device=XC7Z020_DDR_NARROW)
+        assert on_dram.tiling == first.tiling
+        assert on_dram.phases is not None and first.phases is None
 
     def test_clear_drops_entries_and_keeps_counters(self):
         memo = LayerDesignMemo()

@@ -183,6 +183,12 @@ class TestAdmission:
                            checkpoint_dir=str(tmp_path / "ckpt")) as runner:
             client = ServiceClient(runner.base_url, max_retries=0)
             running = client.submit(search_plan(seed=20, trials=60))
+            # The first job must leave the queue before the second
+            # fills it, or the second submit is the one refused.
+            deadline = time.monotonic() + 30
+            while client.status(running["job_id"])["state"] == "queued":
+                assert time.monotonic() < deadline, "the job never started"
+                time.sleep(0.005)
             queued = client.submit(search_plan(seed=21, trials=60))
             try:
                 request = urllib.request.Request(

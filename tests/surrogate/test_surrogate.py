@@ -10,6 +10,7 @@ from repro.surrogate.accuracy_model import (
     CALIBRATIONS,
     SurrogateAccuracyModel,
     SurrogateCalibration,
+    _fingerprint_noise,
 )
 from repro.surrogate.cost_model import (
     LATENCY_EVAL_SECONDS,
@@ -100,6 +101,37 @@ class TestAccuracyModel:
     def test_accuracy_always_in_unit_interval(self, space, model, seed):
         arch = space.random_architecture(np.random.default_rng(seed))
         assert 0.0 <= model.accuracy(arch) <= 1.0
+
+
+class TestNoiseMemo:
+    """Each (fingerprint, seed, sigma) draw is memoised, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(fingerprint=st.text(max_size=60),
+           seed=st.one_of(st.integers(), st.booleans()),
+           sigma=st.floats(0.0, 1.0))
+    def test_memo_returns_the_draw_bit_for_bit(self, fingerprint, seed, sigma):
+        draw = _fingerprint_noise.__wrapped__(fingerprint, seed, sigma)
+        for _ in range(2):  # a miss, then a hit
+            noise = _fingerprint_noise(fingerprint, seed, sigma)
+            assert noise.hex() == draw.hex()
+
+    def test_equal_seeds_of_other_types_are_other_draws(self):
+        """``seed`` is formatted into the digest: 1, 1.0 and True are
+        three draws, and the memo keeps them apart."""
+        draws = {_fingerprint_noise("28|1|10|5.9.1", seed, 0.5)
+                 for seed in (1, 1.0, True)}
+        assert draws == {_fingerprint_noise.__wrapped__("28|1|10|5.9.1",
+                                                        seed, 0.5)
+                         for seed in (1, 1.0, True)}
+        assert len(draws) == 3
+
+    def test_memo_is_bounded(self):
+        size = _fingerprint_noise.cache_info().maxsize
+        assert size is not None
+        for k in range(size + 10):
+            _fingerprint_noise(f"bounded|{k}", 0, 0.5)
+        assert _fingerprint_noise.cache_info().currsize == size
 
 
 class TestCostModel:
