@@ -32,100 +32,61 @@ Public API tour:
 * ``repro.orchestration`` -- checkpointable, sharded, resumable
   search campaigns (``ShardSpec`` grids, the ``Campaign`` runner and
   its merged Pareto frontier).
+
+The names below are exported lazily: ``from repro import X`` imports
+only the module that defines ``X``, so a search never loads the
+service, the experiment runners or the NumPy trainer.
 """
 
-from repro.api import Session, run_plan
-from repro.events import Event, EventBus
-from repro.core import (
-    Architecture,
-    ConvLayerSpec,
-    FnasReward,
-    FnasSearch,
-    LstmController,
-    NasSearch,
-    SearchResult,
-    SearchSpace,
-    SurrogateAccuracyEvaluator,
-    TabularController,
-    TrainedAccuracyEvaluator,
-)
-from repro.fpga import (
-    PYNQ_Z1,
-    XC7A50T,
-    XC7Z020,
-    XCZU9EG,
-    FpgaDevice,
-    Platform,
-    TilingDesigner,
-    get_device,
-)
-from repro.latency import FnasAnalyzer, LatencyEstimator
-from repro.plans import (
-    ExecutionPolicy,
-    RunPlan,
-    ScenarioPlan,
-    SearchPlan,
-    load_plan,
-    plan_hash,
-    save_plan,
-)
-from repro.service import SearchService
-from repro.registry import (
-    CONTROLLERS,
-    DATASETS,
-    DEVICES,
-    ESTIMATORS,
-    EVALUATORS,
-    Registry,
-)
-from repro.scheduling import FixedScheduler, FnasScheduler, PipelineSimulator
-from repro.taskgraph import TaskGraphGenerator
+from repro._lazy import lazy_exports
 
 __version__ = "2.0.0"
 
-__all__ = [
-    "CONTROLLERS",
-    "DATASETS",
-    "DEVICES",
-    "ESTIMATORS",
-    "EVALUATORS",
-    "Event",
-    "EventBus",
-    "ExecutionPolicy",
-    "Registry",
-    "RunPlan",
-    "ScenarioPlan",
-    "SearchPlan",
-    "SearchService",
-    "Session",
-    "load_plan",
-    "plan_hash",
-    "run_plan",
-    "save_plan",
-    "Architecture",
-    "ConvLayerSpec",
-    "FnasReward",
-    "FnasSearch",
-    "LstmController",
-    "NasSearch",
-    "SearchResult",
-    "SearchSpace",
-    "SurrogateAccuracyEvaluator",
-    "TabularController",
-    "TrainedAccuracyEvaluator",
-    "PYNQ_Z1",
-    "XC7A50T",
-    "XC7Z020",
-    "XCZU9EG",
-    "FpgaDevice",
-    "Platform",
-    "TilingDesigner",
-    "get_device",
-    "FnasAnalyzer",
-    "LatencyEstimator",
-    "FixedScheduler",
-    "FnasScheduler",
-    "PipelineSimulator",
-    "TaskGraphGenerator",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.api": ("Session", "run_plan"),
+    "repro.events": ("Event", "EventBus"),
+    "repro.plans": (
+        "ExecutionPolicy",
+        "RunPlan",
+        "ScenarioPlan",
+        "SearchPlan",
+        "load_plan",
+        "plan_hash",
+        "save_plan",
+    ),
+    "repro.registry": (
+        "CONTROLLERS",
+        "DATASETS",
+        "DEVICES",
+        "ESTIMATORS",
+        "EVALUATORS",
+        "Registry",
+    ),
+    "repro.service.service": ("SearchService",),
+    "repro.core.architecture": ("Architecture", "ConvLayerSpec"),
+    "repro.core.controller": ("LstmController", "TabularController"),
+    "repro.core.evaluator": (
+        "SurrogateAccuracyEvaluator",
+        "TrainedAccuracyEvaluator",
+    ),
+    "repro.core.reward": ("FnasReward",),
+    "repro.core.search": ("FnasSearch", "NasSearch", "SearchResult"),
+    "repro.core.search_space": ("SearchSpace",),
+    "repro.fpga.device": (
+        "PYNQ_Z1",
+        "XC7A50T",
+        "XC7Z020",
+        "XCZU9EG",
+        "FpgaDevice",
+        "get_device",
+    ),
+    "repro.fpga.platform": ("Platform",),
+    "repro.fpga.tiling": ("TilingDesigner",),
+    "repro.latency.analyzer": ("FnasAnalyzer",),
+    "repro.latency.estimator": ("LatencyEstimator",),
+    "repro.scheduling.fixed_sched": ("FixedScheduler",),
+    "repro.scheduling.fnas_sched": ("FnasScheduler",),
+    "repro.scheduling.simulator": ("PipelineSimulator",),
+    "repro.taskgraph.graph": ("TaskGraphGenerator",),
+})
+__all__.append("__version__")

@@ -31,10 +31,6 @@ import argparse
 import dataclasses
 import sys
 
-from repro.core.architecture import Architecture
-from repro.fpga.device import get_device
-from repro.fpga.platform import Platform
-from repro.latency.estimator import LatencyEstimator
 from repro.plans import (
     ExecutionPolicy,
     RunPlan,
@@ -563,6 +559,11 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    from repro.core.architecture import Architecture
+    from repro.fpga.device import get_device
+    from repro.fpga.platform import Platform
+    from repro.latency.estimator import LatencyEstimator
+
     sizes = [int(x) for x in args.filter_sizes.split(",")]
     counts = [int(x) for x in args.filter_counts.split(",")]
     arch = Architecture.from_choices(

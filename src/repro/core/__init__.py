@@ -1,55 +1,40 @@
-"""Core FNAS machinery: architectures, search space, controller, search."""
+"""Core FNAS machinery: architectures, search space, controller, search.
 
-from repro.core.architecture import Architecture, ConvLayerSpec
-from repro.core.controller import (
-    Controller,
-    ControllerSample,
-    LstmController,
-    RandomController,
-    TabularController,
-)
-from repro.core.serialization import (
-    architecture_from_dict,
-    architecture_to_dict,
-    load_architecture,
-    save_architecture,
-    save_search_result,
-    search_result_to_dict,
-)
-from repro.core.evaluator import (
-    AccuracyEvaluator,
-    EvaluationOutcome,
-    SurrogateAccuracyEvaluator,
-    TrainedAccuracyEvaluator,
-)
-from repro.core.reward import AccuracyBaseline, FnasReward, RewardSignal
-from repro.core.search import FnasSearch, NasSearch, SearchResult, TrialRecord
-from repro.core.search_space import SearchSpace
+Exported lazily, so importing one core module (``repro.fpga.tiling``
+imports ``repro.core.architecture``) loads no other.
+"""
 
-__all__ = [
-    "Architecture",
-    "ConvLayerSpec",
-    "Controller",
-    "ControllerSample",
-    "LstmController",
-    "RandomController",
-    "TabularController",
-    "architecture_from_dict",
-    "architecture_to_dict",
-    "load_architecture",
-    "save_architecture",
-    "save_search_result",
-    "search_result_to_dict",
-    "AccuracyEvaluator",
-    "EvaluationOutcome",
-    "SurrogateAccuracyEvaluator",
-    "TrainedAccuracyEvaluator",
-    "AccuracyBaseline",
-    "FnasReward",
-    "RewardSignal",
-    "FnasSearch",
-    "NasSearch",
-    "SearchResult",
-    "TrialRecord",
-    "SearchSpace",
-]
+from repro._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.core.architecture": ("Architecture", "ConvLayerSpec"),
+    "repro.core.controller": (
+        "Controller",
+        "ControllerSample",
+        "LstmController",
+        "RandomController",
+        "TabularController",
+    ),
+    "repro.core.serialization": (
+        "architecture_from_dict",
+        "architecture_to_dict",
+        "load_architecture",
+        "save_architecture",
+        "save_search_result",
+        "search_result_to_dict",
+    ),
+    "repro.core.evaluator": (
+        "AccuracyEvaluator",
+        "EvaluationOutcome",
+        "SurrogateAccuracyEvaluator",
+        "TrainedAccuracyEvaluator",
+    ),
+    "repro.core.reward": ("AccuracyBaseline", "FnasReward", "RewardSignal"),
+    "repro.core.search": (
+        "FnasSearch",
+        "NasSearch",
+        "SearchResult",
+        "TrialRecord",
+    ),
+    "repro.core.search_space": ("SearchSpace",),
+})

@@ -170,6 +170,17 @@ def _choice_rows(
     return (cdf <= u[:, None]).sum(axis=1)
 
 
+def _batch_samples(
+    token_matrix: np.ndarray, log_probs: np.ndarray
+) -> list[ControllerSample]:
+    """One sample per row; ``tolist`` yields the Python ints and floats
+    that per-element ``int``/``float`` calls would, in one pass."""
+    return [
+        ControllerSample(tokens=tokens, log_prob=log_prob)
+        for tokens, log_prob in zip(token_matrix.tolist(), log_probs.tolist())
+    ]
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function of ``x`` clipped to [-30, 30].
 
@@ -515,14 +526,7 @@ class LstmController:
             )
             token_rows.append(toks)
             x = self.embeddings[kind][toks]
-        token_matrix = np.stack(token_rows, axis=1)
-        samples = [
-            ControllerSample(
-                tokens=[int(t) for t in token_matrix[row]],
-                log_prob=float(log_probs[row]),
-            )
-            for row in range(b)
-        ]
+        samples = _batch_samples(np.stack(token_rows, axis=1), log_probs)
         return ControllerBatch(samples=samples, cache=steps)
 
     # -- backward ------------------------------------------------------------
@@ -815,13 +819,7 @@ class TabularController:
             log_probs += np.log(probs[toks] + 1e-12)
             token_rows.append(toks)
         token_matrix = np.stack(token_rows, axis=1)
-        samples = [
-            ControllerSample(
-                tokens=[int(t) for t in token_matrix[row]],
-                log_prob=float(log_probs[row]),
-            )
-            for row in range(b)
-        ]
+        samples = _batch_samples(token_matrix, log_probs)
         return ControllerBatch(samples=samples, cache=token_matrix)
 
     def update_batch(

@@ -24,21 +24,22 @@ import time
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from typing import Protocol, Sequence
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 import numpy as np
 
 from repro.core.architecture import Architecture
 from repro.core.search_space import SearchSpace
-from repro.datasets.base import Dataset
 from repro.configs import ExperimentConfig, get_config
-from repro.nn.builder import build_network
-from repro.nn.trainer import Trainer
 from repro.surrogate.accuracy_model import (
     SurrogateAccuracyModel,
     SurrogateCalibration,
 )
 from repro.surrogate.cost_model import SearchCostModel
+
+if TYPE_CHECKING:
+    from repro.datasets.base import Dataset
+    from repro.nn.trainer import Trainer
 
 
 @dataclass(frozen=True)
@@ -117,6 +118,10 @@ class TrainedAccuracyEvaluator:
         trainer: Trainer | None = None,
         init_seed: int = 0,
     ):
+        # The NumPy trainer is imported here, not at module level, so a
+        # surrogate search never loads repro.nn or repro.datasets.
+        from repro.nn.trainer import Trainer
+
         self.dataset = dataset
         self.trainer = trainer if trainer is not None else Trainer(
             epochs=5, lr=0.02
@@ -135,6 +140,8 @@ class TrainedAccuracyEvaluator:
                 f"architecture expects {architecture.input_channels} "
                 f"channels, dataset provides {self.dataset.input_channels}"
             )
+        from repro.nn.builder import build_network
+
         started = time.perf_counter()
         network = build_network(
             architecture, rng=np.random.default_rng(self.init_seed)

@@ -1,39 +1,28 @@
-"""FPGA device models, multi-FPGA platforms and tiling design (FNAS-Design)."""
+"""FPGA device models, multi-FPGA platforms and tiling design (FNAS-Design).
 
-from repro.fpga.device import (
-    PYNQ_Z1,
-    XC7A50T,
-    XC7Z020,
-    XCZU9EG,
-    FpgaDevice,
-    get_device,
-)
-from repro.fpga.energy import EnergyModel, EnergyReport
-from repro.fpga.platform import PeAllocation, Platform
-from repro.fpga.tiling import (
-    DOUBLE_BUFFER,
-    WORD_BYTES,
-    LayerDesign,
-    PipelineDesign,
-    TilingDesigner,
-    TilingVector,
-)
+Exported lazily, so importing the tiling engine does not load the
+energy model and, through it, the schedulers.
+"""
 
-__all__ = [
-    "PYNQ_Z1",
-    "XC7A50T",
-    "XC7Z020",
-    "XCZU9EG",
-    "FpgaDevice",
-    "get_device",
-    "EnergyModel",
-    "EnergyReport",
-    "PeAllocation",
-    "Platform",
-    "DOUBLE_BUFFER",
-    "WORD_BYTES",
-    "LayerDesign",
-    "PipelineDesign",
-    "TilingDesigner",
-    "TilingVector",
-]
+from repro._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.fpga.device": (
+        "PYNQ_Z1",
+        "XC7A50T",
+        "XC7Z020",
+        "XCZU9EG",
+        "FpgaDevice",
+        "get_device",
+    ),
+    "repro.fpga.energy": ("EnergyModel", "EnergyReport"),
+    "repro.fpga.platform": ("PeAllocation", "Platform"),
+    "repro.fpga.tiling": (
+        "DOUBLE_BUFFER",
+        "WORD_BYTES",
+        "LayerDesign",
+        "PipelineDesign",
+        "TilingDesigner",
+        "TilingVector",
+    ),
+})

@@ -41,65 +41,43 @@ service:
   resumes from its checkpoint on another agent (or a local worker)
   with byte-identical results (:mod:`~repro.service.faults` provides
   the deterministic crash points the chaos tests kill agents with).
+
+The names are exported lazily: ``from repro.service import X`` loads
+only ``X``'s module, so importing :class:`ServiceClient` loads neither
+the gateway nor NumPy.
 """
 
-from repro.service.agent import WorkerAgent, run_agent
-from repro.service.client import JobTimeoutError, ServiceClient, ServiceError
-from repro.service.executor import execute_plan
-from repro.service.gateway import Gateway, GatewayRunner, run_gateway
-from repro.service.journal import JobJournal, PendingJob
-from repro.service.metrics import ANONYMOUS_TENANT, MetricsRegistry
-from repro.service.pool import WorkerDied, WorkerPool, WorkerTaskError
-from repro.service.tenants import (
-    QuotaExceededError,
-    Tenant,
-    TenantAuthError,
-    TenantRegistry,
-    fair_share_priority,
-    tenant_accounting,
-)
-from repro.service.service import (
-    JOB_STATES,
-    JobCancelledError,
-    JobHandle,
-    RemoteJobError,
-    SearchService,
-    StaleLeaseError,
-    UnknownAgentError,
-    UnknownJobError,
-)
-from repro.service.store import ResultStore, is_cacheable
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ANONYMOUS_TENANT",
-    "Gateway",
-    "GatewayRunner",
-    "JOB_STATES",
-    "JobCancelledError",
-    "JobHandle",
-    "JobJournal",
-    "JobTimeoutError",
-    "MetricsRegistry",
-    "PendingJob",
-    "QuotaExceededError",
-    "RemoteJobError",
-    "ResultStore",
-    "SearchService",
-    "ServiceClient",
-    "ServiceError",
-    "StaleLeaseError",
-    "Tenant",
-    "TenantAuthError",
-    "TenantRegistry",
-    "UnknownAgentError",
-    "UnknownJobError",
-    "WorkerAgent",
-    "WorkerDied",
-    "WorkerPool",
-    "WorkerTaskError",
-    "execute_plan",
-    "fair_share_priority",
-    "is_cacheable",
-    "run_agent",
-    "tenant_accounting",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.service.agent": ("WorkerAgent", "run_agent"),
+    "repro.service.client": (
+        "JobTimeoutError",
+        "ServiceClient",
+        "ServiceError",
+    ),
+    "repro.service.executor": ("execute_plan",),
+    "repro.service.gateway": ("Gateway", "GatewayRunner", "run_gateway"),
+    "repro.service.journal": ("JobJournal", "PendingJob"),
+    "repro.service.metrics": ("ANONYMOUS_TENANT", "MetricsRegistry"),
+    "repro.service.pool": ("WorkerDied", "WorkerPool", "WorkerTaskError"),
+    "repro.service.tenants": (
+        "QuotaExceededError",
+        "Tenant",
+        "TenantAuthError",
+        "TenantRegistry",
+        "fair_share_priority",
+        "tenant_accounting",
+    ),
+    "repro.service.service": (
+        "JOB_STATES",
+        "JobCancelledError",
+        "JobHandle",
+        "RemoteJobError",
+        "SearchService",
+        "StaleLeaseError",
+        "UnknownAgentError",
+        "UnknownJobError",
+    ),
+    "repro.service.store": ("ResultStore", "is_cacheable"),
+})

@@ -224,6 +224,18 @@ def _child_run_plan(conn, seq: int, cancel_seq, parent_pid: int,
 # -- parent side --------------------------------------------------------------
 
 
+def _import_job_path() -> None:
+    """Import what a plan task runs, so workers forked after it inherit it.
+
+    The ``repro`` packages export lazily, so a coordinator that only
+    serves (the gateway, an agent) has not loaded the search stack;
+    without this, each new worker would import it on its first job.
+    """
+    import repro.api  # noqa: F401
+    import repro.orchestration  # noqa: F401
+    import repro.service.executor  # noqa: F401
+
+
 def _context() -> multiprocessing.context.BaseContext:
     """The multiprocessing context workers spawn under.
 
@@ -448,6 +460,7 @@ class WorkerPool:
         be pickled back, or :class:`WorkerDied` when the worker died
         without reporting.
         """
+        _import_job_path()  # before the checkout that may fork
         worker = self._checkout(None)
         handle = self._dispatch(
             worker, "plan",
