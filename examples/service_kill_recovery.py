@@ -11,9 +11,10 @@ real SIGKILL:
 4. restarts ``repro serve`` over the same directories and asserts it
    recovered the job from the journal, re-queued it, and resumed it
    from its per-hash checkpoint to completion;
-5. runs the identical plan on a fresh, never-killed server and asserts
-   the recovered ``/result`` body is **byte-identical** to the
-   uninterrupted run's.
+5. runs the identical plan on a fresh, never-killed server, whose one
+   pool worker first runs a different plan (so its latency estimator
+   is warm), and asserts the recovered ``/result`` body is
+   **byte-identical** to the uninterrupted run's.
 
 Run it from the repo root::
 
@@ -44,10 +45,10 @@ URL = f"http://127.0.0.1:{PORT}"
 TRIALS = 3000
 
 
-def plan(seed=6):
+def plan(seed=6, trials=TRIALS):
     return RunPlan(
         workload="search",
-        search=SearchPlan(seed=seed, trials=TRIALS),
+        search=SearchPlan(seed=seed, trials=trials),
         scenario=ScenarioPlan(datasets=("mnist",), devices=("pynq-z1",),
                               specs_ms=(5.0,)),
     )
@@ -137,6 +138,10 @@ def main():
                                  reference_dir / "checkpoints")
         try:
             wait_for_server(client)
+            # The server's one worker keeps its estimator across jobs:
+            # warm it on another plan first.
+            warmup = client.submit(plan(seed=7, trials=300))
+            client.wait(warmup["job_id"], timeout=900)
             ref_job = client.submit(plan())
             client.wait(ref_job["job_id"], timeout=900)
             reference_bytes = client.result_bytes(ref_job["job_id"])
@@ -149,7 +154,7 @@ def main():
         assert recovered_bytes == reference_bytes, (
             "recovered result is not byte-identical to the uninterrupted run"
         )
-        print(f"byte-identical to the uninterrupted run "
+        print(f"byte-identical to the uninterrupted run on a warm worker "
               f"({len(recovered_bytes)} bytes)")
         print("kill/restart recovery: OK")
         return 0

@@ -72,10 +72,41 @@ def build_evaluator(
     return factory(space, config, seed)
 
 
+#: The estimators a pool worker keeps across its jobs, one per (resolved
+#: factory, platform devices); ``None`` in every other process.
+_warm_estimators: dict[tuple, LatencyEstimator] | None = None
+
+
+def keep_estimators_warm() -> None:
+    """Have :func:`build_estimator` reuse one estimator per platform.
+
+    Pool workers call this when they start, so a worker's jobs share
+    both cache tiers.  Latencies are a pure function of architecture
+    and devices, and the key holds the frozen
+    :class:`~repro.fpga.device.FpgaDevice` values, not registry names:
+    a device re-registered under an old name with other fields gets an
+    estimator of its own.  A worker forked by a worker keeps the table
+    it inherited.
+    """
+    global _warm_estimators
+    if _warm_estimators is None:
+        _warm_estimators = {}
+
+
 def build_estimator(search: SearchPlan, platform: Platform) -> LatencyEstimator:
-    """Resolve the plan's estimator key into a live latency estimator."""
+    """Resolve the plan's estimator key into a live latency estimator.
+
+    Fresh per call, except in a process that called
+    :func:`keep_estimators_warm`.
+    """
     factory = ESTIMATORS[search.estimator]
-    return factory(platform)
+    if _warm_estimators is None:
+        return factory(platform)
+    key = (factory, platform.devices)
+    estimator = _warm_estimators.get(key)
+    if estimator is None:
+        estimator = _warm_estimators[key] = factory(platform)
+    return estimator
 
 
 def build_platform(scenario: ScenarioPlan, device: str | None = None) -> Platform:

@@ -35,7 +35,9 @@ Both loops are also **checkpointable**: ``run(...,
 checkpoint_every=N, checkpoint_path=p)`` atomically snapshots the
 complete search state -- controller parameters and optimizer moments,
 the reward baseline, the RNG stream position, the trial ledger so far
-and the estimator's cache counters -- every ``N`` trials.
+and the estimator probes the run made (counted from the run's start,
+so an estimator shared with earlier searches does not leak into them)
+-- every ``N`` trials.
 :meth:`Search.resume` rebuilds that state and continues the run; the
 resulting trial ledger is byte-identical to the uninterrupted run's,
 because every source of randomness and learning state is captured.
@@ -211,11 +213,14 @@ class _CheckpointPlan:
         started: float,
         wall_offset: float,
         start_index: int,
+        cache_stats: dict | None = None,
     ):
         if every <= 0:
             raise ValueError(
                 f"checkpoint_every must be positive, got {every}"
             )
+        from repro.core import serialization
+
         self.search = search
         self.trials = trials
         self.batch_size = batch_size
@@ -225,8 +230,12 @@ class _CheckpointPlan:
         self.wall_offset = wall_offset
         self._next = (start_index // every + 1) * every
         self.written: int | None = None
-        from repro.core import serialization
-
+        # The estimator may be shared with earlier searches (a pool
+        # worker keeps one per platform): snapshots count the probes
+        # made since this point, plus those a resumed snapshot carried.
+        self._cache_base = serialization.cache_stats_to_dict(
+            search.latency_estimator)
+        self._cache_carried = cache_stats
         self._encoder = serialization.SnapshotEncoder()
 
     def after(
@@ -257,6 +266,9 @@ class _CheckpointPlan:
             rng=rng,
             result=result,
             elapsed_wall_seconds=elapsed,
+            cache_stats=serialization.cache_stats_since(
+                self.search.latency_estimator, self._cache_base,
+                self._cache_carried),
         )
         serialization.atomic_write_text(self._encoder.encode(payload),
                                         self.path)
@@ -379,9 +391,6 @@ class Search:
             )
         loader(snapshot["controller"])
         self.baseline.load_state_dict(snapshot["baseline"])
-        serialization.restore_cache_stats(
-            self.latency_estimator, snapshot.get("cache_stats")
-        )
         rng = serialization.rng_from_state(snapshot["rng"])
         result = serialization.search_result_from_dict(snapshot["result"])
         return self._drive(
@@ -394,6 +403,7 @@ class Search:
             checkpoint_path=path,
             wall_offset=snapshot.get("elapsed_wall_seconds", 0.0),
             should_stop=should_stop,
+            cache_stats=snapshot.get("cache_stats"),
         )
 
     # -- internals -----------------------------------------------------------
@@ -409,8 +419,13 @@ class Search:
         checkpoint_path: str | Path | None,
         wall_offset: float,
         should_stop=None,
+        cache_stats: dict | None = None,
     ) -> SearchResult:
-        """Execute the span ``[start_index, trials)`` and finalise."""
+        """Execute the span ``[start_index, trials)`` and finalise.
+
+        ``cache_stats`` are the counters a resumed snapshot carried;
+        this run's snapshots add its own probes to them.
+        """
         started = time.perf_counter()
         plan: _CheckpointPlan | None = None
         if checkpoint_every is not None or checkpoint_path is not None:
@@ -427,7 +442,7 @@ class Search:
                 )
             plan = _CheckpointPlan(
                 self, trials, batch_size, checkpoint_every, checkpoint_path,
-                started, wall_offset, start_index,
+                started, wall_offset, start_index, cache_stats,
             )
         control = plan
         if should_stop is not None:
@@ -449,12 +464,14 @@ class Search:
         rng: np.random.Generator,
         result: SearchResult,
         elapsed_wall_seconds: float,
+        cache_stats: dict | None,
     ) -> dict:
         """Assemble the checkpoint document.
 
         Its ``"result"`` is the ledger itself, which the plan's
         :class:`~repro.core.serialization.SnapshotEncoder` writes as
         :func:`~repro.core.serialization.search_result_to_dict` would.
+        ``cache_stats`` counts this logical run's estimator probes.
         """
         from repro.core import serialization
 
@@ -468,9 +485,7 @@ class Search:
             "rng": serialization.rng_state_to_dict(rng),
             "controller": self.controller.state_dict(),
             "baseline": self.baseline.state_dict(),
-            "cache_stats": serialization.cache_stats_to_dict(
-                self.latency_estimator
-            ),
+            "cache_stats": cache_stats,
             "result": result,
             "elapsed_wall_seconds": elapsed_wall_seconds,
         }

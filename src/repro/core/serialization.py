@@ -248,18 +248,30 @@ def cache_stats_to_dict(estimator: Any) -> dict[str, Any] | None:
     }
 
 
-def restore_cache_stats(estimator: Any, data: dict[str, Any] | None) -> None:
-    """Carry cache counters across a resume, so hit-rate accounting spans
-    the whole logical run instead of resetting at each restart."""
-    if estimator is None or data is None:
-        return
-    arch_tier = data["architecture_tier"]
-    estimator.stats.hits = int(arch_tier["hits"])
-    estimator.stats.misses = int(arch_tier["misses"])
-    estimator.stats.evictions = int(arch_tier["evictions"])
-    layer_tier = data["layer_tier"]
-    estimator.layer_memo_stats.hits = int(layer_tier["hits"])
-    estimator.layer_memo_stats.misses = int(layer_tier["misses"])
+def cache_stats_since(
+    estimator: Any, base: dict[str, Any] | None,
+    carried: dict[str, Any] | None,
+) -> dict[str, Any] | None:
+    """The counters one search added since ``base``, plus ``carried``.
+
+    ``base`` is :func:`cache_stats_to_dict` taken when the search
+    started and ``carried`` the counts of a snapshot it resumed from, so
+    a search whose estimator is shared with other searches (a pool
+    worker's) counts only its own probes, and across a resume the counts
+    span the whole logical run.  With a fresh estimator ``base`` is all
+    zeros.
+    """
+    now = cache_stats_to_dict(estimator)
+    if now is None:
+        return None
+    return {
+        tier: {
+            name: (value - base[tier][name]
+                   + (int(carried[tier][name]) if carried else 0))
+            for name, value in counts.items()
+        }
+        for tier, counts in now.items()
+    }
 
 
 #: Age at which a staging file counts as orphaned: a live writer holds

@@ -50,6 +50,16 @@ WORD_BYTES = 2
 #: double-buffering factor: compute on one buffer while loading the next.
 DOUBLE_BUFFER = 2
 
+#: Bound on a :class:`LayerDesignMemo`'s entries, summed over its tables.
+#: A 1,200-trial MobileNet search fills about 15k, so one search never
+#: reaches it; a pool worker's estimator, which outlives its jobs, clears
+#: the memo when the next design could pass it.
+LAYER_MEMO_MAX_ENTRIES = 65_536
+
+#: Tables a design can add to per layer: tilings, channel tilings, spatial
+#: tilings, DRAM phases and layer designs.
+_TABLES_PER_LAYER = 5
+
 
 @dataclass(frozen=True)
 class TilingVector:
@@ -393,6 +403,11 @@ class LayerDesignMemo:
     budgets and strategies that choose one tiling share one design.
     Keys are plain tuples of those fields.
 
+    The tables together hold at most :data:`LAYER_MEMO_MAX_ENTRIES`
+    entries (:attr:`entries`): a call that could pass the bound first
+    clears them all, as :meth:`clear` does.  Every value is a pure
+    function of its key, so a cleared memo only computes again.
+
     Thread-safe: the memo is shared by every designer an estimator
     builds, and estimators are themselves shared across service and
     evaluation threads, so the tables and counters mutate only under an
@@ -415,12 +430,33 @@ class LayerDesignMemo:
         with self._lock:
             return sum(len(table) for table in self._tilings.values())
 
+    @property
+    def entries(self) -> int:
+        """Entries over every table: what :data:`LAYER_MEMO_MAX_ENTRIES`
+        bounds."""
+        with self._lock:
+            return self._entries()
+
     def clear(self) -> None:
         """Drop all memoised tilings and phases (counters are kept)."""
         with self._lock:
-            for table in (self._tilings, self._channels, self._spatial,
-                          self._phases, self._designs):
-                table.clear()
+            self._clear()
+
+    def _entries(self) -> int:
+        return (sum(len(table) for table in self._tilings.values())
+                + len(self._channels) + len(self._spatial)
+                + len(self._phases) + len(self._designs))
+
+    def _clear(self) -> None:
+        for table in (self._tilings, self._channels, self._spatial,
+                      self._phases, self._designs):
+            table.clear()
+
+    def _make_room(self, adding: int) -> None:
+        """Clear the tables if ``adding`` more entries could pass the
+        bound (the caller holds the lock)."""
+        if self._entries() + adding > LAYER_MEMO_MAX_ENTRIES:
+            self._clear()
 
     def _count(self, tally: dict[str, list[int]]) -> None:
         """Add one call's ``bucket -> [hits, misses]`` tally to this
@@ -460,6 +496,7 @@ class LayerDesignMemo:
         """Memoise a freshly computed tiling."""
         key = _layer_key(spec, dsp_budget, bram_budget_bytes)
         with self._lock:
+            self._make_room(1)
             self._tilings.setdefault(spatial_strategy, {})[key] = tiling
 
     def channel_tiling(
@@ -471,6 +508,7 @@ class LayerDesignMemo:
         strategy that misses first chooses it and the other reuses it.
         """
         with self._lock:
+            self._make_room(1)
             return self._channels_of(
                 spec, _layer_key(spec, dsp_budget, bram_budget_bytes))
 
@@ -492,6 +530,7 @@ class LayerDesignMemo:
         designs = []
         last_device = dram = None
         with self._lock:
+            self._make_room(_TABLES_PER_LAYER * len(specs))
             tilings = self._tilings.setdefault(spatial_strategy, {})
             built = self._designs
             try:

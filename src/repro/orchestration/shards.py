@@ -394,7 +394,8 @@ def run_shard(
     boundary) cancels cooperatively between trials, snapshotting first
     -- see :class:`~repro.core.search.SearchCancelled`.  Returns a
     JSON-compatible payload so results cross the process boundary as
-    plain data.
+    plain data; in process it also holds the live ledger
+    (:class:`ShardPayload`).
     """
     search = build_search(spec)
     trials = spec.resolved_trials
@@ -445,12 +446,33 @@ def run_shard(
         closer = getattr(search.evaluator, "close", None)
         if closer is not None:
             closer()
-    return {
+    return ShardPayload({
         "shard_id": spec.shard_id,
         "spec": spec.to_dict(),
         "result": search_result_to_dict(result),
         "resumed_from": resumed_from,
-    }
+    }, result)
+
+
+class ShardPayload(dict):
+    """A :func:`run_shard` payload that also holds the ledger it encodes.
+
+    The dict is the JSON-compatible payload; ``search_result`` is the
+    live :class:`~repro.core.search.SearchResult`, so a caller in the
+    same process (the campaign's serial path, which runs every service
+    job) builds its :class:`ShardOutcome` without decoding what was
+    just encoded.  It pickles as a plain dict: across a pool pipe only
+    the payload travels.
+    """
+
+    __slots__ = ("search_result",)
+
+    def __init__(self, payload: dict[str, Any], search_result: SearchResult):
+        super().__init__(payload)
+        self.search_result = search_result
+
+    def __reduce__(self):
+        return dict, (dict(self),)
 
 
 def _check_snapshot_matches_spec(
@@ -501,10 +523,13 @@ class ShardOutcome:
         cls, payload: dict[str, Any], requeues: int = 0,
         cached: bool = False,
     ) -> "ShardOutcome":
-        """Decode a :func:`run_shard` payload."""
+        """Decode a :func:`run_shard` payload (a :class:`ShardPayload`
+        hands over its live ledger instead)."""
+        result = getattr(payload, "search_result", None)
         return cls(
             spec=ShardSpec.from_dict(payload["spec"]),
-            result=search_result_from_dict(payload["result"]),
+            result=(search_result_from_dict(payload["result"])
+                    if result is None else result),
             resumed_from=payload.get("resumed_from"),
             requeues=requeues,
             cached=cached,

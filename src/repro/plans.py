@@ -103,9 +103,9 @@ class SearchPlan:
     def __post_init__(self) -> None:
         from repro import registry
 
-        registry.CONTROLLERS[self.controller]
-        registry.EVALUATORS[self.evaluator]
-        registry.ESTIMATORS[self.estimator]
+        registry.CONTROLLERS.require(self.controller)
+        registry.EVALUATORS.require(self.evaluator)
+        registry.ESTIMATORS.require(self.estimator)
         if self.trials is not None and self.trials <= 0:
             raise ValueError(f"trials must be positive, got {self.trials}")
 
@@ -275,7 +275,7 @@ class ScenarioPlan:
         for dataset in self.datasets:
             configs.get_config(dataset)
         for device in self.devices:
-            registry.DEVICES[device]
+            registry.DEVICES.require(device)
 
     def to_dict(self) -> dict[str, Any]:
         """Plain-dict form (tuples as JSON lists)."""

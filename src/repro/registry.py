@@ -23,7 +23,9 @@ the decorator form::
 Each registry lazily imports its built-in modules on first lookup, so
 ``CONTROLLERS["lstm"]`` works without the caller importing
 ``repro.core.controller`` first, and importing :mod:`repro.registry`
-itself stays dependency-free (it is a leaf module).
+itself stays dependency-free (it is a leaf module).  Each registry also
+lists its built-in names, so a membership test or :meth:`Registry.require`
+on one of them -- what plan validation does -- imports nothing.
 
 Factory contracts (what a registered callable receives):
 
@@ -57,14 +59,18 @@ class Registry(Mapping):
     Parameters:
         kind: human-readable component kind, used in error messages
             (``"controller"``, ``"FPGA device"``, ...).
-        builtin_modules: dotted module paths imported lazily before the
-            first lookup; those modules register the built-in entries
-            as an import side effect.
+        builtins: dotted module path -> the names that module registers
+            as an import side effect.  The modules are imported lazily
+            before the first lookup; the names answer membership tests
+            until then.
     """
 
-    def __init__(self, kind: str, builtin_modules: tuple[str, ...] = ()):
+    def __init__(self, kind: str,
+                 builtins: dict[str, tuple[str, ...]] | None = None):
         self._kind = kind
-        self._builtin_modules = tuple(builtin_modules)
+        self._builtins = dict(builtins or {})
+        self._builtin_names = frozenset(
+            name for names in self._builtins.values() for name in names)
         self._entries: dict[str, Any] = {}
         self._loaded = False
 
@@ -113,6 +119,14 @@ class Registry(Mapping):
         self._ensure_loaded()
         return sorted(self._entries)
 
+    def require(self, name: str) -> None:
+        """Raise the listing ``KeyError`` of a lookup unless ``name`` is
+        registered.  A built-in name passes without importing its module
+        (plan validation relies on this); any other name imports the
+        built-ins first, so third-party keys still resolve."""
+        if name not in self:
+            raise KeyError(self._miss_message(name))
+
     # -- Mapping protocol ----------------------------------------------------
 
     def __getitem__(self, name: str) -> Any:
@@ -122,6 +136,13 @@ class Registry(Mapping):
             return self._entries[name]
         except KeyError:
             raise KeyError(self._miss_message(name)) from None
+
+    def __contains__(self, name: object) -> bool:
+        """Membership; a built-in name answers before any import."""
+        if not self._loaded and name in self._builtin_names:
+            return True
+        self._ensure_loaded()
+        return name in self._entries
 
     def __iter__(self) -> Iterator[str]:
         """Iterate registered names."""
@@ -145,7 +166,7 @@ class Registry(Mapping):
         # Mark loaded before importing: a built-in module may consult
         # the registry while it is being imported.
         self._loaded = True
-        for module in self._builtin_modules:
+        for module in self._builtins:
             importlib.import_module(module)
 
     def _miss_message(self, name: str) -> str:
@@ -160,24 +181,30 @@ class Registry(Mapping):
 
 
 #: Controller factories: ``factory(space, seed) -> Controller``.
-CONTROLLERS = Registry("controller", ("repro.core.controller",))
+CONTROLLERS = Registry("controller", {
+    "repro.core.controller": ("lstm", "tabular", "random"),
+})
 
 #: Evaluator factories: ``factory(space, config, seed) -> AccuracyEvaluator``.
-EVALUATORS = Registry("evaluator", ("repro.core.evaluator",))
+EVALUATORS = Registry("evaluator", {
+    "repro.core.evaluator": ("surrogate", "trained"),
+})
 
 #: Estimator factories: ``factory(platform) -> LatencyEstimator``.
-ESTIMATORS = Registry("latency estimator", ("repro.latency.estimator",))
+ESTIMATORS = Registry("latency estimator", {
+    "repro.latency.estimator": ("analytical", "simulate"),
+})
 
 #: Dataset generators: ``factory(train_size, val_size, seed) -> Dataset``.
-DATASETS = Registry(
-    "dataset",
-    (
-        "repro.datasets.synthetic_mnist",
-        "repro.datasets.synthetic_cifar",
-        "repro.datasets.synthetic_imagenet",
-        "repro.datasets.synthetic_mobilenet",
-    ),
-)
+DATASETS = Registry("dataset", {
+    "repro.datasets.synthetic_mnist": ("mnist",),
+    "repro.datasets.synthetic_cifar": ("cifar10",),
+    "repro.datasets.synthetic_imagenet": ("imagenet",),
+    "repro.datasets.synthetic_mobilenet": ("mobilenet",),
+})
 
 #: FPGA devices: registered values are ``FpgaDevice`` instances.
-DEVICES = Registry("FPGA device", ("repro.fpga.device",))
+DEVICES = Registry("FPGA device", {
+    "repro.fpga.device": ("xc7a50t", "xc7z020", "pynq-z1", "xczu9eg",
+                          "xc7z020-ddr-wide", "xc7z020-ddr-narrow"),
+})

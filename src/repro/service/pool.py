@@ -7,11 +7,13 @@ federation agent's jobs and
 Its workers
 
 * are spawned lazily (first checkout) under the fork-preferring
-  context, so registry state survives the boundary and a warm tiling
-  memo is inherited;
+  context, so registry state survives the boundary (and a worker's own
+  pool inherits its warm estimators);
 * stay alive across tasks -- a campaign's 40th shard and a service's
   40th job run on a worker whose imports, caches and allocator are
-  already hot (``worker.reuse`` in :meth:`stats` counts exactly this);
+  already hot (``worker.reuse`` in :meth:`stats` counts exactly this),
+  and whose latency estimator per platform has priced the earlier
+  tasks' layers and architectures;
 * frame every child->parent message as a ``(tag, seq, ...)`` tuple;
   cancellation is a per-worker *generation* value the child polls
   between trials (and between batch items), and a worker orphaned by
@@ -116,7 +118,14 @@ def _worker_main(conn, cancel_seq, parent_pid: int) -> None:
     cancel*: the parent sets it to a task's ``seq`` to cancel that
     task; earlier or later tasks are unaffected (no event-clearing
     races across task boundaries).
+
+    The worker keeps one latency estimator per platform for its whole
+    life (:func:`repro.api.keep_estimators_warm`), so its jobs and
+    shards share both cache tiers.
     """
+    from repro.api import keep_estimators_warm
+
+    keep_estimators_warm()
     try:
         while True:
             if not conn.poll(_IDLE_POLL_SECONDS):
@@ -241,7 +250,8 @@ def _context() -> multiprocessing.context.BaseContext:
 
     ``fork`` keeps the parent's registry state (third-party controllers
     or evaluators registered in-process stay resolvable in the child)
-    and its warm in-memory tiling memo; platforms without it fall back
+    and, in a worker's own pool, its warm estimators; platforms without
+    it fall back
     to the default start method, where only entry-point-importable
     components survive the boundary.
     """

@@ -130,8 +130,16 @@ class _Job:
         self.tenant = tenant
         self.state = "queued"
         self.error: BaseException | None = None
+        #: The result object: the live one a thread-backend run
+        #: returned, or the one decoded from ``result_encoded`` on the
+        #: first :meth:`JobHandle.result` call.
         self.result_obj: Any = None
+        #: The stored canonical bytes (``None`` when not cached).
         self.result_bytes: bytes | None = None
+        #: The result as canonical bytes plus the values scrubbing
+        #: zeroed (:class:`~repro.service.store.EncodedResult`), for
+        #: results that arrived as a payload or from the store.
+        self.result_encoded: store_mod.EncodedResult | None = None
         self.cached = False
         self.runs = 0
         self.events: list[Event] = []
@@ -271,18 +279,33 @@ class JobHandle:
         Raises :class:`JobCancelledError` for cancelled jobs,
         re-raises the original exception for failed ones, and
         :class:`TimeoutError` when ``timeout`` elapses first.  Cache
-        hits decode the stored payload through the workload's codec.
+        hits, process-backend jobs and agent completions decode their
+        result here, on the first call, through the workload's codec;
+        a process-backend or agent result gets its run's wall clock
+        back, as a thread-backend run's live object has it.
         """
+        job = self._done(timeout)
+        encoded = job.result_encoded
+        if job.result_obj is None and encoded is not None:
+            job.result_obj = encoded.decode(job.plan)
+        return job.result_obj
+
+    def result_bytes(self, timeout: float | None = None) -> bytes | None:
+        """Canonical serialized result bytes (None when not cacheable).
+
+        Byte-identical across every submission of the same plan -- the
+        property the HTTP ``/result`` endpoint serves directly.  Raises
+        as :meth:`result` does, and decodes nothing.
+        """
+        return self._done(timeout).result_bytes
+
+    def _done(self, timeout: float | None) -> _Job:
+        """Wait for the job; return its record if it is done, else raise
+        what :meth:`result` documents."""
         state = self.wait(timeout)
         job = self._job
         if state == "done":
-            if job.result_obj is None and job.result_bytes is not None:
-                import json
-
-                job.result_obj = store_mod.decode_result(
-                    job.plan, json.loads(job.result_bytes)
-                )
-            return job.result_obj
+            return job
         if state == "cancelled":
             raise JobCancelledError(
                 f"job {job.id} was cancelled; resubmit the plan to resume"
@@ -291,15 +314,6 @@ class JobHandle:
             assert job.error is not None
             raise job.error
         raise TimeoutError(f"job {job.id} still {state} after {timeout}s")
-
-    def result_bytes(self, timeout: float | None = None) -> bytes | None:
-        """Canonical serialized result bytes (None when not cacheable).
-
-        Byte-identical across every submission of the same plan -- the
-        property the HTTP ``/result`` endpoint serves directly.
-        """
-        self.result(timeout)
-        return self._job.result_bytes
 
     def stored_result_bytes(self) -> bytes | None:
         """The stored canonical bytes right now, without waiting.
@@ -518,6 +532,7 @@ class SearchService:
                         job.state = "done"
                         job.cached = True
                         job.result_bytes = cached
+                        job.result_encoded = store_mod.EncodedResult(cached)
                         job.result_obj = None
                         job.error = None
                         job.done_event.set()
@@ -842,6 +857,11 @@ class SearchService:
                 f"unknown outcome {outcome!r}; expected done, failed or "
                 "cancelled"
             )
+        # Encoding a large ledger takes milliseconds: do it before the
+        # lock, which every status read and submission also takes.
+        encoded = None
+        if outcome == "done" and payload is not None:
+            encoded = store_mod.EncodedResult.of(payload)
         to_publish: list[Event] = []
         with self._lock:
             job = self._require_lease(agent_id, job_id)
@@ -851,15 +871,14 @@ class SearchService:
                 agent.jobs.discard(job_id)
             job.release_lease()
             if outcome == "done":
-                result_bytes = None
-                cacheable = store_mod.is_cacheable(job.plan)
-                if cacheable and self.cache_results and payload is not None:
-                    result_bytes = self.store.put(job.plan_hash, payload)
+                if not store_mod.is_cacheable(job.plan):
+                    encoded = None
+                result_bytes = self._store_encoded(job, encoded)
                 to_publish = self._terminalize(
                     job, "done",
                     JobCompleted(job.id, f"completed (agent {agent_id})",
                                  plan_hash=job.plan_hash),
-                    result_bytes=result_bytes,
+                    result_bytes=result_bytes, encoded=encoded,
                 )
             elif outcome == "failed":
                 error = RemoteJobError(
@@ -1330,20 +1349,20 @@ class SearchService:
                 plan_hash=job.plan_hash), error=exc)
         else:
             try:
-                cacheable = (job.evaluator is None
-                             and store_mod.is_cacheable(job.plan))
-                result_bytes = None
-                if cacheable and self.cache_results:
-                    if payload is None:
-                        payload = store_mod.encode_result(job.plan, result)
-                    result_bytes = self.store.put(job.plan_hash, payload)
-                if result is None and payload is not None:
+                encoded = result_bytes = None
+                if payload is not None:
                     # Process backend: the payload crossed the pipe
-                    # unscrubbed, so decoding here hands the caller the
-                    # same live object (real wall_seconds included) the
-                    # thread backend would have -- backend parity covers
-                    # handle.result(), not just the stored bytes.
-                    result = store_mod.decode_result(job.plan, payload)
+                    # unscrubbed.  Keep its canonical bytes and the
+                    # values scrubbing zeroed; handle.result() decodes
+                    # them into the object the thread backend returns,
+                    # real wall_seconds included.
+                    encoded = store_mod.EncodedResult.of(payload)
+                    result_bytes = self._store_encoded(job, encoded)
+                elif (self.cache_results and job.evaluator is None
+                        and store_mod.is_cacheable(job.plan)):
+                    result_bytes = self.store.put(
+                        job.plan_hash,
+                        store_mod.encode_result(job.plan, result))
             except BaseException as exc:  # noqa: BLE001 - must terminate
                 # encode/put/decode failures (disk full, codec bug) must
                 # still land the job in a terminal state: leaving it
@@ -1356,7 +1375,17 @@ class SearchService:
             else:
                 self._finish(job, "done", JobCompleted(
                     job.id, "completed", plan_hash=job.plan_hash),
-                    result_obj=result, result_bytes=result_bytes)
+                    result_obj=result, result_bytes=result_bytes,
+                    encoded=encoded)
+
+    def _store_encoded(self, job: _Job,
+                       encoded: store_mod.EncodedResult | None
+                       ) -> bytes | None:
+        """Store an encoded result when the service caches results;
+        returns the stored bytes (``None`` when nothing was stored)."""
+        if encoded is None or not self.cache_results:
+            return None
+        return self.store.put(job.plan_hash, encoded.blob)
 
     def _finish(
         self,
@@ -1366,6 +1395,7 @@ class SearchService:
         error: BaseException | None = None,
         result_obj: Any = None,
         result_bytes: bytes | None = None,
+        encoded: store_mod.EncodedResult | None = None,
     ) -> None:
         """Apply a terminal transition atomically, then publish it.
 
@@ -1377,7 +1407,7 @@ class SearchService:
         with self._lock:
             events = self._terminalize(
                 job, state, event, error=error, result_obj=result_obj,
-                result_bytes=result_bytes,
+                result_bytes=result_bytes, encoded=encoded,
             )
         for item in events:
             self.bus.publish(item)
@@ -1390,6 +1420,7 @@ class SearchService:
         error: BaseException | None = None,
         result_obj: Any = None,
         result_bytes: bytes | None = None,
+        encoded: store_mod.EncodedResult | None = None,
     ) -> list[Event]:
         """Land a terminal transition (caller holds the lock).
 
@@ -1405,6 +1436,10 @@ class SearchService:
         job.result_bytes = (
             result_bytes if result_bytes is not None else job.result_bytes
         )
+        if encoded is not None and result_bytes is not None:
+            # Decode from the bytes the store keeps, not a second copy.
+            encoded = store_mod.EncodedResult(result_bytes, encoded.zeroed)
+        job.result_encoded = encoded
         if state != "done":
             job.result_obj = None
         self._journal_record(state, job)

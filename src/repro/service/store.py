@@ -138,7 +138,13 @@ def decode_result(plan: RunPlan, payload: dict[str, Any]) -> Any:
     return decode(payload)
 
 
-def scrub_volatile(payload: Any) -> Any:
+#: Result fields that describe how a run executed, not what it computed,
+#: and the value :func:`scrub_volatile` gives them.
+_VOLATILE_FIELDS = {"wall_seconds": 0.0, "resumed_from": None}
+
+
+def scrub_volatile(payload: Any, zeroed: list | None = None,
+                   path: tuple = ()) -> Any:
     """Zero out run-environment noise from a result payload, recursively.
 
     A stored result is the content-addressed value of a *deterministic*
@@ -150,35 +156,76 @@ def scrub_volatile(payload: Any) -> Any:
     mid-run and resumed after a service restart stores *byte-identical*
     results to an uninterrupted run (the recovery CI job asserts
     exactly that).  Returns a scrubbed deep copy; the input is not
-    modified.
+    modified.  When given a list, ``zeroed`` receives a ``(path,
+    value)`` pair for each value scrubbing changed, ``path`` being the
+    keys and indices that lead to it.
     """
     if isinstance(payload, dict):
         scrubbed = {}
         for key, value in payload.items():
-            if key == "wall_seconds":
-                scrubbed[key] = 0.0
-            elif key == "resumed_from":
-                scrubbed[key] = None
+            if key in _VOLATILE_FIELDS:
+                blank = _VOLATILE_FIELDS[key]
+                scrubbed[key] = blank
+                if zeroed is not None and value != blank:
+                    zeroed.append((path + (key,), value))
+            elif isinstance(value, (dict, list)):
+                scrubbed[key] = scrub_volatile(value, zeroed, path + (key,))
             else:
-                scrubbed[key] = scrub_volatile(value)
+                scrubbed[key] = value
         return scrubbed
     if isinstance(payload, list):
-        return [scrub_volatile(item) for item in payload]
+        return [scrub_volatile(item, zeroed, path + (index,))
+                if isinstance(item, (dict, list)) else item
+                for index, item in enumerate(payload)]
     return payload
 
 
-def canonical_payload_bytes(payload: dict[str, Any]) -> bytes:
+def canonical_payload_bytes(payload: dict[str, Any],
+                            zeroed: list | None = None) -> bytes:
     """One fixed byte rendering of a stored payload.
 
     Same canonicalisation rules as
     :func:`repro.plans.canonical_plan_json`: sorted keys, minimal
-    separators, UTF-8 -- applied after :func:`scrub_volatile`, so the
-    bytes depend only on the plan's deterministic outcome.  Every store
-    hit returns exactly these bytes.
+    separators, UTF-8 -- applied after :func:`scrub_volatile` (which
+    fills ``zeroed``), so the bytes depend only on the plan's
+    deterministic outcome.  Every store hit returns exactly these bytes.
     """
     return json.dumps(
-        scrub_volatile(payload), sort_keys=True, separators=(",", ":")
+        scrub_volatile(payload, zeroed), sort_keys=True,
+        separators=(",", ":"),
     ).encode()
+
+
+@dataclass(frozen=True)
+class EncodedResult:
+    """A result payload held as its canonical bytes.
+
+    ``blob`` is what the store keeps (:func:`canonical_payload_bytes`)
+    and ``zeroed`` the ``(path, value)`` pairs scrubbing took out of
+    it, so :meth:`decode` rebuilds the object the payload described --
+    the run's real wall clock included -- without anyone keeping the
+    payload or the object until a caller asks for it.
+    """
+
+    blob: bytes
+    zeroed: tuple = ()
+
+    @classmethod
+    def of(cls, payload: dict[str, Any]) -> "EncodedResult":
+        """Encode ``payload``: one scrub, one JSON dump."""
+        zeroed: list = []
+        blob = canonical_payload_bytes(payload, zeroed)
+        return cls(blob, tuple(zeroed))
+
+    def decode(self, plan: RunPlan) -> Any:
+        """The workload's result object, volatile fields put back."""
+        payload = json.loads(self.blob)
+        for path, value in self.zeroed:
+            target = payload
+            for step in path[:-1]:
+                target = target[step]
+            target[path[-1]] = value
+        return decode_result(plan, payload)
 
 
 class ResultStore:
@@ -207,10 +254,12 @@ class ResultStore:
         assert self.directory is not None
         return self.directory / f"{key}.json"
 
-    def put(self, key: str, payload: dict[str, Any]) -> bytes:
+    def put(self, key: str, payload: dict[str, Any] | bytes) -> bytes:
         """Store a payload under ``key``; returns its canonical bytes.
 
-        Idempotent: re-putting under an existing key keeps the original
+        ``payload`` may already be its :func:`canonical_payload_bytes`
+        (a caller that encoded it away from a lock).  Idempotent:
+        re-putting under an existing key keeps the original
         bytes (first write wins -- the store is content-addressed by
         the *plan*, so a second identical plan's result is by
         construction the same result).  The write goes through
@@ -224,7 +273,8 @@ class ResultStore:
         existing = self._lookup(key)
         if existing is not None:
             return existing
-        blob = canonical_payload_bytes(payload)
+        blob = (payload if isinstance(payload, bytes)
+                else canonical_payload_bytes(payload))
         if self.directory is not None:
             atomic_write_bytes(blob, self._path(key))
         self._memory[key] = blob

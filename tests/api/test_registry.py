@@ -1,5 +1,11 @@
 """Component registries: lookup, decorator registration, plan plumbing."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.registry import (
@@ -37,6 +43,48 @@ class TestBuiltins:
         with pytest.raises(KeyError) as excinfo:
             CONTROLLERS["qqqqqqqqqq"]
         assert "did you mean" not in str(excinfo.value)
+
+    def test_static_names_match_what_the_modules_register(self):
+        """Each registry lists its built-in names so that validating a
+        plan imports nothing; the lists must be what the modules
+        register.  Checked in a fresh interpreter, where no test has
+        registered anything."""
+        code = (
+            "import json\n"
+            "from repro import registry\n"
+            "out = {}\n"
+            "for name in ('CONTROLLERS', 'EVALUATORS', 'ESTIMATORS',\n"
+            "             'DATASETS', 'DEVICES'):\n"
+            "    reg = getattr(registry, name)\n"
+            "    listed = {key: module\n"
+            "              for module, keys in reg._builtins.items()\n"
+            "              for key in keys}\n"
+            "    registered = {key: entry.__module__\n"
+            "                  for key, entry in reg.items()}\n"
+            "    out[name] = [listed, registered]\n"
+            "print(json.dumps(out))\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout)
+        assert len(report) == 5
+        for name, (listed, registered) in report.items():
+            # name -> the module that registers it (a device's module is
+            # its class's: they are registered where they are defined)
+            assert listed == registered, name
+
+    def test_membership_of_a_third_party_name_loads_the_builtins(self):
+        registry = Registry("widget", {"repro.fpga.device": ("a-widget",)})
+        registry.register("late", object())
+        assert "a-widget" in registry  # answered from the static list
+        assert "late" in registry
+        assert "nope" not in registry
+        with pytest.raises(KeyError, match="unknown widget 'nope'"):
+            registry.require("nope")
+        registry.require("late")
 
 
 class TestMappingProtocol:

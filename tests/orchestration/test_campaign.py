@@ -331,6 +331,45 @@ class TestExecutionRuntimeIdentity:
         for leg in ("pooled", "batched", "process"):
             assert self._stored_bytes(dirs[leg]) == reference, leg
 
+    def test_warm_worker_stores_the_bytes_of_fresh_workers(self, tmp_path):
+        """One pool worker keeps its estimator across jobs: plans run
+        back to back on it store what each stores on a fresh worker."""
+        from repro.service import WorkerPool
+        from repro.service.store import canonical_payload_bytes
+
+        plans = [
+            RunPlan(workload="search", search=SearchPlan(seed=seed, trials=12),
+                    scenario=ScenarioPlan(datasets=("mnist",),
+                                          devices=(device,),
+                                          specs_ms=(spec,)))
+            for seed, device, spec in ((0, "pynq-z1", 5.0),
+                                       (1, "pynq-z1", 8.0),
+                                       (2, "xc7z020-ddr-narrow", 5.0),
+                                       (3, "pynq-z1", 10.0))
+        ]
+        plans.append(RunPlan(
+            workload="sweep", search=SearchPlan(trials=6),
+            scenario=ScenarioPlan(datasets=("mnist",), devices=("pynq-z1",),
+                                  specs_ms=(5.0, 8.0), seeds=(4,),
+                                  include_nas=True)))
+
+        def run(pool, plan, directory):
+            _, payload = pool.run_plan(
+                plan, emit=lambda event: None,
+                cancel_requested=lambda: False, store_dir=str(directory))
+            return canonical_payload_bytes(payload)
+
+        with WorkerPool(1, name="warm-leg") as pool:
+            warm = [run(pool, plan, tmp_path / "warm") for plan in plans]
+            assert pool.stats()["worker.spawn"] == 1
+        fresh = []
+        for plan in plans:
+            with WorkerPool(1, name="fresh-leg") as pool:
+                fresh.append(run(pool, plan, tmp_path / "fresh"))
+        assert warm == fresh
+        assert (self._stored_bytes(tmp_path / "warm")
+                == self._stored_bytes(tmp_path / "fresh"))
+
     def test_batching_packs_small_shards_and_isolates_large(self):
         shards = small_grid(trials=6)          # 4 shards x 6 trials
         pending = {s.shard_id: s for s in shards}

@@ -92,6 +92,30 @@ def test_client_entry_points_load_no_numpy(module):
     assert not _loaded(modules, "numpy")
 
 
+LOAD_PLAN = """
+import json, sys
+from repro.plans import load_plan
+
+plan = load_plan(sys.argv[1])
+assert plan.workload == "table1"
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_loading_a_plan_imports_no_components(tmp_path):
+    # `repro submit` and `repro run` validate a plan before anything
+    # else: its registry keys are checked against the static built-in
+    # names, not by importing the components.
+    from repro.experiments.table1 import table1_plan
+    from repro.plans import save_plan
+
+    path = tmp_path / "table1.json"
+    save_plan(table1_plan(seed=0), path)
+    modules = _fresh(LOAD_PLAN, str(path))
+    assert not _loaded(modules, "numpy")
+    assert not _loaded(modules, "repro.core")
+
+
 RESOLVE = """
 import importlib, inspect, json, sys
 
