@@ -193,25 +193,19 @@ class Session:
     """One run of one plan, with progress-event subscription.
 
     Parameters:
-        plan: the declarative run description.
-        evaluator: optional live evaluator overriding the plan's
-            registry key -- the escape hatch for component instances
-            that cannot be named by a string (a pre-trained evaluator,
-            a test double).  Only valid for in-process execution; the
-            campaign runtime rebuilds components from the plan alone.
+        plan: the declarative run description.  It alone decides the
+            run: a component that no string names yet is registered
+            under one (:mod:`repro.registry`) and named in the plan.
     """
 
-    def __init__(self, plan: RunPlan, evaluator: AccuracyEvaluator | None = None):
+    def __init__(self, plan: RunPlan):
         self.plan = plan
-        self._evaluator = evaluator
         self._subscribers: list[EventCallback] = []
 
     @classmethod
-    def from_plan(
-        cls, plan: RunPlan, evaluator: AccuracyEvaluator | None = None
-    ) -> "Session":
+    def from_plan(cls, plan: RunPlan) -> "Session":
         """The canonical constructor: ``Session.from_plan(plan).run()``."""
-        return cls(plan, evaluator=evaluator)
+        return cls(plan)
 
     def subscribe(self, callback: EventCallback) -> EventCallback:
         """Register a progress callback; returns it for unsubscribing."""
@@ -253,7 +247,7 @@ class Session:
         wake = threading.Event()
         service.add_job_listener(lambda job_id: wake.set())
         try:
-            handle = service.submit(self.plan, evaluator=self._evaluator)
+            handle = service.submit(self.plan)
             seen = 0
             while True:
                 # State before events: the service appends a job's last
@@ -280,7 +274,7 @@ class Session:
             callback(event)
 
 
-def run_plan(plan: RunPlan, evaluator: AccuracyEvaluator | None = None) -> Any:
+def run_plan(plan: RunPlan) -> Any:
     """One-call convenience: ``Session.from_plan(plan).run()``."""
-    return Session.from_plan(plan, evaluator=evaluator).run()
+    return Session.from_plan(plan).run()
 

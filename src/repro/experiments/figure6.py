@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.configs import MNIST_CONFIG
-from repro.core.evaluator import AccuracyEvaluator
 from repro.events import EventCallback
 from repro.experiments.reporting import format_minutes, format_table
 from repro.experiments.runner import PairedSearchOutcome, run_paired_plan
@@ -115,7 +114,6 @@ def _device_specs(device: FpgaDevice) -> list[tuple[str, float]]:
 
 def run_figure6_plan(
     plan: RunPlan,
-    evaluator: AccuracyEvaluator | None = None,
     devices: tuple[FpgaDevice, ...] | None = None,
     emit: EventCallback | None = None,
     should_stop=None,
@@ -144,7 +142,6 @@ def run_figure6_plan(
             dataset=dataset,
             platform=Platform.single(device),
             specs_ms=[ms for _, ms in named_specs],
-            evaluator=evaluator,
             emit=emit,
             should_stop=should_stop,
         )

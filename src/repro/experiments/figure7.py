@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.configs import get_config
-from repro.core.evaluator import AccuracyEvaluator
 from repro.events import EventCallback
 from repro.experiments.reporting import format_table, improvement
 from repro.experiments.runner import PairedSearchOutcome, run_paired_plan
@@ -104,7 +103,6 @@ class Figure7Result:
 
 def run_figure7_plan(
     plan: RunPlan,
-    evaluator: AccuracyEvaluator | None = None,
     emit: EventCallback | None = None,
     should_stop=None,
 ) -> Figure7Result:
@@ -129,7 +127,6 @@ def run_figure7_plan(
             dataset=dataset,
             platform=Platform.single(device),
             specs_ms=[ms for _, ms in named_specs],
-            evaluator=evaluator,
             emit=emit,
             should_stop=should_stop,
         )

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.configs import MOBILENET_CONFIG
-from repro.core.evaluator import AccuracyEvaluator, SurrogateAccuracyEvaluator
+from repro.core.evaluator import SurrogateAccuracyEvaluator
 from repro.core.search_space import SearchSpace
 from repro.events import Event, EventCallback
 from repro.experiments.pareto import ParetoFront, compute_pareto_front
@@ -149,7 +149,6 @@ def _family_space(family: str) -> SearchSpace:
 
 def run_figure9_plan(
     plan: RunPlan,
-    evaluator: AccuracyEvaluator | None = None,
     devices: tuple[FpgaDevice, ...] | None = None,
     emit: EventCallback | None = None,
     should_stop=None,
@@ -172,9 +171,7 @@ def run_figure9_plan(
     curves: list[Figure9Curve] = []
     for family in FAMILIES:
         space = _family_space(family)
-        family_eval = evaluator
-        if family_eval is None:
-            family_eval = SurrogateAccuracyEvaluator(space, seed=seed)
+        family_eval = SurrogateAccuracyEvaluator(space, seed=seed)
         for device in devices:
             if should_stop is not None and should_stop():
                 from repro.core.search import SearchCancelled

@@ -37,7 +37,7 @@ from repro.api import (
     landscape_seed,
 )
 from repro.configs import ExperimentConfig, get_config
-from repro.core.evaluator import AccuracyEvaluator, ParallelEvaluator
+from repro.core.evaluator import ParallelEvaluator
 from repro.core.search import FnasSearch, NasSearch, SearchResult
 from repro.core.search_space import SearchSpace
 from repro.events import Event, EventCallback, SearchFinished, SearchStarted
@@ -129,7 +129,6 @@ def run_paired_plan(
     dataset: str | None = None,
     platform: Platform | None = None,
     specs_ms: list[float] | None = None,
-    evaluator: AccuracyEvaluator | None = None,
     emit: EventCallback | None = None,
     should_stop: Callable[[], bool] | None = None,
 ) -> PairedSearchOutcome:
@@ -144,11 +143,10 @@ def run_paired_plan(
     Each search gets its own controller and RNG stream (all derived
     from ``plan.search.seed``) so runs are independent, reproducible
     and comparable -- the protocol behind Table 1 and Figures 6/7.
-    ``evaluator`` overrides the plan's evaluator key with a live
-    instance (in-process mode only).  ``emit`` receives the typed
-    progress events.  ``should_stop`` cancels cooperatively between
-    trials (:class:`~repro.core.search.SearchCancelled`; snapshots
-    first when the execution policy checkpoints).
+    ``emit`` receives the typed progress events.  ``should_stop``
+    cancels cooperatively between trials
+    (:class:`~repro.core.search.SearchCancelled`; snapshots first when
+    the execution policy checkpoints).
     """
     scenario = plan.scenario
     if dataset is None:
@@ -163,8 +161,7 @@ def run_paired_plan(
         specs_ms = list(scenario.specs_ms)
     if plan.execution.campaign_mode:
         return _run_paired_campaign(
-            plan, dataset, platform, specs_ms, evaluator, emit,
-            should_stop=should_stop,
+            plan, dataset, platform, specs_ms, emit, should_stop=should_stop,
         )
     search_plan = plan.search
     config = get_config(dataset)
@@ -172,10 +169,8 @@ def run_paired_plan(
     seed = search_plan.seed
     n_trials = (search_plan.trials if search_plan.trials is not None
                 else config.trials)
-    if evaluator is None:
-        evaluator = build_evaluator(
-            search_plan, space, config, landscape_seed(plan)
-        )
+    evaluator = build_evaluator(search_plan, space, config,
+                                landscape_seed(plan))
     pool: ParallelEvaluator | None = None
     if plan.execution.eval_workers > 1:
         evaluator = pool = ParallelEvaluator(
@@ -253,7 +248,6 @@ def _run_paired_campaign(
     dataset: str,
     platform: Platform,
     specs_ms: list[float],
-    evaluator: AccuracyEvaluator | None,
     emit: EventCallback | None,
     should_stop: Callable[[], bool] | None = None,
 ) -> PairedSearchOutcome:
@@ -266,12 +260,6 @@ def _run_paired_campaign(
     """
     from repro.orchestration import Campaign, ShardSpec
 
-    if evaluator is not None:
-        raise ValueError(
-            "campaign mode rebuilds the evaluator from the plan's registry "
-            "key inside each shard; pass evaluator=None (or run with an "
-            "in-process ExecutionPolicy)"
-        )
     config = get_config(dataset)
     device, boards = _campaign_device(platform)
     search_plan = plan.search

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.api import build_platform
-from repro.core.evaluator import AccuracyEvaluator
 from repro.events import EventCallback
 from repro.experiments.reporting import format_minutes, format_table, improvement
 from repro.experiments.runner import PairedSearchOutcome, run_paired_plan
@@ -96,7 +95,6 @@ class Table1Result:
 
 def run_table1_plan(
     plan: RunPlan,
-    evaluator: AccuracyEvaluator | None = None,
     emit: EventCallback | None = None,
     should_stop=None,
 ) -> Table1Result:
@@ -115,7 +113,6 @@ def run_table1_plan(
         dataset=dataset,
         platform=build_platform(scenario, device=device),
         specs_ms=list(specs_ms),
-        evaluator=evaluator,
         emit=emit,
         should_stop=should_stop,
     )

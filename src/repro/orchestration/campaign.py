@@ -239,7 +239,7 @@ class Campaign:
             (:attr:`~repro.orchestration.shards.ShardSpec.shard_hash`)
             and serves a valid entry instead of executing (publishing
             :class:`~repro.events.ShardCached`); after a shard
-            finishes, its canonical scrubbed payload is written back.
+            finishes, its canonical scrubbed entry is written back.
             Because stored shard bytes are a pure function of the
             shard's plan, the merged result is byte-identical whether
             shards ran or were cached.  ``None`` (the default)
@@ -332,16 +332,15 @@ class Campaign:
         for shard_id, spec in list(pending.items()):
             self._publish(SearchStarted(shard_id, "running in-process"))
             try:
-                payload = run_shard(
+                outcome = run_shard(
                     spec, self.checkpoint_dir, self.checkpoint_every,
                     should_stop=should_stop,
                 )
             except SearchCancelled:
                 raise SearchCancelled(len(outcomes)) from None
-            self._store_payload(spec, payload)
-            outcomes[shard_id] = ShardOutcome.from_payload(
-                payload, requeues=requeues[shard_id]
-            )
+            self._store_outcome(outcome)
+            outcomes[shard_id] = dataclasses.replace(
+                outcome, requeues=requeues[shard_id])
             del pending[shard_id]
             self._publish(SearchFinished(
                 shard_id, f"{len(outcomes[shard_id].result.trials)} trials"
@@ -393,14 +392,12 @@ class Campaign:
                 or payload.get("shard_id") != spec.shard_id):
             return None
         try:
-            return dataclasses.replace(
-                ShardOutcome.from_payload(payload), cached=True
-            )
+            return ShardOutcome.from_payload(payload, cached=True)
         except (KeyError, TypeError, ValueError):
             return None
 
-    def _store_payload(self, spec: ShardSpec, payload: dict) -> None:
-        """Write-through: persist one freshly-run shard's payload.
+    def _store_outcome(self, outcome: ShardOutcome) -> None:
+        """Write-through: persist one freshly-run shard's entry.
 
         ``put`` canonicalizes and scrubs (wall clocks, resume
         provenance), so the stored bytes are a pure function of the
@@ -412,7 +409,7 @@ class Campaign:
         if self.store is None:
             return
         try:
-            self.store.put(spec.shard_hash, payload)
+            self.store.put(outcome.spec.shard_hash, outcome.to_payload())
         except OSError:
             pass
 
@@ -572,12 +569,11 @@ class Campaign:
         requeues: dict[str, int],
     ):
         """Per-unit completion callback: one call per finished shard."""
-        def on_item(index: int, payload: dict) -> None:
+        def on_item(index: int, outcome: ShardOutcome) -> None:
             spec = unit[index]
-            self._store_payload(spec, payload)
-            outcome = ShardOutcome.from_payload(
-                payload, requeues=requeues[spec.shard_id]
-            )
+            self._store_outcome(outcome)
+            outcome = dataclasses.replace(
+                outcome, requeues=requeues[spec.shard_id])
             outcomes[spec.shard_id] = outcome
             del pending[spec.shard_id]
             self._publish(SearchFinished(

@@ -23,6 +23,7 @@ shard grid.
 from __future__ import annotations
 
 import glob
+import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,6 +44,7 @@ from repro.plans import (
     RunPlan,
     ScenarioPlan,
     SearchPlan,
+    canonical_plan_json,
 )
 
 #: Shard kinds: the two search loops.
@@ -156,16 +158,19 @@ class ShardSpec:
     def shard_hash(self) -> str:
         """Content-address of this shard's result in the store.
 
-        Exactly ``plan_hash(self.to_plan())`` -- the canonical hash of
-        the shard's single-search plan.  Because :meth:`to_plan`
+        The SHA-256 of ``shard:`` followed by the canonical JSON of
+        :meth:`to_plan` -- a pure function of the shard's canonical
+        single-search plan, in a key domain of its own: a ``search``
+        plan submitted in that canonical form keeps its plan-level
+        entry (under :func:`~repro.plans.plan_hash`) apart from its
+        shard entry, whose documents differ.  Because :meth:`to_plan`
         normalizes result-irrelevant execution knobs away, two shards
         computing the same search share one hash (and one stored
         result) regardless of ``eval_workers``, ``shard_workers``,
         backend, or checkpoint policy.
         """
-        from repro.plans import plan_hash
-
-        return plan_hash(self.to_plan())
+        text = "shard:" + canonical_plan_json(self.to_plan())
+        return hashlib.sha256(text.encode()).hexdigest()
 
     @property
     def resolved_trials(self) -> int:
@@ -198,11 +203,10 @@ class ShardSpec:
         execution knobs survive (``batch_size`` changes the batched
         controller trajectory; ``eval_workers`` and the rest of
         :class:`~repro.plans.ExecutionPolicy` never do, and are
-        normalized to their defaults).  That makes
-        :func:`repro.plans.plan_hash` of this plan -- see
-        :attr:`shard_hash` -- a pure function of *what* the shard
-        computes, so shards of different sweeps share result-store
-        entries whatever knobs those sweeps ran under.
+        normalized to their defaults).  That makes the hash of this
+        plan -- see :attr:`shard_hash` -- a pure function of *what*
+        the shard computes, so shards of different sweeps share
+        result-store entries whatever knobs those sweeps ran under.
         ``ShardSpec.from_plan(spec.to_plan())`` is identity for specs
         at default ``eval_workers``; :func:`build_search` re-applies a
         non-default ``eval_workers`` when building the live search.
@@ -380,7 +384,7 @@ def run_shard(
     checkpoint_dir: str | None = None,
     checkpoint_every: int | None = None,
     should_stop=None,
-) -> dict[str, Any]:
+) -> "ShardOutcome":
     """Execute one shard to completion (pool-worker entry point).
 
     With a ``checkpoint_dir``, the shard snapshots its state every
@@ -392,10 +396,10 @@ def run_shard(
     older than :data:`~repro.core.serialization.STAGING_GRACE_SECONDS`).
     ``should_stop`` (in-process callers only; it cannot cross a pool
     boundary) cancels cooperatively between trials, snapshotting first
-    -- see :class:`~repro.core.search.SearchCancelled`.  Returns a
-    JSON-compatible payload so results cross the process boundary as
-    plain data; in process it also holds the live ledger
-    (:class:`ShardPayload`).
+    -- see :class:`~repro.core.search.SearchCancelled`.  Returns the
+    shard's :class:`ShardOutcome`, which also crosses a pool pipe as
+    is (a pickle round trip costs less than encoding and decoding the
+    ledger); :meth:`ShardOutcome.to_payload` gives its store entry.
     """
     search = build_search(spec)
     trials = spec.resolved_trials
@@ -446,33 +450,7 @@ def run_shard(
         closer = getattr(search.evaluator, "close", None)
         if closer is not None:
             closer()
-    return ShardPayload({
-        "shard_id": spec.shard_id,
-        "spec": spec.to_dict(),
-        "result": search_result_to_dict(result),
-        "resumed_from": resumed_from,
-    }, result)
-
-
-class ShardPayload(dict):
-    """A :func:`run_shard` payload that also holds the ledger it encodes.
-
-    The dict is the JSON-compatible payload; ``search_result`` is the
-    live :class:`~repro.core.search.SearchResult`, so a caller in the
-    same process (the campaign's serial path, which runs every service
-    job) builds its :class:`ShardOutcome` without decoding what was
-    just encoded.  It pickles as a plain dict: across a pool pipe only
-    the payload travels.
-    """
-
-    __slots__ = ("search_result",)
-
-    def __init__(self, payload: dict[str, Any], search_result: SearchResult):
-        super().__init__(payload)
-        self.search_result = search_result
-
-    def __reduce__(self):
-        return dict, (dict(self),)
+    return ShardOutcome(spec, result, resumed_from)
 
 
 def _check_snapshot_matches_spec(
@@ -518,18 +496,24 @@ class ShardOutcome:
     requeues: int = 0
     cached: bool = False
 
+    def to_payload(self) -> dict[str, Any]:
+        """The JSON-compatible shard entry the result store keeps."""
+        return {
+            "shard_id": self.spec.shard_id,
+            "spec": self.spec.to_dict(),
+            "result": search_result_to_dict(self.result),
+            "resumed_from": self.resumed_from,
+        }
+
     @classmethod
     def from_payload(
         cls, payload: dict[str, Any], requeues: int = 0,
         cached: bool = False,
     ) -> "ShardOutcome":
-        """Decode a :func:`run_shard` payload (a :class:`ShardPayload`
-        hands over its live ledger instead)."""
-        result = getattr(payload, "search_result", None)
+        """Decode a shard entry (:meth:`to_payload`'s inverse)."""
         return cls(
             spec=ShardSpec.from_dict(payload["spec"]),
-            result=(search_result_from_dict(payload["result"])
-                    if result is None else result),
+            result=search_result_from_dict(payload["result"]),
             resumed_from=payload.get("resumed_from"),
             requeues=requeues,
             cached=cached,

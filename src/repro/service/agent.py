@@ -208,21 +208,22 @@ class WorkerAgent:
         if lost.is_set():
             return  # the coordinator re-queued the job; drop the work
         crash_point("agent.complete")
-        self._upload_outcome(job_id, plan, outcome)
+        self._upload_outcome(job_id, outcome)
 
     def _execute(self, plan: RunPlan, claim: dict[str, Any],
                  events: queue.Queue, lost: threading.Event,
                  cancel: threading.Event) -> tuple[str, Any]:
         """Run the plan on the agent's pool worker; returns ``(tag, value)``.
 
-        ``("done", (result, payload))`` on success, ``("cancelled",
-        completed_count)`` on cooperative stop (which the *lost* path
-        also takes -- the child checkpoints either way), ``("failed",
-        message)`` otherwise.  The worker process persists across
-        claims (see :class:`~repro.service.pool.WorkerPool`); its
-        parent-death watch doubles as the dead-man switch -- a
-        SIGKILLed agent orphans the worker, whose next poll checkpoints
-        and exits.
+        ``("done", result)`` on success (what
+        :meth:`~repro.service.pool.WorkerPool.run_plan` returns),
+        ``("cancelled", completed_count)`` on cooperative stop (which
+        the *lost* path also takes -- the child checkpoints either
+        way), ``("failed", message)`` otherwise.  The worker process
+        persists across claims (see
+        :class:`~repro.service.pool.WorkerPool`); its parent-death
+        watch doubles as the dead-man switch -- a SIGKILLed agent
+        orphans the worker, whose next poll checkpoints and exits.
         """
         from repro.core.search import SearchCancelled
         from repro.service.pool import WorkerPool
@@ -235,7 +236,7 @@ class WorkerAgent:
             events.put(event.to_dict())
 
         try:
-            result, payload = self._pool.run_plan(
+            result = self._pool.run_plan(
                 plan,
                 emit=emit,
                 cancel_requested=lambda: (cancel.is_set() or lost.is_set()
@@ -247,25 +248,25 @@ class WorkerAgent:
             return ("cancelled", exc.completed)
         except BaseException as exc:  # noqa: BLE001 - must reach the wire
             return ("failed", f"{type(exc).__name__}: {exc}")
-        return ("done", (result, payload))
+        return ("done", result)
 
-    def _upload_outcome(self, job_id: str, plan: RunPlan,
+    def _upload_outcome(self, job_id: str,
                         outcome: tuple[str, Any]) -> None:
         """Report the terminal outcome under the lease (retrying).
 
         A 409 answer means the lease moved on and someone else owns
         the finish -- the upload is discarded without complaint; 404
-        (agent forgotten) re-registers once and retries.
+        (agent forgotten) re-registers once and retries.  A cacheable
+        result uploads as its payload with the scrubbed values put
+        back; any other result uploads no payload.
         """
+        from repro.service.store import EncodedResult
+
         tag, value = outcome
         if tag == "done":
-            result, payload = value
-            if payload is None and result is not None:
-                from repro.service import store as store_mod
-
-                if store_mod.is_cacheable(plan):
-                    payload = store_mod.encode_result(plan, result)
-            kwargs: dict[str, Any] = {"payload": payload}
+            kwargs: dict[str, Any] = {
+                "payload": (value.payload()
+                            if isinstance(value, EncodedResult) else None)}
         elif tag == "cancelled":
             kwargs = {"completed": int(value)}
         else:

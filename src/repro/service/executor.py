@@ -24,31 +24,10 @@ from typing import Any, Callable
 from repro.events import Event, EventCallback, RunFinished, RunStarted, SearchStarted
 from repro.plans import RunPlan
 
-#: Workloads whose in-process engine accepts a live evaluator override
-#: (everything else rebuilds evaluators from the plan's registry key).
-EVALUATOR_OVERRIDE_WORKLOADS = ("table1", "figure6", "figure7", "paired")
-
-
-def check_evaluator_override(plan: RunPlan, evaluator: Any) -> None:
-    """Reject live-evaluator overrides for workloads that rebuild them.
-
-    Raising here (synchronously, before any queueing) keeps the old
-    :meth:`Session.run` contract: an injected evaluator instance is
-    never silently dropped.
-    """
-    if evaluator is not None and plan.workload not in EVALUATOR_OVERRIDE_WORKLOADS:
-        raise ValueError(
-            f"the {plan.workload!r} workload rebuilds its evaluator from the "
-            "plan's registry key and cannot honor a live evaluator "
-            "override; register the evaluator "
-            "(repro.registry.EVALUATORS) and name it in the plan instead"
-        )
-
 
 def execute_plan(
     plan: RunPlan,
     emit: EventCallback | None = None,
-    evaluator: Any = None,
     should_stop: Callable[[], bool] | None = None,
     fallback_checkpoint_dir: str | None = None,
     store: Any = None,
@@ -58,8 +37,6 @@ def execute_plan(
     Parameters:
         plan: the declarative run description.
         emit: receives every typed progress event, in order.
-        evaluator: live evaluator override (in-process paired
-            workloads only; see :func:`check_evaluator_override`).
         should_stop: cooperative-cancellation poll, honored between
             trials by every search-running workload (``search``,
             ``sweep``, ``paired``, ``table1``, ``figure6``,
@@ -88,8 +65,6 @@ def execute_plan(
     set), ``paired`` -> ``PairedSearchOutcome``, ``search`` ->
     ``SearchResult``.
     """
-    check_evaluator_override(plan, evaluator)
-
     def publish(event: Event) -> None:
         if emit is not None:
             emit(event)
@@ -101,8 +76,8 @@ def execute_plan(
     workload = plan.workload
     publish(RunStarted(workload, "session started"))
     runner = _WORKLOAD_RUNNERS[workload]
-    result = runner(plan, publish, evaluator, should_stop,
-                    fallback_checkpoint_dir, store)
+    result = runner(plan, publish, should_stop, fallback_checkpoint_dir,
+                    store)
     publish(RunFinished(workload, "session finished"))
     return result
 
@@ -110,51 +85,42 @@ def execute_plan(
 # -- workload runners --------------------------------------------------------
 
 
-def _run_table1(plan, publish, evaluator, should_stop,
-                fallback_dir, store):
+def _run_table1(plan, publish, should_stop, fallback_dir, store):
     """Table 1 workload body."""
     from repro.experiments.table1 import run_table1_plan
 
-    return run_table1_plan(plan, evaluator=evaluator, emit=publish,
-                           should_stop=should_stop)
+    return run_table1_plan(plan, emit=publish, should_stop=should_stop)
 
 
-def _run_figure6(plan, publish, evaluator, should_stop,
-                 fallback_dir, store):
+def _run_figure6(plan, publish, should_stop, fallback_dir, store):
     """Figure 6 workload body."""
     from repro.experiments.figure6 import run_figure6_plan
 
-    return run_figure6_plan(plan, evaluator=evaluator, emit=publish,
-                            should_stop=should_stop)
+    return run_figure6_plan(plan, emit=publish, should_stop=should_stop)
 
 
-def _run_figure7(plan, publish, evaluator, should_stop,
-                 fallback_dir, store):
+def _run_figure7(plan, publish, should_stop, fallback_dir, store):
     """Figure 7 workload body."""
     from repro.experiments.figure7 import run_figure7_plan
 
-    return run_figure7_plan(plan, evaluator=evaluator, emit=publish,
-                            should_stop=should_stop)
+    return run_figure7_plan(plan, emit=publish, should_stop=should_stop)
 
 
-def _run_figure8(plan, publish, evaluator, should_stop,
-                 fallback_dir, store):
+def _run_figure8(plan, publish, should_stop, fallback_dir, store):
     """Figure 8 workload body."""
     from repro.experiments.figure8 import run_figure8
 
     return run_figure8()
 
 
-def _run_figure9(plan, publish, evaluator, should_stop,
-                 fallback_dir, store):
+def _run_figure9(plan, publish, should_stop, fallback_dir, store):
     """Figure 9 workload body (conv-type Pareto fronts, DRAM devices)."""
     from repro.experiments.figure9 import run_figure9_plan
 
     return run_figure9_plan(plan, emit=publish, should_stop=should_stop)
 
 
-def _run_ablations(plan, publish, evaluator, should_stop,
-                   fallback_dir, store):
+def _run_ablations(plan, publish, should_stop, fallback_dir, store):
     """Ablation-study workload body."""
     from repro.experiments.ablation import (
         run_pruning_ablation,
@@ -170,8 +136,7 @@ def _run_ablations(plan, publish, evaluator, should_stop,
     return reuse, pruning
 
 
-def _run_report(plan, publish, evaluator, should_stop,
-                fallback_dir, store):
+def _run_report(plan, publish, should_stop, fallback_dir, store):
     """Report workload body (writes ``plan.output`` when set)."""
     from repro.experiments.report import generate_report_plan
 
@@ -181,8 +146,7 @@ def _run_report(plan, publish, evaluator, should_stop,
     return text
 
 
-def _run_sweep(plan, publish, evaluator, should_stop,
-               fallback_dir, store):
+def _run_sweep(plan, publish, should_stop, fallback_dir, store):
     """Sweep workload body: the full campaign runtime."""
     from repro.orchestration import (
         Campaign,
@@ -209,17 +173,14 @@ def _run_sweep(plan, publish, evaluator, should_stop,
     return result
 
 
-def _run_paired(plan, publish, evaluator, should_stop,
-                fallback_dir, store):
+def _run_paired(plan, publish, should_stop, fallback_dir, store):
     """Paired NAS+FNAS workload body."""
     from repro.experiments.runner import run_paired_plan
 
-    return run_paired_plan(plan, evaluator=evaluator, emit=publish,
-                           should_stop=should_stop)
+    return run_paired_plan(plan, emit=publish, should_stop=should_stop)
 
 
-def _run_search(plan, publish, evaluator, should_stop,
-                fallback_dir, store):
+def _run_search(plan, publish, should_stop, fallback_dir, store):
     """Single-search workload body: a one-shard campaign.
 
     Going through :class:`~repro.orchestration.campaign.Campaign` (not

@@ -24,10 +24,8 @@ checkpoints instead of restarting (see
 :meth:`~repro.service.SearchService` ``recover`` and the
 ``service-smoke`` CI job, which SIGKILLs a live server mid-job and
 asserts the restarted one finishes the work byte-identically).
-
-Only hash-addressable jobs are journaled: a job submitted with a live
-evaluator override cannot be rebuilt from its plan document, so it is
-deliberately left out (exactly as it is left out of the result store).
+Every job is journaled: a job is its plan document, so the ``queued``
+entry's plan is all recovery needs to rebuild it.
 """
 
 from __future__ import annotations

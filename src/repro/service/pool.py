@@ -32,7 +32,11 @@ evaluator's one-child tasks.  :meth:`WorkerPool.run_plan` runs one full
 :class:`~repro.plans.RunPlan` through
 :func:`~repro.service.executor.execute_plan` with typed events
 streamed back -- the service's process backend and the federation
-agent's job execution.
+agent's job execution.  Either kind's results leave the worker in one
+form: a campaign shard as its
+:class:`~repro.orchestration.shards.ShardOutcome`, a cacheable plan's
+result as the :class:`~repro.service.store.EncodedResult` the worker
+encoded once, any other plan's result as the object.
 
 Thread safety is by *checkout*: a worker belongs to exactly one
 handle (hence one calling thread) from dispatch until its terminal
@@ -103,7 +107,7 @@ def _picklable(exc: BaseException) -> BaseException | None:
         return None
 
 
-def _worker_main(conn, cancel_seq, parent_pid: int) -> None:
+def _worker_main(conn, parent_end, cancel_seq, parent_pid: int) -> None:
     """Long-lived worker body: loop over tasks until exit or orphaned.
 
     Parent->child frames: ``("task", seq, kind, payload)`` and
@@ -119,12 +123,19 @@ def _worker_main(conn, cancel_seq, parent_pid: int) -> None:
     task; earlier or later tasks are unaffected (no event-clearing
     races across task boundaries).
 
+    ``parent_end`` is the parent's end of the pipe, which a fork copies
+    into the worker.  The worker closes it first: holding it would keep
+    the pipe open after the parent died, and a frame larger than the
+    pipe's buffer -- a big result -- would then block forever instead
+    of failing, leaving the orphan stuck.
+
     The worker keeps one latency estimator per platform for its whole
     life (:func:`repro.api.keep_estimators_warm`), so its jobs and
     shards share both cache tiers.
     """
     from repro.api import keep_estimators_warm
 
+    parent_end.close()
     keep_estimators_warm()
     try:
         while True:
@@ -183,10 +194,11 @@ def _child_run_plan(conn, seq: int, cancel_seq, parent_pid: int,
     """Execute one plan, streaming typed events; exactly one terminal.
 
     The plan crosses as canonical JSON, a persistent store directory
-    is rebuilt child-side (a live store handle cannot cross), and
-    cacheable results come back as their canonical payload so the
-    store's byte-identity guarantee holds whichever backend ran the
-    job.
+    is rebuilt child-side (a live store handle cannot cross), and a
+    cacheable result is encoded here, once, and crosses as its
+    :class:`~repro.service.store.EncodedResult` -- the canonical bytes
+    the store keeps, so its byte-identity guarantee holds whichever
+    backend ran the job.  Any other result crosses as the object.
     """
     from repro.core.search import SearchCancelled
     from repro.service import store as store_mod
@@ -212,22 +224,21 @@ def _child_run_plan(conn, seq: int, cancel_seq, parent_pid: int,
             fallback_checkpoint_dir=fallback_checkpoint_dir,
             store=store,
         )
+        if store_mod.is_cacheable(plan):
+            result = store_mod.EncodedResult.of(
+                store_mod.encode_result(plan, result))
     except SearchCancelled as exc:
         conn.send(("cancelled", seq, exc.completed))
     except BaseException as exc:  # noqa: BLE001 - must cross the pipe
         conn.send(("failed", seq, _exception_message(exc), _picklable(exc)))
     else:
-        if store_mod.is_cacheable(plan):
-            conn.send(("done", seq,
-                       ("payload", store_mod.encode_result(plan, result))))
-        else:
-            try:
-                conn.send(("done", seq, ("object", result)))
-            except Exception as exc:  # unpicklable result object
-                conn.send(("failed", seq,
-                           f"result of workload {plan.workload!r} could "
-                           f"not cross the process boundary: "
-                           f"{_exception_message(exc)}", None))
+        try:
+            conn.send(("done", seq, result))
+        except Exception as exc:  # unpicklable result object
+            conn.send(("failed", seq,
+                       f"result of workload {plan.workload!r} could "
+                       f"not cross the process boundary: "
+                       f"{_exception_message(exc)}", None))
 
 
 # -- parent side --------------------------------------------------------------
@@ -456,13 +467,15 @@ class WorkerPool:
         cancel_requested: Callable[[], bool],
         fallback_checkpoint_dir: str | None = None,
         store_dir: str | None = None,
-    ) -> tuple[Any, dict[str, Any] | None]:
+    ) -> Any:
         """Execute one plan on a pool worker (blocking).
 
         Events stream through ``emit`` in order, a pending cancel
-        request is forwarded exactly once, and the return is
-        ``(result_obj, payload)`` with exactly one side set (cacheable
-        workloads come back as their canonical store payload).
+        request is forwarded exactly once, and the return is the
+        result: a cacheable workload's comes back as the
+        :class:`~repro.service.store.EncodedResult` the worker encoded
+        (decode it with :meth:`~repro.service.store.EncodedResult.decode`),
+        any other as the object itself.
 
         Raises whatever the plan's execution raised --
         :class:`~repro.core.search.SearchCancelled` included --
@@ -487,8 +500,7 @@ class WorkerPool:
             raise handle.error
         tag = handle.outcome[0]
         if tag == "done":
-            kind, value = handle.outcome[2]
-            return (value, None) if kind == "object" else (None, value)
+            return handle.outcome[2]
         if tag == "cancelled":
             from repro.core.search import SearchCancelled
 
@@ -586,7 +598,7 @@ class WorkerPool:
         # ppid check in its idle/trial polls.
         process = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, cancel_seq, os.getpid()),
+            args=(child_conn, parent_conn, cancel_seq, os.getpid()),
             name=f"{self.name}-worker-{self._spawned}",
         )
         process.start()

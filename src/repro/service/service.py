@@ -61,7 +61,7 @@ from repro.events import (
 )
 from repro.plans import EXECUTION_BACKENDS, RunPlan, plan_hash
 from repro.service import store as store_mod
-from repro.service.executor import check_evaluator_override, execute_plan
+from repro.service.executor import execute_plan
 from repro.service.journal import JOURNAL_FILENAME, JobJournal
 from repro.service.store import ResultStore
 
@@ -119,26 +119,24 @@ class JobCancelledError(RuntimeError):
 class _Job:
     """Internal mutable job record (guarded by the service lock)."""
 
-    def __init__(self, job_id: str, plan: RunPlan, digest: str,
-                 priority: int, evaluator: Any,
+    def __init__(self, plan: RunPlan, digest: str, priority: int,
                  tenant: str | None = None):
-        self.id = job_id
+        self.id = f"j-{digest[:12]}"
         self.plan = plan
         self.plan_hash = digest
         self.priority = priority
-        self.evaluator = evaluator
         self.tenant = tenant
         self.state = "queued"
         self.error: BaseException | None = None
         #: The result object: the live one a thread-backend run
-        #: returned, or the one decoded from ``result_encoded`` on the
-        #: first :meth:`JobHandle.result` call.
+        #: returned, the one decoded from an agent's upload, or the one
+        #: decoded from ``result_encoded`` on the first
+        #: :meth:`JobHandle.result` call.
         self.result_obj: Any = None
         #: The stored canonical bytes (``None`` when not cached).
         self.result_bytes: bytes | None = None
         #: The result as canonical bytes plus the values scrubbing
-        #: zeroed (:class:`~repro.service.store.EncodedResult`), for
-        #: results that arrived as a payload or from the store.
+        #: zeroed (:class:`~repro.service.store.EncodedResult`).
         self.result_encoded: store_mod.EncodedResult | None = None
         self.cached = False
         self.runs = 0
@@ -279,10 +277,10 @@ class JobHandle:
         Raises :class:`JobCancelledError` for cancelled jobs,
         re-raises the original exception for failed ones, and
         :class:`TimeoutError` when ``timeout`` elapses first.  Cache
-        hits, process-backend jobs and agent completions decode their
-        result here, on the first call, through the workload's codec;
-        a process-backend or agent result gets its run's wall clock
-        back, as a thread-backend run's live object has it.
+        hits and process-backend jobs decode their result here, on the
+        first call, through the workload's codec; a process-backend
+        result gets its run's wall clock back, as a thread-backend
+        run's live object has it.
         """
         job = self._done(timeout)
         encoded = job.result_encoded
@@ -358,9 +356,6 @@ class SearchService:
             makes GIL-bound searches scale with cores.  A worker that
             dies mid-job fails the job with
             :class:`~repro.service.pool.WorkerDied`.
-            Jobs with a live evaluator override always run on the
-            thread backend (the object cannot cross a process
-            boundary).
         journal_path: crash-consistent job journal location (see
             :class:`~repro.service.journal.JobJournal`).  Defaults to
             ``journal.jsonl`` inside the store's directory when the
@@ -482,13 +477,11 @@ class SearchService:
     # -- submission / lookup -------------------------------------------------
 
     def submit(self, plan: RunPlan, priority: int = 0,
-               evaluator: Any = None,
                tenant: str | None = None) -> JobHandle:
         """Queue a plan for execution; returns its :class:`JobHandle`.
 
-        Dedup semantics (all keyed on the canonical plan hash, skipped
-        when a live ``evaluator`` override makes the job
-        un-addressable):
+        The plan alone decides the job, so every submission dedups on
+        its canonical plan hash:
 
         * stored result -> an already-``done`` job answered from the
           cache (:class:`~repro.events.CacheHit`), byte-identical to
@@ -505,71 +498,64 @@ class SearchService:
         queue-depth metrics.  A job keeps its original tenant across
         dedup coalescing and cancel/resubmit cycles.
         """
-        check_evaluator_override(plan, evaluator)
         digest = plan_hash(plan)
         to_publish: list[Event] = []
         try:
             with self._lock:
                 if self._shutdown:
                     raise RuntimeError("service is shut down")
-                if evaluator is None:
-                    existing = self._by_hash.get(digest)
-                    if (existing is not None
-                            and existing.state in _COALESCE_STATES):
-                        return JobHandle(self, existing)
-                    cached = (
-                        self.store.get_bytes(digest)
-                        if self.cache_results and store_mod.is_cacheable(plan)
-                        else None
-                    )
-                    if cached is not None:
-                        job = existing
-                        if job is None:
-                            job = _Job(self._job_id(digest, evaluator=None),
-                                       plan, digest, priority, None,
-                                       tenant=tenant)
-                            self._register(job)
-                        job.state = "done"
-                        job.cached = True
-                        job.result_bytes = cached
-                        job.result_encoded = store_mod.EncodedResult(cached)
-                        job.result_obj = None
-                        job.error = None
-                        job.done_event.set()
-                        self._journal_record("done", job)
-                        to_publish = self._record(job, [
-                            CacheHit(
-                                job.id, "identical plan already solved; "
-                                "returning stored result", plan_hash=digest),
-                            JobCompleted(
-                                job.id, "served from the result store",
-                                plan_hash=digest),
-                        ])
-                        return JobHandle(self, job)
-                    if existing is not None:
-                        # cancelled / failed: resubmit re-queues the same
-                        # job; checkpoints written before cancellation make
-                        # the re-run a resume.  The job log entry lands
-                        # *before* the job becomes visible to workers, so
-                        # JobQueued always precedes JobStarted in it.
-                        job = existing
-                        job.state = "queued"
-                        job.priority = priority
-                        job.error = None
-                        if job.tenant is None:
-                            job.tenant = tenant
-                        job.cancel_event.clear()
-                        job.done_event.clear()
-                        self._journal_record("queued", job, with_plan=True)
-                        to_publish = self._record(job, [JobQueued(
-                            job.id, self._queued_message(
-                                "resubmitted; checkpointed shards will "
-                                "resume"),
-                            plan_hash=digest)])
-                        self._enqueue(job)
-                        return JobHandle(self, job)
-                job = _Job(self._job_id(digest, evaluator), plan, digest,
-                           priority, evaluator, tenant=tenant)
+                existing = self._by_hash.get(digest)
+                if existing is not None and existing.state in _COALESCE_STATES:
+                    return JobHandle(self, existing)
+                cached = (
+                    self.store.get_bytes(digest)
+                    if self.cache_results and store_mod.is_cacheable(plan)
+                    else None
+                )
+                if cached is not None:
+                    job = existing
+                    if job is None:
+                        job = _Job(plan, digest, priority, tenant=tenant)
+                        self._register(job)
+                    job.state = "done"
+                    job.cached = True
+                    job.result_bytes = cached
+                    job.result_encoded = store_mod.EncodedResult(cached)
+                    job.result_obj = None
+                    job.error = None
+                    job.done_event.set()
+                    self._journal_record("done", job)
+                    to_publish = self._record(job, [
+                        CacheHit(
+                            job.id, "identical plan already solved; "
+                            "returning stored result", plan_hash=digest),
+                        JobCompleted(
+                            job.id, "served from the result store",
+                            plan_hash=digest),
+                    ])
+                    return JobHandle(self, job)
+                if existing is not None:
+                    # cancelled / failed: resubmit re-queues the same
+                    # job; checkpoints written before cancellation make
+                    # the re-run a resume.  The job log entry lands
+                    # *before* the job becomes visible to workers, so
+                    # JobQueued always precedes JobStarted in it.
+                    job = existing
+                    job.state = "queued"
+                    job.priority = priority
+                    job.error = None
+                    if job.tenant is None:
+                        job.tenant = tenant
+                    job.cancel_event.clear()
+                    job.done_event.clear()
+                    self._journal_record("queued", job, with_plan=True)
+                    to_publish = self._record(job, [JobQueued(
+                        job.id, self._queued_message(
+                            "resubmitted; checkpointed shards will resume"),
+                        plan_hash=digest)])
+                    self._enqueue(job)
+                    return JobHandle(self, job)
+                job = _Job(plan, digest, priority, tenant=tenant)
                 self._register(job)
                 self._journal_record("queued", job, with_plan=True)
                 to_publish = self._record(job, [JobQueued(
@@ -598,7 +584,7 @@ class SearchService:
             return [JobHandle(self, j) for j in self._jobs.values()]
 
     def job_by_hash(self, digest: str) -> JobHandle | None:
-        """The hash-addressable job for ``digest``, or ``None``.
+        """The job for plan hash ``digest``, or ``None``.
 
         What the front end uses to recognise a dedup-coalescing submit
         before admission control runs: a resubmission of a plan the
@@ -729,7 +715,7 @@ class SearchService:
             return [agent.info() for agent in self._agents.values()]
 
     def claim_job(self, agent_id: str) -> dict[str, Any] | None:
-        """Lease the next hash-addressable queued job to an agent.
+        """Lease the next queued job to an agent.
 
         Returns ``None`` when nothing is claimable, else a JSON-ready
         job descriptor: the job id, canonical plan document, plan
@@ -744,7 +730,7 @@ class SearchService:
         with self._lock:
             agent = self._require_agent(agent_id)
             agent.last_seen = now
-            job = None if self._shutdown else self._pop_queued(remote=True)
+            job = None if self._shutdown else self._pop_queued()
             if job is None:
                 return None
             term = (job.plan.execution.lease_seconds or self.lease_seconds)
@@ -757,7 +743,7 @@ class SearchService:
             job.lease_seconds = float(term)
             job.lease_deadline = now + float(term)
             agent.jobs.add(job.id)
-            if self._journal is not None and job.evaluator is None:
+            if self._journal is not None:
                 self._journal.record(
                     "leased", job.plan_hash, job.id, agent=agent_id,
                     lease_seconds=float(term),
@@ -847,21 +833,36 @@ class SearchService:
         ``payload`` for cacheable workloads, stored content-addressed
         exactly as local execution stores it), ``"failed"`` (with the
         error ``message``) or ``"cancelled"`` (with the count of
-        ``completed`` units).  Raises :class:`StaleLeaseError` when
-        the lease is gone -- the upload is discarded; whoever holds
-        the job now will finish it byte-identically.  Returns the
-        job's post-transition info dict.
+        ``completed`` units).  A ``"done"`` upload of a cacheable plan
+        whose payload is missing or does not decode through the
+        workload's codec fails the job with :class:`RemoteJobError`
+        and stores nothing, so a resubmission runs it again.  Raises
+        :class:`StaleLeaseError` when the lease is gone -- the upload
+        is discarded; whoever holds the job now will finish it
+        byte-identically.  Returns the job's post-transition info dict.
         """
         if outcome not in ("done", "failed", "cancelled"):
             raise ValueError(
                 f"unknown outcome {outcome!r}; expected done, failed or "
                 "cancelled"
             )
-        # Encoding a large ledger takes milliseconds: do it before the
-        # lock, which every status read and submission also takes.
-        encoded = None
-        if outcome == "done" and payload is not None:
-            encoded = store_mod.EncodedResult.of(payload)
+        result_obj = encoded = None
+        if outcome == "done":
+            with self._lock:
+                plan = self._require_lease(agent_id, job_id).plan
+            if store_mod.is_cacheable(plan):
+                # Decoding and encoding a large ledger take milliseconds:
+                # do both before the lock, which every status read and
+                # submission also takes.
+                try:
+                    if payload is None:
+                        raise ValueError("no result payload")
+                    result_obj = store_mod.decode_result(plan, payload)
+                    encoded = store_mod.EncodedResult.of(payload)
+                except Exception as exc:  # noqa: BLE001 - any codec failure
+                    outcome = "failed"
+                    message = ("agent uploaded no decodable result: "
+                               f"{type(exc).__name__}: {exc}")
         to_publish: list[Event] = []
         with self._lock:
             job = self._require_lease(agent_id, job_id)
@@ -871,14 +872,13 @@ class SearchService:
                 agent.jobs.discard(job_id)
             job.release_lease()
             if outcome == "done":
-                if not store_mod.is_cacheable(job.plan):
-                    encoded = None
-                result_bytes = self._store_encoded(job, encoded)
                 to_publish = self._terminalize(
                     job, "done",
                     JobCompleted(job.id, f"completed (agent {agent_id})",
                                  plan_hash=job.plan_hash),
-                    result_bytes=result_bytes, encoded=encoded,
+                    result_obj=result_obj,
+                    result_bytes=self._store_encoded(job, encoded),
+                    encoded=encoded,
                 )
             elif outcome == "failed":
                 error = RemoteJobError(
@@ -946,7 +946,7 @@ class SearchService:
         agent_id = job.agent or ""
         job.release_lease()
         job.state = "queued"
-        if self._journal is not None and job.evaluator is None:
+        if self._journal is not None:
             self._journal.record(
                 "lease-expired", job.plan_hash, job.id, agent=agent_id
             )
@@ -1074,17 +1074,9 @@ class SearchService:
 
     # -- internals -----------------------------------------------------------
 
-    def _job_id(self, digest: str, evaluator: Any) -> str:
-        """Derive a job id: hash-based, unique for un-addressable jobs."""
-        base = f"j-{digest[:12]}"
-        if evaluator is None:
-            return base
-        return f"{base}-live{next(self._seq)}"
-
     def _register(self, job: _Job) -> None:
         self._jobs[job.id] = job
-        if job.evaluator is None:
-            self._by_hash[job.plan_hash] = job
+        self._by_hash[job.plan_hash] = job
 
     def _enqueue(self, job: _Job) -> None:
         heapq.heappush(self._queue, (-job.priority, next(self._seq), job))
@@ -1148,13 +1140,8 @@ class SearchService:
     def _journal_record(
         self, op: str, job: _Job, with_plan: bool = False
     ) -> None:
-        """Append one journal transition (caller holds the lock).
-
-        Only hash-addressable jobs are journaled -- a live evaluator
-        override cannot be rebuilt from the plan document, so such
-        jobs are (deliberately) not recoverable.
-        """
-        if self._journal is None or job.evaluator is not None:
+        """Append one journal transition (caller holds the lock)."""
+        if self._journal is None:
             return
         self._journal.record(
             op, job.plan_hash, job.id,
@@ -1217,8 +1204,7 @@ class SearchService:
         )
         to_publish: list[Event] = []
         with self._lock:
-            job = _Job(self._job_id(digest, evaluator=None), plan, digest,
-                       item.priority, None, tenant=item.tenant)
+            job = _Job(plan, digest, item.priority, tenant=item.tenant)
             self._register(job)
             job.state = "running"
             job.runs = 1
@@ -1256,49 +1242,31 @@ class SearchService:
         """The execution back-end this job runs on.
 
         The plan's :attr:`~repro.plans.ExecutionPolicy.backend` wins
-        when set; otherwise the service default applies.  Jobs carrying
-        a live evaluator override always run on the thread backend --
-        the object cannot cross a process boundary.
+        when set; otherwise the service default applies.
         """
-        if job.evaluator is not None:
-            return "thread"
         return job.plan.execution.backend or self.backend
 
-    def _pop_queued(self, remote: bool = False) -> "_Job | None":
-        """Pop the next queued job this claimant may run (lock held).
+    def _pop_queued(self) -> "_Job | None":
+        """Pop the next queued job (lock held).
 
         Stale heap entries (jobs cancelled while queued) are discarded
-        in passing.  A job carrying a live evaluator override cannot
-        cross a process boundary, so ``remote`` claims skip it.  While
-        agents are registered the local workers yield every other job
-        to them -- remote execution is strictly more parallel -- and
-        take only the live-evaluator jobs.  With zero agents (none ever
-        joined, or all were lost) local workers take any job, exactly
-        the pre-federation behavior.
+        in passing.
         """
-        yield_to_agents = not remote and bool(self._agents)
-        kept: list[tuple[int, int, _Job]] = []
-        found: _Job | None = None
         while self._queue:
-            entry = heapq.heappop(self._queue)
-            job = entry[2]
-            if job.state != "queued":
-                continue
-            live = job.evaluator is not None
-            if (remote and live) or (yield_to_agents and not live):
-                kept.append(entry)
-                continue
-            found = job
-            break
-        for entry in kept:
-            heapq.heappush(self._queue, entry)
-        return found
+            job = heapq.heappop(self._queue)[2]
+            if job.state == "queued":
+                return job
+        return None
 
     def _worker_loop(self) -> None:
         while True:
             with self._work_ready:
                 while True:
-                    job = self._pop_queued()
+                    # While agents are registered the local workers
+                    # yield every job to them -- remote execution is
+                    # strictly more parallel.  With zero agents (none
+                    # ever joined, or all were lost) they take any job.
+                    job = None if self._agents else self._pop_queued()
                     if job is not None or self._shutdown:
                         break
                     self._work_ready.wait()
@@ -1317,11 +1285,9 @@ class SearchService:
     def _execute(self, job: _Job) -> None:
         from repro.core.search import SearchCancelled
 
-        backend = self._backend_for(job)
         try:
-            payload = None
-            if backend == "process":
-                result, payload = self._get_pool().run_plan(
+            if self._backend_for(job) == "process":
+                result = self._get_pool().run_plan(
                     job.plan,
                     emit=lambda event: self._publish(job, event),
                     cancel_requested=job.cancel_event.is_set,
@@ -1332,10 +1298,9 @@ class SearchService:
                 result = execute_plan(
                     job.plan,
                     emit=lambda event: self._publish(job, event),
-                    evaluator=job.evaluator,
                     should_stop=job.cancel_event.is_set,
                     fallback_checkpoint_dir=self._job_checkpoint_dir(job),
-                    store=self._memo_store(job),
+                    store=self.store if self.cache_results else None,
                 )
         except SearchCancelled as exc:
             self._finish(job, "cancelled", JobCancelled(
@@ -1349,20 +1314,16 @@ class SearchService:
                 plan_hash=job.plan_hash), error=exc)
         else:
             try:
-                encoded = result_bytes = None
-                if payload is not None:
-                    # Process backend: the payload crossed the pipe
-                    # unscrubbed.  Keep its canonical bytes and the
-                    # values scrubbing zeroed; handle.result() decodes
-                    # them into the object the thread backend returns,
-                    # real wall_seconds included.
-                    encoded = store_mod.EncodedResult.of(payload)
-                    result_bytes = self._store_encoded(job, encoded)
-                elif (self.cache_results and job.evaluator is None
-                        and store_mod.is_cacheable(job.plan)):
-                    result_bytes = self.store.put(
-                        job.plan_hash,
+                # A process-backend worker encoded a cacheable result
+                # already; handle.result() decodes it into the object
+                # the thread backend returns, real wall_seconds included.
+                encoded = None
+                if isinstance(result, store_mod.EncodedResult):
+                    encoded = result
+                elif self.cache_results and store_mod.is_cacheable(job.plan):
+                    encoded = store_mod.EncodedResult.of(
                         store_mod.encode_result(job.plan, result))
+                result_bytes = self._store_encoded(job, encoded)
             except BaseException as exc:  # noqa: BLE001 - must terminate
                 # encode/put/decode failures (disk full, codec bug) must
                 # still land the job in a terminal state: leaving it
@@ -1375,8 +1336,8 @@ class SearchService:
             else:
                 self._finish(job, "done", JobCompleted(
                     job.id, "completed", plan_hash=job.plan_hash),
-                    result_obj=result, result_bytes=result_bytes,
-                    encoded=encoded)
+                    result_obj=None if result is encoded else result,
+                    result_bytes=result_bytes, encoded=encoded)
 
     def _store_encoded(self, job: _Job,
                        encoded: store_mod.EncodedResult | None
@@ -1454,18 +1415,6 @@ class SearchService:
         import os
 
         return os.path.join(self.checkpoint_dir, job.plan_hash)
-
-    def _memo_store(self, job: _Job) -> Any:
-        """The store thread-backend jobs memoize shards through.
-
-        ``None`` (memoization off) when result caching is disabled or
-        the job carries a live evaluator override -- an injected
-        evaluator can change shard results, so serving another run's
-        cached shards for it would be wrong.
-        """
-        if not self.cache_results or job.evaluator is not None:
-            return None
-        return self.store
 
     def _shared_store_dir(self) -> str | None:
         """The persistent store directory, for out-of-process workers.

@@ -15,14 +15,17 @@ The service's dedup guarantee rests on two pieces:
   (``<hash>.json``, atomic writes) so a restarted service keeps its
   cache.
 
-The store is keyed at **two granularities** sharing one namespace:
-whole-plan hashes (what :meth:`SearchService.submit` dedups on) and
-*shard* hashes -- each campaign shard's canonical single-search plan
-hash (:attr:`repro.orchestration.shards.ShardSpec.shard_hash`), which
+The store is keyed at **two granularities**, each in its own key
+domain: whole-plan hashes (what :meth:`SearchService.submit` dedups
+on) and *shard* hashes
+(:attr:`repro.orchestration.shards.ShardSpec.shard_hash`, the SHA-256
+of the shard's ``shard:``-tagged canonical single-search plan), which
 :class:`~repro.orchestration.campaign.Campaign` reads through before
-running a shard and writes through after.  Two sweeps overlapping in
-most of their shards therefore share those shards' results, and a
-re-submitted sweep with one changed spec re-pays ~one shard, not N.
+running a shard and writes through after.  The tag keeps the two
+apart: a ``search`` plan submitted in its canonical form holds a
+plan-level entry and a shard entry under different keys.  Two sweeps
+overlapping in most of their shards share those shards' results, and
+a re-submitted sweep with one changed spec re-pays ~one shard, not N.
 
 Long-lived deployments reclaim space with :meth:`ResultStore.gc`
 (surfaced as ``repro store gc``): entries referenced by the job
@@ -217,15 +220,19 @@ class EncodedResult:
         blob = canonical_payload_bytes(payload, zeroed)
         return cls(blob, tuple(zeroed))
 
-    def decode(self, plan: RunPlan) -> Any:
-        """The workload's result object, volatile fields put back."""
+    def payload(self) -> dict[str, Any]:
+        """The payload :meth:`of` encoded, volatile fields put back."""
         payload = json.loads(self.blob)
         for path, value in self.zeroed:
             target = payload
             for step in path[:-1]:
                 target = target[step]
             target[path[-1]] = value
-        return decode_result(plan, payload)
+        return payload
+
+    def decode(self, plan: RunPlan) -> Any:
+        """The workload's result object, volatile fields put back."""
+        return decode_result(plan, self.payload())
 
 
 class ResultStore:

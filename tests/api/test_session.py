@@ -228,21 +228,6 @@ class TestSessionEvents:
             assert len(trials_done) < trials
 
 
-class TestEvaluatorOverride:
-    def test_rejected_for_workloads_that_rebuild_evaluators(self):
-        """An injected evaluator instance must never be silently dropped."""
-        class Double:
-            pass
-
-        plan = RunPlan(
-            workload="search",
-            scenario=ScenarioPlan(datasets=("mnist",), devices=("pynq-z1",),
-                                  specs_ms=(5.0,)),
-        )
-        with pytest.raises(ValueError, match="evaluator override"):
-            Session.from_plan(plan, evaluator=Double()).run()
-
-
 class TestRemovedSpellings:
     """A plan is the one way in; typed events the one way out."""
 
@@ -279,6 +264,9 @@ class TestRemovedSpellings:
         ("repro.datasets", "dataset_names"),
         ("repro.fpga", "DEVICE_CATALOG"),
         ("repro.fpga.device", "DEVICE_CATALOG"),
+        ("repro.orchestration.shards", "ShardPayload"),
+        ("repro.service.executor", "check_evaluator_override"),
+        ("repro.service.executor", "EVALUATOR_OVERRIDE_WORKLOADS"),
     ])
     def test_removed_name_is_gone(self, module, name):
         owner = importlib.import_module(module)
@@ -286,6 +274,24 @@ class TestRemovedSpellings:
         for parent in parents:
             owner = getattr(owner, parent)
         assert not hasattr(owner, leaf)
+
+    @pytest.mark.parametrize("entry", [
+        Session, Session.from_plan, run_plan,
+    ], ids=["Session", "Session.from_plan", "run_plan"])
+    def test_live_evaluator_parameter_is_gone(self, entry):
+        """A job is its plan: a component no string names is registered
+        (repro.registry.EVALUATORS) and named in the plan instead."""
+        with pytest.raises(TypeError, match="evaluator"):
+            entry(RunPlan(workload="figure8"), evaluator=object())
+
+    def test_submit_takes_no_live_evaluator(self):
+        from repro.service import SearchService
+
+        with SearchService(workers=1) as service:
+            with pytest.raises(TypeError, match="evaluator"):
+                service.submit(RunPlan(workload="figure8"),
+                               evaluator=object())
+            assert service.jobs() == []
 
     def test_bus_keeps_no_history(self):
         from repro.events import EventBus

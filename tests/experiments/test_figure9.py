@@ -14,7 +14,7 @@ from repro.experiments.figure9 import (
     figure9_plan,
     run_figure9_plan,
 )
-from repro.service.executor import check_evaluator_override, execute_plan
+from repro.service.executor import execute_plan
 
 SAMPLES = 48  # reduced from FIGURE9_SAMPLES for test speed
 
@@ -97,8 +97,3 @@ class TestExecutorDispatch:
         assert len(result.curves) == 4
         assert result.devices == FIGURE9_DEVICES
         assert events  # pareto progress events were published
-
-    def test_evaluator_override_rejected(self):
-        with pytest.raises(ValueError, match="evaluator"):
-            check_evaluator_override(figure9_plan(samples=8),
-                                     evaluator=object())

@@ -22,7 +22,7 @@ TRIALS = 25  # reduced from the paper's 60 for test speed
 
 
 def paired_run(dataset, platform, specs_ms, trials=None, seed=0,
-               evaluator=None, **execution):
+               **execution):
     """Run the paired engine on the plan these arguments describe.
 
     ``execution`` holds :class:`ExecutionPolicy` fields; the live
@@ -36,7 +36,7 @@ def paired_run(dataset, platform, specs_ms, trials=None, seed=0,
         scenario=ScenarioPlan(datasets=(dataset,), specs_ms=tuple(specs_ms),
                               include_nas=True),
     )
-    return run_paired_plan(plan, platform=platform, evaluator=evaluator)
+    return run_paired_plan(plan, platform=platform)
 
 
 @pytest.fixture(scope="module")
@@ -216,19 +216,6 @@ class TestCampaignMode:
             platform=platform, checkpoint_dir=str(tmp_path), **self.KWARGS,
         )
         assert self.tokens_of(second.nas) == self.tokens_of(first.nas)
-
-    def test_campaign_rejects_custom_evaluator(self, tmp_path):
-        from repro.configs import get_config
-        from repro.core.evaluator import SurrogateAccuracyEvaluator
-        from repro.core.search_space import SearchSpace
-
-        space = SearchSpace.from_config(get_config("mnist"))
-        with pytest.raises(ValueError, match="evaluator"):
-            paired_run(
-                platform=Platform.single(XC7Z020),
-                evaluator=SurrogateAccuracyEvaluator(space),
-                checkpoint_dir=str(tmp_path), **self.KWARGS,
-            )
 
     def test_campaign_rejects_non_catalog_device(self, tmp_path):
         custom = XC7Z020.scaled(0.5, name="half-zynq")

@@ -16,7 +16,6 @@ from repro.experiments.pareto import frontier_from_trials
 from repro.orchestration import (
     Campaign,
     CampaignResult,
-    ShardOutcome,
     ShardSpec,
     merge_outcomes,
     plan_shards,
@@ -74,6 +73,24 @@ class TestCampaignValidation:
                       checkpoint_every=5)
 
 
+class TestOutcomeHandOff:
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_store_less_campaign_decodes_no_ledger(self, monkeypatch,
+                                                   max_workers):
+        """A shard's outcome reaches the campaign as is, serial or
+        pooled: a campaign with no store decodes no ledger."""
+        import repro.orchestration.shards as shards_mod
+
+        def forbidden(data):
+            raise AssertionError("a shard ledger was decoded")
+
+        monkeypatch.setattr(shards_mod, "search_result_from_dict", forbidden)
+        shards = small_grid()[:2]
+        result = Campaign(shards).run(max_workers=max_workers)
+        assert [o.spec for o in result.outcomes] == shards
+        assert [len(o.result.trials) for o in result.outcomes] == [6, 6]
+
+
 class TestMergeDeterminism:
     def test_parallel_equals_serial(self, tmp_path):
         """The acceptance criterion, head-on."""
@@ -87,9 +104,7 @@ class TestMergeDeterminism:
         """merge_outcomes is a pure fold over grid order: feeding it the
         outcomes is enough; no completion-order state leaks in."""
         shards = small_grid()
-        outcomes = [
-            ShardOutcome.from_payload(run_shard(spec)) for spec in shards
-        ]
+        outcomes = [run_shard(spec) for spec in shards]
         frontier_fwd = merge_outcomes(outcomes)
         frontier_same = merge_outcomes(list(outcomes))
         assert [(p.latency_ms, p.accuracy) for p in frontier_fwd.points] == \
@@ -134,9 +149,7 @@ class TestParetoMerging:
         """Merging shard-by-shard must equal one frontier over the
         concatenation of every shard's trials."""
         shards = small_grid(trials=8)
-        outcomes = [
-            ShardOutcome.from_payload(run_shard(spec)) for spec in shards
-        ]
+        outcomes = [run_shard(spec) for spec in shards]
         merged = merge_outcomes(outcomes)
         concatenated = frontier_from_trials(
             [t for o in outcomes for t in o.result.trials]
@@ -314,12 +327,12 @@ class TestExecutionRuntimeIdentity:
             # More dispatch units than workers: a worker was reused.
             assert pool.stats()["worker.reuse"] > 0
             # The service's process backend, on the same shared pool.
-            _, payload = pool.run_plan(
+            encoded = pool.run_plan(
                 plan, emit=lambda event: None,
                 cancel_requested=lambda: False,
                 store_dir=str(dirs["process"]),
             )
-        assert payload is not None
+        assert encoded is not None
         batched = Campaign(shards, batch_trials=100,
                            store=ResultStore(dirs["batched"])).run(
             max_workers=2)
@@ -335,7 +348,6 @@ class TestExecutionRuntimeIdentity:
         """One pool worker keeps its estimator across jobs: plans run
         back to back on it store what each stores on a fresh worker."""
         from repro.service import WorkerPool
-        from repro.service.store import canonical_payload_bytes
 
         plans = [
             RunPlan(workload="search", search=SearchPlan(seed=seed, trials=12),
@@ -354,10 +366,10 @@ class TestExecutionRuntimeIdentity:
                                   include_nas=True)))
 
         def run(pool, plan, directory):
-            _, payload = pool.run_plan(
+            return pool.run_plan(
                 plan, emit=lambda event: None,
-                cancel_requested=lambda: False, store_dir=str(directory))
-            return canonical_payload_bytes(payload)
+                cancel_requested=lambda: False,
+                store_dir=str(directory)).blob
 
         with WorkerPool(1, name="warm-leg") as pool:
             warm = [run(pool, plan, tmp_path / "warm") for plan in plans]

@@ -131,7 +131,7 @@ class TestBuildAndRun:
         spec = ShardSpec(dataset="mnist", device="pynq-z1", kind="fnas",
                          spec_ms=5.0, seed=2, trials=8)
         a = build_search(spec).run(8, np.random.default_rng(spec.seed))
-        b_payload = run_shard(spec)
+        b_payload = run_shard(spec).to_payload()
         assert [t["tokens"] for t in b_payload["result"]["trials"]] == [
             list(t.tokens) for t in a.trials
         ]
@@ -140,10 +140,10 @@ class TestBuildAndRun:
         spec = ShardSpec(dataset="mnist", device="pynq-z1", kind="fnas",
                          spec_ms=5.0, trials=10)
         fresh = run_shard(spec, checkpoint_dir=str(tmp_path),
-                          checkpoint_every=5)
+                          checkpoint_every=5).to_payload()
         assert spec.checkpoint_path(tmp_path).exists()
         assert fresh["resumed_from"] is None
-        again = run_shard(spec, checkpoint_dir=str(tmp_path))
+        again = run_shard(spec, checkpoint_dir=str(tmp_path)).to_payload()
         assert again["resumed_from"] is not None
         assert again["result"]["trials"] == fresh["result"]["trials"]
 
@@ -181,7 +181,7 @@ class TestBuildAndRun:
         fresh = plant(spec, 4243, 0)
         foreign = plant(other, 4242, STAGING_GRACE_SECONDS + 3600)
         again = run_shard(spec, checkpoint_dir=str(tmp_path))
-        assert again["resumed_from"] is not None
+        assert again.resumed_from is not None
         assert not old.exists()
         assert fresh.exists()
         assert foreign.exists()

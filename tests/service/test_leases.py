@@ -6,14 +6,10 @@ is asserted without process management or HTTP in the way.  The
 full-stack federation paths live in ``test_agent_federation.py``.
 """
 
-import threading
 import time
 
 import pytest
 
-from repro.configs import MNIST_CONFIG
-from repro.core.evaluator import SurrogateAccuracyEvaluator
-from repro.core.search_space import SearchSpace
 from repro.events import AgentJoined, AgentLost, JobLeased, LeaseExpired
 from repro.plans import (
     ExecutionPolicy,
@@ -39,29 +35,6 @@ def search_plan(seed=0, trials=4, **execution):
         scenario=ScenarioPlan(datasets=("mnist",), devices=("pynq-z1",),
                               specs_ms=(5.0,)),
     )
-
-
-def paired_plan():
-    """A 3-trial paired plan: the workload that takes a live evaluator."""
-    return RunPlan(
-        workload="paired",
-        search=SearchPlan(trials=3),
-        scenario=ScenarioPlan(datasets=("mnist",), devices=("pynq-z1",),
-                              specs_ms=(5.0,), include_nas=True),
-    )
-
-
-class _GatedEvaluator(SurrogateAccuracyEvaluator):
-    """A live evaluator whose evaluations wait for ``gate`` to open."""
-
-    def __init__(self, gate):
-        super().__init__(SearchSpace.from_config(MNIST_CONFIG),
-                         config=MNIST_CONFIG)
-        self.gate = gate
-
-    def evaluate(self, architecture):
-        self.gate.wait(timeout=30)
-        return super().evaluate(architecture)
 
 
 def run_payload(plan):
@@ -148,35 +121,6 @@ class TestClaiming:
             service.complete_job(agent_id, handle.job_id, "failed",
                                  message="test teardown")
 
-    def test_live_evaluator_jobs_stay_local_beside_agents(self):
-        """A job carrying a live evaluator cannot cross the wire: with an
-        agent registered a remote claim skips it and a local worker
-        runs it, while a plain job beside it is left for the agent."""
-        gate = threading.Event()
-        with SearchService(workers=1) as service:
-            agent_id = service.register_agent(name="alpha")["agent_id"]
-            # Occupy the one local worker so the next job stays queued.
-            blocker = service.submit(paired_plan(),
-                                     evaluator=_GatedEvaluator(gate))
-            try:
-                assert wait_until(lambda: blocker.state == "running")
-                live = service.submit(paired_plan(),
-                                      evaluator=_GatedEvaluator(gate))
-                assert live.state == "queued"
-                assert service.claim_job(agent_id) is None
-            finally:
-                gate.set()
-            plain = service.submit(search_plan())
-            assert blocker.wait(timeout=120) == "done"
-            assert live.wait(timeout=120) == "done"
-            assert live.info()["agent"] is None
-            time.sleep(0.3)
-            assert plain.state == "queued"  # locals left it for the agent
-            claim = service.claim_job(agent_id)
-            assert claim["job_id"] == plain.job_id
-            service.complete_job(agent_id, plain.job_id, "failed",
-                                 message="test teardown")
-
     def test_zero_agents_degrades_to_local_execution(self):
         with SearchService(workers=1) as service:
             handle = service.submit(search_plan())
@@ -208,6 +152,65 @@ class TestClaiming:
                                  message="boom on the remote")
             with pytest.raises(RemoteJobError, match="boom on the remote"):
                 handle.result(timeout=10)
+
+    def test_done_upload_without_payload_fails_and_reruns(self):
+        from repro.service import RemoteJobError
+
+        plan = search_plan(seed=3)
+        with SearchService(workers=1) as service:
+            agent_id = service.register_agent(name="alpha")["agent_id"]
+            handle = service.submit(plan)
+            claim = service.claim_job(agent_id)
+            service.complete_job(agent_id, claim["job_id"], "done")
+            assert handle.wait(timeout=10) == "failed"
+            with pytest.raises(RemoteJobError, match="no result payload"):
+                handle.result(timeout=10)
+            assert handle.plan_hash not in service.store
+            # A resubmission runs the plan again instead of coalescing.
+            again = service.submit(plan)
+            assert again.state == "queued"
+            claim = service.claim_job(agent_id)
+            assert claim["job_id"] == handle.job_id
+            service.complete_job(agent_id, claim["job_id"], "done",
+                                 payload=run_payload(plan))
+            assert len(again.result(timeout=10).trials) == 4
+
+    def test_undecodable_upload_fails_and_stores_nothing(self, tmp_path):
+        from repro.service import RemoteJobError, ResultStore
+
+        plan = search_plan(seed=4)
+        with SearchService(workers=1,
+                           store=ResultStore(tmp_path)) as service:
+            agent_id = service.register_agent(name="alpha")["agent_id"]
+            handle = service.submit(plan)
+            claim = service.claim_job(agent_id)
+            service.complete_job(agent_id, claim["job_id"], "done",
+                                 payload={"bogus": 1})
+            assert handle.wait(timeout=10) == "failed"
+            with pytest.raises(RemoteJobError, match="KeyError"):
+                handle.result(timeout=10)
+            assert not (tmp_path / f"{handle.plan_hash}.json").exists()
+            assert handle.plan_hash not in service.store
+            assert service.submit(plan).state == "queued"
+
+    def test_done_upload_is_decoded_once(self, monkeypatch):
+        """complete_job keeps the object it decoded the upload into, so
+        result() does not decode again."""
+        plan = search_plan(seed=5)
+        payload = run_payload(plan)
+        with SearchService(workers=1) as service:
+            agent_id = service.register_agent(name="alpha")["agent_id"]
+            handle = service.submit(plan)
+            claim = service.claim_job(agent_id)
+            service.complete_job(agent_id, claim["job_id"], "done",
+                                 payload=payload)
+
+            def forbidden(plan, payload):
+                raise AssertionError("decoded a second time")
+
+            monkeypatch.setattr(store_mod, "decode_result", forbidden)
+            result = handle.result(timeout=10)
+        assert result.wall_seconds == payload["wall_seconds"] > 0
 
     def test_plan_lease_override_beats_service_default(self):
         with SearchService(workers=1, lease_seconds=30.0) as service:

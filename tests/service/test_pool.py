@@ -8,6 +8,8 @@ that produced no result.
 """
 
 import os
+import select
+import signal
 import time
 
 import pytest
@@ -52,6 +54,14 @@ def _raise_unpicklable(x):
 
 def _pid(_):
     return os.getpid()
+
+
+def _orphan_self(write_fd, size):
+    """Report this worker's pid, SIGKILL the pool's owner, and return a
+    result far larger than the pipe's buffer."""
+    os.write(write_fd, str(os.getpid()).encode())
+    os.kill(os.getppid(), signal.SIGKILL)
+    return b"x" * size
 
 
 def _run(pool, fn, values):
@@ -140,6 +150,36 @@ class TestFailureModes:
             _, again = _run(pool, _square, [6])
             assert again == {0: 36}
             assert pool.stats()["worker.spawn"] == 2
+
+
+class TestOrphanedWorker:
+    def test_worker_exits_when_its_owner_dies_mid_send(self):
+        """A worker whose pool owner was SIGKILLed exits, instead of
+        blocking forever on a result larger than the pipe's buffer."""
+        read_end, write_end = os.pipe()
+        owner = os.fork()
+        if owner == 0:  # the pool owner, which its worker kills
+            try:
+                os.close(read_end)
+                WorkerPool(1).submit(_orphan_self, [(write_end, 4 << 20)])
+                time.sleep(20)
+            finally:
+                os._exit(1)
+        os.close(write_end)
+        os.waitpid(owner, 0)
+        # The worker holds the pipe's write end too: EOF means it exited.
+        received = b""
+        exited = False
+        deadline = time.monotonic() + 20
+        while not exited and time.monotonic() < deadline:
+            if select.select([read_end], [], [], 0.1)[0]:
+                chunk = os.read(read_end, 64)
+                received += chunk
+                exited = not chunk
+        os.close(read_end)
+        if not exited:
+            os.kill(int(received), signal.SIGKILL)
+        assert exited, "the orphaned worker is still alive"
 
 
 class TestCancellation:

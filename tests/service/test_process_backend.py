@@ -6,6 +6,7 @@ byte-identical stored result, the same cancel/resume semantics and the
 same error propagation.  The only permitted difference is throughput.
 """
 
+import json
 import os
 import time
 
@@ -197,30 +198,26 @@ class TestFailurePropagation:
                               cancel_requested=lambda: False)
         assert died.value.exitcode == 3
 
-    def test_evaluator_override_jobs_run_on_the_thread_backend(self):
-        """A live evaluator object cannot cross a process boundary."""
-        plan = RunPlan(workload="table1",
-                       search=SearchPlan(trials=2))
-        with SearchService(workers=1, backend="process") as service:
-            evaluator = object.__new__(object)  # placeholder identity
-            job = service.submit(plan, evaluator=evaluator)._job
-            assert service._backend_for(job) == "thread"
-            service.cancel(job.id)
-
 
 class TestRunJobInProcess:
     """One job on a pool worker process, via ``WorkerPool.run_plan``."""
 
     def test_streams_events_and_returns_the_canonical_payload(self):
+        from repro.service.store import EncodedResult
+
         events = []
         with WorkerPool(1) as pool:
-            result, payload = pool.run_plan(
+            encoded = pool.run_plan(
                 search_plan(seed=4, trials=3),
                 emit=events.append,
                 cancel_requested=lambda: False,
             )
-        assert result is None and payload is not None
+        assert isinstance(encoded, EncodedResult)
+        payload = encoded.payload()
         assert len(payload["trials"]) == 3
+        # The bytes are scrubbed; the payload gets the wall clock back.
+        assert json.loads(encoded.blob)["wall_seconds"] == 0.0
+        assert payload["wall_seconds"] > 0
         names = [type(e).__name__ for e in events]
         assert names[0] == "RunStarted" and names[-1] == "RunFinished"
         assert "SearchStarted" in names and "SearchFinished" in names

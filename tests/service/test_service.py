@@ -277,11 +277,6 @@ class TestLifecycleAndErrors:
             assert any("post-processing" in e.message
                        for e in handle.events() if e.kind == "failed")
 
-    def test_evaluator_override_rejected_for_rebuilding_workloads(self):
-        with SearchService(workers=1) as service:
-            with pytest.raises(ValueError, match="evaluator override"):
-                service.submit(search_plan(), evaluator=object())
-
     def test_shutdown_cancels_queued_jobs_and_rejects_new_ones(self):
         import time
 

@@ -12,8 +12,10 @@ import threading
 import pytest
 
 from repro.events import SearchFinished, ShardCached
+from repro.orchestration.shards import ShardSpec
 from repro.plans import ExecutionPolicy, RunPlan, ScenarioPlan, SearchPlan
 from repro.service import ResultStore, SearchService
+from repro.service import store as store_mod
 
 #: Per-shard budget: large enough (~1s of surrogate search) that the
 #: cancel lands before the last shard's pool future is collected, on
@@ -143,3 +145,28 @@ def test_caching_disabled_disables_shard_memoization(tmp_path):
         again.result(timeout=120)
         assert not [e for e in again.events() if isinstance(e, ShardCached)]
     assert len(ResultStore(tmp_path / "store")) == 0
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_canonical_search_plan_keeps_its_shard_entry_apart(tmp_path, backend):
+    """A ``search`` plan submitted in canonical form (``spec.to_plan()``)
+    stores its plan-level entry and its shard entry under two keys: the
+    job serves the ledger, and so does a restarted service's cache hit,
+    instead of the shard wrapper written first under one shared key."""
+    plan = ShardSpec(dataset="mnist", device="pynq-z1", spec_ms=5.0,
+                     trials=5).to_plan()
+    with SearchService(workers=1, backend=backend,
+                       store=ResultStore(tmp_path)) as service:
+        handle = service.submit(plan)
+        result = handle.result(timeout=300)
+        blob = handle.result_bytes()
+    assert len(result.trials) == 5
+    assert blob == store_mod.canonical_payload_bytes(
+        store_mod.encode_result(plan, result))
+
+    with SearchService(workers=1, backend=backend,
+                       store=ResultStore(tmp_path)) as restarted:
+        again = restarted.submit(plan)
+        assert again.cached
+        assert again.result_bytes() == blob
+        assert len(again.result(timeout=10).trials) == 5

@@ -288,7 +288,7 @@ class TestGCSafety:
         # One shard finished (write-through landed) before the
         # coordinator was SIGKILLed mid-sweep; the whole-plan entry of
         # an unrelated *finished* job is dead.
-        store.put(shards[0].shard_hash, run_shard(shards[0]))
+        store.put(shards[0].shard_hash, run_shard(shards[0]).to_payload())
         store.put("dead-finished-job", {"old": True})
         journal = JobJournal(tmp_path / "journal.jsonl")
         journal.record("queued", plan_hash(plan), "job-1",
@@ -319,7 +319,7 @@ class TestGCSafety:
         # Simulate the crashed run's footprint: one shard stored, the
         # journal non-terminal (exactly what a SIGKILL preserves).
         ResultStore(store_dir).put(shards[0].shard_hash,
-                                   run_shard(shards[0]))
+                                   run_shard(shards[0]).to_payload())
         journal = JobJournal(store_dir / "journal.jsonl")
         journal.record("queued", plan_hash(plan), "job-1",
                        plan_doc=plan.to_dict(), priority=0)
@@ -358,7 +358,8 @@ class TestGCSafety:
             # The agent's job child writes one shard through the shared
             # store, then the agent dies before completing the job.
             remote_store = ResultStore(claim["store_dir"])
-            remote_store.put(shards[0].shard_hash, run_shard(shards[0]))
+            remote_store.put(shards[0].shard_hash,
+                             run_shard(shards[0]).to_payload())
 
             live = live_store_keys(JobJournal.replay(
                 store_dir / "journal.jsonl"
