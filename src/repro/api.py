@@ -50,15 +50,10 @@ from repro.registry import CONTROLLERS, DEVICES, ESTIMATORS, EVALUATORS
 # --- Component builders ----------------------------------------------------
 
 
-def build_controller(search: SearchPlan, space: SearchSpace,
-                     seed: int | None = None):
-    """Resolve the plan's controller key into a live controller.
-
-    ``seed`` overrides the plan seed (paired runs derive one controller
-    per search as ``seed + spec offset``).
-    """
-    factory = CONTROLLERS[search.controller]
-    return factory(space, search.seed if seed is None else seed)
+def build_controller(search: SearchPlan, space: SearchSpace):
+    """Resolve the plan's controller key into a live controller seeded
+    with the plan's seed."""
+    return CONTROLLERS[search.controller](space, search.seed)
 
 
 def build_evaluator(
@@ -109,17 +104,12 @@ def build_estimator(search: SearchPlan, platform: Platform) -> LatencyEstimator:
     return estimator
 
 
-def build_platform(scenario: ScenarioPlan, device: str | None = None) -> Platform:
-    """Build the (multi-board) platform a scenario targets.
-
-    ``device`` picks one of the scenario's devices (default: its
-    first); ``scenario.boards`` replicates it.
-    """
-    if device is None:
-        if not scenario.devices:
-            raise ValueError("the scenario names no devices")
-        device = scenario.devices[0]
-    return Platform.replicated(DEVICES[device], scenario.boards)
+def build_platform(scenario: ScenarioPlan) -> Platform:
+    """Build the (multi-board) platform a scenario targets: its first
+    device, replicated ``scenario.boards`` times."""
+    if not scenario.devices:
+        raise ValueError("the scenario names no devices")
+    return Platform.replicated(DEVICES[scenario.devices[0]], scenario.boards)
 
 
 def landscape_seed(plan: RunPlan) -> int:

@@ -57,8 +57,9 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
                              "(default 1 = in-process; useful with real "
                              "training evaluators)")
     parser.add_argument("--shard-workers", type=int, default=1,
-                        help="worker-pool processes for whole search shards "
-                             "in campaign mode (default 1 = serial)")
+                        help="worker-pool processes running whole searches "
+                             "concurrently (default 1 = serially, "
+                             "in-process)")
     parser.add_argument("--shard-batch-trials", type=int, default=None,
                         help="batch shards smaller than this many trials "
                              "together per worker dispatch (default: no "
@@ -631,7 +632,8 @@ def _print_notes(command: str, execution: ExecutionPolicy) -> None:
         if execution.eval_workers > 1:
             print("note: --eval-workers does not apply to the ablations "
                   "(surrogate evaluation is in-process)", file=sys.stderr)
-        if execution.campaign_mode:
+        if (execution.checkpoint_dir is not None
+                or execution.shard_workers > 1):
             print("note: checkpoint/shard flags do not apply to the "
                   "ablations (they run in-process, without "
                   "checkpointing)", file=sys.stderr)

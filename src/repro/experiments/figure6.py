@@ -19,9 +19,12 @@ from typing import Any
 from repro.configs import MNIST_CONFIG
 from repro.events import EventCallback
 from repro.experiments.reporting import format_minutes, format_table
-from repro.experiments.runner import PairedSearchOutcome, run_paired_plan
-from repro.fpga.device import XC7A50T, XC7Z020, FpgaDevice, get_device
-from repro.fpga.platform import Platform
+from repro.experiments.runner import (
+    PairedSearchOutcome,
+    panel_plan,
+    run_paired_plan,
+)
+from repro.fpga.device import XC7A50T, XC7Z020
 from repro.plans import RunPlan, ScenarioPlan, SearchPlan
 
 #: Figure 6 bar labels, loosest to tightest.
@@ -98,9 +101,9 @@ class Figure6Result:
         return format_table(headers, rows)
 
 
-def _device_specs(device: FpgaDevice) -> list[tuple[str, float]]:
+def _device_specs(device: str) -> list[tuple[str, float]]:
     """(variant name, TS ms) for one device class: TS2/TS3/TS4."""
-    if device.name == XC7A50T.name:
+    if device == XC7A50T.name:
         specs = MNIST_CONFIG.timing_specs_low
     else:
         specs = MNIST_CONFIG.timing_specs
@@ -114,42 +117,34 @@ def _device_specs(device: FpgaDevice) -> list[tuple[str, float]]:
 
 def run_figure6_plan(
     plan: RunPlan,
-    devices: tuple[FpgaDevice, ...] | None = None,
     emit: EventCallback | None = None,
     should_stop=None,
+    fallback_checkpoint_dir: str | None = None,
 ) -> Figure6Result:
     """Regenerate Figure 6 from its declarative plan.
 
     The plan-native core: :class:`repro.api.Session` dispatches
     ``workload="figure6"`` here.  Devices come from the plan's
-    scenario (default: both paper device classes) unless live
-    :class:`~repro.fpga.device.FpgaDevice` objects override them --
-    the escape hatch for non-catalog devices, which plan data cannot
-    name.  In campaign mode shard ids embed the device name, so one
-    checkpoint directory serves both devices.
+    scenario (default: both paper device classes); the paired engine
+    runs the plan narrowed to one device and its TS2..TS4 specs per
+    panel.  Shard ids embed the device name, so one checkpoint
+    directory serves both devices.
     """
-    if devices is None:
-        names = plan.scenario.devices or FIGURE6_DEVICES
-        devices = tuple(get_device(name) for name in names)
-    dataset = (plan.scenario.datasets[0] if plan.scenario.datasets
-               else "mnist")
+    scenario = plan.scenario
+    dataset = scenario.datasets[0] if scenario.datasets else "mnist"
     bars: list[Figure6Bar] = []
     outcomes: dict[str, PairedSearchOutcome] = {}
-    for device in devices:
+    for device in scenario.devices or FIGURE6_DEVICES:
         named_specs = _device_specs(device)
         outcome = run_paired_plan(
-            plan,
-            dataset=dataset,
-            platform=Platform.single(device),
-            specs_ms=[ms for _, ms in named_specs],
-            emit=emit,
-            should_stop=should_stop,
+            panel_plan(plan, dataset, device, (ms for _, ms in named_specs)),
+            emit, should_stop, fallback_checkpoint_dir,
         )
-        outcomes[device.name] = outcome
+        outcomes[device] = outcome
         nas_best = outcome.nas.best()
         bars.append(
             Figure6Bar(
-                device=device.name,
+                device=device,
                 method="NAS",
                 spec_ms=None,
                 search_seconds=outcome.nas.simulated_seconds,
@@ -164,7 +159,7 @@ def run_figure6_plan(
             assert best.latency_ms is not None
             bars.append(
                 Figure6Bar(
-                    device=device.name,
+                    device=device,
                     method=name,
                     spec_ms=spec,
                     search_seconds=result.simulated_seconds,

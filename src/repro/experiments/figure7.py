@@ -21,16 +21,19 @@ from typing import Any
 from repro.configs import get_config
 from repro.events import EventCallback
 from repro.experiments.reporting import format_table, improvement
-from repro.experiments.runner import PairedSearchOutcome, run_paired_plan
+from repro.experiments.runner import (
+    PairedSearchOutcome,
+    panel_plan,
+    run_paired_plan,
+)
 from repro.fpga.device import XC7Z020, XCZU9EG
-from repro.fpga.platform import Platform
 from repro.plans import RunPlan, ScenarioPlan, SearchPlan
 
-#: Dataset -> device hosting its Figure 7 experiments.
+#: Dataset -> catalog name of the device hosting its Figure 7 experiments.
 FIGURE7_DEVICES = {
-    "mnist": XC7Z020,
-    "cifar10": XCZU9EG,
-    "imagenet": XCZU9EG,
+    "mnist": XC7Z020.name,
+    "cifar10": XCZU9EG.name,
+    "imagenet": XCZU9EG.name,
 }
 
 
@@ -105,30 +108,26 @@ def run_figure7_plan(
     plan: RunPlan,
     emit: EventCallback | None = None,
     should_stop=None,
+    fallback_checkpoint_dir: str | None = None,
 ) -> Figure7Result:
     """Regenerate Figure 7 from its declarative plan.
 
     The plan-native core: :class:`repro.api.Session` dispatches
     ``workload="figure7"`` here.  Datasets come from the plan's
-    scenario (default: all three); each runs on its paper-assigned
-    device from :data:`FIGURE7_DEVICES`.  In campaign mode shard ids
-    embed the dataset name, so one checkpoint directory serves all
+    scenario (default: all three); the paired engine runs the plan
+    narrowed to one dataset, its paper-assigned device from
+    :data:`FIGURE7_DEVICES` and its TS1..TS4 specs per panel.  Shard
+    ids embed the dataset name, so one checkpoint directory serves all
     three.
     """
-    datasets = plan.scenario.datasets or ("mnist", "cifar10", "imagenet")
     points: list[Figure7Point] = []
     outcomes: dict[str, PairedSearchOutcome] = {}
-    for dataset in datasets:
-        config = get_config(dataset)
-        device = FIGURE7_DEVICES[dataset]
-        named_specs = config.timing_specs.as_list()
+    for dataset in plan.scenario.datasets or ("mnist", "cifar10", "imagenet"):
+        named_specs = get_config(dataset).timing_specs.as_list()
         outcome = run_paired_plan(
-            plan,
-            dataset=dataset,
-            platform=Platform.single(device),
-            specs_ms=[ms for _, ms in named_specs],
-            emit=emit,
-            should_stop=should_stop,
+            panel_plan(plan, dataset, FIGURE7_DEVICES[dataset],
+                       (ms for _, ms in named_specs)),
+            emit, should_stop, fallback_checkpoint_dir,
         )
         outcomes[dataset] = outcome
         nas_accuracy = outcome.nas_best_accuracy

@@ -29,7 +29,7 @@ from repro.core.search_space import SearchSpace
 from repro.events import Event, EventCallback
 from repro.experiments.pareto import ParetoFront, compute_pareto_front
 from repro.experiments.reporting import format_table
-from repro.fpga.device import FpgaDevice, get_device
+from repro.fpga.device import get_device
 from repro.fpga.platform import Platform
 from repro.plans import RunPlan, ScenarioPlan, SearchPlan
 
@@ -149,7 +149,6 @@ def _family_space(family: str) -> SearchSpace:
 
 def run_figure9_plan(
     plan: RunPlan,
-    devices: tuple[FpgaDevice, ...] | None = None,
     emit: EventCallback | None = None,
     should_stop=None,
 ) -> Figure9Result:
@@ -163,9 +162,7 @@ def run_figure9_plan(
     frontiers apart.  ``emit`` receives one base
     :class:`~repro.events.Event` per frontier, scoped to its device.
     """
-    if devices is None:
-        names = plan.scenario.devices or FIGURE9_DEVICES
-        devices = tuple(get_device(name) for name in names)
+    devices = plan.scenario.devices or FIGURE9_DEVICES
     samples = plan.search.trials or FIGURE9_SAMPLES
     seed = plan.search.seed
     curves: list[Figure9Curve] = []
@@ -179,16 +176,16 @@ def run_figure9_plan(
                 raise SearchCancelled(0)
             front = compute_pareto_front(
                 space,
-                Platform.single(device),
+                Platform.single(get_device(device)),
                 evaluator=family_eval,
                 samples=samples,
                 seed=seed,
             )
             if emit is not None:
-                emit(Event(device.name,
+                emit(Event(device,
                            f"{family}: {len(front.points)} frontier "
                            f"point(s) from {front.evaluated_count} sampled"))
             curves.append(
-                Figure9Curve(device=device.name, family=family, front=front)
+                Figure9Curve(device=device, family=family, front=front)
             )
-    return Figure9Result(curves=curves, devices=tuple(d.name for d in devices))
+    return Figure9Result(curves=curves, devices=devices)

@@ -3,47 +3,32 @@
 :func:`run_paired_plan` is the engine behind Table 1 and Figures 6/7.
 It consumes a declarative :class:`~repro.plans.RunPlan` -- the search
 configuration (controller / evaluator / estimator registry keys, seed,
-trials) comes from ``plan.search`` and the execution policy (batching,
+trials) comes from ``plan.search``, the dataset, device, boards and
+specs from ``plan.scenario``, and the execution policy (batching,
 evaluation workers, checkpointing, shard fan-out) from
-``plan.execution`` -- and has two execution modes:
+``plan.execution`` -- and runs its searches as one
+:class:`~repro.orchestration.campaign.Campaign`: a NAS shard plus one
+FNAS shard per spec.  Every search is therefore checkpointable and
+resumable, and ``shard_workers > 1`` fans the shards across a process
+pool without changing any ledger.
 
-* the default in-process mode, which runs the NAS baseline and each
-  FNAS spec sequentially (with the batched/parallel options), and
-* **campaign mode** (``plan.execution.campaign_mode``), which expresses
-  the same runs as orchestration shards: each search becomes a
-  checkpointed, resumable shard, optionally fanned across a process
-  pool.  Re-invoking with the same checkpoint directory resumes
-  interrupted searches.  Both modes produce identical trial ledgers
-  (pinned by tests), so campaign mode is purely an execution policy.
-
-Progress goes to an :data:`~repro.events.EventCallback` as typed
-events: ``SearchStarted``/``SearchFinished`` per search in-process, and
-the campaign runtime's own events, forwarded unchanged, in campaign
-mode.
+Progress goes to an :data:`~repro.events.EventCallback` as the
+campaign's own typed events, scoped to shard ids.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
-import numpy as np
-
-from repro.api import (
-    build_controller,
-    build_estimator,
-    build_evaluator,
-    landscape_seed,
-)
+from repro.api import build_platform, landscape_seed
 from repro.configs import ExperimentConfig, get_config
-from repro.core.evaluator import ParallelEvaluator
-from repro.core.search import FnasSearch, NasSearch, SearchResult
-from repro.core.search_space import SearchSpace
-from repro.events import Event, EventCallback, SearchFinished, SearchStarted
+from repro.core.search import SearchResult
+from repro.events import EventCallback
 from repro.fpga.platform import Platform
 from repro.plans import RunPlan, spec_key
-from repro.registry import DEVICES
 
 
 @dataclass
@@ -124,178 +109,83 @@ class PairedSearchOutcome:
         )
 
 
+def panel_plan(plan: RunPlan, dataset: str, device: str,
+               specs_ms: Iterable[float]) -> RunPlan:
+    """``plan`` narrowed to one figure panel: one dataset, one device
+    (``plan.scenario.boards`` copies) and that panel's specs."""
+    scenario = dataclasses.replace(
+        plan.scenario, datasets=(dataset,), devices=(device,),
+        specs_ms=tuple(specs_ms),
+    )
+    return dataclasses.replace(plan, scenario=scenario)
+
+
 def run_paired_plan(
     plan: RunPlan,
-    dataset: str | None = None,
-    platform: Platform | None = None,
-    specs_ms: list[float] | None = None,
     emit: EventCallback | None = None,
     should_stop: Callable[[], bool] | None = None,
+    fallback_checkpoint_dir: str | None = None,
 ) -> PairedSearchOutcome:
     """Run NAS once and FNAS once per timing spec on one dataset/platform.
 
-    The plan's scenario supplies the dataset, device and specs unless
-    the explicit arguments override them (the figure runners iterate
-    over devices/datasets and pass each explicitly; overrides also
-    admit non-catalog :class:`~repro.fpga.platform.Platform` objects,
-    which plain plan data cannot name).
+    The plan's scenario names the dataset (its first), the device (its
+    first, ``scenario.boards`` copies) and the specs; a device no
+    catalog name covers is registered first
+    (``DEVICES.register(name, device)``) and then named like any other.
 
-    Each search gets its own controller and RNG stream (all derived
-    from ``plan.search.seed``) so runs are independent, reproducible
-    and comparable -- the protocol behind Table 1 and Figures 6/7.
-    ``emit`` receives the typed progress events.  ``should_stop``
-    cancels cooperatively between trials
+    Each search gets its own controller and RNG stream -- the NAS
+    shard at ``plan.search.seed``, the FNAS shard of the ``i``-th spec
+    at ``seed + i`` -- over one shared surrogate landscape, so runs are
+    independent, reproducible and comparable: the protocol behind
+    Table 1 and Figures 6/7.  ``emit`` receives the typed progress
+    events.  ``should_stop`` cancels cooperatively between trials
     (:class:`~repro.core.search.SearchCancelled`; snapshots first when
-    the execution policy checkpoints).
-    """
-    scenario = plan.scenario
-    if dataset is None:
-        if not scenario.datasets:
-            raise ValueError("the plan's scenario names no datasets")
-        dataset = scenario.datasets[0]
-    if platform is None:
-        from repro.api import build_platform
-
-        platform = build_platform(scenario)
-    if specs_ms is None:
-        specs_ms = list(scenario.specs_ms)
-    if plan.execution.campaign_mode:
-        return _run_paired_campaign(
-            plan, dataset, platform, specs_ms, emit, should_stop=should_stop,
-        )
-    search_plan = plan.search
-    config = get_config(dataset)
-    space = SearchSpace.from_config(config)
-    seed = search_plan.seed
-    n_trials = (search_plan.trials if search_plan.trials is not None
-                else config.trials)
-    evaluator = build_evaluator(search_plan, space, config,
-                                landscape_seed(plan))
-    pool: ParallelEvaluator | None = None
-    if plan.execution.eval_workers > 1:
-        evaluator = pool = ParallelEvaluator(
-            evaluator, max_workers=plan.execution.eval_workers
-        )
-    estimator = build_estimator(search_plan, platform)
-
-    def _notify(event: Event) -> None:
-        if emit is not None:
-            emit(event)
-
-    try:
-        _notify(SearchStarted("nas", f"{n_trials} trials on {dataset}"))
-        nas = NasSearch(
-            space,
-            evaluator,
-            controller=build_controller(search_plan, space, seed),
-            latency_estimator=estimator,
-        ).run(n_trials, np.random.default_rng(seed),
-              batch_size=plan.execution.batch_size,
-              should_stop=should_stop)
-        _notify(SearchFinished("nas", f"{len(nas.trials)} trials"))
-
-        fnas_results: dict[float, SearchResult] = {}
-        for offset, spec in enumerate(specs_ms, start=1):
-            name = f"fnas-{spec_key(spec)}ms"
-            _notify(SearchStarted(name, f"{n_trials} trials on {dataset}"))
-            search = FnasSearch(
-                space,
-                evaluator,
-                estimator,
-                required_latency_ms=spec,
-                controller=build_controller(search_plan, space, seed + offset),
-                min_latency_fallback=search_plan.min_latency_fallback,
-            )
-            fnas_results[spec] = search.run(
-                n_trials, np.random.default_rng(seed + offset),
-                batch_size=plan.execution.batch_size,
-                should_stop=should_stop,
-            )
-            _notify(SearchFinished(
-                name, f"{len(fnas_results[spec].trials)} trials"))
-    finally:
-        if pool is not None:
-            pool.close()
-    return PairedSearchOutcome(
-        config=config, platform=platform, nas=nas, fnas=fnas_results
-    )
-
-
-def _campaign_device(platform: Platform) -> tuple[str, int]:
-    """Map a platform onto (catalog device name, board count).
-
-    Campaign shards are plain data, so the platform must be expressible
-    as N copies of one catalog device -- which covers every platform the
-    paper's experiments use.
-    """
-    names = {d.name for d in platform.devices}
-    if len(names) != 1:
-        raise ValueError(
-            "campaign mode needs a homogeneous platform, got devices "
-            + ", ".join(sorted(names))
-        )
-    name = next(iter(names))
-    if name not in DEVICES:
-        raise ValueError(
-            f"campaign mode needs a catalog device, got {name!r} "
-            f"(known: {', '.join(DEVICES.names())})"
-        )
-    return name, len(platform.devices)
-
-
-def _run_paired_campaign(
-    plan: RunPlan,
-    dataset: str,
-    platform: Platform,
-    specs_ms: list[float],
-    emit: EventCallback | None,
-    should_stop: Callable[[], bool] | None = None,
-) -> PairedSearchOutcome:
-    """Campaign-mode body of :func:`run_paired_plan`.
-
-    Builds one NAS shard plus one FNAS shard per spec with exactly the
-    seeds the in-process mode uses (controller ``seed + offset``, one
-    shared surrogate landscape at the base seed), so the merged
-    outcome's ledgers match the serial mode byte for byte.
+    the run checkpoints).  The shards snapshot under the plan's
+    checkpoint directory, or ``fallback_checkpoint_dir`` when the plan
+    names none, and re-running against the same directory resumes
+    them.
     """
     from repro.orchestration import Campaign, ShardSpec
 
+    scenario = plan.scenario
+    if not scenario.datasets:
+        raise ValueError("the plan's scenario names no datasets")
+    dataset = scenario.datasets[0]
+    platform = build_platform(scenario)
     config = get_config(dataset)
-    device, boards = _campaign_device(platform)
     search_plan = plan.search
+    execution = plan.execution
     seed = search_plan.seed
-    n_trials = (search_plan.trials if search_plan.trials is not None
-                else config.trials)
     common = dict(
         dataset=dataset,
-        device=device,
-        boards=boards,
+        device=scenario.devices[0],
+        boards=scenario.boards,
         surrogate_seed=landscape_seed(plan),
-        trials=n_trials,
-        batch_size=plan.execution.batch_size,
-        eval_workers=max(1, plan.execution.eval_workers),
+        trials=(search_plan.trials if search_plan.trials is not None
+                else config.trials),
+        batch_size=execution.batch_size,
+        eval_workers=execution.eval_workers,
         controller=search_plan.controller,
         evaluator=search_plan.evaluator,
         estimator=search_plan.estimator,
         min_latency_fallback=search_plan.min_latency_fallback,
     )
     shards = [ShardSpec(kind="nas", seed=seed, **common)]
-    for offset, spec in enumerate(specs_ms, start=1):
+    for offset, spec in enumerate(scenario.specs_ms, start=1):
         shards.append(
             ShardSpec(kind="fnas", spec_ms=spec, seed=seed + offset, **common)
         )
+    checkpoint_dir = execution.checkpoint_dir
+    if checkpoint_dir is None:
+        checkpoint_dir = fallback_checkpoint_dir
     outcome = Campaign(
         shards,
-        checkpoint_dir=plan.execution.checkpoint_dir,
-        checkpoint_every=plan.execution.checkpoint_every,
+        checkpoint_dir=checkpoint_dir,
+        checkpoint_every=execution.checkpoint_every,
         progress=emit,
-    ).run(max_workers=plan.execution.shard_workers,
-          should_stop=should_stop)
-    nas = outcome.outcomes[0].result
-    fnas_results = {
-        spec: outcome.outcomes[i].result
-        for i, spec in enumerate(specs_ms, start=1)
-    }
+    ).run(max_workers=execution.shard_workers, should_stop=should_stop)
+    nas, *fnas = (shard.result for shard in outcome.outcomes)
     return PairedSearchOutcome(
-        config=config, platform=platform, nas=nas, fnas=fnas_results
+        config=config, platform=platform, nas=nas,
+        fnas=dict(zip(scenario.specs_ms, fnas)),
     )

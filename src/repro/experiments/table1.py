@@ -15,10 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.api import build_platform
 from repro.events import EventCallback
 from repro.experiments.reporting import format_minutes, format_table, improvement
-from repro.experiments.runner import PairedSearchOutcome, run_paired_plan
+from repro.experiments.runner import (
+    PairedSearchOutcome,
+    panel_plan,
+    run_paired_plan,
+)
 from repro.plans import RunPlan, ScenarioPlan, SearchPlan
 
 #: The paper's three timing specifications for Table 1 (ms).
@@ -34,7 +37,7 @@ def table1_plan(
     """The declarative plan behind ``repro table1``.
 
     MNIST on the PYNQ-Z1 with the paper's three timing specs;
-    ``execution`` defaults to the in-process sequential policy.
+    ``execution`` defaults to the serial, uncheckpointed policy.
     """
     plan_kwargs = {} if execution is None else {"execution": execution}
     return RunPlan(
@@ -97,24 +100,22 @@ def run_table1_plan(
     plan: RunPlan,
     emit: EventCallback | None = None,
     should_stop=None,
+    fallback_checkpoint_dir: str | None = None,
 ) -> Table1Result:
     """Regenerate Table 1 from its declarative plan.
 
     The plan-native core: :class:`repro.api.Session` dispatches
     ``workload="table1"`` here.  The scenario's specs default to the
     paper's three; its dataset/device default to MNIST on the PYNQ.
+    The paired engine runs the plan narrowed to that one panel.
     """
     scenario = plan.scenario
     dataset = scenario.datasets[0] if scenario.datasets else "mnist"
     device = scenario.devices[0] if scenario.devices else "pynq-z1"
     specs_ms = scenario.specs_ms or TABLE1_SPECS_MS
     outcome = run_paired_plan(
-        plan,
-        dataset=dataset,
-        platform=build_platform(scenario, device=device),
-        specs_ms=list(specs_ms),
-        emit=emit,
-        should_stop=should_stop,
+        panel_plan(plan, dataset, device, specs_ms),
+        emit, should_stop, fallback_checkpoint_dir,
     )
     nas_best = outcome.nas.best()
     nas_elapsed = outcome.nas.simulated_seconds

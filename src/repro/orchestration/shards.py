@@ -444,7 +444,7 @@ def run_shard(
                 )
     finally:
         # Reclaim the eval_workers pool (when one was built): in serial
-        # campaign mode or the post-pool-death fallback, shards run in
+        # campaigns or the post-pool-death fallback, shards run in
         # the submitting process, which would otherwise accumulate one
         # idle worker pool per shard.
         closer = getattr(search.evaluator, "close", None)

@@ -128,8 +128,9 @@ class ExecutionPolicy:
             sequential published trajectories).
         eval_workers: process-pool workers for child evaluation inside
             a search (1 = in-process).
-        shard_workers: how many whole searches run concurrently in
-            campaign mode (1 = serial).
+        shard_workers: how many whole searches -- the shards of a sweep
+            or of a paired run -- run concurrently on a process pool
+            (1 = serially, in-process).
         shard_batch_trials: batch small campaign shards -- those whose
             resolved trial count falls below this threshold -- together
             per worker-pool submission, so grids of tiny shards
@@ -212,11 +213,6 @@ class ExecutionPolicy:
                 "checkpoint_every without a checkpoint_dir would snapshot "
                 "nowhere; set both"
             )
-
-    @property
-    def campaign_mode(self) -> bool:
-        """Whether this policy asks for the durable campaign runtime."""
-        return self.checkpoint_dir is not None or self.shard_workers > 1
 
     def to_dict(self) -> dict[str, Any]:
         """Plain-dict form (JSON-compatible)."""

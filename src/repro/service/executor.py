@@ -9,11 +9,12 @@ engine*, so a plan produces byte-identical results whichever surface
 submitted it.
 
 Progress is reported as typed :mod:`repro.events` records through the
-``emit`` callable; the ``search`` and ``sweep`` workloads run through
-the :class:`~repro.orchestration.campaign.Campaign` runner (one shard
-for a single search), which is also what makes their event streams
-identical across surfaces and gives them cooperative cancellation with
-checkpointing (``should_stop``).
+``emit`` callable; every search-running workload (``search``,
+``sweep``, ``paired``, ``table1``, ``figure6``, ``figure7``) runs
+through the :class:`~repro.orchestration.campaign.Campaign` runner (one
+shard for a single search), which is also what makes their event
+streams identical across surfaces and gives them cooperative
+cancellation with checkpointing (``should_stop``).
 """
 
 from __future__ import annotations
@@ -48,8 +49,7 @@ def execute_plan(
             every job durable/resumable without rewriting (and thus
             re-hashing) the submitted plan.
         store: a :class:`~repro.service.store.ResultStore` the
-            campaign-backed workloads (``search``, ``sweep``) memoize
-            shards through: each shard is read through the store at
+            ``search`` and ``sweep`` workloads memoize shards through: each shard is read through the store at
             its canonical hash before running and written back after,
             so a sweep overlapping an earlier one executes only its
             novel shards (:class:`~repro.events.ShardCached` events
@@ -89,21 +89,21 @@ def _run_table1(plan, publish, should_stop, fallback_dir, store):
     """Table 1 workload body."""
     from repro.experiments.table1 import run_table1_plan
 
-    return run_table1_plan(plan, emit=publish, should_stop=should_stop)
+    return run_table1_plan(plan, publish, should_stop, fallback_dir)
 
 
 def _run_figure6(plan, publish, should_stop, fallback_dir, store):
     """Figure 6 workload body."""
     from repro.experiments.figure6 import run_figure6_plan
 
-    return run_figure6_plan(plan, emit=publish, should_stop=should_stop)
+    return run_figure6_plan(plan, publish, should_stop, fallback_dir)
 
 
 def _run_figure7(plan, publish, should_stop, fallback_dir, store):
     """Figure 7 workload body."""
     from repro.experiments.figure7 import run_figure7_plan
 
-    return run_figure7_plan(plan, emit=publish, should_stop=should_stop)
+    return run_figure7_plan(plan, publish, should_stop, fallback_dir)
 
 
 def _run_figure8(plan, publish, should_stop, fallback_dir, store):
@@ -177,7 +177,7 @@ def _run_paired(plan, publish, should_stop, fallback_dir, store):
     """Paired NAS+FNAS workload body."""
     from repro.experiments.runner import run_paired_plan
 
-    return run_paired_plan(plan, emit=publish, should_stop=should_stop)
+    return run_paired_plan(plan, publish, should_stop, fallback_dir)
 
 
 def _run_search(plan, publish, should_stop, fallback_dir, store):

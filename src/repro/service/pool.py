@@ -51,6 +51,7 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
+import signal
 import threading
 import time
 from multiprocessing import connection as mp_connection
@@ -132,9 +133,17 @@ def _worker_main(conn, parent_end, cancel_seq, parent_pid: int) -> None:
     The worker keeps one latency estimator per platform for its whole
     life (:func:`repro.api.keep_estimators_warm`), so its jobs and
     shards share both cache tiers.
+
+    A fork also copies the owner's signal setup: an asyncio loop's
+    wakeup fd, which would hand a signal the worker receives to the
+    owner's loop as if the owner had received it, and any Python
+    SIGTERM handler, under which the worker would outlive a SIGTERM.
+    The worker drops both, so SIGTERM ends the worker alone.
     """
     from repro.api import keep_estimators_warm
 
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.set_wakeup_fd(-1)
     parent_end.close()
     keep_estimators_warm()
     try:
@@ -577,6 +586,12 @@ class WorkerPool:
                     raise RuntimeError("WorkerPool is closed")
                 if self._idle:
                     worker = self._idle.pop()
+                    if not worker.process.is_alive():
+                        # Killed while idle: replace it rather than
+                        # fail the task it would have been sent.
+                        self._deaths += 1
+                        worker.conn.close()
+                        continue
                     self._checked_out.add(worker)
                     return worker
                 if len(self._checked_out) < self.max_workers:

@@ -8,8 +8,8 @@ checkpointed (sharded-runtime) variants.
 
 The experiment workloads' streams are pinned too: the exact
 ``(class, scope, message)`` sequence :func:`execute_plan` emits for
-Table 1 (in-process and checkpointed) and Figure 9, and a checkpointed
-paired run forwards its campaign's events as the very same objects.
+Table 1 (one stream, checkpointed or not) and Figure 9, and a paired
+run forwards its campaign's events as the very same objects.
 """
 
 import dataclasses
@@ -140,26 +140,13 @@ def typed_stream(plan):
     return [(type(e).__name__, e.scope, e.message) for e in events]
 
 
-def test_table1_stream_is_pinned():
-    assert typed_stream(table1_plan(trials=3)) == [
-        ("RunStarted", "table1", "session started"),
-        ("SearchStarted", "nas", "3 trials on mnist"),
-        ("SearchFinished", "nas", "3 trials"),
-        ("SearchStarted", "fnas-10ms", "3 trials on mnist"),
-        ("SearchFinished", "fnas-10ms", "3 trials"),
-        ("SearchStarted", "fnas-5ms", "3 trials on mnist"),
-        ("SearchFinished", "fnas-5ms", "3 trials"),
-        ("SearchStarted", "fnas-2ms", "3 trials on mnist"),
-        ("SearchFinished", "fnas-2ms", "4 trials"),
-        ("RunFinished", "table1", "session finished"),
-    ]
-
-
-def test_checkpointed_table1_stream_is_pinned(tmp_path):
-    plan = table1_plan(
-        trials=3, execution=ExecutionPolicy(checkpoint_dir=str(tmp_path))
-    )
-    assert typed_stream(plan) == [
+@pytest.mark.parametrize("checkpointed", [False, True],
+                         ids=["plain", "checkpointed"])
+def test_table1_stream_is_pinned(checkpointed, tmp_path):
+    """Table 1 runs as shards whatever its policy: one stream."""
+    execution = (ExecutionPolicy(checkpoint_dir=str(tmp_path))
+                 if checkpointed else ExecutionPolicy())
+    assert typed_stream(table1_plan(trials=3, execution=execution)) == [
         ("RunStarted", "table1", "session started"),
         ("SearchStarted", "mnist-pynq-z1-nas-s0", "running in-process"),
         ("SearchFinished", "mnist-pynq-z1-nas-s0", "3 trials"),
@@ -174,6 +161,7 @@ def test_checkpointed_table1_stream_is_pinned(tmp_path):
         ("SearchFinished", "mnist-pynq-z1-fnas2ms-s3-ss0", "4 trials"),
         ("RunFinished", "table1", "session finished"),
     ]
+    assert bool(list(tmp_path.glob("*.checkpoint.json"))) == checkpointed
 
 
 def test_figure9_stream_is_pinned():

@@ -144,8 +144,9 @@ class TestSessionEvents:
         kinds = [(e.kind, e.scope) for e in events]
         assert ("start", "table1") in kinds
         assert ("finish", "table1") in kinds
-        assert ("start", "nas") in kinds
-        assert any(scope.startswith("fnas-") for _, scope in kinds)
+        # Each search is a shard, scoped to its shard id.
+        assert ("start", "mnist-pynq-z1-nas-s0") in kinds
+        assert ("finish", "mnist-pynq-z1-fnas2ms-s3-ss0") in kinds
 
     def test_sweep_forwards_campaign_events(self, tmp_path):
         import dataclasses
@@ -267,6 +268,9 @@ class TestRemovedSpellings:
         ("repro.orchestration.shards", "ShardPayload"),
         ("repro.service.executor", "check_evaluator_override"),
         ("repro.service.executor", "EVALUATOR_OVERRIDE_WORKLOADS"),
+        ("repro.plans", "ExecutionPolicy.campaign_mode"),
+        ("repro.experiments.runner", "_run_paired_campaign"),
+        ("repro.experiments.runner", "_campaign_device"),
     ])
     def test_removed_name_is_gone(self, module, name):
         owner = importlib.import_module(module)
@@ -283,6 +287,20 @@ class TestRemovedSpellings:
         (repro.registry.EVALUATORS) and named in the plan instead."""
         with pytest.raises(TypeError, match="evaluator"):
             entry(RunPlan(workload="figure8"), evaluator=object())
+
+    @pytest.mark.parametrize("module, engine, override", [
+        ("repro.experiments.runner", "run_paired_plan", "dataset"),
+        ("repro.experiments.runner", "run_paired_plan", "platform"),
+        ("repro.experiments.runner", "run_paired_plan", "specs_ms"),
+        ("repro.experiments.figure6", "run_figure6_plan", "devices"),
+        ("repro.experiments.figure9", "run_figure9_plan", "devices"),
+    ])
+    def test_live_scenario_override_is_gone(self, module, engine, override):
+        """An engine runs its plan's scenario; a device no catalog name
+        covers is registered (repro.registry.DEVICES) and named."""
+        run = getattr(importlib.import_module(module), engine)
+        with pytest.raises(TypeError, match=override):
+            run(RunPlan(workload="paired"), **{override: None})
 
     def test_submit_takes_no_live_evaluator(self):
         from repro.service import SearchService

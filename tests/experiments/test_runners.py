@@ -4,6 +4,7 @@ These use reduced trial counts so the whole file runs in seconds; the
 full paper-scale runs live in ``benchmarks/``.
 """
 
+import hashlib
 import math
 
 import pytest
@@ -15,28 +16,27 @@ from repro.experiments.figure8 import figure8_architectures, run_figure8
 from repro.experiments.runner import run_paired_plan
 from repro.experiments.table1 import table1_plan
 from repro.fpga.device import XC7Z020
-from repro.fpga.platform import Platform
 from repro.plans import ExecutionPolicy, RunPlan, ScenarioPlan, SearchPlan
+from repro.registry import DEVICES
 
 TRIALS = 25  # reduced from the paper's 60 for test speed
 
 
-def paired_run(dataset, platform, specs_ms, trials=None, seed=0,
+def paired_run(dataset, device, specs_ms, trials=None, seed=0,
                **execution):
     """Run the paired engine on the plan these arguments describe.
 
-    ``execution`` holds :class:`ExecutionPolicy` fields; the live
-    ``platform`` rides the engine's override, so non-catalog devices
-    reach it too.
+    ``device`` is a :data:`repro.registry.DEVICES` name and
+    ``execution`` holds :class:`ExecutionPolicy` fields.
     """
     plan = RunPlan(
         workload="paired",
         search=SearchPlan(seed=seed, trials=trials),
         execution=ExecutionPolicy(**execution),
-        scenario=ScenarioPlan(datasets=(dataset,), specs_ms=tuple(specs_ms),
-                              include_nas=True),
+        scenario=ScenarioPlan(datasets=(dataset,), devices=(device,),
+                              specs_ms=tuple(specs_ms), include_nas=True),
     )
-    return run_paired_plan(plan, platform=platform)
+    return run_paired_plan(plan)
 
 
 @pytest.fixture(scope="module")
@@ -166,25 +166,46 @@ class TestFigure8:
 class TestPairedSearch:
     def test_trials_default_to_config(self):
         outcome = paired_run(
-            "mnist", Platform.single(XC7Z020), specs_ms=[10.0], trials=5,
-            seed=0,
+            "mnist", XC7Z020.name, specs_ms=[10.0], trials=5, seed=0,
         )
         assert len(outcome.nas.trials) == 5
         assert len(outcome.fnas[10.0].trials) == 5
 
     def test_nas_best_properties(self):
         outcome = paired_run(
-            "mnist", Platform.single(XC7Z020), specs_ms=[10.0], trials=5,
-            seed=0,
+            "mnist", XC7Z020.name, specs_ms=[10.0], trials=5, seed=0,
         )
         assert 0 < outcome.nas_best_accuracy <= 1
         assert outcome.nas_best_latency_ms > 0
         assert math.isfinite(outcome.nas_best_latency_ms)
 
 
+class TestPairedBytes:
+    """A paired run's stored bytes are a pure function of its plan."""
+
+    PLAN = RunPlan(
+        workload="paired",
+        search=SearchPlan(trials=30),
+        execution=ExecutionPolicy(batch_size=4),
+        scenario=ScenarioPlan(datasets=("mnist",),
+                              devices=("xc7z020-ddr-narrow",), boards=2,
+                              specs_ms=(5.0, 2.0), include_nas=True),
+    )
+
+    #: SHA-256 of :attr:`PLAN`'s canonical stored result bytes.
+    SHA256 = "56063ff9125585abbf04869fe2703b04a363d975ff905777cadafee4e4dc9fca"
+
+    def test_stored_bytes_are_pinned(self):
+        from repro.service import SearchService
+
+        with SearchService(workers=1) as service:
+            blob = service.submit(self.PLAN).result_bytes(timeout=300)
+        assert hashlib.sha256(blob).hexdigest() == self.SHA256
+
+
 class TestCampaignMode:
-    """Campaign mode is an execution policy, not a different experiment:
-    its ledgers must match the in-process mode trial for trial."""
+    """A paired run is its shards: fanning them across a pool or
+    checkpointing them changes no ledger."""
 
     KWARGS = dict(dataset="mnist", specs_ms=[10.0, 5.0], trials=6, seed=0)
 
@@ -193,11 +214,11 @@ class TestCampaignMode:
         return [t.tokens for t in result.trials]
 
     def test_campaign_matches_serial_ledgers(self, tmp_path):
-        platform = Platform.single(XC7Z020)
-        serial = paired_run(platform=platform, **self.KWARGS)
+        serial = paired_run(device=XC7Z020.name, shard_workers=1,
+                            **self.KWARGS)
         campaign = paired_run(
-            platform=platform, checkpoint_dir=str(tmp_path), shard_workers=2,
-            **self.KWARGS,
+            device=XC7Z020.name, checkpoint_dir=str(tmp_path),
+            shard_workers=2, **self.KWARGS,
         )
         assert self.tokens_of(campaign.nas) == self.tokens_of(serial.nas)
         for spec in self.KWARGS["specs_ms"]:
@@ -207,20 +228,34 @@ class TestCampaignMode:
                    [t.reward for t in serial.fnas[spec].trials]
 
     def test_reinvocation_resumes_from_checkpoints(self, tmp_path):
-        platform = Platform.single(XC7Z020)
         first = paired_run(
-            platform=platform, checkpoint_dir=str(tmp_path), **self.KWARGS,
+            device=XC7Z020.name, checkpoint_dir=str(tmp_path), **self.KWARGS,
         )
         assert list(tmp_path.glob("*.checkpoint.json"))
         second = paired_run(
-            platform=platform, checkpoint_dir=str(tmp_path), **self.KWARGS,
+            device=XC7Z020.name, checkpoint_dir=str(tmp_path), **self.KWARGS,
         )
         assert self.tokens_of(second.nas) == self.tokens_of(first.nas)
 
-    def test_campaign_rejects_non_catalog_device(self, tmp_path):
+    def test_registered_device_runs_pooled_and_checkpointed(self, tmp_path):
+        """A device no catalog name covers is registered, then named."""
         custom = XC7Z020.scaled(0.5, name="half-zynq")
-        with pytest.raises(ValueError, match="catalog"):
-            paired_run(
-                platform=Platform.single(custom), checkpoint_dir=str(tmp_path),
-                **self.KWARGS,
+        DEVICES.register("half-zynq", custom)
+        try:
+            outcome = paired_run(
+                device="half-zynq", checkpoint_dir=str(tmp_path),
+                shard_workers=2, **self.KWARGS,
             )
+        finally:
+            DEVICES.unregister("half-zynq")
+        assert outcome.platform.devices == (custom,)
+        assert sorted(p.name for p in tmp_path.glob("*.checkpoint.json")) == [
+            "mnist-half-zynq-fnas10ms-s1-ss0.checkpoint.json",
+            "mnist-half-zynq-fnas5ms-s2-ss0.checkpoint.json",
+            "mnist-half-zynq-nas-s0.checkpoint.json",
+        ]
+        assert len(outcome.nas.trials) == self.KWARGS["trials"]
+
+    def test_unregistered_device_is_rejected_by_the_plan(self):
+        with pytest.raises(KeyError, match="half-zynq"):
+            paired_run(device="half-zynq", **self.KWARGS)

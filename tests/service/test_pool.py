@@ -152,6 +152,26 @@ class TestFailureModes:
             assert pool.stats()["worker.spawn"] == 2
 
 
+class TestSignals:
+    def test_worker_ends_on_sigterm_under_an_owner_handler(self):
+        """A worker does not keep its owner's Python SIGTERM handler,
+        and the pool replaces a worker killed while idle."""
+        previous = signal.signal(signal.SIGTERM, lambda *_: None)
+        try:
+            with WorkerPool(1) as pool:
+                handle, first = _run(pool, _pid, [0])
+                os.kill(first[0], signal.SIGTERM)
+                handle.worker.process.join(timeout=10)
+                assert handle.worker.process.exitcode == -signal.SIGTERM
+                _, second = _run(pool, _pid, [0])
+                stats = pool.stats()
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert second[0] != first[0]
+        assert stats["worker.death"] == 1
+        assert stats["worker.spawn"] == 2
+
+
 class TestOrphanedWorker:
     def test_worker_exits_when_its_owner_dies_mid_send(self):
         """A worker whose pool owner was SIGKILLed exits, instead of

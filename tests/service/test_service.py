@@ -60,6 +60,15 @@ def counting_evaluator():
     EVALUATORS.unregister("counting")
 
 
+#: Shard ids of a default ``table1`` plan, NAS first.
+TABLE1_SHARDS = (
+    "mnist-pynq-z1-nas-s0",
+    "mnist-pynq-z1-fnas10ms-s1-ss0",
+    "mnist-pynq-z1-fnas5ms-s2-ss0",
+    "mnist-pynq-z1-fnas2ms-s3-ss0",
+)
+
+
 def search_plan(seed=0, trials=5, evaluator="surrogate", **execution):
     return RunPlan(
         workload="search",
@@ -190,6 +199,48 @@ class TestCancellation:
             assert COUNTS["evaluations"] < 4 * 500  # stopped early
             with pytest.raises(JobCancelledError):
                 handle.result(timeout=10)
+
+    def test_table1_job_checkpoints_each_shard_under_the_root(
+        self, tmp_path
+    ):
+        plan = RunPlan(workload="table1", search=SearchPlan(trials=3))
+        with SearchService(workers=1,
+                           checkpoint_dir=str(tmp_path)) as service:
+            handle = service.submit(plan)
+            handle.result(timeout=120)
+        snapshots = (tmp_path / handle.plan_hash).glob("*.checkpoint.json")
+        assert sorted(p.name for p in snapshots) == sorted(
+            f"{shard}.checkpoint.json" for shard in TABLE1_SHARDS)
+
+    def test_cancelled_table1_job_resumes_from_its_shards(self, tmp_path):
+        """Cancel once the NAS shard is done; the resubmit resumes it."""
+        from repro.api import run_plan
+        from repro.plans import plan_hash
+        from repro.service.store import canonical_payload_bytes
+
+        plan = RunPlan(workload="table1", search=SearchPlan(trials=3))
+        uninterrupted = run_plan(plan)
+        with SearchService(workers=1,
+                           checkpoint_dir=str(tmp_path)) as service:
+            def cancel_after_nas(event):
+                # Runs on the job's thread before its next shard starts.
+                if (isinstance(event, SearchFinished)
+                        and event.scope == TABLE1_SHARDS[0]):
+                    service.job_by_hash(plan_hash(plan)).cancel()
+            service.bus.subscribe(cancel_after_nas)
+            handle = service.submit(plan)
+            assert handle.wait(timeout=120) == "cancelled"
+            snapshots = (tmp_path / handle.plan_hash).glob(
+                "*.checkpoint.json")
+            assert [p.name for p in snapshots] == [
+                f"{TABLE1_SHARDS[0]}.checkpoint.json"]
+            service.bus.unsubscribe(cancel_after_nas)
+            resumed = service.submit(plan)
+            assert resumed.job_id == handle.job_id
+            result = resumed.result(timeout=120)
+        assert result.rows == uninterrupted.rows
+        assert (canonical_payload_bytes(result.outcome.to_dict())
+                == canonical_payload_bytes(uninterrupted.outcome.to_dict()))
 
     def test_service_checkpoint_root_covers_plans_without_one(
         self, tmp_path

@@ -365,6 +365,22 @@ def served(*flags):
         proc.stderr.close()
 
 
+def child_pids(pid):
+    """Live (not yet exited) child processes of ``pid``, read from /proc."""
+    children = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as stat:
+                state, ppid = stat.read().rpartition(")")[2].split()[:2]
+        except (OSError, ValueError):
+            continue
+        if int(ppid) == pid and state != "Z":
+            children.add(int(entry))
+    return children
+
+
 def wait_until_running(client, job_id):
     deadline = time.monotonic() + 60
     while client.status(job_id)["state"] != "running":
@@ -422,6 +438,26 @@ class TestServeProcess:
             proc.send_signal(signal.SIGINT)
             assert proc.wait(timeout=300) == 0
         assert journal_ops(store, info["job_id"])[-1] == "done"
+
+    def test_sigterm_to_a_pool_worker_spares_the_server(self):
+        """A worker's SIGTERM ends that worker; the server keeps
+        serving and runs its next job on a fresh worker."""
+        with served("--backend", "process") as (proc, url):
+            client = ServiceClient(url)
+            first = client.submit(search_plan(seed=3, trials=3))
+            assert client.wait(first["job_id"])["state"] == "done"
+            (worker,) = child_pids(proc.pid)
+            os.kill(worker, signal.SIGTERM)
+            deadline = time.monotonic() + 10
+            while worker in child_pids(proc.pid):
+                assert time.monotonic() < deadline, "worker outlived SIGTERM"
+                time.sleep(0.05)
+            time.sleep(1.0)  # room for a wrongly delivered signal to act
+            assert proc.poll() is None, "the server exited"
+            assert client.health()["status"] == "ok"
+            second = client.submit(search_plan(seed=4, trials=3))
+            assert client.wait(second["job_id"])["state"] == "done"
+            assert child_pids(proc.pid) - {worker}
 
     def test_drain_grace_cancels_the_running_job(self, tmp_path):
         store = tmp_path / "store"
