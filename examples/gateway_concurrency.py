@@ -38,11 +38,11 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
-from repro.plans import RunPlan, ScenarioPlan, SearchPlan, plan_hash  # noqa: E402
+from repro.plans import RunPlan, ScenarioPlan, SearchPlan  # noqa: E402
 from repro.service.client import ServiceClient  # noqa: E402
 from repro.service.journal import JobJournal  # noqa: E402
 from repro.service.service import SearchService  # noqa: E402
-from repro.service.store import ResultStore  # noqa: E402
+from repro.service.store import ResultStore, result_key  # noqa: E402
 
 PORT = 8747
 URL = f"http://127.0.0.1:{PORT}"
@@ -176,15 +176,16 @@ def drain_phase(gateway, client, store_dir):
     assert ops and ops[-1] == "done", (
         f"drain lost the admitted job: journal ops {ops}")
     print(f"journal intact: {job_id} transitions {ops}")
-    return submitted["plan_hash"]
 
 
-def byte_identity_phase(workdir, digest):
+def byte_identity_phase(workdir):
     """The drained gateway's stored result == an in-process run's."""
-    gateway_bytes = ResultStore(workdir / "store").get_bytes(digest)
+    drained = plan(seed=99, trials=DRAIN_TRIALS)
+    gateway_bytes = ResultStore(workdir / "store").get_bytes(
+        result_key(drained))
     assert gateway_bytes is not None, "drained store has no result"
     with SearchService(workers=1) as service:
-        handle = service.submit(plan(seed=99, trials=DRAIN_TRIALS))
+        handle = service.submit(drained)
         reference = handle.result_bytes(timeout=600)
     assert gateway_bytes == reference, (
         "drained gateway result is not byte-identical to the in-process "
@@ -200,9 +201,9 @@ def main():
     try:
         wait_for_server(client)
         crowd_phase(client)
-        digest = drain_phase(gateway, client, workdir / "store")
+        drain_phase(gateway, client, workdir / "store")
         gateway = None
-        byte_identity_phase(workdir, digest)
+        byte_identity_phase(workdir)
         print("gateway concurrency smoke: OK")
         return 0
     finally:

@@ -41,12 +41,15 @@ def report_plan(
     )
 
 
-def generate_report_plan(plan: RunPlan,
-                         emit: EventCallback | None = None) -> str:
+def generate_report_plan(plan: RunPlan, emit: EventCallback | None = None,
+                         should_stop=None,
+                         fallback_checkpoint_dir: str | None = None) -> str:
     """Run everything the plan describes and return the markdown text.
 
     The plan-native core: :class:`repro.api.Session` dispatches
     ``workload="report"`` here (and writes ``plan.output`` when set).
+    The Table 1 and Figure 6/7 sections take ``should_stop`` and
+    ``fallback_checkpoint_dir`` as their own workloads do.
     """
     search = plan.search
     out = io.StringIO()
@@ -65,18 +68,19 @@ def generate_report_plan(plan: RunPlan,
             scenario=sub.scenario,
         )
 
+    section_args = (emit, should_stop, fallback_checkpoint_dir)
     started = time.perf_counter()
-    table1 = run_table1_plan(section_plan(table1_plan), emit=emit)
+    table1 = run_table1_plan(section_plan(table1_plan), *section_args)
     write("## Table 1 — MNIST on PYNQ\n\n```\n")
     write(table1.format())
     write("\n```\n\n")
 
-    figure6 = run_figure6_plan(section_plan(figure6_plan), emit=emit)
+    figure6 = run_figure6_plan(section_plan(figure6_plan), *section_args)
     write("## Figure 6 — two FPGAs\n\n```\n")
     write(figure6.format())
     write("\n```\n\n")
 
-    figure7 = run_figure7_plan(section_plan(figure7_plan), emit=emit)
+    figure7 = run_figure7_plan(section_plan(figure7_plan), *section_args)
     write("## Figure 7 — three datasets\n\n```\n")
     write(figure7.format())
     write("\n```\n\n")

@@ -43,7 +43,11 @@ from pathlib import Path
 from typing import Any
 
 from repro.core.search import SearchCancelled
-from repro.core.serialization import atomic_write_json, search_result_to_dict
+from repro.core.serialization import (
+    atomic_write_json,
+    search_result_from_dict,
+    search_result_to_dict,
+)
 from repro.events import (
     Event,
     EventCallback,
@@ -177,7 +181,9 @@ class CampaignResult:
         if schema != CAMPAIGN_SCHEMA:
             raise ValueError(f"unsupported campaign schema {schema!r}")
         outcomes = [
-            ShardOutcome.from_payload(shard, requeues=shard.get("requeues", 0))
+            ShardOutcome(ShardSpec.from_dict(shard["spec"]),
+                         search_result_from_dict(shard["result"]),
+                         shard.get("resumed_from"), shard.get("requeues", 0))
             for shard in data["shards"]
         ]
         points = [
@@ -239,7 +245,7 @@ class Campaign:
             (:attr:`~repro.orchestration.shards.ShardSpec.shard_hash`)
             and serves a valid entry instead of executing (publishing
             :class:`~repro.events.ShardCached`); after a shard
-            finishes, its canonical scrubbed entry is written back.
+            finishes, its canonical scrubbed ledger is written back.
             Because stored shard bytes are a pure function of the
             shard's plan, the merged result is byte-identical whether
             shards ran or were cached.  ``None`` (the default)
@@ -366,9 +372,9 @@ class Campaign:
         :class:`~repro.events.ShardCached` (where an executed shard
         would publish ``SearchStarted``/``SearchFinished``) and lands
         in ``outcomes`` with ``cached=True``.  Invalid entries --
-        corrupt bytes, a payload whose shard id does not match, an
-        undecodable document -- are treated as misses; the shard then
-        executes and its ``put`` repairs the entry.
+        corrupt bytes, an undecodable document -- are treated as
+        misses; the shard then executes and its ``put`` repairs the
+        entry.
         """
         if self.store is None:
             return
@@ -386,22 +392,22 @@ class Campaign:
             ))
 
     def _cached_outcome(self, spec: ShardSpec) -> ShardOutcome | None:
-        """Decode one shard's stored payload (None on miss/invalid)."""
+        """Decode one shard's stored ledger (None on miss/invalid)."""
         payload = self.store.get_payload(spec.shard_hash)
-        if (not isinstance(payload, dict)
-                or payload.get("shard_id") != spec.shard_id):
+        if payload is None:
             return None
         try:
-            return ShardOutcome.from_payload(payload, cached=True)
+            return ShardOutcome(spec, search_result_from_dict(payload),
+                                cached=True)
         except (KeyError, TypeError, ValueError):
             return None
 
     def _store_outcome(self, outcome: ShardOutcome) -> None:
-        """Write-through: persist one freshly-run shard's entry.
+        """Write-through: persist one freshly-run shard's ledger.
 
-        ``put`` canonicalizes and scrubs (wall clocks, resume
-        provenance), so the stored bytes are a pure function of the
-        shard's plan whichever run produced them.  Memoization is an
+        ``put`` canonicalizes and scrubs the wall clock, so the stored
+        bytes are a pure function of the shard's plan whichever run
+        produced them, as a ``search`` job's are.  Memoization is an
         optimization: a store that cannot persist (disk full,
         permissions) must not fail a campaign that already holds the
         result, so I/O errors are swallowed.
@@ -409,7 +415,8 @@ class Campaign:
         if self.store is None:
             return
         try:
-            self.store.put(outcome.spec.shard_hash, outcome.to_payload())
+            self.store.put(outcome.spec.shard_hash,
+                           search_result_to_dict(outcome.result))
         except OSError:
             pass
 

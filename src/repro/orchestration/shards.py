@@ -13,7 +13,8 @@ locally, and the trajectory it produces is fully determined by the spec
 (the surrogate landscape, controller initialisation and RNG stream are
 all seeded from it).  It is also what makes shards recoverable: a
 re-queued spec plus the shard's last checkpoint reproduce the exact run
-the dead worker was executing.
+the dead worker was executing.  A ``search`` job and every sweep shard
+computing one search share the store entry at :attr:`ShardSpec.shard_hash`.
 
 :func:`plan_shards` expands a sweep plan's scenario -- the
 (dataset x device x seed x search-config) cross product -- into the
@@ -23,9 +24,9 @@ shard grid.
 from __future__ import annotations
 
 import glob
-import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -33,18 +34,14 @@ import numpy as np
 
 from repro.configs import get_config
 from repro.core.search import Search, SearchResult
-from repro.core.serialization import (
-    search_result_from_dict,
-    search_result_to_dict,
-    stale_staging_files,
-)
+from repro.core.serialization import stale_staging_files
 from repro.fpga.device import get_device
 from repro.plans import (
     ExecutionPolicy,
     RunPlan,
     ScenarioPlan,
     SearchPlan,
-    canonical_plan_json,
+    plan_hash,
 )
 
 #: Shard kinds: the two search loops.
@@ -154,23 +151,18 @@ class ShardSpec:
                 parts.append(f"{label}-{key}")
         return "-".join(parts)
 
-    @property
+    @cached_property
     def shard_hash(self) -> str:
         """Content-address of this shard's result in the store.
 
-        The SHA-256 of ``shard:`` followed by the canonical JSON of
-        :meth:`to_plan` -- a pure function of the shard's canonical
-        single-search plan, in a key domain of its own: a ``search``
-        plan submitted in that canonical form keeps its plan-level
-        entry (under :func:`~repro.plans.plan_hash`) apart from its
-        shard entry, whose documents differ.  Because :meth:`to_plan`
-        normalizes result-irrelevant execution knobs away, two shards
-        computing the same search share one hash (and one stored
-        result) regardless of ``eval_workers``, ``shard_workers``,
-        backend, or checkpoint policy.
+        :func:`~repro.plans.plan_hash` of :meth:`to_plan`, computed once
+        per spec.  Because :meth:`to_plan` normalizes result-irrelevant
+        execution knobs away, two shards computing the same search
+        share one hash (and one stored result) regardless of
+        ``eval_workers``, ``shard_workers``, backend, or checkpoint
+        policy; so does a ``search`` job computing it.
         """
-        text = "shard:" + canonical_plan_json(self.to_plan())
-        return hashlib.sha256(text.encode()).hexdigest()
+        return plan_hash(self.to_plan())
 
     @property
     def resolved_trials(self) -> int:
@@ -399,7 +391,7 @@ def run_shard(
     -- see :class:`~repro.core.search.SearchCancelled`.  Returns the
     shard's :class:`ShardOutcome`, which also crosses a pool pipe as
     is (a pickle round trip costs less than encoding and decoding the
-    ledger); :meth:`ShardOutcome.to_payload` gives its store entry.
+    ledger).
     """
     search = build_search(spec)
     trials = spec.resolved_trials
@@ -495,26 +487,3 @@ class ShardOutcome:
     resumed_from: str | None = None
     requeues: int = 0
     cached: bool = False
-
-    def to_payload(self) -> dict[str, Any]:
-        """The JSON-compatible shard entry the result store keeps."""
-        return {
-            "shard_id": self.spec.shard_id,
-            "spec": self.spec.to_dict(),
-            "result": search_result_to_dict(self.result),
-            "resumed_from": self.resumed_from,
-        }
-
-    @classmethod
-    def from_payload(
-        cls, payload: dict[str, Any], requeues: int = 0,
-        cached: bool = False,
-    ) -> "ShardOutcome":
-        """Decode a shard entry (:meth:`to_payload`'s inverse)."""
-        return cls(
-            spec=ShardSpec.from_dict(payload["spec"]),
-            result=search_result_from_dict(payload["result"]),
-            resumed_from=payload.get("resumed_from"),
-            requeues=requeues,
-            cached=cached,
-        )

@@ -9,7 +9,8 @@ service:
   cancellation that checkpoints, and in-flight dedup of identical
   plans;
 * :class:`ResultStore` -- a content-addressed store keyed by
-  :func:`repro.plans.plan_hash`, so resubmitting an identical plan
+  :func:`~repro.service.store.result_key` (the plan hash, or a
+  ``search`` plan's shard hash), so resubmitting an identical plan
   returns the stored result byte-identically without re-running;
 * :func:`execute_plan` -- the single workload dispatcher every
   execution surface shares (:meth:`repro.api.Session.run` is a thin

@@ -41,19 +41,21 @@ def execute_plan(
         should_stop: cooperative-cancellation poll, honored between
             trials by every search-running workload (``search``,
             ``sweep``, ``paired``, ``table1``, ``figure6``,
-            ``figure7``); checkpointed runs snapshot before raising
-            :class:`~repro.core.search.SearchCancelled`.  ``figure8``,
-            ``ablations`` and ``report`` check only before starting.
+            ``figure7``, ``report``); checkpointed runs snapshot before
+            raising :class:`~repro.core.search.SearchCancelled`.
+            ``figure8``, ``ablations`` and those sections of a
+            ``report`` check only before starting.
         fallback_checkpoint_dir: checkpoint directory used when the
             plan's execution policy names none -- how the service makes
             every job durable/resumable without rewriting (and thus
             re-hashing) the submitted plan.
         store: a :class:`~repro.service.store.ResultStore` the
-            ``search`` and ``sweep`` workloads memoize shards through: each shard is read through the store at
-            its canonical hash before running and written back after,
-            so a sweep overlapping an earlier one executes only its
-            novel shards (:class:`~repro.events.ShardCached` events
-            mark the rest).  ``None`` disables shard memoization.
+            ``sweep`` workload memoizes shards through: each shard is
+            read through the store at its canonical hash before
+            running and written back after, so a sweep overlapping an
+            earlier one executes only its novel shards
+            (:class:`~repro.events.ShardCached` events mark the rest).
+            ``None`` disables shard memoization.
 
     Result types by workload: ``table1`` -> ``Table1Result``,
     ``figure6`` -> ``Figure6Result``, ``figure7`` -> ``Figure7Result``,
@@ -140,7 +142,7 @@ def _run_report(plan, publish, should_stop, fallback_dir, store):
     """Report workload body (writes ``plan.output`` when set)."""
     from repro.experiments.report import generate_report_plan
 
-    text = generate_report_plan(plan, emit=publish)
+    text = generate_report_plan(plan, publish, should_stop, fallback_dir)
     if plan.output is not None:
         Path(plan.output).write_text(text)
     return text
@@ -187,6 +189,7 @@ def _run_search(plan, publish, should_stop, fallback_dir, store):
     a bare ``run_shard``) is deliberate: the shard-level event sequence
     and the checkpoint/resume/cancel behavior are then *identical* to a
     campaign running the same shard -- the golden event-stream property.
+    It has no store: the service keeps the search's one entry.
     """
     from repro.orchestration import Campaign
     from repro.orchestration.shards import ShardSpec
@@ -197,7 +200,6 @@ def _run_search(plan, publish, should_stop, fallback_dir, store):
         checkpoint_dir=_checkpoint_dir(plan, fallback_dir),
         checkpoint_every=plan.execution.checkpoint_every,
         progress=publish,
-        store=store,
     ).run(max_workers=1, should_stop=should_stop)
     return outcome.outcomes[0].result
 

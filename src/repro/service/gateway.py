@@ -577,9 +577,12 @@ class Gateway:
                 headers={"Retry-After": "1"})
         # submit touches the journal and the result store (disk):
         # off the loop it goes.
-        handle, deduped = await asyncio.to_thread(
-            admit_submission, self.service, self.tenants, headers,
-            plan, priority, self.max_pending)
+        try:
+            handle, deduped = await asyncio.to_thread(
+                admit_submission, self.service, self.tenants, headers,
+                plan, priority, self.max_pending)
+        except ValueError as exc:  # e.g. a search plan of two searches
+            raise _HttpError(400, f"bad submission: {exc}") from None
         self.metrics.inc("submissions")
         self._send_json(writer, 200, handle.info() | {"deduped": deduped})
 

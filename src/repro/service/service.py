@@ -7,9 +7,10 @@ and executes them on a bounded pool of workers:
   priority level;
 * **dedup** -- submissions are keyed by the canonical
   :func:`repro.plans.plan_hash`; a plan identical to a queued/running
-  one coalesces onto that job, and one identical to a stored result is
-  answered from the :class:`~repro.service.store.ResultStore` as a
-  byte-identical cache hit, without re-running;
+  one coalesces onto that job, and one whose result is stored (at its
+  :func:`~repro.service.store.result_key`) is answered from the
+  :class:`~repro.service.store.ResultStore` as a byte-identical cache
+  hit, without re-running;
 * **lifecycle** -- ``queued -> running -> done | failed | cancelled``,
   every transition published on the service's typed
   :class:`~repro.events.EventBus`, recorded in the job's own event
@@ -119,11 +120,13 @@ class JobCancelledError(RuntimeError):
 class _Job:
     """Internal mutable job record (guarded by the service lock)."""
 
-    def __init__(self, plan: RunPlan, digest: str, priority: int,
+    def __init__(self, plan: RunPlan, digest: str, key: str, priority: int,
                  tenant: str | None = None):
         self.id = f"j-{digest[:12]}"
         self.plan = plan
         self.plan_hash = digest
+        #: Where the result is stored (:func:`store.result_key`).
+        self.result_key = key
         self.priority = priority
         self.tenant = tenant
         self.state = "queued"
@@ -481,11 +484,11 @@ class SearchService:
         """Queue a plan for execution; returns its :class:`JobHandle`.
 
         The plan alone decides the job, so every submission dedups on
-        its canonical plan hash:
+        its canonical plan hash and its result key:
 
-        * stored result -> an already-``done`` job answered from the
-          cache (:class:`~repro.events.CacheHit`), byte-identical to
-          the original;
+        * stored result (at :func:`~repro.service.store.result_key`)
+          -> an already-``done`` job answered from the cache
+          (:class:`~repro.events.CacheHit`), byte-identical;
         * identical plan queued/running/done -> the same job (and the
           same handle semantics);
         * identical plan previously ``cancelled``/``failed`` -> the job
@@ -496,9 +499,11 @@ class SearchService:
         the job's :meth:`~JobHandle.info`, the journal's ``queued``
         entry (so accounting survives restarts) and the per-tenant
         queue-depth metrics.  A job keeps its original tenant across
-        dedup coalescing and cancel/resubmit cycles.
+        dedup coalescing and cancel/resubmit cycles.  A ``search`` plan
+        that is not one search raises :class:`ValueError` here.
         """
         digest = plan_hash(plan)
+        key = store_mod.result_key(plan)
         to_publish: list[Event] = []
         try:
             with self._lock:
@@ -508,14 +513,15 @@ class SearchService:
                 if existing is not None and existing.state in _COALESCE_STATES:
                     return JobHandle(self, existing)
                 cached = (
-                    self.store.get_bytes(digest)
+                    self.store.get_bytes(key)
                     if self.cache_results and store_mod.is_cacheable(plan)
                     else None
                 )
                 if cached is not None:
                     job = existing
                     if job is None:
-                        job = _Job(plan, digest, priority, tenant=tenant)
+                        job = _Job(plan, digest, key, priority,
+                                   tenant=tenant)
                         self._register(job)
                     job.state = "done"
                     job.cached = True
@@ -555,7 +561,7 @@ class SearchService:
                         plan_hash=digest)])
                     self._enqueue(job)
                     return JobHandle(self, job)
-                job = _Job(plan, digest, priority, tenant=tenant)
+                job = _Job(plan, digest, key, priority, tenant=tenant)
                 self._register(job)
                 self._journal_record("queued", job, with_plan=True)
                 to_publish = self._record(job, [JobQueued(
@@ -624,10 +630,10 @@ class SearchService:
 
         Queued jobs cancel immediately.  Running search-driven jobs
         (``search``, ``sweep``, ``paired``, ``table1``, ``figure6``,
-        ``figure7``) stop cooperatively at the next trial boundary,
-        snapshotting first when checkpointing is configured (the worker
-        then publishes :class:`~repro.events.JobCancelled`); the
-        remaining workloads (``figure8``, ``ablations``, ``report``)
+        ``figure7``, ``report``) stop cooperatively at the next trial
+        boundary, snapshotting first when checkpointing is configured
+        (the worker then publishes :class:`~repro.events.JobCancelled`);
+        ``figure8``, ``ablations`` and those sections of a ``report``
         poll only before starting and otherwise run to completion.
         Terminal jobs are left untouched.
         """
@@ -1196,6 +1202,7 @@ class SearchService:
         elsewhere from its checkpoint.
         """
         digest = plan_hash(plan)
+        key = store_mod.result_key(plan)
         now = time.monotonic()
         term = (
             item.lease_seconds
@@ -1204,7 +1211,7 @@ class SearchService:
         )
         to_publish: list[Event] = []
         with self._lock:
-            job = _Job(plan, digest, item.priority, tenant=item.tenant)
+            job = _Job(plan, digest, key, item.priority, tenant=item.tenant)
             self._register(job)
             job.state = "running"
             job.runs = 1
@@ -1346,7 +1353,7 @@ class SearchService:
         returns the stored bytes (``None`` when nothing was stored)."""
         if encoded is None or not self.cache_results:
             return None
-        return self.store.put(job.plan_hash, encoded.blob)
+        return self.store.put(job.result_key, encoded.blob)
 
     def _finish(
         self,

@@ -7,25 +7,20 @@ The service's dedup guarantee rests on two pieces:
   Workloads with a lossless codec are *cacheable*; the rest (the
   matplotlib-style figure studies whose result types predate
   serialization) simply re-run on every submit.
-* :class:`ResultStore` -- a mapping from :func:`repro.plans.plan_hash`
-  to the payload's **canonical bytes** (sorted keys, minimal
-  separators).  The bytes are stored once and returned verbatim on
-  every hit, which is what makes a duplicate submit byte-identical to
-  the first, and they optionally persist under a directory
-  (``<hash>.json``, atomic writes) so a restarted service keeps its
-  cache.
+* :class:`ResultStore` -- a mapping from :func:`result_key` to the
+  payload's **canonical bytes** (sorted keys, minimal separators).
+  The bytes are stored once and returned verbatim on every hit, which
+  is what makes a duplicate submit byte-identical to the first, and
+  they optionally persist under a directory (``<hash>.json``, atomic
+  writes) so a restarted service keeps its cache.
 
-The store is keyed at **two granularities**, each in its own key
-domain: whole-plan hashes (what :meth:`SearchService.submit` dedups
-on) and *shard* hashes
-(:attr:`repro.orchestration.shards.ShardSpec.shard_hash`, the SHA-256
-of the shard's ``shard:``-tagged canonical single-search plan), which
-:class:`~repro.orchestration.campaign.Campaign` reads through before
-running a shard and writes through after.  The tag keeps the two
-apart: a ``search`` plan submitted in its canonical form holds a
-plan-level entry and a shard entry under different keys.  Two sweeps
-overlapping in most of their shards share those shards' results, and
-a re-submitted sweep with one changed spec re-pays ~one shard, not N.
+One search has one entry: the entry under a shard hash
+(:attr:`repro.orchestration.shards.ShardSpec.shard_hash`) is the
+``search`` codec's payload, whether the service stored a ``search``
+job's result there (:func:`result_key`) or a
+:class:`~repro.orchestration.campaign.Campaign` wrote a sweep shard
+through.  Overlapping sweeps share their shards' results, and a
+``search`` shares one with every sweep shard computing it.
 
 Long-lived deployments reclaim space with :meth:`ResultStore.gc`
 (surfaced as ``repro store gc``): entries referenced by the job
@@ -51,7 +46,7 @@ from repro.core.serialization import (
     atomic_write_bytes,
     stale_staging_files,
 )
-from repro.plans import RunPlan
+from repro.plans import RunPlan, plan_hash
 
 
 def _encode_search(result: Any) -> dict[str, Any]:
@@ -117,6 +112,18 @@ def is_cacheable(plan: RunPlan) -> bool:
     return plan.workload in RESULT_CODECS and plan.output is None
 
 
+def result_key(plan: RunPlan) -> str:
+    """The store key of ``plan``'s result: a ``search`` plan's shard
+    hash, so every spelling of one search shares one entry, else its
+    :func:`~repro.plans.plan_hash`.  Raises :class:`ValueError` for a
+    ``search`` plan that is not one search (two specs, ...)."""
+    if plan.workload == "search":
+        from repro.orchestration.shards import ShardSpec
+
+        return ShardSpec.from_plan(plan).shard_hash
+    return plan_hash(plan)
+
+
 def encode_result(plan: RunPlan, result: Any) -> dict[str, Any]:
     """Serialize a workload result for storage (cacheable workloads)."""
     try:
@@ -143,7 +150,7 @@ def decode_result(plan: RunPlan, payload: dict[str, Any]) -> Any:
 
 #: Result fields that describe how a run executed, not what it computed,
 #: and the value :func:`scrub_volatile` gives them.
-_VOLATILE_FIELDS = {"wall_seconds": 0.0, "resumed_from": None}
+_VOLATILE_FIELDS = {"wall_seconds": 0.0, "resumed_from": None, "requeues": 0}
 
 
 def scrub_volatile(payload: Any, zeroed: list | None = None,
@@ -151,17 +158,18 @@ def scrub_volatile(payload: Any, zeroed: list | None = None,
     """Zero out run-environment noise from a result payload, recursively.
 
     A stored result is the content-addressed value of a *deterministic*
-    computation, but result documents carry two fields that depend on
+    computation, but result documents carry three fields that depend on
     how (not what) the run executed: ``wall_seconds`` (host speed,
-    interruptions) and ``resumed_from`` (checkpoint paths).  Scrubbing
-    them -- wall clocks to ``0.0``, resume provenance to ``None`` --
-    makes the canonical bytes a pure function of the plan: a job killed
-    mid-run and resumed after a service restart stores *byte-identical*
-    results to an uninterrupted run (the recovery CI job asserts
-    exactly that).  Returns a scrubbed deep copy; the input is not
-    modified.  When given a list, ``zeroed`` receives a ``(path,
-    value)`` pair for each value scrubbing changed, ``path`` being the
-    keys and indices that lead to it.
+    interruptions), ``resumed_from`` (checkpoint paths) and a sweep
+    shard's ``requeues`` (worker deaths).  Scrubbing them to
+    :data:`_VOLATILE_FIELDS` makes the canonical bytes a pure function
+    of the plan: a job killed mid-run and resumed after a service
+    restart stores *byte-identical* results to an uninterrupted run
+    (the recovery CI job asserts exactly that).  Returns a scrubbed
+    deep copy; the input is not modified.  When given a list,
+    ``zeroed`` receives a ``(path, value)`` pair for each value
+    scrubbing changed, ``path`` being the keys and indices that lead
+    to it.
     """
     if isinstance(payload, dict):
         scrubbed = {}
@@ -236,7 +244,7 @@ class EncodedResult:
 
 
 class ResultStore:
-    """Plan-hash -> canonical result bytes, in memory and on disk.
+    """Result key -> canonical result bytes, in memory and on disk.
 
     Parameters:
         directory: when given, every entry also lands at
@@ -268,7 +276,7 @@ class ResultStore:
         (a caller that encoded it away from a lock).  Idempotent:
         re-putting under an existing key keeps the original
         bytes (first write wins -- the store is content-addressed by
-        the *plan*, so a second identical plan's result is by
+        the *plan*, so a second plan under the same key computes by
         construction the same result).  The write goes through
         :func:`~repro.core.serialization.atomic_write_bytes`, whose
         per-writer staging file makes two processes or threads putting
@@ -363,8 +371,8 @@ class ResultStore:
         """Reclaim dead and corrupt entries from a persistent store.
 
         ``live`` keys -- typically :func:`live_store_keys` over the
-        job journal: the whole-plan hashes of every non-terminal job
-        plus the shard hashes those plans expand to -- are **never**
+        job journal: the result keys of every non-terminal job plus
+        the shard hashes its sweep expands to -- are **never**
         removed, however old or over-budget the store is.  Everything
         else is *dead* (no in-flight job references it) and reclaimable
         under two budgets:
@@ -532,11 +540,10 @@ def live_store_keys(entries: Iterable[dict[str, Any]]) -> frozenset[str]:
     :class:`~repro.service.journal.JobJournal` entries: every job whose
     last recorded transition is non-terminal contributes
 
-    * its **whole-plan hash** (the entry a completed job will be
-      answered from), and
-    * for ``sweep`` and ``search`` plans, the **shard hashes** its
-      scenario expands to (the entries its campaign reads through
-      while resuming).
+    * its recorded plan hash and its :func:`result_key` (the entry a
+      completed job will be answered from), and
+    * for ``sweep`` plans, the **shard hashes** its scenario expands
+      to (the entries its campaign reads through while resuming).
 
     Defensive like the journal itself: a recorded hash stays live even
     when its plan document is missing or no longer parses in this
@@ -554,24 +561,12 @@ def live_store_keys(entries: Iterable[dict[str, Any]]) -> frozenset[str]:
             plan = RunPlan.from_dict(plan_doc)
         except Exception:  # noqa: BLE001 - conservative: keep the hash only
             continue
-        live.update(_shard_keys(plan))
+        try:
+            live.add(result_key(plan))
+            if plan.workload == "sweep":
+                from repro.orchestration.shards import plan_shards
+
+                live.update(shard.shard_hash for shard in plan_shards(plan))
+        except (KeyError, ValueError):
+            pass  # not one search, or no grid: nothing more to pin
     return frozenset(live)
-
-
-def _shard_keys(plan: RunPlan) -> set[str]:
-    """The shard hashes a plan's execution reads/writes through."""
-    if plan.workload == "sweep":
-        from repro.orchestration.shards import plan_shards
-
-        try:
-            return {shard.shard_hash for shard in plan_shards(plan)}
-        except (KeyError, ValueError):
-            return set()
-    if plan.workload == "search":
-        from repro.orchestration.shards import ShardSpec
-
-        try:
-            return {ShardSpec.from_plan(plan).shard_hash}
-        except (KeyError, ValueError):
-            return set()
-    return set()

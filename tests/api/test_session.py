@@ -266,6 +266,8 @@ class TestRemovedSpellings:
         ("repro.fpga", "DEVICE_CATALOG"),
         ("repro.fpga.device", "DEVICE_CATALOG"),
         ("repro.orchestration.shards", "ShardPayload"),
+        ("repro.orchestration.shards", "ShardOutcome.to_payload"),
+        ("repro.orchestration.shards", "ShardOutcome.from_payload"),
         ("repro.service.executor", "check_evaluator_override"),
         ("repro.service.executor", "EVALUATOR_OVERRIDE_WORKLOADS"),
         ("repro.plans", "ExecutionPolicy.campaign_mode"),

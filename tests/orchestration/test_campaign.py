@@ -79,12 +79,13 @@ class TestOutcomeHandOff:
                                                    max_workers):
         """A shard's outcome reaches the campaign as is, serial or
         pooled: a campaign with no store decodes no ledger."""
-        import repro.orchestration.shards as shards_mod
+        import repro.orchestration.campaign as campaign_mod
 
         def forbidden(data):
             raise AssertionError("a shard ledger was decoded")
 
-        monkeypatch.setattr(shards_mod, "search_result_from_dict", forbidden)
+        monkeypatch.setattr(campaign_mod, "search_result_from_dict",
+                            forbidden)
         shards = small_grid()[:2]
         result = Campaign(shards).run(max_workers=max_workers)
         assert [o.spec for o in result.outcomes] == shards
@@ -235,6 +236,29 @@ class TestWorkerDeathRecovery:
         monkeypatch.setattr(campaign_mod, "run_shard", run_shard)
         clean = Campaign(shards).run(max_workers=1)
         assert stable_dict(result) == stable_dict(clean)
+
+    def test_worker_deaths_stay_out_of_the_stored_bytes(
+        self, tmp_path, monkeypatch
+    ):
+        """A sweep's stored bytes are the same whether a worker died
+        under it or not; decoding puts the real re-queue count back."""
+        from repro.orchestration import campaign as campaign_mod
+        from repro.service.store import EncodedResult, canonical_payload_bytes
+
+        shards = small_grid(trials=6)
+        clean = Campaign(shards, checkpoint_dir=tmp_path / "clean").run(
+            max_workers=2)
+        monkeypatch.setitem(_DEATH_CONFIG, "victim", shards[1].shard_id)
+        monkeypatch.setitem(_DEATH_CONFIG, "sentinel",
+                            tmp_path / "already-died")
+        monkeypatch.setattr(campaign_mod, "run_shard", _die_once_run_shard)
+        died = Campaign(shards, checkpoint_dir=tmp_path / "died").run(
+            max_workers=2)
+        assert died.requeued_shards == 1
+        encoded = EncodedResult.of(died.to_dict())
+        assert encoded.blob == canonical_payload_bytes(clean.to_dict())
+        decoded = CampaignResult.from_dict(encoded.payload())
+        assert decoded.outcome(shards[1].shard_id).requeues == 1
 
     def test_pool_exhaustion_falls_back_to_in_process(
         self, tmp_path, monkeypatch

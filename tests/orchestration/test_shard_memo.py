@@ -5,8 +5,9 @@ Two walls around the result store's shard granularity:
 * the **hash law** (property-tested): the multiset of shard hashes is a
   pure function of the scenario grid -- invariant under
   ``shard_workers``, ``eval_workers``, backend, checkpoint policy and
-  enumeration order, a function of ``shard.to_plan()`` alone, and never
-  equal to that plan's own ``plan_hash``;
+  enumeration order -- and each is exactly the ``plan_hash`` of
+  ``shard.to_plan()``, the key a ``search`` job of that plan stores
+  its result under;
 * the **campaign contract**: a store-backed campaign serves previously
   stored shards (publishing :class:`~repro.events.ShardCached`, never
   re-executing), writes freshly-run shards back, treats invalid entries
@@ -16,6 +17,7 @@ Two walls around the result store's shard granularity:
 
 import dataclasses
 import json
+import pickle
 from collections import Counter
 
 import pytest
@@ -33,7 +35,11 @@ from repro.plans import (
     SearchPlan,
     plan_hash,
 )
-from repro.service.store import ResultStore, canonical_payload_bytes
+from repro.service.store import (
+    ResultStore,
+    canonical_payload_bytes,
+    result_key,
+)
 
 # -- strategies --------------------------------------------------------------
 
@@ -114,17 +120,16 @@ class TestShardHashLaw:
 
     @given(scenario=scenarios, knobs=irrelevant_knobs)
     @settings(max_examples=50, deadline=None)
-    def test_shard_hash_keys_the_canonical_plan_in_its_own_domain(
-        self, scenario, knobs
-    ):
-        """A pure function of the canonical plan, never its plan hash:
-        a ``search`` plan submitted in canonical form keeps its
-        plan-level entry and its shard entry under two keys."""
+    def test_shard_hash_is_the_canonical_plan_hash(self, scenario, knobs):
+        """Exactly the canonical plan's hash, and the result key of
+        every ``search`` plan computing the shard: a search job and a
+        sweep shard share one entry."""
         for shard in plan_shards(_sweep_plan(scenario, knobs)):
             canonical = shard.to_plan()
+            assert shard.shard_hash == plan_hash(canonical)
             assert (shard.shard_hash
-                    == ShardSpec.from_plan(canonical).shard_hash)
-            assert shard.shard_hash != plan_hash(canonical)
+                    == ShardSpec.from_plan(canonical).shard_hash
+                    == result_key(canonical))
 
     @given(scenario=scenarios, knobs=irrelevant_knobs)
     @settings(max_examples=50, deadline=None)
@@ -148,6 +153,30 @@ class TestShardHashLaw:
                     spec_ms=5.0, trials=4)
         assert (ShardSpec(eval_workers=1, **base).shard_hash
                 == ShardSpec(eval_workers=4, **base).shard_hash)
+
+    def test_a_spec_hashes_once(self, monkeypatch):
+        """The hash is computed on first use and kept; the spec still
+        pickles, compares and hashes by its fields alone."""
+        spec = ShardSpec(dataset="mnist", device="pynq-z1", kind="fnas",
+                         spec_ms=5.0, trials=4)
+        calls = Counter()
+        real_to_plan = ShardSpec.to_plan
+
+        def counting(self):
+            calls[self.shard_id] += 1
+            return real_to_plan(self)
+
+        monkeypatch.setattr(ShardSpec, "to_plan", counting)
+        first = spec.shard_hash
+        assert spec.shard_hash is first
+        assert calls == {spec.shard_id: 1}
+        clone = pickle.loads(pickle.dumps(spec))
+        fresh = dataclasses.replace(spec)
+        assert clone == spec == fresh
+        assert hash(clone) == hash(spec) == hash(fresh)
+        assert clone.shard_hash == fresh.shard_hash == first
+        other = dataclasses.replace(spec, seed=1)
+        assert other.shard_hash != first
 
 
 # -- campaign read/write-through ---------------------------------------------
@@ -232,16 +261,27 @@ class TestCampaignMemoization:
             s.shard_id for s in shards
         ]
 
-    def test_shard_id_mismatch_is_a_miss(self):
-        """A colliding entry that is not this shard's payload re-runs."""
+    def test_probe_and_write_through_hash_each_shard_once(
+        self, monkeypatch
+    ):
+        ran = {s.shard_id: run_shard(s) for s in _grid()}
+        monkeypatch.setattr(
+            campaign_mod, "run_shard",
+            lambda spec, *args, **kwargs: dataclasses.replace(
+                ran[spec.shard_id], spec=spec))
+        calls = Counter()
+        real_to_plan = ShardSpec.to_plan
+
+        def counting(self):
+            calls[self.shard_id] += 1
+            return real_to_plan(self)
+
+        monkeypatch.setattr(ShardSpec, "to_plan", counting)
         store = ResultStore()
         shards = _grid()
-        payload = run_shard(shards[0]).to_payload()
-        store.put(shards[1].shard_hash, payload)  # wrong shard's payload
-        events = []
-        Campaign([shards[1]], store=store, progress=events.append).run()
-        assert not [e for e in events if isinstance(e, ShardCached)]
-        assert [e for e in events if isinstance(e, SearchStarted)]
+        Campaign(shards, store=store).run()
+        assert all(s.shard_hash in store for s in shards)
+        assert calls == {s.shard_id: 1 for s in shards}
 
     def test_undecodable_payload_is_a_miss_and_gets_repaired(self):
         store = ResultStore()

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from repro.core.search import FnasSearch, NasSearch
-from repro.core.serialization import STAGING_GRACE_SECONDS
+from repro.core.serialization import (
+    STAGING_GRACE_SECONDS,
+    search_result_to_dict,
+)
 from repro.orchestration import (
     ShardSpec,
     build_search,
@@ -131,21 +134,20 @@ class TestBuildAndRun:
         spec = ShardSpec(dataset="mnist", device="pynq-z1", kind="fnas",
                          spec_ms=5.0, seed=2, trials=8)
         a = build_search(spec).run(8, np.random.default_rng(spec.seed))
-        b_payload = run_shard(spec).to_payload()
-        assert [t["tokens"] for t in b_payload["result"]["trials"]] == [
-            list(t.tokens) for t in a.trials
-        ]
+        b = run_shard(spec).result
+        assert [t.tokens for t in b.trials] == [t.tokens for t in a.trials]
 
     def test_run_shard_checkpoints_and_resumes(self, tmp_path):
         spec = ShardSpec(dataset="mnist", device="pynq-z1", kind="fnas",
                          spec_ms=5.0, trials=10)
         fresh = run_shard(spec, checkpoint_dir=str(tmp_path),
-                          checkpoint_every=5).to_payload()
+                          checkpoint_every=5)
         assert spec.checkpoint_path(tmp_path).exists()
-        assert fresh["resumed_from"] is None
-        again = run_shard(spec, checkpoint_dir=str(tmp_path)).to_payload()
-        assert again["resumed_from"] is not None
-        assert again["result"]["trials"] == fresh["result"]["trials"]
+        assert fresh.resumed_from is None
+        again = run_shard(spec, checkpoint_dir=str(tmp_path))
+        assert again.resumed_from is not None
+        assert (search_result_to_dict(again.result)["trials"]
+                == search_result_to_dict(fresh.result)["trials"])
 
     def test_run_shard_refuses_stale_budget_checkpoint(self, tmp_path):
         """A checkpoint written under one trial budget must not silently

@@ -122,6 +122,21 @@ class TestMalformedRequests:
             post, open_front_end.base_url, "/jobs", b"[1, 2, 3]")
         assert status == 400
 
+    def test_a_search_plan_of_two_searches_is_400(self, open_front_end):
+        plan = RunPlan(
+            workload="search",
+            search=SearchPlan(trials=2),
+            scenario=ScenarioPlan(datasets=("mnist",), devices=("pynq-z1",),
+                                  specs_ms=(5.0, 7.5)),
+        )
+        status, _, body = http_error(
+            post, open_front_end.base_url, "/jobs",
+            {"plan": plan.to_dict()})
+        assert status == 400
+        assert json.loads(body)["error"].startswith("bad submission: ")
+        assert "one search" in json.loads(body)["error"]
+        assert open_front_end.service.jobs() == []
+
     def test_invalid_since_parameter_is_400(self, open_front_end):
         client = ServiceClient(open_front_end.base_url)
         info = client.submit(search_plan())

@@ -6,11 +6,12 @@ import urllib.request
 
 import pytest
 
-from repro.plans import RunPlan, ScenarioPlan, SearchPlan, plan_hash
+from repro.plans import RunPlan, ScenarioPlan, SearchPlan
 from repro.service.client import ServiceClient
 from repro.service.gateway import GatewayRunner
 from repro.service.metrics import ANONYMOUS_TENANT, MetricsRegistry
 from repro.service.service import SearchService
+from repro.service.store import result_key
 
 
 def search_plan(seed=0, trials=2):
@@ -121,7 +122,7 @@ class TestRegistry:
             registry = MetricsRegistry(service)
             plan = search_plan(seed=4)
             service.submit(plan).wait(timeout=120)
-            assert service.store.get_bytes(plan_hash(plan))  # store hit
+            assert service.store.get_bytes(result_key(plan))  # store hit
             service.store.get_bytes("0" * 64)  # store miss
             store = registry.snapshot()["store"]
             assert store["entries"] >= 1

@@ -18,6 +18,7 @@ from repro.plans import ExecutionPolicy, RunPlan, ScenarioPlan, SearchPlan
 from repro.registry import EVALUATORS
 from repro.service import ResultStore, SearchService, WorkerDied, WorkerPool
 from repro.service.journal import JOURNAL_FILENAME
+from repro.service.store import result_key
 
 
 def search_plan(seed=0, trials=5, **execution):
@@ -100,7 +101,7 @@ class TestParity:
             sorted(p.name for p in entries)
         store = ResultStore(tmp_path)
         assert all(store.get_bytes(p.stem) is not None for p in entries)
-        assert store.get_bytes(handle.plan_hash) == stored
+        assert store.get_bytes(result_key(handle.plan)) == stored
 
     def test_caching_off_still_returns_the_result_object(self):
         with SearchService(workers=1, backend="process",

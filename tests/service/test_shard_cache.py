@@ -148,11 +148,11 @@ def test_caching_disabled_disables_shard_memoization(tmp_path):
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
-def test_canonical_search_plan_keeps_its_shard_entry_apart(tmp_path, backend):
+def test_canonical_search_plan_shares_its_shard_entry(tmp_path, backend):
     """A ``search`` plan submitted in canonical form (``spec.to_plan()``)
-    stores its plan-level entry and its shard entry under two keys: the
-    job serves the ledger, and so does a restarted service's cache hit,
-    instead of the shard wrapper written first under one shared key."""
+    has one entry, its ledger under its shard hash (which is its plan
+    hash): the job serves the ledger, and so does a restarted service's
+    cache hit."""
     plan = ShardSpec(dataset="mnist", device="pynq-z1", spec_ms=5.0,
                      trials=5).to_plan()
     with SearchService(workers=1, backend=backend,

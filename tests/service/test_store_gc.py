@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.core.serialization import search_result_to_dict
 from repro.orchestration import run_shard
 from repro.orchestration.shards import ShardSpec, plan_shards
 from repro.plans import ExecutionPolicy, RunPlan, ScenarioPlan, SearchPlan, plan_hash
@@ -288,7 +289,7 @@ class TestGCSafety:
         # One shard finished (write-through landed) before the
         # coordinator was SIGKILLed mid-sweep; the whole-plan entry of
         # an unrelated *finished* job is dead.
-        store.put(shards[0].shard_hash, run_shard(shards[0]).to_payload())
+        store.put(shards[0].shard_hash, shard_entry(shards[0]))
         store.put("dead-finished-job", {"old": True})
         journal = JobJournal(tmp_path / "journal.jsonl")
         journal.record("queued", plan_hash(plan), "job-1",
@@ -319,7 +320,7 @@ class TestGCSafety:
         # Simulate the crashed run's footprint: one shard stored, the
         # journal non-terminal (exactly what a SIGKILL preserves).
         ResultStore(store_dir).put(shards[0].shard_hash,
-                                   run_shard(shards[0]).to_payload())
+                                   shard_entry(shards[0]))
         journal = JobJournal(store_dir / "journal.jsonl")
         journal.record("queued", plan_hash(plan), "job-1",
                        plan_doc=plan.to_dict(), priority=0)
@@ -359,7 +360,7 @@ class TestGCSafety:
             # store, then the agent dies before completing the job.
             remote_store = ResultStore(claim["store_dir"])
             remote_store.put(shards[0].shard_hash,
-                             run_shard(shards[0]).to_payload())
+                             shard_entry(shards[0]))
 
             live = live_store_keys(JobJournal.replay(
                 store_dir / "journal.jsonl"
@@ -379,6 +380,11 @@ class TestGCSafety:
             ))
             report = ResultStore(store_dir).gc(live=live, max_age_seconds=0)
             assert shards[0].shard_hash in report.removed_expired
+
+
+def shard_entry(shard):
+    """A shard's store entry: its ledger in the search codec's form."""
+    return search_result_to_dict(run_shard(shard).result)
 
 
 def run_campaign_result(plan):

@@ -18,7 +18,7 @@ from repro.cli import build_parser, main
 from repro.plans import RunPlan, ScenarioPlan, SearchPlan
 from repro.service.client import ServiceClient
 from repro.service.journal import JobJournal
-from repro.service.store import ResultStore
+from repro.service.store import ResultStore, result_key
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -480,5 +480,6 @@ class TestServeProcess:
             assert client.shutdown() == {"status": "shutting down"}
             assert proc.wait(timeout=300) == 0
         assert journal_ops(store, info["job_id"])[-1] == "done"
-        blob = ResultStore(str(store)).get_bytes(info["plan_hash"])
+        blob = ResultStore(str(store)).get_bytes(
+            result_key(search_plan(seed=7, trials=2000)))
         assert len(json.loads(blob)["trials"]) == 2000
