@@ -9,7 +9,9 @@ Spawns ``repro serve`` as a subprocess, then drives it with
 3. cancels plan A mid-run, asserts it reports ``cancelled`` and left
    checkpoints behind, resubmits it and asserts the job resumes to a
    complete result;
-4. shuts the server down via ``POST /shutdown`` and asserts a clean
+4. reads ``/metrics`` and asserts the client's requests all arrived
+   over one kept-alive connection;
+5. shuts the server down via ``POST /shutdown`` and asserts a clean
    exit.
 
 Run it from the repo root::
@@ -127,6 +129,15 @@ def main():
         assert tags[-1] == "job-completed", tags
         print("A resumed and completed:", len(result_a["trials"]), "trials")
 
+        # -- connection reuse: one pooled connection served the client --
+        with urllib.request.urlopen(f"{URL}/metrics", timeout=30) as resp:
+            counters = json.loads(resp.read())["counters"]
+        # The client's connection, plus the one this read opened.
+        assert counters["connections"] <= 2, counters
+        assert counters["requests"] > 20, counters
+        print(f"{counters['requests']} requests over "
+              f"{counters['connections']} connections")
+
         # -- teardown --------------------------------------------------
         client.shutdown()
         code = server.wait(timeout=60)
@@ -135,6 +146,7 @@ def main():
         print("service smoke: OK")
         return 0
     finally:
+        client.close()
         if server.poll() is None:
             server.terminate()
             server.wait(timeout=30)

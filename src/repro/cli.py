@@ -493,10 +493,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_agent(args: argparse.Namespace) -> int:
     """``repro agent``: serve a coordinator as a federated worker."""
-    from urllib.error import URLError
-
     from repro.service.agent import run_agent
-    from repro.service.client import ServiceError
+    from repro.service.client import TRANSPORT_ERRORS, ServiceError
 
     try:
         jobs = run_agent(
@@ -506,7 +504,7 @@ def _cmd_agent(args: argparse.Namespace) -> int:
             poll_seconds=args.poll_seconds,
             max_jobs=args.max_jobs,
         )
-    except (ServiceError, URLError, TimeoutError, OSError) as exc:
+    except (ServiceError, *TRANSPORT_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"agent exiting after {jobs} job(s)", file=sys.stderr, flush=True)
@@ -515,10 +513,12 @@ def _cmd_agent(args: argparse.Namespace) -> int:
 
 def _cmd_submit(args: argparse.Namespace) -> int:
     """``repro submit plan.json``: hand a plan to a running service."""
-    from urllib.error import URLError
-
     from repro.plans import load_plan
-    from repro.service.client import ServiceClient, ServiceError
+    from repro.service.client import (
+        TRANSPORT_ERRORS,
+        ServiceClient,
+        ServiceError,
+    )
 
     try:
         plan = load_plan(args.plan)
@@ -554,9 +554,11 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             print(f"error: {info.get('error')}", file=sys.stderr)
             return 1
         return 0 if info["state"] == "done" else 1
-    except (ServiceError, URLError, TimeoutError) as exc:
+    except (ServiceError, *TRANSPORT_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        client.close()
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:

@@ -114,6 +114,21 @@ class ConvLayerSpec:
         return self.in_channels * self.in_rows * self.in_cols
 
 
+@functools.lru_cache(maxsize=4096, typed=True)
+def _layer_spec(in_channels: int, out_channels: int, kernel: int,
+                in_rows: int, in_cols: int, stride: int,
+                kind: str) -> ConvLayerSpec:
+    """The one shared (frozen) spec per distinct argument tuple.
+
+    A search decodes thousands of token rows over a few dozen distinct
+    layers, so :meth:`Architecture.from_choices` builds each spec once.
+    Bounded, so a long-lived process stays small whatever it decodes;
+    typed, so ``3`` and ``3.0`` never share a spec.
+    """
+    return ConvLayerSpec(in_channels, out_channels, kernel, in_rows,
+                         in_cols, stride, kind)
+
+
 @dataclass(frozen=True)
 class Architecture:
     """A complete child network: a chain of conv layers plus a classifier.
@@ -204,32 +219,15 @@ class Architecture:
         ):
             kernel = min(kernel, rows, cols)
             if conv_type == "standard":
-                expansion = [ConvLayerSpec(
-                    in_channels=channels,
-                    out_channels=count,
-                    kernel=kernel,
-                    in_rows=rows,
-                    in_cols=cols,
-                    stride=stride,
-                )]
+                expansion = [_layer_spec(channels, count, kernel, rows, cols,
+                                         stride, ConvLayerSpec.STANDARD)]
             elif conv_type == "separable":
-                depthwise = ConvLayerSpec(
-                    in_channels=channels,
-                    out_channels=channels,
-                    kernel=kernel,
-                    in_rows=rows,
-                    in_cols=cols,
-                    stride=stride,
-                    kind=ConvLayerSpec.DEPTHWISE,
-                )
-                pointwise = ConvLayerSpec(
-                    in_channels=channels,
-                    out_channels=count,
-                    kernel=1,
-                    in_rows=depthwise.out_rows,
-                    in_cols=depthwise.out_cols,
-                    stride=1,
-                )
+                depthwise = _layer_spec(channels, channels, kernel, rows,
+                                        cols, stride, ConvLayerSpec.DEPTHWISE)
+                pointwise = _layer_spec(channels, count, 1,
+                                        depthwise.out_rows,
+                                        depthwise.out_cols, 1,
+                                        ConvLayerSpec.STANDARD)
                 expansion = [depthwise, pointwise]
             else:
                 raise ValueError(

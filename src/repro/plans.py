@@ -375,9 +375,15 @@ def canonical_plan_json(plan: RunPlan) -> str:
     equal plans serialize to equal bytes whatever dict order or
     formatting produced them.  This is the preimage of
     :func:`plan_hash`, the key of the service's content-addressed
-    result store.
+    result store.  Computed once per (frozen) plan instance: a
+    service submission's dedup probe, its queueing and its pool
+    dispatch share one serialization.
     """
-    return json.dumps(plan.to_dict(), sort_keys=True, separators=(",", ":"))
+    cached = vars(plan).get("_canonical_json")
+    if cached is None:
+        cached = vars(plan)["_canonical_json"] = json.dumps(
+            plan.to_dict(), sort_keys=True, separators=(",", ":"))
+    return cached
 
 
 def plan_hash(plan: RunPlan) -> str:
@@ -391,8 +397,13 @@ def plan_hash(plan: RunPlan) -> str:
     deliberately covers the execution policy too: it never *changes* a
     sequential trial ledger, but batched trajectories are legitimately
     different runs, so over-keying is the conservative choice.
+    Computed once per plan instance, like :func:`canonical_plan_json`.
     """
-    return hashlib.sha256(canonical_plan_json(plan).encode()).hexdigest()
+    cached = vars(plan).get("_plan_hash")
+    if cached is None:
+        cached = vars(plan)["_plan_hash"] = hashlib.sha256(
+            canonical_plan_json(plan).encode()).hexdigest()
+    return cached
 
 
 def _checked(

@@ -40,16 +40,14 @@ just before completing) for the chaos test matrix.
 
 from __future__ import annotations
 
-import http.client
 import os
 import queue
 import signal
 import threading
-import urllib.error
 from typing import Any
 
 from repro.plans import RunPlan
-from repro.service.client import ServiceClient, ServiceError
+from repro.service.client import TRANSPORT_ERRORS, ServiceClient, ServiceError
 from repro.service.faults import crash_point
 
 #: Seconds an idle agent sleeps between claim attempts.
@@ -150,8 +148,7 @@ class WorkerAgent:
                     self.register()
                     continue
                 raise
-            except (urllib.error.URLError, ConnectionError,
-                    TimeoutError, OSError, http.client.HTTPException):
+            except TRANSPORT_ERRORS:
                 # Coordinator unreachable even after client retries:
                 # keep trying (it may be restarting around its journal).
                 self._stop.wait(min(idle_sleep * 2, 5.0))
@@ -166,6 +163,7 @@ class WorkerAgent:
             self._pool.close()
             self._pool = None
         self._leave()
+        self.client.close()
         return self.jobs_done
 
     def _leave(self) -> None:
@@ -286,8 +284,7 @@ class WorkerAgent:
                     except Exception:  # noqa: BLE001
                         return
                 return
-            except (urllib.error.URLError, ConnectionError,
-                    TimeoutError, OSError, http.client.HTTPException):
+            except TRANSPORT_ERRORS:
                 return  # client retries exhausted; lease will expire
 
     # -- background threads --------------------------------------------------
@@ -317,8 +314,7 @@ class WorkerAgent:
                     continue
                 failures += 1
                 continue
-            except (urllib.error.URLError, ConnectionError,
-                    TimeoutError, OSError, http.client.HTTPException):
+            except TRANSPORT_ERRORS:
                 failures += 1
                 continue
             failures = 0
@@ -361,9 +357,7 @@ class WorkerAgent:
                     if exc.status == 409:
                         lost.set()
                     break  # 4xx answers are final; 5xx already retried
-                except (urllib.error.URLError, ConnectionError,
-                        TimeoutError, OSError,
-                        http.client.HTTPException):
+                except TRANSPORT_ERRORS:
                     continue
 
 

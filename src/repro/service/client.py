@@ -1,11 +1,26 @@
-"""Tiny urllib-based client for the service's HTTP endpoint.
+"""Tiny stdlib client for the service's HTTP endpoint.
 
 :class:`ServiceClient` mirrors the :class:`~repro.service.SearchService`
 surface over HTTP -- submit / status / events / result / cancel --
-using nothing beyond :mod:`urllib.request`.  ``repro submit`` is a thin
+using nothing beyond :mod:`http.client`.  ``repro submit`` is a thin
 shell around it, the service-smoke CI job drives a live server with it,
 and :class:`~repro.service.agent.WorkerAgent` speaks the ``/agents``
 federation protocol through the same instance.
+
+The client has one transport: a thread-safe pool of idle HTTP/1.1
+keep-alive connections.  A call takes an idle connection (or opens
+one), sends its request, reads the reply to its end and puts the
+connection back, so one client's submit, event stream and ``/result``
+round trips share one socket; concurrent calls -- the agent shares one
+client across its claim loop, heartbeat thread and upload thread --
+take separate connections.  Before an idle connection is reused it is
+probed with a zero-timeout readability check: an idle socket that reads
+ready was closed by the server (the gateway drops a connection idle for
+30 s) and is discarded instead of failing the call.  A connection goes
+back to the pool only after a complete reply; a failed call, a reply
+that closes the connection, or an event stream abandoned before its
+``end`` frame closes it instead.  :meth:`ServiceClient.close` (or
+leaving a ``with`` block) closes the idle connections.
 
 The client is retry-aware where retrying is safe: connection errors,
 timeouts and 5xx responses on *idempotent* calls are retried with
@@ -23,10 +38,11 @@ from __future__ import annotations
 import http.client
 import json
 import random
+import select
+import threading
 import time
-import urllib.error
-import urllib.request
 from typing import Any, Iterator
+from urllib.parse import urlsplit
 
 from repro.plans import RunPlan
 
@@ -38,6 +54,12 @@ _BACKOFF_CAP = 2.0
 
 #: Cap on the grown poll interval inside :meth:`ServiceClient.wait`.
 _POLL_CAP = 2.0
+
+#: What a call raises when the transport failed rather than the service
+#: answering: refused, reset or timed-out connections (all
+#: :class:`OSError`) and torn replies (:class:`http.client.HTTPException`,
+#: e.g. ``IncompleteRead``).  Idempotent calls retry these.
+TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
 
 
 class ServiceError(RuntimeError):
@@ -78,11 +100,16 @@ class ServiceClient:
         api_key: tenant API key, sent as ``X-API-Key`` on every
             request (required against servers started with
             ``--tenants``; ignored by open servers).
+
+    Use it as a context manager (or call :meth:`close`) to close its
+    pooled connections when done.
     """
 
     def __init__(self, base_url: str, timeout: float = 30.0,
                  max_retries: int = 3, backoff: float = 0.1,
                  api_key: str | None = None):
+        self._lock = threading.Lock()
+        self._idle: list[http.client.HTTPConnection] = []
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         if backoff <= 0:
@@ -92,12 +119,85 @@ class ServiceClient:
         self.max_retries = max_retries
         self.backoff = backoff
         self.api_key = api_key
+        url = urlsplit(self.base_url)
+        self._connection_class = (http.client.HTTPSConnection
+                                  if url.scheme == "https"
+                                  else http.client.HTTPConnection)
+        self._netloc = url.netloc
+        self._prefix = url.path
+        self._headers = {"Content-Type": "application/json"}
+        if api_key is not None:
+            self._headers["X-API-Key"] = api_key
 
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key is not None:
-            headers["X-API-Key"] = self.api_key
-        return headers
+    # -- connection pool -----------------------------------------------------
+
+    def close(self) -> None:
+        """Close every idle pooled connection.
+
+        The client stays usable: a later call opens a fresh
+        connection, and a call still running on another thread pools
+        its connection again when it ends.
+        """
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
+
+    def __enter__(self) -> "ServiceClient":
+        """Context-manager entry: the client itself."""
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        """Context-manager exit closes the pooled connections."""
+        self.close()
+
+    def __del__(self) -> None:
+        # The pool is the client's own cache, not something its caller
+        # opened: dropping the client closes it.
+        self.close()
+
+    def _checkout(self) -> http.client.HTTPConnection:
+        """An idle connection the server has not closed, or a new one."""
+        while True:
+            with self._lock:
+                if not self._idle:
+                    break
+                connection = self._idle.pop()
+            # Nothing is owed to an idle connection, so a socket that
+            # reads ready holds the server's FIN (or stray bytes):
+            # either way it cannot carry the next request.
+            readable, _, _ = select.select([connection.sock], [], [], 0)
+            if not readable:
+                return connection
+            connection.close()
+        return self._connection_class(self._netloc, timeout=self.timeout)
+
+    def _checkin(self, connection: http.client.HTTPConnection) -> None:
+        """Pool a connection whose last reply was read to its end."""
+        if connection.sock is None:  # the reply closed it
+            return
+        with self._lock:
+            self._idle.append(connection)
+
+    def _send(self, connection: http.client.HTTPConnection, method: str,
+              path: str, data: bytes | None = None
+              ) -> http.client.HTTPResponse:
+        connection.request(method, self._prefix + path, body=data,
+                           headers=self._headers)
+        return connection.getresponse()
+
+    def _exchange(self, method: str, path: str,
+                  data: bytes | None) -> tuple[int, bytes]:
+        """One request and its whole reply on a pooled connection."""
+        connection = self._checkout()
+        try:
+            response = self._send(connection, method, path, data)
+            reply = response.read()
+        except BaseException:
+            connection.close()
+            raise
+        self._checkin(connection)
+        return response.status, reply
 
     # -- raw calls -----------------------------------------------------------
 
@@ -110,26 +210,19 @@ class ServiceClient:
         for attempt in range(attempts):
             if attempt:
                 self._backoff_sleep(attempt - 1)
-            request = urllib.request.Request(
-                f"{self.base_url}{path}", data=data, method=method,
-                headers=self._headers(),
-            )
             try:
-                with urllib.request.urlopen(
-                        request, timeout=self.timeout) as resp:
-                    return resp.read()
-            except urllib.error.HTTPError as exc:
-                error = ServiceError(
-                    exc.code, exc.read().decode(errors="replace"))
-                if exc.code < 500:
-                    raise error from None  # an answer, not a failure
-                last = error
-            except (urllib.error.URLError, ConnectionError, TimeoutError,
-                    OSError, http.client.HTTPException) as exc:
-                # HTTPException covers torn replies (IncompleteRead,
-                # BadStatusLine) from half-closed connections -- as
-                # retryable as never having connected at all.
+                status, reply = self._exchange(method, path, data)
+            except TRANSPORT_ERRORS as exc:
+                # Torn replies (IncompleteRead, BadStatusLine) from
+                # half-closed connections are as retryable as never
+                # having connected at all.
                 last = exc
+                continue
+            if 200 <= status < 300:
+                return reply
+            last = ServiceError(status, reply.decode(errors="replace"))
+            if status < 500:
+                raise last  # an answer, not a failure
         assert last is not None
         raise last
 
@@ -194,37 +287,40 @@ class ServiceClient:
         final frame has ``event == "end"`` and carries the job's state
         in ``data``.  An unknown job raises :class:`ServiceError` 404
         before any frame: the server answers it before it starts the
-        stream.
+        stream.  The stream is one chunked reply on a pooled
+        connection, which goes back to the pool with the ``end`` frame;
+        a stream abandoned before that frame closes its connection
+        instead.  Not retried.
         """
-        request = urllib.request.Request(
-            f"{self.base_url}/jobs/{job_id}/events/stream?since={since}",
-            headers=self._headers())
+        connection = self._checkout()
+        pooled = False
         try:
-            response = urllib.request.urlopen(request, timeout=self.timeout)
-        except urllib.error.HTTPError as exc:
-            raise ServiceError(
-                exc.code, exc.read().decode(errors="replace")) from None
-        with response:
-            frame: dict[str, str] = {}
-            for raw in response:
-                line = raw.decode().rstrip("\n")
-                if line.startswith(":"):
-                    continue  # heartbeat comment
-                if line:
-                    name, _, value = line.partition(":")
-                    frame[name.strip()] = value.strip()
-                    continue
-                if not frame:
-                    continue
-                parsed = {
-                    "id": int(frame.get("id", "0")),
-                    "event": frame.get("event", "event"),
-                    "data": json.loads(frame.get("data", "{}")),
-                }
-                frame = {}
-                yield parsed
-                if parsed["event"] == "end":
-                    return
+            response = self._send(
+                connection, "GET",
+                f"/jobs/{job_id}/events/stream?since={since}")
+            if response.status != 200:
+                raise ServiceError(response.status,
+                                   response.read().decode(errors="replace"))
+            buffer = b""
+            while True:
+                data = response.read1()
+                if not data:
+                    return  # the server ended the stream without a frame
+                *blocks, buffer = (buffer + data).split(b"\n\n")
+                for block in blocks:
+                    frame = _parse_frame(block)
+                    if frame is None:
+                        continue  # heartbeat comment
+                    if frame["event"] == "end":
+                        response.read()  # the chunked body's last chunk
+                        self._checkin(connection)
+                        pooled = True
+                        yield frame
+                        return
+                    yield frame
+        finally:
+            if not pooled:
+                connection.close()
 
     def result_bytes(self, job_id: str) -> bytes:
         """``GET /jobs/<id>/result`` -- the canonical stored bytes."""
@@ -330,3 +426,19 @@ class ServiceClient:
             "POST", f"/agents/{agent_id}/jobs/{job_id}/complete",
             {"outcome": outcome, "payload": payload,
              "message": message, "completed": completed})
+
+
+def _parse_frame(block: bytes) -> dict[str, Any] | None:
+    """One SSE frame's fields, or ``None`` for a comment-only block."""
+    fields: dict[str, str] = {}
+    for line in block.decode().split("\n"):
+        if line and not line.startswith(":"):
+            name, _, value = line.partition(":")
+            fields[name.strip()] = value.strip()
+    if not fields:
+        return None
+    return {
+        "id": int(fields.get("id", "0")),
+        "event": fields.get("event", "event"),
+        "data": json.loads(fields.get("data", "{}")),
+    }

@@ -65,18 +65,22 @@ SSE frames carry the event cursor as the SSE ``id:`` field::
 so ``GET /jobs/<id>/events?since=7`` resumes exactly after the last
 frame a client saw.  Comment heartbeats (``: ping``) flow during quiet
 stretches; a terminal job ends the stream with an ``event: end`` frame
-carrying the final state.
+carrying the final state.  The stream is framed with
+``Transfer-Encoding: chunked``: the ``end`` frame is followed by the
+zero-length chunk, and the connection stays open for the client's next
+request like any other keep-alive exchange.
 
 Every submission goes through
 :func:`repro.service.http.admit_submission`: API-key tenancy, quotas
 (429 + ``Retry-After``), fair-share priority weighting, and bounded
 accept-queue backpressure (503).  ``max_connections`` additionally
 caps open sockets (503 at accept).  On SIGTERM, SIGINT or
-``POST /shutdown`` the gateway *drains*: the listener closes, streams
-end with a final frame, new submissions get 503, running jobs finish
-(or are checkpoint-cancelled after ``drain_grace`` seconds), and the
-service shuts down -- flushing the job journal -- before the process
-exits.
+``POST /shutdown`` the gateway *drains*: the listener closes, idle
+keep-alive connections are closed, streams end with a final frame,
+every other connection closes after its current reply (a submission
+already under way gets 503), running jobs finish (or are
+checkpoint-cancelled after ``drain_grace`` seconds), and the service
+shuts down -- flushing the job journal -- before the process exits.
 """
 
 from __future__ import annotations
@@ -133,6 +137,16 @@ _TERMINAL_STATES = ("done", "failed", "cancelled")
 
 #: Cap on request head (request line + headers) size, bytes.
 _MAX_HEADER_BYTES = 32 * 1024
+
+#: Status line and headers of an event stream (its body is chunked).
+_SSE_HEAD = (b"HTTP/1.1 200 OK\r\n"
+             b"Content-Type: text/event-stream\r\n"
+             b"Cache-Control: no-cache\r\n"
+             b"Transfer-Encoding: chunked\r\n"
+             b"Connection: keep-alive\r\n\r\n")
+
+#: The zero-length chunk that ends a chunked body.
+_LAST_CHUNK = b"0\r\n\r\n"
 
 
 class _HttpError(Exception):
@@ -254,6 +268,8 @@ class Gateway:
         self._draining = False
         self._drained: asyncio.Event | None = None
         self._conn_tasks: set[asyncio.Task] = set()
+        #: Connections waiting for a request head (closed at drain).
+        self._idle: set[asyncio.StreamWriter] = set()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -302,6 +318,8 @@ class Gateway:
     async def _drain(self) -> None:
         assert self._server is not None and self._fanout is not None
         self._server.close()
+        for writer in list(self._idle):
+            writer.close()  # its reader sees EOF; nothing was in flight
         self._fanout.wake_all()
         grace_timer: threading.Timer | None = None
         if self.drain_grace is not None:
@@ -351,6 +369,7 @@ class Gateway:
                 await writer.drain()
             writer.close()
             return
+        self.metrics.inc("connections")
         self._connections += 1
         try:
             await self._serve_connection(reader, writer)
@@ -384,7 +403,12 @@ class Gateway:
     async def _read_request(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
     ) -> tuple[str, str, str, dict[str, str], bytes] | None:
-        """Read one request; None closes the connection silently."""
+        """Read one request; None closes the connection silently.
+
+        Until the request head is in, the connection is idle: a drain
+        closes it rather than wait for a request that may never come.
+        """
+        self._idle.add(writer)
         try:
             head = await asyncio.wait_for(
                 reader.readuntil(b"\r\n\r\n"), REQUEST_TIMEOUT_SECONDS)
@@ -397,6 +421,8 @@ class Gateway:
                             {"error": "request headers too large"},
                             close=True)
             return None
+        finally:
+            self._idle.discard(writer)
         try:
             request_line, header_lines = self._split_head(head)
             method, target = self._parse_request_line(request_line)
@@ -516,10 +542,9 @@ class Gateway:
                 and parts[2] == "events" and parts[3] == "stream"):
             require_tenant(self.tenants, headers)
             await self._stream_events(writer, parts[1], query)
-            return True  # the stream consumed the connection
         elif len(parts) == 3 and parts[0] == "jobs" and parts[2] == "result":
             require_tenant(self.tenants, headers)
-            await self._get_result(writer, parts[1])
+            self._get_result(writer, parts[1])
         elif parts == ["agents"]:
             self._send_json(writer, 200, {"agents": service.agents()})
         else:
@@ -648,14 +673,15 @@ class Gateway:
             int(doc.get("completed", 0)))
         self._send_json(writer, 200, info)
 
-    async def _get_result(self, writer: asyncio.StreamWriter,
-                          job_id: str) -> None:
+    def _get_result(self, writer: asyncio.StreamWriter, job_id: str) -> None:
         handle = self.service.job(job_id)
         state = handle.state
         if state != "done":
             raise _HttpError(409, f"job {job_id} is {state}, not done",
                              state=state)
-        blob = await asyncio.to_thread(handle.stored_result_bytes)
+        # A memory read under the service lock, like info() and
+        # events(): cheaper on the loop than a hop to a thread.
+        blob = handle.stored_result_bytes()
         if blob is None:
             raise _HttpError(
                 406, f"workload {handle.plan.workload!r} has no result "
@@ -695,7 +721,11 @@ class Gateway:
     async def _stream_events(self, writer: asyncio.StreamWriter,
                              job_id: str, query: str) -> None:
         """``/jobs/<id>/events/stream``: Server-Sent Events until the
-        job is terminal (or the gateway drains)."""
+        job is terminal (or the gateway drains).
+
+        Each wakeup's frames go out as one chunk; the ``end`` frame
+        goes with the zero-length chunk that completes the reply.
+        """
         handle = self.service.job(job_id)  # 404 before headers go out
         params = parse_qs(query)
         try:
@@ -705,12 +735,8 @@ class Gateway:
         self.metrics.inc("sse_streams")
         self._streams += 1
         assert self._fanout is not None
+        head = _SSE_HEAD  # sent with the first frames
         try:
-            writer.write(
-                b"HTTP/1.1 200 OK\r\n"
-                b"Content-Type: text/event-stream\r\n"
-                b"Cache-Control: no-cache\r\n"
-                b"Connection: close\r\n\r\n")
             with self._fanout.watcher(job_id) as wakeup:
                 while True:
                     wakeup.clear()
@@ -723,28 +749,34 @@ class Gateway:
                     state = handle.state
                     draining = self._draining
                     events = handle.events(since=cursor)
+                    frames = []
                     for event in events:
                         cursor += 1
-                        writer.write(_sse_frame(cursor, event.type_tag,
-                                                event.to_dict()))
+                        frames.append(_sse_frame(cursor, event.type_tag,
+                                                 event.to_dict()))
                     if events:
                         self.metrics.inc("sse_events", len(events))
-                        await writer.drain()
-                    if state in _TERMINAL_STATES or draining:
+                    ended = state in _TERMINAL_STATES or draining
+                    if ended:
                         reason = ("draining"
                                   if state not in _TERMINAL_STATES
                                   else "terminal")
-                        writer.write(_sse_frame(
+                        frames.append(_sse_frame(
                             cursor, "end",
                             {"state": state, "next": cursor,
                              "reason": reason}))
+                    if frames or head:
+                        writer.write(head + _chunk(b"".join(frames))
+                                     + (_LAST_CHUNK if ended else b""))
+                        head = b""
                         await writer.drain()
+                    if ended:
                         return
                     try:
                         await asyncio.wait_for(
                             wakeup.wait(), SSE_HEARTBEAT_SECONDS)
                     except asyncio.TimeoutError:
-                        writer.write(b": ping\n\n")
+                        writer.write(_chunk(b": ping\n\n"))
                         await writer.drain()
         finally:
             self._streams -= 1
@@ -773,6 +805,12 @@ def _render(status: int, blob: bytes,
     for name, value in (headers or {}).items():
         lines.append(f"{name}: {value}")
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + blob
+
+
+def _chunk(data: bytes) -> bytes:
+    """``data`` as one chunk of a chunked body (empty for no data: a
+    zero-length chunk would end the body)."""
+    return b"%x\r\n%s\r\n" % (len(data), data) if data else b""
 
 
 def _sse_frame(cursor: int, tag: str, data: dict[str, Any]) -> bytes:

@@ -17,9 +17,10 @@ counters and gauges, cheap enough to poll:
   counters (``pool.dispatch``, ``worker.reuse``, ``worker.spawn``,
   ``worker.death``, ``workers.alive``), all zero until the first
   process-backend job builds the pool;
-* ``counters`` -- front-end counters (requests served, SSE streams
-  opened, events fanned out, 429/503 rejections, ...), registered by
-  whoever owns the front end via :meth:`MetricsRegistry.inc`;
+* ``counters`` -- front-end counters (connections accepted, requests
+  served, SSE streams opened, events fanned out, 429/503 rejections,
+  ...), registered by whoever owns the front end via
+  :meth:`MetricsRegistry.inc`;
 * ``gauges`` -- live callables (active SSE streams, open
   connections), registered via :meth:`MetricsRegistry.gauge`;
 * ``uptime_seconds`` -- since the registry was built (server start).

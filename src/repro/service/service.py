@@ -578,7 +578,7 @@ class SearchService:
         """Look a job up by id."""
         with self._lock:
             job = self._jobs.get(job_id)
-            known = sorted(self._jobs)
+            known = sorted(self._jobs) if job is None else None
         if job is None:
             listing = ", ".join(known) if known else "(no jobs submitted yet)"
             raise UnknownJobError(f"unknown job {job_id!r}; known: {listing}")

@@ -86,6 +86,21 @@ class TestArchitecture:
         # must have been clamped to 7.
         assert arch.layers[1].kernel == 7
 
+    def test_from_choices_shares_one_spec_per_distinct_layer(self):
+        first = Architecture.from_choices(
+            [3, 5, 3], [4, 8, 4], input_size=16, input_channels=3,
+            conv_types=["standard", "separable", "standard"])
+        again = Architecture.from_choices(
+            [3, 5, 3], [4, 8, 4], input_size=16, input_channels=3,
+            conv_types=["standard", "separable", "standard"])
+        assert all(a is b for a, b in zip(first.layers, again.layers))
+        # Equal arguments of another type build their own spec.
+        floats = Architecture.from_choices(
+            [3.0], [4], input_size=16, input_channels=3)
+        assert floats.layers[0] == first.layers[0]
+        assert floats.layers[0] is not first.layers[0]
+        assert type(floats.layers[0].kernel) is float
+
     def test_total_macs_is_sum(self):
         arch = Architecture.from_choices(
             [3, 3, 3], [4, 8, 4], input_size=10, input_channels=1

@@ -9,7 +9,10 @@ while connections are in flight:
   (connection-dropped errors on the client side);
 * ``"blackhole"`` -- accept connections and read the request bytes but
   never forward them and never answer (the heartbeat-eating partition:
-  the caller blocks until its socket timeout);
+  the caller blocks until its socket timeout).  A partition cuts the
+  connections already open too: while the base mode is
+  ``"blackhole"``, relays drop every byte, so a keep-alive client
+  cannot tunnel through the partition on a pooled connection;
 * ``"slow"`` -- forward, but trickle the upstream response back with a
   delay per chunk (slow-read / thundering-timeout behavior);
 * ``"half-close"`` -- forward the request, relay roughly half of the
@@ -17,8 +20,9 @@ while connections are in flight:
 
 Everything is stdlib sockets and daemon threads; ``stop()`` (or the
 context manager) tears the listener down.  New connections observe the
-mode at accept time, so a test can let a registration through in
-``"pass"`` and then flip to ``"blackhole"`` to partition heartbeats.
+mode at accept time (and open ones a flip to ``"blackhole"``), so a
+test can let a registration through in ``"pass"`` and then flip to
+``"blackhole"`` to partition heartbeats.
 """
 
 import socket
@@ -186,6 +190,8 @@ class ChaosProxy:
                 except OSError:
                     pass
                 return
+            if self.mode == "blackhole":
+                continue  # partitioned: the bytes vanish
             if mode == "slow":
                 time.sleep(self.slow_delay)
             if mode == "half-close":

@@ -134,19 +134,38 @@ class TestEventDelivery:
     def test_stream_events_on_unknown_job_is_one_404_request(
             self, live_gateway, monkeypatch):
         sent = []
-        urlopen = urllib.request.urlopen
+        request = http.client.HTTPConnection.request
 
-        def counting_urlopen(request, *args, **kwargs):
-            sent.append(request.full_url)
-            return urlopen(request, *args, **kwargs)
+        def counting_request(self, method, url, *args, **kwargs):
+            sent.append((method, url))
+            return request(self, method, url, *args, **kwargs)
 
-        monkeypatch.setattr(urllib.request, "urlopen", counting_urlopen)
-        client = ServiceClient(live_gateway.base_url)
-        with pytest.raises(ServiceError) as err:
-            next(client.stream_events("j-missing"))
+        monkeypatch.setattr(http.client.HTTPConnection, "request",
+                            counting_request)
+        with ServiceClient(live_gateway.base_url) as client:
+            with pytest.raises(ServiceError) as err:
+                next(client.stream_events("j-missing"))
         assert err.value.status == 404
-        assert sent == [
-            f"{live_gateway.base_url}/jobs/j-missing/events/stream?since=0"]
+        assert sent == [("GET", "/jobs/j-missing/events/stream?since=0")]
+
+    def test_sse_is_chunked_and_keeps_the_connection(self, live_gateway):
+        with ServiceClient(live_gateway.base_url) as client:
+            info = client.submit(search_plan(seed=15))
+            client.wait(info["job_id"], timeout=120)
+        conn = http.client.HTTPConnection("127.0.0.1", live_gateway.port,
+                                          timeout=10)
+        try:
+            conn.request("GET", f"/jobs/{info['job_id']}/events/stream")
+            resp = conn.getresponse()
+            assert resp.headers["Transfer-Encoding"] == "chunked"
+            body = resp.read()  # de-chunked, up to the last chunk
+            assert body.endswith(b"event: end\ndata: " + json.dumps(
+                {"state": "done", "next": body.count(b"id: ") - 1,
+                 "reason": "terminal"}).encode() + b"\n\n")
+            conn.request("GET", "/health")  # same socket, next request
+            assert json.loads(conn.getresponse().read())["status"] == "ok"
+        finally:
+            conn.close()
 
     def test_long_poll_parks_until_events_arrive(self, live_gateway):
         client = ServiceClient(live_gateway.base_url)
@@ -283,6 +302,24 @@ class TestGracefulDrain:
             service.shutdown(wait=True)
         assert gateway_bytes == in_process_bytes
 
+    def test_stop_closes_an_idle_keep_alive_connection_at_once(
+            self, tmp_path, caplog):
+        runner = GatewayRunner(workers=1,
+                               checkpoint_dir=str(tmp_path / "ckpt")).start()
+        idle = http.client.HTTPConnection("127.0.0.1", runner.port,
+                                          timeout=10)
+        try:
+            idle.request("GET", "/health")
+            assert idle.getresponse().read()
+            started = time.monotonic()
+            runner.stop()
+            assert time.monotonic() - started < 0.5
+            # The server closed its end: the idle socket reads EOF.
+            assert idle.sock.recv(1) == b""
+        finally:
+            idle.close()
+        assert not [r for r in caplog.records if r.levelname == "ERROR"]
+
     def test_sse_streams_end_with_a_drain_frame(self, tmp_path):
         runner = GatewayRunner(workers=1,
                                checkpoint_dir=str(tmp_path / "ckpt")).start()
@@ -304,15 +341,19 @@ class TestGracefulDrain:
 
 class TestGatewayMetrics:
     def test_metrics_reports_streams_and_submissions(self, live_gateway):
-        client = ServiceClient(live_gateway.base_url)
-        info = client.submit(search_plan(seed=40))
-        client.wait(info["job_id"], timeout=120)
-        list(client.stream_events(info["job_id"]))
+        with ServiceClient(live_gateway.base_url) as client:
+            info = client.submit(search_plan(seed=40))
+            client.wait(info["job_id"], timeout=120)
+            list(client.stream_events(info["job_id"]))
         snapshot = get_json(f"{live_gateway.base_url}/metrics")
         assert snapshot["jobs"]["done"] >= 1
         assert snapshot["counters"]["submissions"] >= 1
         assert snapshot["counters"]["sse_streams"] >= 1
         assert snapshot["counters"]["sse_events"] >= 1
+        # The client's calls shared one connection; /metrics came on
+        # a second one.
+        assert snapshot["counters"]["connections"] == 2
+        assert snapshot["counters"]["requests"] >= 5
         assert snapshot["gauges"]["open_connections"] >= 1
         assert snapshot["store"]["entries"] >= 1
         assert snapshot["uptime_seconds"] > 0

@@ -25,8 +25,9 @@ def live_service(tmp_path):
     """A served SearchService on an ephemeral loopback port."""
     with GatewayRunner(workers=2, store_dir=str(tmp_path / "store"),
                        checkpoint_dir=str(tmp_path / "ckpt"),
-                       drain_grace=0) as runner:
-        yield ServiceClient(runner.base_url)
+                       drain_grace=0) as runner, \
+            ServiceClient(runner.base_url) as client:
+        yield client
 
 
 class TestHTTPEndpoint:
@@ -147,3 +148,29 @@ class TestShutdownFlush:
                 assert json.loads(body) == {"status": "shutting down"}
         finally:
             runner.stop(timeout=60)
+
+
+class TestHashOnce:
+    def test_one_http_submission_serializes_its_plan_once(
+            self, monkeypatch):
+        """The dedup probe, the queueing and the pool dispatch of one
+        submission share one serialization of the plan the gateway
+        parsed (a persistent store's journal, absent here, writes the
+        plan document once more for its ``queued`` line)."""
+        serialized = []
+        to_dict = RunPlan.to_dict
+
+        def recording_to_dict(plan):
+            serialized.append(plan)
+            return to_dict(plan)
+
+        monkeypatch.setattr(RunPlan, "to_dict", recording_to_dict)
+        plan = search_plan(seed=90)
+        with GatewayRunner(workers=1, backend="process") as runner, \
+                ServiceClient(runner.base_url) as client:
+            info = client.submit(plan)
+            assert client.wait(info["job_id"], timeout=120)["state"] \
+                == "done"
+            submitted = runner.service.job(info["job_id"]).plan
+        assert submitted is not plan and submitted == plan
+        assert sum(p is submitted for p in serialized) == 1

@@ -310,19 +310,35 @@ class TestDraining:
         running = client.submit(search_plan(seed=70, trials=100_000))
         held = http.client.HTTPConnection(runner.host, runner.port,
                                           timeout=10)
+        idle = http.client.HTTPConnection(runner.host, runner.port,
+                                          timeout=10)
+        body = json.dumps({"plan": search_plan(seed=71).to_dict()})
         try:
             wait_until_running(client, running["job_id"])
-            # A kept-alive connection outlives the listener's close.
-            held.request("GET", "/health")
-            assert held.getresponse().read()
+            client.close()
+            # A submission under way when the drain begins: its head
+            # is in, its body is not.  Once no connection is idle, the
+            # gateway has read the head.
+            held.putrequest("POST", "/jobs")
+            held.putheader("Content-Type", "application/json")
+            held.putheader("Content-Length", str(len(body)))
+            held.endheaders()
+            deadline = time.monotonic() + 10
+            while runner.gateway._idle:
+                assert time.monotonic() < deadline, "head never read"
+                time.sleep(0.01)
+            idle.request("GET", "/health")
+            assert idle.getresponse().read()
             assert client.shutdown()["status"] == "shutting down"
             deadline = time.monotonic() + 10
             while not runner.gateway.draining:
                 assert time.monotonic() < deadline, "drain never began"
                 time.sleep(0.01)
-            held.request("POST", "/jobs", body=json.dumps(
-                {"plan": search_plan(seed=71).to_dict()}),
-                headers={"Content-Type": "application/json"})
+            # The idle keep-alive connection is closed at once, while
+            # the job still runs.
+            assert idle.sock.recv(1) == b""
+            assert runner.service.job(running["job_id"]).state == "running"
+            held.send(body.encode())
             resp = held.getresponse()
             assert resp.status == 503
             assert resp.headers["Retry-After"] == "1"
@@ -330,6 +346,7 @@ class TestDraining:
                 == "gateway is draining; resubmit elsewhere"
         finally:
             held.close()
+            idle.close()
             runner.service.cancel(running["job_id"])
             runner.stop()
         assert runner.service.job(running["job_id"]).state == "cancelled"

@@ -331,14 +331,41 @@ class TestLifecycleAndErrors:
     def test_shutdown_cancels_queued_jobs_and_rejects_new_ones(self):
         import time
 
-        service = SearchService(workers=1)
-        running = service.submit(search_plan(seed=0, trials=15))
-        queued = service.submit(search_plan(seed=1, trials=15))
-        deadline = time.monotonic() + 60
-        while running.state == "queued" and time.monotonic() < deadline:
-            time.sleep(0.01)  # let the worker claim the first job
-        service.shutdown(wait=True)
-        assert running.state == "done"
-        assert queued.state == "cancelled"
-        with pytest.raises(RuntimeError, match="shut down"):
-            service.submit(search_plan(seed=2))
+        # The first job holds the only worker on a gate until shutdown
+        # has begun, so the second is provably still queued then.
+        entered, gate = threading.Event(), threading.Event()
+
+        class GatedEvaluator(SurrogateAccuracyEvaluator):
+            def __init__(self, space, config, seed):
+                super().__init__(space, config, seed=seed)
+
+            def evaluate(self, architecture):
+                entered.set()
+                assert gate.wait(timeout=60), "gate never opened"
+                return super().evaluate(architecture)
+
+        EVALUATORS.register("gated", GatedEvaluator, replace=True)
+        try:
+            service = SearchService(workers=1)
+            running = service.submit(
+                search_plan(seed=0, trials=15, evaluator="gated"))
+            queued = service.submit(search_plan(seed=1, trials=15))
+            assert entered.wait(timeout=60), "the first job never started"
+            stopper = threading.Thread(target=service.shutdown,
+                                       kwargs={"wait": True})
+            stopper.start()
+            try:
+                deadline = time.monotonic() + 60
+                while queued.state != "cancelled":
+                    assert time.monotonic() < deadline, "shutdown never began"
+                    time.sleep(0.005)
+            finally:
+                gate.set()
+                stopper.join(timeout=120)
+            assert not stopper.is_alive()
+            assert running.state == "done"
+            assert queued.state == "cancelled"
+            with pytest.raises(RuntimeError, match="shut down"):
+                service.submit(search_plan(seed=2))
+        finally:
+            EVALUATORS.unregister("gated")
