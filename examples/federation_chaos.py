@@ -31,14 +31,13 @@ import subprocess
 import sys
 import tempfile
 import time
-import urllib.error
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
 from repro.plans import RunPlan, ScenarioPlan, SearchPlan  # noqa: E402
-from repro.service.client import ServiceClient  # noqa: E402
+from repro.service.client import TRANSPORT_ERRORS, ServiceClient  # noqa: E402
 
 PORT = 8737
 URL = f"http://127.0.0.1:{PORT}"
@@ -87,7 +86,7 @@ def wait_for_server(client, deadline=30.0):
         try:
             if client.health()["status"] == "ok":
                 return
-        except (urllib.error.URLError, ConnectionError, OSError):
+        except TRANSPORT_ERRORS:
             time.sleep(0.2)
     raise SystemExit("server did not come up in time")
 

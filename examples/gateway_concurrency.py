@@ -32,14 +32,13 @@ import sys
 import tempfile
 import threading
 import time
-import urllib.error
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
 from repro.plans import RunPlan, ScenarioPlan, SearchPlan  # noqa: E402
-from repro.service.client import ServiceClient  # noqa: E402
+from repro.service.client import TRANSPORT_ERRORS, ServiceClient  # noqa: E402
 from repro.service.journal import JobJournal  # noqa: E402
 from repro.service.service import SearchService  # noqa: E402
 from repro.service.store import ResultStore, result_key  # noqa: E402
@@ -83,7 +82,7 @@ def wait_for_server(client, deadline=30.0):
         try:
             if client.health()["status"] == "ok":
                 return
-        except (urllib.error.URLError, ConnectionError, OSError):
+        except TRANSPORT_ERRORS:
             time.sleep(0.2)
     raise SystemExit("server did not come up in time")
 

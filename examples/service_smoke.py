@@ -28,7 +28,6 @@ import subprocess
 import sys
 import tempfile
 import time
-import urllib.error
 import urllib.request
 from pathlib import Path
 
@@ -36,7 +35,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
 from repro.plans import RunPlan, ScenarioPlan, SearchPlan  # noqa: E402
-from repro.service.client import ServiceClient, ServiceError  # noqa: E402
+from repro.service.client import (  # noqa: E402
+    TRANSPORT_ERRORS,
+    ServiceClient,
+    ServiceError,
+)
 
 PORT = 8731
 URL = f"http://127.0.0.1:{PORT}"
@@ -57,7 +60,7 @@ def wait_for_server(client, deadline=30.0):
         try:
             if client.health()["status"] == "ok":
                 return
-        except (urllib.error.URLError, ConnectionError, OSError):
+        except TRANSPORT_ERRORS:
             time.sleep(0.2)
     raise SystemExit("server did not come up in time")
 

@@ -12,7 +12,7 @@ Two interchangeable implementations behind one protocol:
 Batches are scored through :func:`evaluate_many`, which uses an
 evaluator's ``evaluate_batch`` when it has one and falls back to a
 serial loop otherwise; :class:`ParallelEvaluator` wraps any evaluator
-with an ``evaluate_batch`` that fans one task per child across a
+with an ``evaluate_batch`` that maps one task per child over a
 :class:`~repro.service.pool.WorkerPool` (the one process runtime),
 turning the independent child trainings of one search batch into
 parallel work.
@@ -23,7 +23,6 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING, Protocol, Sequence
 
 import numpy as np
@@ -167,9 +166,12 @@ class TrainedAccuracyEvaluator:
 
 
 def _evaluate(
-    evaluator: AccuracyEvaluator, architecture: Architecture
+    index: int, evaluator: AccuracyEvaluator, architecture: Architecture
 ) -> EvaluationOutcome:
-    """Pool task body: score one architecture in a worker process."""
+    """Pool call: score one architecture in a worker process.
+
+    ``index`` (the child's position in its batch) rides along so the
+    parent files the outcome where it belongs."""
     return evaluator.evaluate(architecture)
 
 
@@ -183,15 +185,15 @@ class ParallelEvaluator:
     are identical either way because the wrapped evaluators are
     deterministic per architecture.
 
-    Each architecture of a batch is one task on a private
-    :class:`~repro.service.pool.WorkerPool`, submitted in input order
-    while a worker is free, so a slow child never holds back the rest.
+    A batch is one :meth:`~repro.service.pool.WorkerPool.map` call on
+    a private :class:`~repro.service.pool.WorkerPool`, one unit per
+    child in input order, so a slow child never holds back the rest.
     The wrapped evaluator is pickled with every task, which costs
     milliseconds against the seconds a trained child takes.  Failures
     keep the serial path's semantics:
 
-    * once a task raises, no further items are dispatched; the
-      in-flight tasks settle, and the exception of the *first* failed
+    * once a child raises, no further children are dispatched; the
+      in-flight ones settle, and the exception of the *first* failed
       index is raised -- the original exception, or
       :class:`~repro.service.pool.WorkerTaskError` when it could not be
       pickled back -- which is exactly what the serial loop raises;
@@ -200,8 +202,10 @@ class ParallelEvaluator:
       the child and the worker's exit code.  The pool replaces the dead
       worker lazily, so later batches fan out again.
 
-    Either way the pool comes back with every worker idle.  Use as a
-    context manager (or call :meth:`close`) to reclaim the workers.
+    Either way the pool comes back with every worker idle; an
+    interrupt closes it, and the next batch starts a fresh one.  Use
+    as a context manager (or call :meth:`close`) to reclaim the
+    workers.
     """
 
     def __init__(self, evaluator: AccuracyEvaluator, max_workers: int = 2):
@@ -223,59 +227,39 @@ class ParallelEvaluator:
             return [self.evaluator.evaluate(a) for a in architectures]
         # Deferred import, as in Campaign._run_pooled: core keeps no
         # import-time dependency on the service layer.
-        from repro.service.pool import WorkerPool, WorkerTaskError
+        from repro.service.pool import WorkerPool
 
         if self._pool is None:
             self._pool = WorkerPool(self.max_workers, name="repro-eval")
-        pool = self._pool
-        total = len(architectures)
         outcomes: dict[int, EvaluationOutcome] = {}
-        unscored = {}  # index -> handle of a task that failed or died
-        inflight = {}  # handle -> index
-        submitted, failed = 0, False
+        lost: dict[int, int | None] = {}  # index -> its dead worker's exit
+
+        def on_death(calls: list, exitcode: int | None) -> list:
+            lost.update((call[0], exitcode) for call in calls)
+            return []  # scored in-process below
+
         try:
-            while inflight or (submitted < total and not failed):
-                # Never submit while every worker is busy: a worker frees
-                # up only when this thread pumps its pipe in wait().
-                while (submitted < total and not failed
-                       and pool.available() > 0):
-                    call = (self.evaluator, architectures[submitted])
-                    handle = pool.submit(
-                        _evaluate, [call],
-                        on_item=partial(_file_outcome, outcomes, submitted),
-                    )
-                    inflight[handle] = submitted
-                    submitted += 1
-                for handle in pool.wait(list(inflight), timeout=0.5):
-                    index = inflight.pop(handle)
-                    if handle.error is not None:  # the worker died
-                        unscored[index] = handle
-                    elif handle.outcome[0] == "failed":
-                        unscored[index] = handle
-                        failed = True
-        except BaseException:
-            self.close()  # terminates the workers of unsettled tasks
-            raise
-        results = []
-        for index, architecture in enumerate(architectures):
-            if index in outcomes:
-                results.append(outcomes[index])
-                continue
-            handle = unscored[index]
-            if handle.error is None:
-                message, original = handle.outcome[2], handle.outcome[3]
-                if original is not None:
-                    raise original
-                raise WorkerTaskError(message)
+            self._pool.map(
+                _evaluate,
+                [[(index, self.evaluator, architecture)]
+                 for index, architecture in enumerate(architectures)],
+                on_item=lambda call, outcome: outcomes.__setitem__(
+                    call[0], outcome),
+                on_death=on_death,
+            )
+        finally:
+            if self._pool.closed:  # an interrupt terminated its workers
+                self._pool = None
+        for index, exitcode in sorted(lost.items()):
             warnings.warn(
                 f"ParallelEvaluator: the worker scoring child {index} of "
-                f"the batch died (exit code {handle.error.exitcode}); "
+                f"the batch died (exit code {exitcode}); "
                 "evaluating that child in-process",
                 RuntimeWarning,
                 stacklevel=2,
             )
-            results.append(self.evaluator.evaluate(architecture))
-        return results
+            outcomes[index] = self.evaluator.evaluate(architectures[index])
+        return [outcomes[index] for index in range(len(architectures))]
 
     def latency_eval_seconds(self) -> float:
         """Delegate the FNAS-tool cost constant."""
@@ -292,11 +276,6 @@ class ParallelEvaluator:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def _file_outcome(outcomes: dict, index: int, _item: int, outcome) -> None:
-    """``on_item`` of a one-item task: file its outcome by batch index."""
-    outcomes[index] = outcome
 
 
 # --- Registry entries -----------------------------------------------------

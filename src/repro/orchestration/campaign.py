@@ -6,11 +6,11 @@ shards and runs them to completion:
 * **fan-out** -- shards execute across a
   :class:`~repro.service.pool.WorkerPool` of **long-lived** worker
   processes (``max_workers``), each worker rebuilding its search from
-  the spec alone.  The pool is the same runtime the service's process
-  backend and the federation agents run jobs on: workers stay warm
-  across shards (imports, tiling memo), and small shards batch
-  together per worker submission (``batch_trials``) so dispatch
-  overhead amortizes;
+  the spec alone.  The campaign is a thin caller of the pool's
+  :meth:`~repro.service.pool.WorkerPool.map`, the one fan-out loop the
+  evaluator also runs on: workers stay warm across shards (imports,
+  tiling memo), and small shards batch together per worker submission
+  (``batch_trials``) so dispatch overhead amortizes;
 * **durability** -- with a ``checkpoint_dir``, every shard snapshots
   atomically as it runs, and a shard re-queued after a worker death
   *resumes* from its last snapshot instead of restarting;
@@ -38,7 +38,6 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -256,11 +255,6 @@ class Campaign:
             cumulative trials would exceed it.  Amortizes per-dispatch
             overhead on grids of many tiny shards.  ``None`` (the
             default) dispatches every shard individually.
-        pool: a :class:`~repro.service.pool.WorkerPool` to dispatch
-            pooled shards on (it is *not* closed by the campaign).
-            ``None`` (the default) stands up a transient pool per
-            pooled run -- workers are still reused across that run's
-            shards.
     """
 
     def __init__(
@@ -272,7 +266,6 @@ class Campaign:
         progress: EventCallback | None = None,
         store: Any = None,
         batch_trials: int | None = None,
-        pool: Any = None,
     ):
         if not shards:
             raise ValueError("a campaign needs at least one shard")
@@ -301,7 +294,6 @@ class Campaign:
         self.progress = progress
         self.store = store
         self.batch_trials = batch_trials
-        self.pool = pool
 
     def run(self, max_workers: int = 1, should_stop=None) -> CampaignResult:
         """Execute every shard and merge the results.
@@ -309,15 +301,19 @@ class Campaign:
         ``max_workers <= 1`` runs shards serially in-process (still
         checkpointed); larger values fan shards across a process pool.
         Worker death re-queues the affected shards -- resuming from
-        their last checkpoints -- onto a rebuilt pool, falling back to
-        serial execution once ``max_pool_restarts`` is exhausted.
+        their last checkpoints -- onto fresh workers, falling back to
+        serial execution once ``max_pool_restarts`` is exhausted.  A
+        shard that raises fails the campaign once the shards in flight
+        finish; any other exception (an interrupt) terminates the pool
+        workers at once.
 
         ``should_stop`` (a zero-argument callable) cancels the campaign
         cooperatively: the serial path polls it between trials inside
         each shard (snapshotting before raising, when checkpointing is
-        on); the pooled path stops scheduling new shards, waits for the
-        in-flight ones (their own cadence snapshots survive) and then
-        raises.  Cancellation surfaces as
+        on); the pooled path stops dispatching, waits for each worker
+        to finish the shard it is running (their own cadence snapshots
+        survive; their results are dropped) and then raises, unless
+        every shard had already landed.  Cancellation surfaces as
         :class:`~repro.core.search.SearchCancelled`, with ``completed``
         counting finished shards.
         """
@@ -344,13 +340,7 @@ class Campaign:
                 )
             except SearchCancelled:
                 raise SearchCancelled(len(outcomes)) from None
-            self._store_outcome(outcome)
-            outcomes[shard_id] = dataclasses.replace(
-                outcome, requeues=requeues[shard_id])
-            del pending[shard_id]
-            self._publish(SearchFinished(
-                shard_id, f"{len(outcomes[shard_id].result.trials)} trials"
-            ))
+            self._land(outcome, pending, outcomes, requeues)
         ordered = [outcomes[s.shard_id] for s in self.shards]
         return CampaignResult(
             outcomes=ordered,
@@ -420,6 +410,25 @@ class Campaign:
         except OSError:
             pass
 
+    def _land(
+        self,
+        outcome: ShardOutcome,
+        pending: dict[str, ShardSpec],
+        outcomes: dict[str, ShardOutcome],
+        requeues: dict[str, int],
+    ) -> None:
+        """File one finished shard: store it, record it, publish it."""
+        shard_id = outcome.spec.shard_id
+        self._store_outcome(outcome)
+        outcomes[shard_id] = dataclasses.replace(
+            outcome, requeues=requeues[shard_id])
+        del pending[shard_id]
+        self._publish(SearchFinished(
+            shard_id,
+            f"{len(outcome.result.trials)} trials"
+            + (" (resumed)" if outcome.resumed_from else ""),
+        ))
+
     def _run_pooled(
         self,
         pending: dict[str, ShardSpec],
@@ -428,33 +437,67 @@ class Campaign:
         max_workers: int,
         should_stop=None,
     ) -> None:
-        """Drain ``pending`` through a :class:`WorkerPool`.
+        """Drain ``pending`` through a pool of its own via
+        :meth:`~repro.service.pool.WorkerPool.map`.
 
-        Uses the injected ``self.pool`` when one was provided (shared
-        with the service runtime), else a transient pool sized to the
-        work -- either way the workers are long-lived across shards.
-        Shards whose results arrive are moved to
-        ``outcomes``; anything still pending when the death budget
-        runs out is left for the caller's serial fallback.  Exceptions
-        raised *by a shard itself* (bad spec reaching a worker,
-        evaluator bugs) propagate -- only worker death triggers
-        re-queuing.
+        The workers are long-lived across this run's shards.  A worker
+        death re-queues exactly its unit's unfinished shards,
+        **individually** (their checkpoints make the re-run a resume);
+        once deaths exceed ``max_pool_restarts`` no new units are
+        dispatched and the leftovers stay in ``pending`` for the
+        caller's serial fallback (``PoolFallback``).  A shard's own
+        exception propagates once the shards in flight finish, and a
+        stop request raises :class:`~repro.core.search.SearchCancelled`
+        with the finished-shard count.
         """
         # Deferred import: orchestration must stay importable without
         # dragging the whole service package in at module-import time.
         from repro.service.pool import WorkerPool
 
         workers = min(max_workers, len(pending))
-        pool = self.pool
-        transient = pool is None
-        if transient:
-            pool = WorkerPool(workers, name="repro-campaign")
-        try:
-            self._dispatch_pooled(pool, pending, outcomes, requeues,
-                                  workers, should_stop=should_stop)
-        finally:
-            if transient:
-                pool.close()
+        for shard_id in pending:
+            self._publish(SearchStarted(
+                shard_id, f"submitted to {workers}-worker pool"))
+        deaths = 0
+
+        def on_death(calls: list, exitcode: int | None) -> list | None:
+            nonlocal deaths
+            deaths += 1
+            for spec, *_ in calls:
+                requeues[spec.shard_id] += 1
+                self._publish(ShardRequeued(
+                    spec.shard_id,
+                    "worker died; re-queuing from last checkpoint"
+                    if self.checkpoint_dir is not None
+                    else "worker died; re-queuing from scratch",
+                ))
+            if deaths > self.max_pool_restarts:
+                return None
+            return [[call] for call in calls]
+
+        units = [
+            [(spec, self.checkpoint_dir, self.checkpoint_every)
+             for spec in unit]
+            for unit in self._dispatch_units(pending)
+        ]
+        with WorkerPool(workers, name="repro-campaign") as pool:
+            try:
+                # Late-bound module global: monkeypatched run_shard
+                # doubles dispatch like the real one.
+                pool.map(
+                    run_shard, units,
+                    on_item=lambda call, outcome: self._land(
+                        outcome, pending, outcomes, requeues),
+                    on_death=on_death, should_stop=should_stop,
+                )
+            except SearchCancelled:
+                raise SearchCancelled(len(outcomes)) from None
+        if deaths > self.max_pool_restarts and pending:
+            self._publish(PoolFallback(
+                "",
+                f"pool died {deaths} times; running the "
+                f"remaining {len(pending)} shard(s) in-process",
+            ))
 
     def _dispatch_units(
         self, pending: dict[str, ShardSpec]
@@ -489,171 +532,8 @@ class Campaign:
             units.append(batch)
         return units
 
-    def _dispatch_pooled(
-        self,
-        pool: Any,
-        pending: dict[str, ShardSpec],
-        outcomes: dict[str, ShardOutcome],
-        requeues: dict[str, int],
-        workers: int,
-        should_stop=None,
-    ) -> None:
-        """Pump dispatch units through the pool until drained.
-
-        A worker death re-queues exactly its unit's unfinished shards,
-        **individually** (their checkpoints make the re-run a resume);
-        once deaths exceed ``max_pool_restarts`` no new units are
-        dispatched and the leftovers fall to the serial path
-        (``PoolFallback``).  A stop request cancels the in-flight
-        units cooperatively -- batch boundaries plus each shard's own
-        cadence checkpoints preserve progress -- and raises
-        :class:`~repro.core.search.SearchCancelled`.
-        """
-        queue = self._dispatch_units(pending)
-        inflight: dict[Any, list[ShardSpec]] = {}
-        deaths = 0
-        try:
-            while queue or inflight:
-                if should_stop is not None and should_stop():
-                    self._drain_cancelled(pool, inflight)
-                    raise SearchCancelled(len(outcomes))
-                while queue and deaths <= self.max_pool_restarts:
-                    # Never block on a checkout while holding in-flight
-                    # handles: their workers free up only when *we*
-                    # pump the pipes below (a blocking submit would
-                    # deadlock a fully-dispatched pool).
-                    if inflight and pool.available() <= 0:
-                        break
-                    unit = queue.pop(0)
-                    handle = pool.submit(
-                        # Late-bound module global: monkeypatched
-                        # run_shard doubles dispatch like the real one.
-                        run_shard,
-                        [(spec, self.checkpoint_dir, self.checkpoint_every)
-                         for spec in unit],
-                        on_item=self._on_shard_done(
-                            unit, pending, outcomes, requeues
-                        ),
-                        should_stop=partial(_submit_should_give_up,
-                                            inflight, should_stop),
-                    )
-                    if handle is None:  # checkout yielded to stop/pump
-                        queue.insert(0, unit)
-                        break
-                    inflight[handle] = unit
-                    for spec in unit:
-                        self._publish(SearchStarted(
-                            spec.shard_id,
-                            f"submitted to {workers}-worker pool",
-                        ))
-                if not inflight:
-                    if deaths > self.max_pool_restarts:
-                        break
-                    continue
-                for handle in pool.wait(list(inflight), timeout=0.5):
-                    deaths += self._finish_handle(
-                        handle, inflight.pop(handle), requeues, queue
-                    )
-        except SearchCancelled:
-            raise
-        except BaseException:
-            # A failing shard (or callback) must not leave orphaned
-            # tasks writing into unread handles on a shared pool.
-            self._drain_cancelled(pool, inflight)
-            raise
-        if deaths > self.max_pool_restarts and pending:
-            self._publish(PoolFallback(
-                "",
-                f"pool died {deaths} times; running the "
-                f"remaining {len(pending)} shard(s) in-process",
-            ))
-
-    def _on_shard_done(
-        self,
-        unit: list[ShardSpec],
-        pending: dict[str, ShardSpec],
-        outcomes: dict[str, ShardOutcome],
-        requeues: dict[str, int],
-    ):
-        """Per-unit completion callback: one call per finished shard."""
-        def on_item(index: int, outcome: ShardOutcome) -> None:
-            spec = unit[index]
-            self._store_outcome(outcome)
-            outcome = dataclasses.replace(
-                outcome, requeues=requeues[spec.shard_id])
-            outcomes[spec.shard_id] = outcome
-            del pending[spec.shard_id]
-            self._publish(SearchFinished(
-                spec.shard_id,
-                f"{len(outcome.result.trials)} trials"
-                + (" (resumed)" if outcome.resumed_from else ""),
-            ))
-        return on_item
-
-    def _finish_handle(
-        self,
-        handle: Any,
-        unit: list[ShardSpec],
-        requeues: dict[str, int],
-        queue: list[list[ShardSpec]],
-    ) -> int:
-        """Settle one finished unit; returns the worker deaths (0/1).
-
-        On death, each shard of the unit that produced no result is
-        re-queued as its *own* unit -- a batch never dies as a block,
-        and the re-run resumes from the shard's last checkpoint.
-        """
-        if handle.error is not None:
-            for index in handle.lost_indices:
-                spec = unit[index]
-                requeues[spec.shard_id] += 1
-                self._publish(ShardRequeued(
-                    spec.shard_id,
-                    "worker died; re-queuing from last checkpoint"
-                    if self.checkpoint_dir is not None
-                    else "worker died; re-queuing from scratch",
-                ))
-                queue.append([spec])
-            return 1
-        tag = handle.outcome[0]
-        if tag == "failed":
-            message, original = handle.outcome[2], handle.outcome[3]
-            if original is not None:
-                raise original
-            raise RuntimeError(message)
-        # "done": every item already landed via on_item.  "cancelled"
-        # only occurs during a drain, where leftovers stay pending.
-        return 0
-
-    def _drain_cancelled(self, pool: Any, inflight: dict) -> None:
-        """Cancel and settle every in-flight unit (results dropped).
-
-        In-flight work runs to its next poll boundary, its results are
-        discarded (callbacks disabled), and the pool comes back with
-        every worker idle --
-        mandatory when the pool is shared with the service runtime.
-        """
-        for handle in inflight:
-            handle.on_item = None
-            pool.cancel(handle)
-        remaining = [h for h in inflight if not h.finished]
-        while remaining:
-            pool.wait(remaining, timeout=0.5)
-            remaining = [h for h in remaining if not h.finished]
-        inflight.clear()
-
     def _publish(self, event: Event) -> None:
         """Hand one typed event to the progress callback (if any)."""
         if self.progress is not None:
             self.progress(event)
 
-
-def _submit_should_give_up(inflight: dict, should_stop) -> bool:
-    """Checkout guard for :meth:`Campaign._dispatch_pooled`'s submits.
-
-    Gives the checkout up (submit returns None) when a stop was
-    requested, or the moment we hold in-flight handles -- their
-    workers only free up when the dispatch loop pumps the pipes, so
-    waiting inside submit could deadlock a fully-dispatched pool.
-    """
-    return bool(inflight) or (should_stop is not None and should_stop())

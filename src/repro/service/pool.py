@@ -19,17 +19,17 @@ Its workers
   between trials (and between batch items), and a worker orphaned by
   a SIGKILLed parent notices the changed ppid and exits at its next
   poll;
-* report worker death explicitly: a handle whose worker died carries
-  a :class:`WorkerDied` error plus the set of batch items that already
-  landed, so the caller can re-queue exactly the lost items
-  (campaigns re-queue them *individually* and their checkpoints
-  resume).
+* report worker death explicitly: a task whose worker died carries
+  a :class:`WorkerDied` error plus the calls that produced no result,
+  so the caller can re-queue exactly those (campaigns re-queue them
+  *individually* and their checkpoints resume).
 
-Tasks come in two kinds.  :meth:`WorkerPool.submit` runs a batch of
-calls ``fn(*call)``, one ``item-done`` frame per call so results stream
-back as they finish -- the campaign's shard dispatch and the
-evaluator's one-child tasks.  :meth:`WorkerPool.run_plan` runs one full
-:class:`~repro.plans.RunPlan` through
+Work comes in two kinds.  :meth:`WorkerPool.map` fans units of calls
+``fn(*call)`` over the workers, one task per unit and one ``item-done``
+frame per call, and owns the whole loop: dispatch, failure, worker
+death, stop and interrupt -- the campaign's shards and the evaluator's
+children are its two callers.  :meth:`WorkerPool.run_plan` runs one
+full :class:`~repro.plans.RunPlan` through
 :func:`~repro.service.executor.execute_plan` with typed events
 streamed back -- the service's process backend and the federation
 agent's job execution.  Either kind's results leave the worker in one
@@ -38,12 +38,15 @@ form: a campaign shard as its
 result as the :class:`~repro.service.store.EncodedResult` the worker
 encoded once, any other plan's result as the object.
 
-Thread safety is by *checkout*: a worker belongs to exactly one
-handle (hence one calling thread) from dispatch until its terminal
-frame is processed, so pipes never interleave across threads.  The
-pool object itself (checkout, release, stats) is lock-protected and
-shared freely across threads -- the service's worker threads all draw
-from one pool.
+Thread safety is by *checkout*: a worker belongs to exactly one task
+(hence one calling thread) from dispatch until its terminal frame is
+processed, so pipes never interleave across threads.  The pool object
+itself (checkout, release, stats) is lock-protected, and ``run_plan``
+is the shared-pool entry -- the service's worker threads all draw from
+one pool.  ``map`` needs a pool no other thread dispatches on (the
+campaign and the evaluator each own theirs): its "is a worker free"
+check and its close-on-error policy assume every task in flight is its
+own.
 """
 
 from __future__ import annotations
@@ -294,16 +297,15 @@ class _Worker:
         self.tasks_run = 0
 
 
-class TaskHandle:
+class _Task:
     """One dispatched task: its worker, streamed results, terminal state.
 
-    A handle is owned by the thread that submitted it; only that
-    thread may :meth:`WorkerPool.wait` on it or read its fields.
+    A task belongs to the thread that dispatched it; only that thread
+    pumps its pipe or reads its fields.
 
     Attributes:
         seq: the task's generation number (unique per pool).
-        item_count: how many batch items the task carries (1 for plan
-            tasks).
+        calls: a batch task's calls, in order (empty for a plan task).
         delivered: indices whose ``item-done`` frames have arrived.
         outcome: the terminal frame, once processed (``("done", seq,
             value)`` / ``("cancelled", seq, n)`` / ``("failed", seq,
@@ -311,13 +313,13 @@ class TaskHandle:
         error: a :class:`WorkerDied` when the worker died mid-task.
     """
 
-    __slots__ = ("seq", "item_count", "worker", "on_item", "on_event",
+    __slots__ = ("seq", "calls", "worker", "on_item", "on_event",
                  "delivered", "outcome", "error")
 
-    def __init__(self, seq: int, item_count: int, worker: _Worker,
+    def __init__(self, seq: int, calls: list, worker: _Worker,
                  on_item=None, on_event=None):
         self.seq = seq
-        self.item_count = item_count
+        self.calls = calls
         self.worker = worker
         self.on_item = on_item
         self.on_event = on_event
@@ -331,13 +333,51 @@ class TaskHandle:
         return self.outcome is not None or self.error is not None
 
     @property
-    def lost_indices(self) -> list[int]:
-        """Batch items with no result when the task ended (in order)."""
-        return [i for i in range(self.item_count) if i not in self.delivered]
+    def lost(self) -> list:
+        """Calls with no result when the task ended (in order)."""
+        return [call for index, call in enumerate(self.calls)
+                if index not in self.delivered]
+
+    def cancel(self) -> None:
+        """Ask the worker to stop at its next poll boundary.
+
+        Sets the worker's cancel generation to this task's ``seq``;
+        the child stops between batch items, or between trials inside
+        a plan.  A no-op once finished -- the worker may already run a
+        newer task.
+        """
+        if not self.finished:
+            self.worker.cancel_seq.value = self.seq
+
+    def result(self) -> Any:
+        """The task's value, or raise what ended it.
+
+        :class:`WorkerDied` for a dead worker,
+        :class:`~repro.core.search.SearchCancelled` for a cancelled
+        task, else the child's exception -- or :class:`WorkerTaskError`
+        when it could not be pickled back.
+        """
+        if self.error is not None:
+            raise self.error
+        tag = self.outcome[0]
+        if tag == "done":
+            return self.outcome[2]
+        if tag == "cancelled":
+            from repro.core.search import SearchCancelled
+
+            raise SearchCancelled(self.outcome[2])
+        assert tag == "failed", f"unknown terminal frame {tag!r}"
+        message, original = self.outcome[2], self.outcome[3]
+        if original is not None:
+            raise original
+        raise WorkerTaskError(message)
 
 
 class WorkerPool:
-    """A pool of long-lived worker processes shared across dispatchers.
+    """A pool of long-lived worker processes.
+
+    Many threads may share one pool through :meth:`run_plan`; call
+    :meth:`map` only on a pool of your own.
 
     Parameters:
         max_workers: concurrent worker processes (spawned lazily as
@@ -380,11 +420,8 @@ class WorkerPool:
     def close(self) -> None:
         """Shut every worker down (idempotent).
 
-        Callers drain their in-flight handles first (the campaign's
-        cancel path, the service's thread join), so by the time close
-        runs every worker is idle and exits on the ``exit`` frame;
-        any still-checked-out worker (a crashed dispatcher) is
-        terminated defensively.
+        An idle worker exits on the ``exit`` frame; a worker still
+        running a task (an interrupted :meth:`map`) is terminated.
         """
         with self._cond:
             if self._closed:
@@ -409,7 +446,7 @@ class WorkerPool:
                 worker.conn.close()
             except OSError:
                 pass
-        for worker in abandoned:  # pragma: no cover - defensive teardown
+        for worker in abandoned:
             worker.process.terminate()
             worker.process.join()
             try:
@@ -419,8 +456,13 @@ class WorkerPool:
 
     # -- introspection ------------------------------------------------------
 
+    @property
+    def closed(self) -> bool:
+        """Whether :meth:`close` ran (a closed pool takes no work)."""
+        return self._closed
+
     def available(self) -> int:
-        """Workers a submit could use right now without blocking."""
+        """Workers a dispatch could use right now without blocking."""
         with self._lock:
             return self.max_workers - len(self._checked_out)
 
@@ -442,32 +484,96 @@ class WorkerPool:
 
     # -- dispatch -----------------------------------------------------------
 
-    def submit(
+    def map(
         self,
         fn: Callable[..., Any],
-        calls: Sequence[tuple],
-        on_item: Callable[[int, Any], None] | None = None,
+        units: Sequence[Sequence[tuple]],
+        on_item: Callable[[tuple, Any], None],
+        on_death: Callable[[list, int | None], Sequence | None],
         should_stop: Callable[[], bool] | None = None,
-    ) -> TaskHandle | None:
-        """Dispatch a batch of ``fn(*call)`` calls to one worker.
+    ) -> None:
+        """Fan ``fn(*call)`` over the workers, one unit of calls per task.
 
-        Blocks until a worker is free (``should_stop`` polled while
-        waiting; a stop returns None with nothing dispatched).  The
-        worker runs the calls in order, streaming one result frame per
-        call; ``on_item(index, value)`` fires from the waiting
-        thread's :meth:`wait` as each frame is processed.  ``fn``
-        crosses the pipe by reference (a module-level callable), so
-        monkeypatched module globals resolve in forked workers exactly
-        as they do in-process.
+        A unit (a list of calls) runs on one worker, in order, and
+        ``on_item(call, value)`` fires on the calling thread as each
+        call's result arrives.  Units are dispatched in order, and only
+        while a worker is free or nothing is in flight: a busy worker
+        frees up only when this thread reads its pipe, so blocking on a
+        checkout while holding in-flight tasks could deadlock the pool.
+        ``fn`` crosses the pipe by reference (a module-level callable),
+        so monkeypatched module globals resolve in forked workers
+        exactly as they do in-process.  The pool must be the caller's
+        own: another thread's tasks would break the free-worker check,
+        and the close below would terminate them.
+
+        * **A call raises.**  Dispatch stops, the units in flight run
+          to their end, then the exception of the earliest-dispatched
+          failed unit is raised (:class:`WorkerTaskError` when it could
+          not be pickled back).
+        * **A worker dies.**  ``on_death(lost_calls, exitcode)`` gets
+          the calls of its unit that produced no result and returns the
+          units to dispatch again, or None to dispatch nothing more.
+        * **A stop is requested** (``should_stop()``, polled every
+          :data:`_POLL_SECONDS` while a call has no result yet).  The
+          units in flight are cancelled at their next call and settled,
+          their later results dropped, then
+          :class:`~repro.core.search.SearchCancelled` is raised,
+          counting the results delivered.  A stop that comes once
+          every call has its result is not polled: the call returns.
+        * **Any other exception** -- an interrupt, a callback's error
+          -- closes the pool, which terminates the workers of the units
+          in flight, and propagates.
         """
-        if not calls:
-            raise ValueError("submit needs at least one call")
-        worker = self._checkout(should_stop)
-        if worker is None:
-            return None
-        handle = self._dispatch(worker, "batch", (fn, list(calls)),
-                                item_count=len(calls), on_item=on_item)
-        return handle
+        if not all(units):
+            raise ValueError("every unit needs at least one call")
+        queue = list(units)
+        inflight: list[_Task] = []
+        failed: list[_Task] = []
+        delivered = 0
+        halted = stopped = False
+
+        def deliver(call: tuple, value: Any) -> None:
+            nonlocal delivered
+            delivered += 1
+            on_item(call, value)
+
+        try:
+            while queue or inflight:
+                if (not stopped and should_stop is not None
+                        and (queue or any(task.lost for task in inflight))
+                        and should_stop()):
+                    halted = stopped = True
+                    for task in inflight:
+                        task.on_item = None
+                        task.cancel()
+                while (queue and not halted
+                       and (not inflight or self.available() > 0)):
+                    calls = list(queue.pop(0))
+                    inflight.append(self._dispatch(
+                        self._checkout(), "batch", (fn, calls), calls,
+                        on_item=deliver))
+                if not inflight:
+                    break
+                for task in self._wait(inflight, _POLL_SECONDS):
+                    inflight.remove(task)
+                    if task.error is not None:
+                        again = on_death(task.lost, task.error.exitcode)
+                        if again is None:
+                            halted = True
+                        else:
+                            queue.extend(again)
+                    elif task.outcome[0] == "failed":
+                        failed.append(task)
+                        halted = True
+        except BaseException:
+            self.close()
+            raise
+        if failed:
+            min(failed, key=lambda task: task.seq).result()
+        if stopped:
+            from repro.core.search import SearchCancelled
+
+            raise SearchCancelled(delivered)
 
     def run_plan(
         self,
@@ -493,92 +599,56 @@ class WorkerPool:
         without reporting.
         """
         _import_job_path()  # before the checkout that may fork
-        worker = self._checkout(None)
-        handle = self._dispatch(
-            worker, "plan",
+        task = self._dispatch(
+            self._checkout(), "plan",
             (canonical_plan_json(plan), fallback_checkpoint_dir, store_dir),
-            item_count=1, on_event=emit,
+            [], on_event=emit,
         )
         cancelled = False
-        while not handle.finished:
+        while not task.finished:
             if cancel_requested() and not cancelled:
-                self.cancel(handle)
+                task.cancel()
                 cancelled = True
-            self.wait([handle], timeout=_POLL_SECONDS)
-        if handle.error is not None:
-            raise handle.error
-        tag = handle.outcome[0]
-        if tag == "done":
-            return handle.outcome[2]
-        if tag == "cancelled":
-            from repro.core.search import SearchCancelled
-
-            raise SearchCancelled(handle.outcome[2])
-        assert tag == "failed", f"unknown terminal frame {tag!r}"
-        message, original = handle.outcome[2], handle.outcome[3]
-        if original is not None:
-            raise original
-        raise WorkerTaskError(message)
-
-    def cancel(self, handle: TaskHandle) -> None:
-        """Request cooperative cancellation of one in-flight task.
-
-        Sets the worker's cancel generation to the task's ``seq``;
-        the child stops at its next poll boundary (between batch
-        items, between trials inside a plan).  A no-op on finished
-        handles -- the worker may already be running someone else's
-        task under a newer generation.
-        """
-        if not handle.finished:
-            handle.worker.cancel_seq.value = handle.seq
-
-    def wait(self, handles: Sequence[TaskHandle],
-             timeout: float = 0.5) -> list[TaskHandle]:
-        """Process pipe frames for ``handles``; return the newly finished.
-
-        Invokes each handle's ``on_item``/``on_event`` callbacks on
-        the calling thread as frames are processed.  Returns as soon
-        as at least one handle finishes (terminal frame or worker
-        death) or the timeout elapses, whichever is first.
-        """
-        pending = [h for h in handles if not h.finished]
-        finished = [h for h in handles if h.finished]
-        if finished or not pending:
-            return finished
-        deadline = time.monotonic() + timeout
-        while True:
-            by_conn = {h.worker.conn: h for h in pending if not h.finished}
-            remaining = deadline - time.monotonic()
-            if not by_conn or remaining <= 0:
-                break
-            ready = mp_connection.wait(list(by_conn), timeout=remaining)
-            for conn in ready:
-                self._pump(by_conn[conn])
-            finished = [h for h in pending if h.finished]
-            if finished:
-                return finished
-        return [h for h in pending if h.finished]
+            self._wait([task], _POLL_SECONDS)
+        return task.result()
 
     # -- internals ----------------------------------------------------------
 
-    def _dispatch(self, worker: _Worker, kind: str, payload,
-                  item_count: int, on_item=None, on_event=None) -> TaskHandle:
+    def _wait(self, tasks: list[_Task], timeout: float) -> list[_Task]:
+        """Process pipe frames for ``tasks``; return the finished ones.
+
+        Invokes each task's ``on_item``/``on_event`` callbacks on the
+        calling thread as frames are processed.  Returns as soon as at
+        least one task has finished (terminal frame or worker death) or
+        the timeout elapses, whichever is first.
+        """
+        deadline = time.monotonic() + timeout
+        while True:
+            finished = [task for task in tasks if task.finished]
+            remaining = deadline - time.monotonic()
+            if finished or remaining <= 0:
+                return finished
+            by_conn = {task.worker.conn: task for task in tasks}
+            for conn in mp_connection.wait(list(by_conn), timeout=remaining):
+                self._pump(by_conn[conn])
+
+    def _dispatch(self, worker: _Worker, kind: str, payload, calls: list,
+                  on_item=None, on_event=None) -> _Task:
         with self._lock:
             seq = self._next_seq
             self._next_seq += 1
             self._dispatched += 1
             if worker.tasks_run > 0:
                 self._reused += 1
-        handle = TaskHandle(seq, item_count, worker,
-                            on_item=on_item, on_event=on_event)
+        task = _Task(seq, calls, worker, on_item=on_item, on_event=on_event)
         try:
             worker.conn.send(("task", seq, kind, payload))
         except (OSError, BrokenPipeError):
             # The idle worker died before the task reached it.
-            self._mark_dead(handle)
-        return handle
+            self._mark_dead(task)
+        return task
 
-    def _checkout(self, should_stop) -> _Worker | None:
+    def _checkout(self) -> _Worker:
         """Claim an idle worker, spawning up to ``max_workers`` lazily."""
         with self._cond:
             while True:
@@ -598,8 +668,6 @@ class WorkerPool:
                     worker = self._spawn_locked()
                     self._checked_out.add(worker)
                     return worker
-                if should_stop is not None and should_stop():
-                    return None
                 self._cond.wait(timeout=_POLL_SECONDS)
 
     def _spawn_locked(self) -> _Worker:
@@ -621,38 +689,38 @@ class WorkerPool:
         self._spawned += 1
         return _Worker(process, parent_conn, cancel_seq)
 
-    def _pump(self, handle: TaskHandle) -> None:
-        """Drain one worker's pipe into its handle (terminal included)."""
-        worker = handle.worker
-        while not handle.finished:
+    def _pump(self, task: _Task) -> None:
+        """Drain one worker's pipe into its task (terminal included)."""
+        worker = task.worker
+        while not task.finished:
             try:
                 if not worker.conn.poll(0):
                     if not worker.process.is_alive():
                         # Dead without EOF (e.g. inherited descriptors
                         # holding the pipe open): reap it.
-                        self._mark_dead(handle)
+                        self._mark_dead(task)
                     return
                 message = worker.conn.recv()
             except (EOFError, OSError):
-                self._mark_dead(handle)
+                self._mark_dead(task)
                 return
-            self._apply(handle, message)
+            self._apply(task, message)
 
-    def _apply(self, handle: TaskHandle, message: tuple) -> None:
+    def _apply(self, task: _Task, message: tuple) -> None:
         tag = message[0]
-        if message[1] != handle.seq:
+        if message[1] != task.seq:
             return  # stale frame from an earlier generation (defensive)
         if tag == "event":
-            if handle.on_event is not None:
-                handle.on_event(event_from_json(message[2]))
+            if task.on_event is not None:
+                task.on_event(event_from_json(message[2]))
         elif tag == "item-done":
             index, value = message[2], message[3]
-            handle.delivered.add(index)
-            if handle.on_item is not None:
-                handle.on_item(index, value)
+            task.delivered.add(index)
+            if task.on_item is not None:
+                task.on_item(task.calls[index], value)
         else:  # terminal: done / cancelled / failed
-            handle.outcome = message
-            self._release(handle.worker)
+            task.outcome = message
+            self._release(task.worker)
 
     def _release(self, worker: _Worker) -> None:
         """Return a worker to the idle set after its terminal frame."""
@@ -672,9 +740,9 @@ class WorkerPool:
                 pass
             worker.process.join(timeout=5.0)
 
-    def _mark_dead(self, handle: TaskHandle) -> None:
-        """Record a worker death against its in-flight handle."""
-        worker = handle.worker
+    def _mark_dead(self, task: _Task) -> None:
+        """Record a worker death against its in-flight task."""
+        worker = task.worker
         worker.process.join(timeout=5.0)
         exitcode = worker.process.exitcode
         if worker.process.is_alive():  # pragma: no cover - defensive
@@ -684,7 +752,7 @@ class WorkerPool:
             worker.conn.close()
         except OSError:
             pass
-        handle.error = WorkerDied(
+        task.error = WorkerDied(
             f"pool worker died without reporting a result "
             f"(exit code {exitcode})",
             exitcode=exitcode,

@@ -503,7 +503,10 @@ class SearchService:
         that is not one search raises :class:`ValueError` here.
         """
         digest = plan_hash(plan)
-        key = store_mod.result_key(plan)
+        # The key is a pure function of the plan, and _by_hash never
+        # drops a job: a plan seen before reuses its job's key.
+        seen = self._by_hash.get(digest)
+        key = seen.result_key if seen else store_mod.result_key(plan)
         to_publish: list[Event] = []
         try:
             with self._lock:
@@ -642,13 +645,7 @@ class SearchService:
         to_publish: list[Event] = []
         with self._lock:
             if job.state == "queued":
-                job.state = "cancelled"
-                job.cancel_event.set()
-                job.done_event.set()
-                self._journal_record("cancelled", job)
-                to_publish = self._record(job, [JobCancelled(
-                    job.id, "cancelled while queued",
-                    plan_hash=job.plan_hash)])
+                to_publish = self._cancel_queued(job, "cancelled while queued")
             elif job.state == "running":
                 job.cancel_event.set()
         for event in to_publish:
@@ -695,21 +692,13 @@ class SearchService:
     def deregister_agent(self, agent_id: str,
                          reason: str = "agent left") -> None:
         """Remove an agent; its leases expire (jobs re-queue) at once."""
-        to_publish: list[Event] = []
         with self._lock:
-            agent = self._agents.pop(agent_id, None)
+            agent = self._agents.get(agent_id)
             if agent is None:
                 return
-            to_publish.append(AgentLost(
-                agent_id, f"agent {agent.name!r} removed: {reason}",
-                name=agent.name))
-            for job_id in sorted(agent.jobs):
-                job = self._jobs.get(job_id)
-                if job is not None and job.agent == agent_id:
-                    to_publish.extend(
-                        self._expire_lease(job, f"agent removed: {reason}")
-                    )
-            agent.jobs.clear()
+            to_publish = self._drop_agent(
+                agent, f"agent {agent.name!r} removed: {reason}",
+                f"agent removed: {reason}")
             # Local workers may need to take over the re-queued work.
             self._work_ready.notify_all()
         for event in to_publish:
@@ -940,6 +929,29 @@ class SearchService:
             return job.plan.execution.checkpoint_dir
         return self._job_checkpoint_dir(job)
 
+    def _drop_agent(self, agent: _Agent, message: str,
+                    reason: str) -> list[Event]:
+        """Forget one agent and expire its leases (lock held); returns
+        ``AgentLost(message)`` then each lease's events, to publish."""
+        del self._agents[agent.id]
+        events: list[Event] = [AgentLost(agent.id, message, name=agent.name)]
+        for job_id in sorted(agent.jobs):
+            job = self._jobs.get(job_id)
+            if job is not None and job.agent == agent.id:
+                events.extend(self._expire_lease(job, reason))
+        agent.jobs.clear()
+        return events
+
+    def _cancel_queued(self, job: _Job, message: str) -> list[Event]:
+        """Cancel one queued job (lock held); returns its
+        ``JobCancelled(message)``, to publish after the lock drops."""
+        job.state = "cancelled"
+        job.cancel_event.set()
+        job.done_event.set()
+        self._journal_record("cancelled", job)
+        return self._record(job, [JobCancelled(
+            job.id, message, plan_hash=job.plan_hash)])
+
     def _expire_lease(self, job: _Job, reason: str) -> list[Event]:
         """Reclaim one lease and re-queue its job (lock held).
 
@@ -991,21 +1003,14 @@ class SearchService:
         now = time.monotonic()
         to_publish: list[Event] = []
         with self._lock:
-            for agent_id in list(self._agents):
-                agent = self._agents[agent_id]
+            for agent in list(self._agents.values()):
                 if now - agent.last_seen <= self.lease_seconds:
                     continue
-                del self._agents[agent_id]
-                to_publish.append(AgentLost(
-                    agent_id,
+                to_publish.extend(self._drop_agent(
+                    agent,
                     f"agent {agent.name!r} missed its heartbeats "
                     f"(last seen {now - agent.last_seen:.1f}s ago); "
-                    "presumed dead", name=agent.name))
-                for job_id in sorted(agent.jobs):
-                    job = self._jobs.get(job_id)
-                    if job is not None and job.agent == agent_id:
-                        to_publish.extend(self._expire_lease(
-                            job, "holding agent presumed dead"))
+                    "presumed dead", "holding agent presumed dead"))
             for job in self._jobs.values():
                 if (job.state == "running" and job.agent is not None
                         and job.lease_deadline is not None
@@ -1039,13 +1044,8 @@ class SearchService:
             while self._queue:
                 _, _, job = heapq.heappop(self._queue)
                 if job.state == "queued":
-                    job.state = "cancelled"
-                    job.cancel_event.set()
-                    job.done_event.set()
-                    self._journal_record("cancelled", job)
-                    to_publish.extend(self._record(job, [JobCancelled(
-                        job.id, "service shut down while queued",
-                        plan_hash=job.plan_hash)]))
+                    to_publish.extend(self._cancel_queued(
+                        job, "service shut down while queued"))
             if cancel_running:
                 for job in self._jobs.values():
                     if job.state == "running":

@@ -273,6 +273,16 @@ class TestRemovedSpellings:
         ("repro.plans", "ExecutionPolicy.campaign_mode"),
         ("repro.experiments.runner", "_run_paired_campaign"),
         ("repro.experiments.runner", "_campaign_device"),
+        ("repro.orchestration.campaign", "Campaign._dispatch_pooled"),
+        ("repro.orchestration.campaign", "Campaign._on_shard_done"),
+        ("repro.orchestration.campaign", "Campaign._finish_handle"),
+        ("repro.orchestration.campaign", "Campaign._drain_cancelled"),
+        ("repro.orchestration.campaign", "_submit_should_give_up"),
+        ("repro.core.evaluator", "_file_outcome"),
+        ("repro.service.pool", "WorkerPool.submit"),
+        ("repro.service.pool", "WorkerPool.wait"),
+        ("repro.service.pool", "WorkerPool.cancel"),
+        ("repro.service.pool", "TaskHandle"),
     ])
     def test_removed_name_is_gone(self, module, name):
         owner = importlib.import_module(module)

@@ -163,13 +163,13 @@ class TestParallelEvaluator:
         from repro.service.pool import WorkerPool
 
         inner = SurrogateAccuracyEvaluator(space)
-        real_wait = WorkerPool.wait
+        real_wait = WorkerPool._wait
 
-        def interrupted_wait(pool, handles, timeout=0.5):
-            monkeypatch.setattr(WorkerPool, "wait", real_wait)
+        def interrupted_wait(pool, tasks, timeout):
+            monkeypatch.setattr(WorkerPool, "_wait", real_wait)
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(WorkerPool, "wait", interrupted_wait)
+        monkeypatch.setattr(WorkerPool, "_wait", interrupted_wait)
         with ParallelEvaluator(inner, max_workers=2) as ev:
             with pytest.raises(KeyboardInterrupt):
                 ev.evaluate_batch(architectures)

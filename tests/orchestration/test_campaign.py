@@ -63,6 +63,11 @@ class TestCampaignValidation:
         with pytest.raises(ValueError, match="max_workers"):
             Campaign(small_grid()).run(max_workers=0)
 
+    def test_takes_no_pool(self):
+        """A pooled campaign runs on a pool of its own."""
+        with pytest.raises(TypeError, match="pool"):
+            Campaign(small_grid(), pool=object())
+
     def test_rejects_cadence_without_directory(self):
         """checkpoint_every with nowhere to snapshot is a silent no-op
         waiting to lose someone's progress; fail fast instead."""
@@ -202,6 +207,64 @@ def _die_in_workers_run_shard(spec, ck_dir=None, ck_every=None,
     return run_shard(spec, ck_dir, ck_every, should_stop=should_stop)
 
 
+def _raise_on_victim_run_shard(spec, ck_dir=None, ck_every=None,
+                               should_stop=None):
+    """Run ``spec`` normally, except the configured victim raises."""
+    if spec.shard_id == _DEATH_CONFIG["victim"]:
+        raise ValueError(f"shard {spec.shard_id} is broken")
+    return run_shard(spec, ck_dir, ck_every, should_stop=should_stop)
+
+
+class TestShardFailure:
+    def test_pooled_shard_error_propagates_and_reaps_the_pool(
+        self, monkeypatch
+    ):
+        """A shard that raises on a pool worker fails the campaign with
+        its own error once the shards in flight finish; the pool's
+        workers die with the campaign, and the shards that finished
+        first keep their store entries."""
+        import multiprocessing
+
+        from repro.orchestration import campaign as campaign_mod
+        from repro.service import ResultStore
+
+        shards = small_grid()                  # 4 shards, 2 workers
+        victim = shards[3]
+        monkeypatch.setitem(_DEATH_CONFIG, "victim", victim.shard_id)
+        monkeypatch.setattr(campaign_mod, "run_shard",
+                            _raise_on_victim_run_shard)
+        store = ResultStore()
+        events = []
+        with pytest.raises(ValueError, match="is broken"):
+            Campaign(shards, store=store, progress=events.append).run(
+                max_workers=2)
+        assert not [p for p in multiprocessing.active_children()
+                    if p.name.startswith("repro-campaign")]
+        # The victim went out only once two earlier shards finished.
+        assert shards[0].shard_hash in store
+        assert shards[1].shard_hash in store
+        assert victim.shard_hash not in store
+        finished = {e.scope for e in events if e.kind == "finish"}
+        assert {shards[0].shard_id, shards[1].shard_id} <= finished
+        assert victim.shard_id not in finished
+
+
+class TestPooledStop:
+    def test_stop_after_every_shard_landed_completes(self):
+        """A stop that turns true once every shard has landed (stored
+        and published) cancels nothing: the pooled campaign returns."""
+        shards = small_grid()
+        finished = []
+
+        def progress(event):
+            if event.kind == "finish":
+                finished.append(event.scope)
+
+        result = Campaign(shards, progress=progress).run(
+            max_workers=2, should_stop=lambda: len(finished) == len(shards))
+        assert [o.spec for o in result.outcomes] == shards
+
+
 class TestWorkerDeathRecovery:
     def test_dead_worker_shard_is_requeued_and_resumed(
         self, tmp_path, monkeypatch
@@ -326,9 +389,9 @@ class TestExecutionRuntimeIdentity:
         assert strays == [], f"{directory.name}: {strays}"
         return {p.name: p.read_bytes() for p in entries}
 
-    def test_byte_identity_wall(self, tmp_path):
+    def test_byte_identity_wall(self, tmp_path, monkeypatch):
         from repro.service import ResultStore
-        from repro.service.pool import WorkerPool
+        from repro.service import pool as pool_mod
 
         plan = RunPlan(
             workload="sweep",
@@ -344,13 +407,25 @@ class TestExecutionRuntimeIdentity:
                 ("serial", "pooled", "batched", "process")}
         serial = Campaign(shards, store=ResultStore(dirs["serial"])).run(
             max_workers=1)
+        WorkerPool = pool_mod.WorkerPool
+        campaign_pools = []
+
+        class RecordingPool(WorkerPool):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                campaign_pools.append(self)
+
+        monkeypatch.setattr(pool_mod, "WorkerPool", RecordingPool)
+        pooled = Campaign(shards, store=ResultStore(dirs["pooled"])).run(
+            max_workers=2)
+        monkeypatch.setattr(pool_mod, "WorkerPool", WorkerPool)
+        # More dispatch units than workers: the campaign's own pool
+        # reused a worker, and closed it.
+        (campaign_pool,) = campaign_pools
+        assert campaign_pool.stats()["worker.reuse"] > 0
+        assert campaign_pool.closed
+        # The service's process backend.
         with WorkerPool(2, name="identity-wall") as pool:
-            pooled = Campaign(shards, pool=pool,
-                              store=ResultStore(dirs["pooled"])).run(
-                max_workers=2)
-            # More dispatch units than workers: a worker was reused.
-            assert pool.stats()["worker.reuse"] > 0
-            # The service's process backend, on the same shared pool.
             encoded = pool.run_plan(
                 plan, emit=lambda event: None,
                 cancel_requested=lambda: False,

@@ -1,10 +1,11 @@
 """WorkerPool: the one process runtime behind campaigns, jobs, agents.
 
-The properties under test are the ones the old duplicated runtimes
-each needed separately: batch results stream back in order, workers
-survive (and are *reused*) across tasks, cancellation is cooperative
-at item boundaries, and a worker death names exactly the batch items
-that produced no result.
+The properties under test are the ones every caller of ``map`` relies
+on: results stream back in order, workers survive (and are *reused*)
+across tasks, the earliest-dispatched failure is raised once the work
+in flight finishes, a stop is cooperative at call boundaries, a worker
+death names exactly the calls that produced no result, and an
+interrupt closes the pool.
 """
 
 import os
@@ -14,6 +15,8 @@ import time
 
 import pytest
 
+from repro.core.search import SearchCancelled
+from repro.service import pool as pool_mod
 from repro.service.pool import WorkerDied, WorkerPool, WorkerTaskError
 
 
@@ -56,6 +59,13 @@ def _pid(_):
     return os.getpid()
 
 
+def _pid_then_sleep(index):
+    """This worker's pid at once, then a long second call."""
+    if index:
+        time.sleep(30)
+    return os.getpid()
+
+
 def _orphan_self(write_fd, size):
     """Report this worker's pid, SIGKILL the pool's owner, and return a
     result far larger than the pipe's buffer."""
@@ -64,45 +74,91 @@ def _orphan_self(write_fd, size):
     return b"x" * size
 
 
-def _run(pool, fn, values):
-    """Submit one batch and drive it to its terminal; returns
-    (handle, {index: value})."""
-    results = {}
-    handle = pool.submit(fn, [(v,) for v in values],
-                         on_item=results.__setitem__)
-    while not handle.finished:
-        pool.wait([handle], timeout=0.5)
-    return handle, results
+def _exit_once(sentinel, x):
+    """Die on 7 until ``sentinel`` exists."""
+    if x == 7 and not os.path.exists(sentinel):
+        open(sentinel, "w").close()
+        os._exit(1)
+    return x * x
+
+
+def _fail_after(delay, message):
+    time.sleep(delay)
+    if message is not None:
+        raise ValueError(message)
+    return delay
+
+
+_run_batch = pool_mod._child_run_batch
+
+
+def _late_terminal_batch(conn, seq, cancel_seq, parent_pid, payload):
+    """The worker's batch body with each terminal frame sent 0.3 s late,
+    long after the owner's next stop poll (installed before the fork)."""
+
+    class LateTerminal:
+        def send(self, frame):
+            if frame[0] != "item-done":
+                time.sleep(0.3)
+            conn.send(frame)
+
+    _run_batch(LateTerminal(), seq, cancel_seq, parent_pid, payload)
+
+
+def _no_death(calls, exitcode):
+    """``on_death`` for maps whose workers must not die."""
+    raise WorkerDied(f"lost {calls} (exit code {exitcode})", exitcode)
+
+
+def _run(pool, fn, values, **kwargs):
+    """Map one unit of ``fn(value)`` calls; returns [(value, result)]
+    in arrival order."""
+    results = []
+    pool.map(fn, [[(v,) for v in values]],
+             on_item=lambda call, value: results.append((call[0], value)),
+             on_death=_no_death, **kwargs)
+    return results
 
 
 class TestBatchDispatch:
     def test_results_stream_in_order(self):
         with WorkerPool(1) as pool:
-            handle, results = _run(pool, _square, [2, 3, 4])
-        assert handle.outcome[0] == "done"
-        assert results == {0: 4, 1: 9, 2: 16}
-        assert handle.lost_indices == []
+            assert _run(pool, _square, [2, 3, 4]) == [(2, 4), (3, 9), (4, 16)]
 
-    def test_empty_batch_is_rejected(self):
+    def test_units_dispatch_in_order_across_workers(self):
+        with WorkerPool(2) as pool:
+            results = []
+            pool.map(_square, [[(v,)] for v in range(6)],
+                     on_item=lambda call, value: results.append(call[0]),
+                     on_death=_no_death)
+            stats = pool.stats()
+        assert sorted(results) == list(range(6))
+        assert stats["pool.dispatch"] == 6
+        assert stats["worker.spawn"] == 2
+
+    def test_empty_unit_is_rejected(self):
         with WorkerPool(1) as pool:
             with pytest.raises(ValueError, match="at least one"):
-                pool.submit(_square, [])
+                pool.map(_square, [[(1,)], []], on_item=print,
+                         on_death=_no_death)
+            assert pool.stats()["pool.dispatch"] == 0
 
-    def test_submit_after_close_raises(self):
+    def test_map_after_close_raises(self):
         pool = WorkerPool(1)
         pool.close()
         with pytest.raises(RuntimeError, match="closed"):
-            pool.submit(_square, [(1,)])
+            _run(pool, _square, [1])
         pool.close()  # idempotent
+        assert pool.closed
 
 
 class TestWorkerReuse:
     def test_consecutive_tasks_share_one_process(self):
         with WorkerPool(1) as pool:
-            _, first = _run(pool, _pid, [0])
-            _, second = _run(pool, _pid, [0])
+            [(_, first)] = _run(pool, _pid, [0])
+            [(_, second)] = _run(pool, _pid, [0])
             stats = pool.stats()
-        assert first[0] == second[0] != os.getpid()
+        assert first == second != os.getpid()
         assert stats["worker.spawn"] == 1
         assert stats["worker.reuse"] == 1
         assert stats["pool.dispatch"] == 2
@@ -115,40 +171,93 @@ class TestWorkerReuse:
             assert pool.stats()["workers.alive"] == 1
             assert pool.available() == 4
 
+    def test_available_tracks_checkouts(self):
+        with WorkerPool(2) as pool:
+            assert pool.available() == 2
+            seen = []
+            pool.map(_slow_square, [[(1,), (2,)]],
+                     on_item=lambda call, value: seen.append(
+                         pool.available()),
+                     on_death=_no_death)
+            assert seen == [1, 1]
+            assert pool.available() == 2
+
 
 class TestFailureModes:
     def test_picklable_exception_propagates_and_worker_survives(self):
+        results = []
         with WorkerPool(1) as pool:
-            handle, results = _run(pool, _raise_on_seven, [2, 7, 4])
-            assert handle.outcome[0] == "failed"
-            assert isinstance(handle.outcome[3], ValueError)
-            assert results == {0: 4}           # items before the failure
-            assert handle.lost_indices == [1, 2]
+            with pytest.raises(ValueError, match="seven"):
+                pool.map(_raise_on_seven, [[(2,), (7,), (4,)]],
+                         on_item=lambda call, value: results.append(value),
+                         on_death=_no_death)
+            assert results == [4]              # calls before the failure
             # The worker reported cleanly and went back to the pool.
             assert pool.stats()["worker.death"] == 0
-            _, again = _run(pool, _square, [5])
-            assert again == {0: 25}
+            assert not pool.closed
+            assert _run(pool, _square, [5]) == [(5, 25)]
 
     def test_unpicklable_exception_degrades_to_message(self):
         with WorkerPool(1) as pool:
-            handle, _ = _run(pool, _raise_unpicklable, [1])
-        assert handle.outcome[0] == "failed"
-        assert handle.outcome[3] is None
-        assert "_Unpicklable" in handle.outcome[2]
+            with pytest.raises(WorkerTaskError, match="_Unpicklable"):
+                _run(pool, _raise_unpicklable, [1])
 
-    def test_worker_death_names_the_lost_items(self):
+    def test_earliest_dispatched_failure_wins_after_in_flight_finish(self):
+        """Unit 0 fails slowly and unit 1 at once: dispatch stops (unit
+        3 never runs), unit 2 -- already in flight -- runs to its end,
+        and unit 0's error is the one raised."""
+        done = []
+        with WorkerPool(3) as pool:
+            with pytest.raises(ValueError, match="slow"):
+                pool.map(_fail_after,
+                         [[(1.0, "slow")], [(0.0, "fast")],
+                          [(0.8, None)], [(0.0, None)]],
+                         on_item=lambda call, value: done.append(call),
+                         on_death=_no_death)
+            assert pool.stats()["pool.dispatch"] == 3
+            assert pool.available() == 3
+        assert done == [(0.8, None)]
+
+    def test_on_death_gets_exactly_the_lost_calls(self, tmp_path):
+        """The dead worker's unfinished calls reach ``on_death`` with
+        its exit code, and the units it returns run on a new worker."""
+        sentinel = str(tmp_path / "died")
+        deaths, results = [], []
+
+        def on_death(calls, exitcode):
+            deaths.append((calls, exitcode))
+            return [[call] for call in calls]
+
         with WorkerPool(1) as pool:
-            handle, results = _run(pool, _exit_on_seven, [3, 7, 5])
-            assert isinstance(handle.error, WorkerDied)
-            assert handle.error.exitcode == 1
-            assert results == {0: 9}
-            assert handle.lost_indices == [1, 2]
+            pool.map(_exit_once, [[(sentinel, v) for v in (3, 7, 5)]],
+                     on_item=lambda call, value: results.append(value),
+                     on_death=on_death)
             stats = pool.stats()
+        assert deaths == [([(sentinel, 7), (sentinel, 5)], 1)]
+        assert results == [9, 49, 25]
+        assert stats["worker.death"] == 1
+        assert stats["worker.spawn"] == 2
+        assert stats["pool.dispatch"] == 3
+
+    def test_on_death_returning_none_stops_dispatching(self):
+        deaths, results = [], []
+
+        def on_death(calls, exitcode):
+            deaths.append((calls, exitcode))
+
+        with WorkerPool(1) as pool:
+            pool.map(_exit_on_seven, [[(3,), (7,), (5,)], [(2,)]],
+                     on_item=lambda call, value: results.append(value),
+                     on_death=on_death)
+            assert deaths == [([(7,), (5,)], 1)]
+            assert results == [9]
+            stats = pool.stats()
+            assert stats["pool.dispatch"] == 1
             assert stats["worker.death"] == 1
             assert stats["workers.alive"] == 0
+            assert not pool.closed
             # The pool replaces the dead worker lazily on demand.
-            _, again = _run(pool, _square, [6])
-            assert again == {0: 36}
+            assert _run(pool, _square, [6]) == [(6, 36)]
             assert pool.stats()["worker.spawn"] == 2
 
 
@@ -159,15 +268,16 @@ class TestSignals:
         previous = signal.signal(signal.SIGTERM, lambda *_: None)
         try:
             with WorkerPool(1) as pool:
-                handle, first = _run(pool, _pid, [0])
-                os.kill(first[0], signal.SIGTERM)
-                handle.worker.process.join(timeout=10)
-                assert handle.worker.process.exitcode == -signal.SIGTERM
-                _, second = _run(pool, _pid, [0])
+                [(_, first)] = _run(pool, _pid, [0])
+                (worker,) = pool._idle
+                os.kill(first, signal.SIGTERM)
+                worker.process.join(timeout=10)
+                assert worker.process.exitcode == -signal.SIGTERM
+                [(_, second)] = _run(pool, _pid, [0])
                 stats = pool.stats()
         finally:
             signal.signal(signal.SIGTERM, previous)
-        assert second[0] != first[0]
+        assert second != first
         assert stats["worker.death"] == 1
         assert stats["worker.spawn"] == 2
 
@@ -181,7 +291,9 @@ class TestOrphanedWorker:
         if owner == 0:  # the pool owner, which its worker kills
             try:
                 os.close(read_end)
-                WorkerPool(1).submit(_orphan_self, [(write_end, 4 << 20)])
+                WorkerPool(1).map(_orphan_self, [[(write_end, 4 << 20)]],
+                                  on_item=lambda call, value: None,
+                                  on_death=_no_death)
                 time.sleep(20)
             finally:
                 os._exit(1)
@@ -197,55 +309,74 @@ class TestOrphanedWorker:
                 received += chunk
                 exited = not chunk
         os.close(read_end)
+        # A pid proves the worker ran the call (and killed its owner)
+        # rather than exiting idle on the ppid check.
+        assert received.isdigit(), "the worker never ran the call"
         if not exited:
             os.kill(int(received), signal.SIGKILL)
         assert exited, "the orphaned worker is still alive"
 
 
-class TestCancellation:
-    def test_cancel_stops_at_the_next_item_boundary(self):
+class TestStop:
+    def test_stop_cancels_at_the_next_call_boundary(self):
         with WorkerPool(1) as pool:
-            results = {}
-            handle = pool.submit(_slow_square, [(i,) for i in range(50)],
-                                 on_item=results.__setitem__)
-            while not results:        # let at least one item land
-                pool.wait([handle], timeout=0.5)
-            pool.cancel(handle)
-            while not handle.finished:
-                pool.wait([handle], timeout=0.5)
-            assert handle.outcome[0] == "cancelled"
-            assert len(results) < 50
-            # The worker is back: cancellation is not death.
-            assert pool.stats()["worker.death"] == 0
-            _, again = _run(pool, _square, [2])
-            assert again == {0: 4}
-
-    def test_cancel_after_finish_is_a_no_op(self):
-        with WorkerPool(1) as pool:
-            handle, _ = _run(pool, _square, [2])
-            pool.cancel(handle)       # must not poison the next task
-            _, again = _run(pool, _square, [3])
-            assert again == {0: 9}
-
-
-class TestCheckoutGuard:
-    def test_submit_gives_up_when_should_stop_fires(self):
-        with WorkerPool(1) as pool:
-            blocker = pool.submit(_slow_square, [(i,) for i in range(50)])
-            handle = pool.submit(_square, [(1,)], should_stop=lambda: True)
-            assert handle is None     # nothing dispatched, nothing lost
-            pool.cancel(blocker)
-            while not blocker.finished:
-                pool.wait([blocker], timeout=0.5)
-
-    def test_available_tracks_checkouts(self):
-        with WorkerPool(2) as pool:
-            assert pool.available() == 2
-            handle = pool.submit(_slow_square, [(1,)])
+            results = []
+            with pytest.raises(SearchCancelled) as caught:
+                pool.map(_slow_square, [[(i,) for i in range(50)]],
+                         on_item=lambda call, value: results.append(value),
+                         on_death=_no_death,
+                         should_stop=lambda: bool(results))
+            assert 1 <= len(results) < 50
+            assert caught.value.completed == len(results)
+            # The worker is back, and the stop does not reach its next
+            # task: cancellation is not death.
             assert pool.available() == 1
-            while not handle.finished:
-                pool.wait([handle], timeout=0.5)
-            assert pool.available() == 2
+            assert _run(pool, _square, [2, 3]) == [(2, 4), (3, 9)]
+            stats = pool.stats()
+            assert stats["worker.death"] == 0
+            assert stats["worker.spawn"] == 1
+
+    def test_stop_after_the_last_result_returns(self, monkeypatch):
+        """A stop that turns true once every call has its result cancels
+        nothing, even while the last unit's terminal frame is still on
+        its way: the map returns instead of raising."""
+        monkeypatch.setattr(pool_mod, "_child_run_batch",
+                            _late_terminal_batch)
+        with WorkerPool(1) as pool:
+            results = []
+            pool.map(_square, [[(2,)], [(3,), (4,)]],
+                     on_item=lambda call, value: results.append(value),
+                     on_death=_no_death,
+                     should_stop=lambda: len(results) == 3)
+            assert pool.stats()["pool.dispatch"] == 2
+        assert results == [4, 9, 16]
+
+    def test_stop_before_dispatch_runs_nothing(self):
+        with WorkerPool(1) as pool:
+            with pytest.raises(SearchCancelled):
+                _run(pool, _square, [1], should_stop=lambda: True)
+            assert pool.stats()["pool.dispatch"] == 0
+
+
+class TestInterrupt:
+    def test_interrupt_closes_the_pool_and_its_workers(self):
+        pids = []
+
+        def interrupt(call, pid):
+            pids.append(pid)
+            raise KeyboardInterrupt
+
+        pool = WorkerPool(2)
+        with pytest.raises(KeyboardInterrupt):
+            pool.map(_pid_then_sleep, [[(0,), (1,)], [(0,), (1,)]],
+                     on_item=interrupt, on_death=_no_death)
+        assert pool.closed
+        assert pool.stats()["workers.alive"] == 0
+        for pid in set(pids):
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        with pytest.raises(RuntimeError, match="closed"):
+            _run(pool, _square, [1])
 
 
 class TestValidation:

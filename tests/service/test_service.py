@@ -101,6 +101,28 @@ class TestSubmitAndDedup:
             assert second.job_id == first.job_id  # coalesced, not re-run
             assert COUNTS["evaluations"] == runs_after_first
 
+    def test_coalesced_resubmission_derives_no_result_key(self, monkeypatch):
+        """A plan the service has seen reuses its job's store key, so a
+        coalesced resubmission builds no shard spec; a new plan does."""
+        from repro.orchestration.shards import ShardSpec
+
+        plan, other = search_plan(seed=0), search_plan(seed=1)
+        built = []
+        real = ShardSpec.from_plan.__func__
+
+        def counting(cls, plan):
+            built.append(plan)
+            return real(cls, plan)
+
+        with SearchService(workers=1) as service:
+            first = service.submit(plan)
+            assert first.wait(timeout=120) == "done"
+            monkeypatch.setattr(ShardSpec, "from_plan", classmethod(counting))
+            assert service.submit(plan).job_id == first.job_id
+            assert built == []
+            service.submit(other)
+            assert built[:1] == [other]
+
     def test_store_hit_across_service_instances_is_byte_identical(
         self, counting_evaluator, tmp_path
     ):

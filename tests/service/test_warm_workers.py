@@ -31,7 +31,7 @@ from repro.plans import (
     canonical_plan_json,
 )
 from repro.registry import DEVICES
-from repro.service import SearchService, WorkerPool, execute_plan
+from repro.service import SearchService, WorkerDied, WorkerPool, execute_plan
 from repro.service import store as store_mod
 
 
@@ -69,10 +69,12 @@ def _cached_before_pricing(plan_json):
 
 def _run_task(pool, fn, *args):
     values = []
-    handle = pool.submit(fn, [args], on_item=lambda i, v: values.append(v))
-    while not handle.finished:
-        pool.wait([handle])
-    assert handle.outcome[0] == "done", handle.outcome
+
+    def on_death(calls, exitcode):
+        raise WorkerDied(f"lost {calls} (exit code {exitcode})", exitcode)
+
+    pool.map(fn, [[args]], on_item=lambda call, value: values.append(value),
+             on_death=on_death)
     return values[0]
 
 
