@@ -59,7 +59,7 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     ),
     "repro.service.executor": ("execute_plan",),
     "repro.service.gateway": ("Gateway", "GatewayRunner", "run_gateway"),
-    "repro.service.journal": ("JobJournal", "PendingJob"),
+    "repro.service.journal": ("JOB_STATES", "JobJournal", "PendingJob"),
     "repro.service.metrics": ("ANONYMOUS_TENANT", "MetricsRegistry"),
     "repro.service.pool": ("WorkerDied", "WorkerPool", "WorkerTaskError"),
     "repro.service.tenants": (
@@ -71,7 +71,6 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
         "tenant_accounting",
     ),
     "repro.service.service": (
-        "JOB_STATES",
         "JobCancelledError",
         "JobHandle",
         "RemoteJobError",

@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.plans import RunPlan, plan_hash
+from repro.service.journal import TRANSITIONS
 from repro.service.service import JobHandle, SearchService
 from repro.service.tenants import (
     TenantRegistry,
@@ -145,8 +146,8 @@ def admit_submission(
         tenant = tenants.authenticate(api_key_from_headers(headers))
     tenant_name = None if tenant is None else tenant.name
     existing = service.job_by_hash(plan_hash(plan))
-    if existing is not None and existing.state in ("queued", "running",
-                                                   "done"):
+    if (existing is not None
+            and existing.state not in TRANSITIONS["resubmit"].leaves):
         # Coalesce: the service hands back the job it already tracks,
         # so this submission adds no load and bypasses quota checks.
         return service.submit(plan, priority=priority,

@@ -1,16 +1,24 @@
-"""Crash-consistent job journal: the service's durable queue memory.
+"""The job lifecycle, and the crash-consistent journal that records it.
 
-A :class:`JobJournal` is an append-only JSONL file recording every job
-lifecycle transition a :class:`~repro.service.SearchService` performs:
+:data:`TRANSITIONS` is the job lifecycle, written once: one row per op,
+giving the states the op may leave, the state it enters, the journal
+lines it appends and the events it publishes.
+``SearchService._transition`` applies a row under the service lock, and
+:meth:`JobJournal.fold` replays the journal through the same table.
 
-* ``queued`` -- carries the full canonical plan document and priority,
-  so the journal alone can rebuild the submission;
+A :class:`JobJournal` is an append-only JSONL file of those lines:
+
+* ``queued`` -- carries the full canonical plan document, the priority
+  and the admitting tenant, so the journal alone can rebuild the
+  submission;
 * ``leased`` -- a remote agent claimed the job; carries the agent id
   and lease term, so leases survive a coordinator restart (the
   restarted service restores the lease instead of re-queueing, and the
   still-running agent keeps its claim);
-* ``running`` / ``lease-expired`` / ``done`` / ``failed`` /
-  ``cancelled`` -- state-only markers keyed by the job's plan hash.
+* ``lease-expired`` -- the coordinator took a lease back; carries the
+  agent id;
+* ``running`` / ``done`` / ``failed`` / ``cancelled`` -- state-only
+  markers keyed by the job's plan hash.
 
 Appends are flushed line-by-line, so a SIGKILLed service loses at most
 the entry it was writing -- and JSONL tolerates exactly that failure
@@ -19,13 +27,11 @@ Combined with the service's per-hash checkpoint fallback and the
 content-addressed :class:`~repro.service.store.ResultStore`, the
 journal makes ``repro serve`` restart-safe: on startup the service
 replays the journal, re-queues every job whose last recorded state is
-``queued`` or ``running``, and those jobs then *resume* from their
-checkpoints instead of restarting (see
-:meth:`~repro.service.SearchService` ``recover`` and the
-``service-smoke`` CI job, which SIGKILLs a live server mid-job and
-asserts the restarted one finishes the work byte-identically).
-Every job is journaled: a job is its plan document, so the ``queued``
-entry's plan is all recovery needs to rebuild it.
+not terminal, and those jobs then *resume* from their checkpoints
+instead of restarting (see :meth:`~repro.service.SearchService`
+``recover`` and the ``service-smoke`` CI job, which SIGKILLs a live
+server mid-job and asserts the restarted one finishes the work
+byte-identically).
 """
 
 from __future__ import annotations
@@ -34,7 +40,20 @@ import json
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
+
+from repro.events import (
+    CacheHit,
+    Event,
+    JobCancelled,
+    JobCompleted,
+    JobFailed,
+    JobLeased,
+    JobQueued,
+    JobStarted,
+    LeaseExpired,
+)
+from repro.service.metrics import ANONYMOUS_TENANT
 
 #: Journal line schema tag (bumped on incompatible layout changes).
 JOURNAL_SCHEMA = 1
@@ -45,49 +64,147 @@ JOURNAL_SCHEMA = 1
 #: journal from ``--store-dir`` alone).
 JOURNAL_FILENAME = "journal.jsonl"
 
-#: Ops a journal line may carry, in rough lifecycle order.  ``leased``
-#: marks a remote agent claiming the job (the entry carries the agent id
-#: and lease term, so a restarted coordinator can restore the lease);
-#: ``lease-expired`` marks the coordinator reclaiming it.  Both are
-#: additive: readers predating them simply skip the ops and still treat
-#: the job as non-terminal, so the schema tag stays at 1.
-JOURNAL_OPS = ("queued", "running", "leased", "lease-expired", "done",
-               "failed", "cancelled")
-
-#: Last-recorded states that make a job recoverable after a crash.
-#: ``leased`` and ``lease-expired`` are non-terminal: the coordinator
-#: died while an agent held (or had just lost) the job.
-_RECOVERABLE_STATES = ("queued", "running", "leased", "lease-expired")
-
 
 @dataclass(frozen=True)
-class PendingJob:
-    """One journal-recovered submission awaiting re-queueing.
+class Transition:
+    """One row of :data:`TRANSITIONS`.
 
     Attributes:
-        plan_doc: the canonical plan document recorded at submit time
-            (parse with :meth:`repro.plans.RunPlan.from_dict`).
+        leaves: the states the op may leave; ``None`` stands for a job
+            the service does not know yet.
+        enters: the state the op enters.
+        lines: the journal ops it appends, in order.
+        events: the events it publishes, in order, as pairs of an event
+            class and a message template.  A template is formatted
+            (:meth:`str.format_map`) over the transition's facts: the
+            ``job`` after the op, the lease's ``agent`` (the one taking
+            it or the one losing it), ``recovered`` (a marker while the
+            service recovers its journal), ``where`` (an agent's run
+            names itself there; empty for a local one) and whatever
+            else the caller names.
+    """
+
+    leaves: tuple[str | None, ...]
+    enters: str
+    lines: tuple[str, ...]
+    events: tuple[tuple[type[Event], str], ...]
+
+
+#: The job lifecycle: every change of a job's state is one of these
+#: rows, applied by ``SearchService._transition``.  A row that leaves
+#: ``running`` ends the run's lease, if it had one.
+TRANSITIONS: dict[str, Transition] = {
+    # A plan the service does not know.
+    "submit": Transition(
+        (None,), "queued", ("queued",),
+        ((JobQueued, "queued at priority {job.priority}{recovered}"),)),
+    # A failed or cancelled plan submitted again: its checkpointed
+    # shards resume.
+    "resubmit": Transition(
+        ("failed", "cancelled"), "queued", ("queued",),
+        ((JobQueued,
+          "resubmitted; checkpointed shards will resume{recovered}"),)),
+    # A local worker takes the job.
+    "start": Transition(
+        ("queued",), "running", ("running",),
+        ((JobStarted, "run {job.runs} started"),)),
+    # An agent takes the job under a lease.
+    "claim": Transition(
+        ("queued",), "running", ("leased",),
+        ((JobLeased, "leased to agent {agent} for {lease_seconds:g}s"),
+         (JobStarted, "run {job.runs} started (agent {agent})"))),
+    # Journal recovery of a job whose last line was a lease.
+    "restore": Transition(
+        (None,), "running", ("queued", "leased"),
+        ((JobQueued,
+          "lease restored; awaiting the agent's heartbeat{recovered}"),
+         (JobLeased, "lease restored to agent {agent} from the journal "
+                     "({lease_seconds:g}s grace)"))),
+    # A lease ran out: the job resumes from its checkpoint elsewhere.
+    "expire": Transition(
+        ("running",), "queued", ("lease-expired", "queued"),
+        ((LeaseExpired, "lease held by agent {agent} expired: {reason}"),
+         (JobQueued, "lease expired; re-queued to resume from its "
+                     "checkpoint (was agent {agent})"))),
+    # A run ends: on a local worker, or by an agent's upload.
+    "done": Transition(
+        ("running",), "done", ("done",),
+        ((JobCompleted, "completed{where}"),)),
+    # A submission answered by a stored result.
+    "cache-hit": Transition(
+        (None, "failed", "cancelled"), "done", ("done",),
+        ((CacheHit, "identical plan already solved; returning stored "
+                    "result"),
+         (JobCompleted, "served from the result store"))),
+    "failed": Transition(
+        ("running",), "failed", ("failed",),
+        ((JobFailed, "{message}{where}"),)),
+    "cancelled": Transition(
+        ("running",), "cancelled", ("cancelled",),
+        ((JobCancelled, "cancelled after {completed} completed "
+                        "unit(s){where}; checkpoints (if configured) "
+                        "preserved"),)),
+    # A cancel, or a shutdown, of a job still queued.
+    "cancel-queued": Transition(
+        ("queued",), "cancelled", ("cancelled",),
+        ((JobCancelled, "{message}"),)),
+    # A lease ran out after a cancel request or a shutdown: the job
+    # ends there instead of re-queueing.
+    "expire-cancelled": Transition(
+        ("running",), "cancelled", ("lease-expired", "cancelled"),
+        ((LeaseExpired, "lease held by agent {agent} expired: {reason}"),
+         (JobCancelled, "{message}"))),
+}
+
+#: Job lifecycle states, in the order the table first enters them.
+JOB_STATES = tuple(dict.fromkeys(row.enters for row in TRANSITIONS.values()))
+
+#: The states a run ends in.  Only a submission leaves one: ``resubmit``
+#: and ``cache-hit`` leave ``failed`` and ``cancelled``, and a ``done``
+#: job answers every later submission of its plan.
+TERMINAL_STATES = ("done", "failed", "cancelled")
+
+#: Ops a journal line may carry, in the order the table first appends
+#: them.
+JOURNAL_OPS = tuple(dict.fromkeys(
+    line for row in TRANSITIONS.values() for line in row.lines))
+
+#: The state each journal op records: the state the rows ending with it
+#: enter.  ``lease-expired`` ends no row; it ends the lease of a job
+#: that stays ``running`` until the line after it says where it went.
+_LINE_STATES = {
+    **{row.lines[-1]: row.enters for row in TRANSITIONS.values()},
+    "lease-expired": "running",
+}
+
+
+@dataclass
+class PendingJob:
+    """One job as the journal last recorded it (see :meth:`JobJournal.fold`).
+
+    Attributes:
+        plan_doc: the canonical plan document of the latest ``queued``
+            line (parse with :meth:`repro.plans.RunPlan.from_dict`);
+            ``None`` when no line carried one.
         plan_hash: the job's canonical plan hash.
-        priority: the priority of the *latest* recorded submission.
-        last_state: the last journaled state (``queued``, ``running``,
-            ``leased`` or ``lease-expired``) -- non-``queued`` jobs
-            resume from their per-hash checkpoints when the service has
-            a checkpoint root.
-        agent: for ``last_state == "leased"``, the id of the agent that
-            held the lease when the coordinator died; the restarted
-            coordinator restores the lease to it (with a fresh grace
-            deadline) instead of re-queueing, so a still-running agent
-            keeps its claim.
-        lease_seconds: the lease term recorded at claim time (``None``
-            when the journal predates leases).
-        tenant: the tenant recorded on the latest submission (``None``
-            for anonymous submissions or pre-tenancy journals); a
+        priority: the priority of the latest ``queued`` line.
+        last_state: the state the last line recorded (one of
+            :data:`JOB_STATES`); a job not in a terminal state resumes
+            from its per-hash checkpoints after a restart when the
+            service has a checkpoint root.
+        agent: the agent holding the job's lease, when the last line
+            was a ``leased`` one; the restarted coordinator restores
+            the lease to it (with a fresh grace deadline) instead of
+            re-queueing, so a still-running agent keeps its claim.
+        lease_seconds: that lease's term (``None`` without a lease).
+        tenant: the tenant of the latest ``queued`` line (``None`` for
+            anonymous submissions or pre-tenancy journals); a
             recovering service re-queues the job under the same
             tenant, so per-tenant accounting and quotas survive
             restarts.
     """
 
-    plan_doc: dict[str, Any]
+    plan_doc: dict[str, Any] | None
     plan_hash: str
     priority: int
     last_state: str
@@ -251,107 +368,83 @@ class JobJournal:
         return entries
 
     @staticmethod
-    def pending_jobs(entries: list[dict[str, Any]]) -> list[PendingJob]:
-        """Reduce replayed entries to the jobs a restart must re-queue.
+    def fold(
+        entries: Iterable[dict[str, Any]],
+    ) -> tuple[dict[str, PendingJob], dict[str, dict[str, int]]]:
+        """Replay entries through :data:`TRANSITIONS`: jobs and tenants.
 
-        A job is pending when its *last* recorded transition is
-        non-terminal (``queued``, ``running``, ``leased`` or
-        ``lease-expired``) -- i.e. the service died before the job
-        reached a terminal state.  Results come back in first-seen
-        order (the original submission order), each carrying the most
-        recent plan document and priority recorded for its hash, plus
-        the lease holder when the last transition was a claim.
+        Each line moves its plan hash's job to the state its op records
+        (the state the table's rows ending with that op enter).  Returns
+        one :class:`PendingJob` per plan hash, in first-seen order, and
+        per-tenant counters: ``submitted`` counts ``queued`` lines
+        (submissions, resubmissions, lease re-queues and recoveries)
+        and ``done`` / ``failed`` / ``cancelled`` the lines entering
+        those states, each under the tenant of its hash's latest
+        ``queued`` line (:data:`~repro.service.metrics.ANONYMOUS_TENANT`
+        when none named one).
 
-        Defensive by design: the journal is replayed after crashes, so
-        entries missing expected keys (a ``queued`` without a plan, a
-        ``leased`` without an agent) are skipped or degraded, never
-        raised on.
+        Never raises on a line: the journal is replayed after crashes,
+        so a line out of order still moves its job, and one missing a
+        field (a ``queued`` line without a plan, a ``leased`` one
+        without an agent) moves it without that field.
         """
-        last_state: dict[str, str] = {}
-        plans: dict[str, dict[str, Any]] = {}
-        priorities: dict[str, int] = {}
-        agents: dict[str, str | None] = {}
-        leases: dict[str, float | None] = {}
-        tenants: dict[str, str | None] = {}
-        order: list[str] = []
-        for entry in entries:
-            digest = entry.get("hash")
-            op = entry.get("op")
-            if digest is None or op not in JOURNAL_OPS:
-                continue
-            if op == "queued" and not isinstance(entry.get("plan"), dict):
-                continue  # a submission without a plan cannot be rebuilt
-            if digest not in last_state:
-                order.append(digest)
-            last_state[digest] = op
-            if op == "queued":
-                plans[digest] = entry["plan"]
-                tenant = entry.get("tenant")
-                tenants[digest] = (
-                    tenant if isinstance(tenant, str) and tenant else None
-                )
-                try:
-                    priorities[digest] = int(entry.get("priority", 0))
-                except (TypeError, ValueError):
-                    priorities[digest] = 0
-            agent = entry.get("agent")
-            agents[digest] = agent if op == "leased" else None
-            lease = entry.get("lease_seconds")
-            leases[digest] = (
-                float(lease) if op == "leased"
-                and isinstance(lease, (int, float)) else None
-            )
-        pending: list[PendingJob] = []
-        for digest in order:
-            if last_state[digest] not in _RECOVERABLE_STATES:
-                continue
-            if digest not in plans:
-                continue  # state marker without a recorded submission
-            agent = agents.get(digest)
-            pending.append(PendingJob(
-                plan_doc=plans[digest],
-                plan_hash=digest,
-                priority=priorities[digest],
-                last_state=last_state[digest],
-                agent=agent if isinstance(agent, str) and agent else None,
-                lease_seconds=leases.get(digest),
-                tenant=tenants.get(digest),
-            ))
-        return pending
-
-    @staticmethod
-    def live_jobs(
-        entries: list[dict[str, Any]],
-    ) -> list[tuple[str, dict[str, Any] | None]]:
-        """``(plan_hash, plan_doc)`` for every non-terminal job.
-
-        The store-GC liveness reduction: a job whose *last* recorded
-        transition is non-terminal may still complete (a recovering
-        coordinator will re-queue it; a leased agent may upload its
-        result), so every store entry its plan references must
-        survive collection.  Unlike :meth:`pending_jobs` this keeps
-        jobs whose journal never captured a parseable plan document
-        (``plan_doc`` is then ``None``): their whole-plan hash is
-        still live even though their shards cannot be enumerated --
-        GC must err toward keeping.  Order is first-seen submission
-        order.
-        """
-        last_state: dict[str, str] = {}
-        plans: dict[str, dict[str, Any] | None] = {}
-        order: list[str] = []
+        jobs: dict[str, PendingJob] = {}
+        owners: dict[str, str] = {}
+        tenants: dict[str, dict[str, int]] = {}
         for entry in entries:
             digest = entry.get("hash")
             op = entry.get("op")
             if not isinstance(digest, str) or op not in JOURNAL_OPS:
                 continue
-            if digest not in last_state:
-                order.append(digest)
-            last_state[digest] = op
+            state = _LINE_STATES[op]
+            job = jobs.get(digest)
+            if job is None:
+                job = jobs[digest] = PendingJob(None, digest, 0, state)
+            job.last_state = state
+            agent = entry.get("agent")
+            lease = entry.get("lease_seconds")
+            leased = op == "leased" and isinstance(agent, str) and agent
+            job.agent = agent if leased else None
+            job.lease_seconds = (
+                float(lease) if leased and isinstance(lease, (int, float))
+                else None
+            )
             if op == "queued":
                 plan = entry.get("plan")
-                plans[digest] = plan if isinstance(plan, dict) else None
+                if isinstance(plan, dict):
+                    job.plan_doc = plan
+                try:
+                    job.priority = int(entry.get("priority", 0))
+                except (TypeError, ValueError):
+                    job.priority = 0
+                tenant = entry.get("tenant")
+                job.tenant = (
+                    tenant if isinstance(tenant, str) and tenant else None
+                )
+                owners[digest] = job.tenant or ANONYMOUS_TENANT
+                counter = "submitted"
+            elif state in TERMINAL_STATES:
+                counter = state
+            else:
+                continue
+            counts = tenants.setdefault(
+                owners.get(digest, ANONYMOUS_TENANT),
+                dict.fromkeys(("submitted", *TERMINAL_STATES), 0))
+            counts[counter] += 1
+        return jobs, tenants
+
+    @staticmethod
+    def pending_jobs(entries: Iterable[dict[str, Any]]) -> list[PendingJob]:
+        """The jobs a restart must re-queue, in first-seen order.
+
+        Those :meth:`fold` leaves in a non-terminal state with a plan
+        document to rebuild them from -- the service died before they
+        finished.  A job whose last line was a ``leased`` one carries
+        its lease holder.
+        """
+        jobs, _ = JobJournal.fold(entries)
         return [
-            (digest, plans.get(digest))
-            for digest in order
-            if last_state[digest] in _RECOVERABLE_STATES
+            job for job in jobs.values()
+            if job.last_state not in TERMINAL_STATES
+            and job.plan_doc is not None
         ]

@@ -11,12 +11,14 @@ and executes them on a bounded pool of workers:
   :func:`~repro.service.store.result_key`) is answered from the
   :class:`~repro.service.store.ResultStore` as a byte-identical cache
   hit, without re-running;
-* **lifecycle** -- ``queued -> running -> done | failed | cancelled``,
-  every transition published on the service's typed
-  :class:`~repro.events.EventBus`, recorded in the job's own event
-  log, and (when the service has a journal) appended to the
-  crash-consistent :class:`~repro.service.journal.JobJournal`, from
-  which a restarted service re-queues unfinished work;
+* **lifecycle** -- every change of a job's state is one row of
+  :data:`~repro.service.journal.TRANSITIONS`, applied by one lock-held
+  function: the row's events are recorded in the job's own event log
+  and published on the service's typed
+  :class:`~repro.events.EventBus`, and (when the service has a
+  journal) its lines are appended to the crash-consistent
+  :class:`~repro.service.journal.JobJournal`, from which a restarted
+  service re-queues unfinished work;
 * **execution back-ends** -- every claimed job runs through
   :func:`~repro.service.executor.execute_plan`, either directly on the
   worker thread (``backend="thread"``, the exactness-first default) or
@@ -39,6 +41,7 @@ the execution engine.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import itertools
 import threading
@@ -46,31 +49,17 @@ import time
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.events import (
-    AgentJoined,
-    AgentLost,
-    CacheHit,
-    Event,
-    EventBus,
-    JobCancelled,
-    JobCompleted,
-    JobFailed,
-    JobLeased,
-    JobQueued,
-    JobStarted,
-    LeaseExpired,
-)
+from repro.events import AgentJoined, AgentLost, Event, EventBus
 from repro.plans import EXECUTION_BACKENDS, RunPlan, plan_hash
 from repro.service import store as store_mod
 from repro.service.executor import execute_plan
-from repro.service.journal import JOURNAL_FILENAME, JobJournal
+from repro.service.journal import (
+    JOURNAL_FILENAME,
+    TERMINAL_STATES,
+    TRANSITIONS,
+    JobJournal,
+)
 from repro.service.store import ResultStore
-
-#: Job lifecycle states, in rough temporal order.
-JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
-
-#: States a submission can coalesce onto (dedup targets).
-_COALESCE_STATES = ("queued", "running", "done")
 
 #: Default lease term for agent-claimed jobs, in seconds.
 DEFAULT_LEASE_SECONDS = 15.0
@@ -120,6 +109,10 @@ class JobCancelledError(RuntimeError):
 class _Job:
     """Internal mutable job record (guarded by the service lock)."""
 
+    #: The lifecycle state: ``None`` until the job's first transition,
+    #: and changed only by :meth:`SearchService._transition`.
+    state: str | None = None
+
     def __init__(self, plan: RunPlan, digest: str, key: str, priority: int,
                  tenant: str | None = None):
         self.id = f"j-{digest[:12]}"
@@ -129,7 +122,6 @@ class _Job:
         self.result_key = key
         self.priority = priority
         self.tenant = tenant
-        self.state = "queued"
         self.error: BaseException | None = None
         #: The result object: the live one a thread-backend run
         #: returned, the one decoded from an agent's upload, or the one
@@ -169,12 +161,6 @@ class _Job:
             "tenant": self.tenant,
         }
 
-    def release_lease(self) -> None:
-        """Clear lease fields (caller holds the service lock)."""
-        self.agent = None
-        self.lease_seconds = None
-        self.lease_deadline = None
-
 
 class _Agent:
     """Internal mutable agent record (guarded by the service lock)."""
@@ -198,6 +184,19 @@ class _Agent:
             "jobs": sorted(self.jobs),
             "restored": self.restored,
         }
+
+
+def _line_fields(line: str, job: _Job, agent: str) -> dict[str, Any]:
+    """The fields of ``job``'s journal line ``line`` beyond its op: a
+    ``queued`` line carries the submission, a lease line its agent."""
+    if line == "queued":
+        return {"priority": job.priority, "plan_doc": job.plan.to_dict(),
+                "tenant": job.tenant}
+    if line == "leased":
+        return {"agent": agent, "lease_seconds": job.lease_seconds}
+    if line == "lease-expired":
+        return {"agent": agent}
+    return {}
 
 
 class JobHandle:
@@ -230,7 +229,8 @@ class JobHandle:
 
     @property
     def state(self) -> str:
-        """Current lifecycle state (one of :data:`JOB_STATES`)."""
+        """Current lifecycle state (one of
+        :data:`~repro.service.journal.JOB_STATES`)."""
         return self._job.state
 
     @property
@@ -512,66 +512,26 @@ class SearchService:
             with self._lock:
                 if self._shutdown:
                     raise RuntimeError("service is shut down")
-                existing = self._by_hash.get(digest)
-                if existing is not None and existing.state in _COALESCE_STATES:
-                    return JobHandle(self, existing)
+                job = self._by_hash.get(digest)
+                if (job is not None
+                        and job.state not in TRANSITIONS["resubmit"].leaves):
+                    return JobHandle(self, job)  # coalesce
                 cached = (
                     self.store.get_bytes(key)
                     if self.cache_results and store_mod.is_cacheable(plan)
                     else None
                 )
+                if job is None:
+                    job = _Job(plan, digest, key, priority, tenant=tenant)
                 if cached is not None:
-                    job = existing
-                    if job is None:
-                        job = _Job(plan, digest, key, priority,
-                                   tenant=tenant)
-                        self._register(job)
-                    job.state = "done"
-                    job.cached = True
-                    job.result_bytes = cached
-                    job.result_encoded = store_mod.EncodedResult(cached)
-                    job.result_obj = None
-                    job.error = None
-                    job.done_event.set()
-                    self._journal_record("done", job)
-                    to_publish = self._record(job, [
-                        CacheHit(
-                            job.id, "identical plan already solved; "
-                            "returning stored result", plan_hash=digest),
-                        JobCompleted(
-                            job.id, "served from the result store",
-                            plan_hash=digest),
-                    ])
-                    return JobHandle(self, job)
-                if existing is not None:
-                    # cancelled / failed: resubmit re-queues the same
-                    # job; checkpoints written before cancellation make
-                    # the re-run a resume.  The job log entry lands
-                    # *before* the job becomes visible to workers, so
-                    # JobQueued always precedes JobStarted in it.
-                    job = existing
-                    job.state = "queued"
-                    job.priority = priority
-                    job.error = None
-                    if job.tenant is None:
-                        job.tenant = tenant
-                    job.cancel_event.clear()
-                    job.done_event.clear()
-                    self._journal_record("queued", job, with_plan=True)
-                    to_publish = self._record(job, [JobQueued(
-                        job.id, self._queued_message(
-                            "resubmitted; checkpointed shards will resume"),
-                        plan_hash=digest)])
-                    self._enqueue(job)
-                    return JobHandle(self, job)
-                job = _Job(plan, digest, key, priority, tenant=tenant)
-                self._register(job)
-                self._journal_record("queued", job, with_plan=True)
-                to_publish = self._record(job, [JobQueued(
-                    job.id,
-                    self._queued_message(f"queued at priority {priority}"),
-                    plan_hash=digest)])
-                self._enqueue(job)
+                    to_publish = self._transition(
+                        job, "cache-hit", cached=True, result_bytes=cached,
+                        encoded=store_mod.EncodedResult(cached))
+                elif job.state is None:
+                    to_publish = self._transition(job, "submit")
+                else:
+                    to_publish = self._transition(
+                        job, "resubmit", priority=priority, tenant=tenant)
                 return JobHandle(self, job)
         finally:
             for event in to_publish:
@@ -637,15 +597,18 @@ class SearchService:
         boundary, snapshotting first when checkpointing is configured
         (the worker then publishes :class:`~repro.events.JobCancelled`);
         ``figure8``, ``ablations`` and those sections of a ``report``
-        poll only before starting and otherwise run to completion.
-        Terminal jobs are left untouched.
+        poll only before starting and otherwise run to completion.  A
+        leased job whose lease expires before its agent reports ends
+        cancelled instead of re-queueing.  Terminal jobs are left
+        untouched.
         """
         handle = self.job(job_id)
         job = handle._job
         to_publish: list[Event] = []
         with self._lock:
             if job.state == "queued":
-                to_publish = self._cancel_queued(job, "cancelled while queued")
+                to_publish = self._transition(
+                    job, "cancel-queued", message="cancelled while queued")
             elif job.state == "running":
                 job.cancel_event.set()
         for event in to_publish:
@@ -732,25 +695,8 @@ class SearchService:
             heartbeat = job.plan.execution.heartbeat_seconds or min(
                 self.heartbeat_seconds, term / HEARTBEATS_PER_LEASE
             )
-            job.state = "running"
-            job.runs += 1
-            job.agent = agent_id
-            job.lease_seconds = float(term)
-            job.lease_deadline = now + float(term)
-            agent.jobs.add(job.id)
-            if self._journal is not None:
-                self._journal.record(
-                    "leased", job.plan_hash, job.id, agent=agent_id,
-                    lease_seconds=float(term),
-                )
-            to_publish = self._record(job, [
-                JobLeased(job.id,
-                          f"leased to agent {agent_id} for {term:g}s",
-                          plan_hash=job.plan_hash, agent=agent_id,
-                          lease_seconds=float(term)),
-                JobStarted(job.id, f"run {job.runs} started (agent "
-                           f"{agent_id})", plan_hash=job.plan_hash),
-            ])
+            to_publish = self._transition(
+                job, "claim", agent=agent_id, lease_seconds=float(term))
             descriptor = {
                 "job_id": job.id,
                 "plan": job.plan.to_dict(),
@@ -858,44 +804,25 @@ class SearchService:
                     outcome = "failed"
                     message = ("agent uploaded no decodable result: "
                                f"{type(exc).__name__}: {exc}")
-        to_publish: list[Event] = []
         with self._lock:
             job = self._require_lease(agent_id, job_id)
-            agent = self._agents.get(agent_id)
-            if agent is not None:
-                agent.last_seen = time.monotonic()
-                agent.jobs.discard(job_id)
-            job.release_lease()
+            self._agents[agent_id].last_seen = time.monotonic()
+            where = f" (agent {agent_id})"
             if outcome == "done":
-                to_publish = self._terminalize(
-                    job, "done",
-                    JobCompleted(job.id, f"completed (agent {agent_id})",
-                                 plan_hash=job.plan_hash),
-                    result_obj=result_obj,
-                    result_bytes=self._store_encoded(job, encoded),
-                    encoded=encoded,
-                )
+                to_publish = self._transition(
+                    job, "done", where=where, result_obj=result_obj,
+                    **self._stored(job, encoded))
             elif outcome == "failed":
-                error = RemoteJobError(
-                    message or "job failed on remote agent", agent=agent_id
-                )
-                to_publish = self._terminalize(
-                    job, "failed",
-                    JobFailed(job.id, f"{message or 'remote failure'} "
-                              f"(agent {agent_id})",
-                              plan_hash=job.plan_hash),
-                    error=error,
-                )
+                to_publish = self._transition(
+                    job, "failed", where=where,
+                    message=message or "remote failure",
+                    error=RemoteJobError(
+                        message or "job failed on remote agent",
+                        agent=agent_id))
             else:
-                to_publish = self._terminalize(
-                    job, "cancelled",
-                    JobCancelled(
-                        job.id,
-                        f"cancelled after {completed} completed unit(s) on "
-                        f"agent {agent_id}; checkpoints (if configured) "
-                        "preserved",
-                        plan_hash=job.plan_hash),
-                )
+                to_publish = self._transition(
+                    job, "cancelled", completed=completed,
+                    where=f" on agent {agent_id}")
             info = job.info()
         for event in to_publish:
             self.bus.publish(event)
@@ -933,53 +860,31 @@ class SearchService:
                     reason: str) -> list[Event]:
         """Forget one agent and expire its leases (lock held); returns
         ``AgentLost(message)`` then each lease's events, to publish."""
-        del self._agents[agent.id]
         events: list[Event] = [AgentLost(agent.id, message, name=agent.name)]
         for job_id in sorted(agent.jobs):
-            job = self._jobs.get(job_id)
-            if job is not None and job.agent == agent.id:
-                events.extend(self._expire_lease(job, reason))
-        agent.jobs.clear()
+            events.extend(self._lease_lost(self._jobs[job_id], reason))
+        del self._agents[agent.id]
         return events
 
-    def _cancel_queued(self, job: _Job, message: str) -> list[Event]:
-        """Cancel one queued job (lock held); returns its
-        ``JobCancelled(message)``, to publish after the lock drops."""
-        job.state = "cancelled"
-        job.cancel_event.set()
-        job.done_event.set()
-        self._journal_record("cancelled", job)
-        return self._record(job, [JobCancelled(
-            job.id, message, plan_hash=job.plan_hash)])
+    def _lease_lost(self, job: _Job, reason: str) -> list[Event]:
+        """Take back a lease no upload ended (lock held); returns the
+        events to publish.
 
-    def _expire_lease(self, job: _Job, reason: str) -> list[Event]:
-        """Reclaim one lease and re-queue its job (lock held).
-
-        Returns the events to publish after the lock drops.  The job
-        goes back to ``queued`` (journaled ``lease-expired`` then
-        ``queued``), so the next claimant -- another agent, or a local
-        worker once no live agents remain -- resumes it from its
-        per-hash checkpoint.
+        The job re-queues, so the next claimant -- another agent, or a
+        local worker once no live agents remain -- resumes it from its
+        per-hash checkpoint.  A cancel request or a shutdown that came
+        first ends it cancelled instead.
         """
-        agent_id = job.agent or ""
-        job.release_lease()
-        job.state = "queued"
-        if self._journal is not None:
-            self._journal.record(
-                "lease-expired", job.plan_hash, job.id, agent=agent_id
-            )
-        self._journal_record("queued", job, with_plan=True)
-        events = self._record(job, [
-            LeaseExpired(job.id,
-                         f"lease held by agent {agent_id} expired: {reason}",
-                         plan_hash=job.plan_hash, agent=agent_id),
-            JobQueued(job.id,
-                      f"lease expired; re-queued to resume from its "
-                      f"checkpoint (was agent {agent_id})",
-                      plan_hash=job.plan_hash),
-        ])
-        self._enqueue(job)
-        return events
+        if job.cancel_event.is_set():
+            return self._transition(
+                job, "expire-cancelled", reason=reason,
+                message="cancelled: the lease expired before the agent "
+                        "acknowledged the cancel request")
+        if self._shutdown:
+            return self._transition(
+                job, "expire-cancelled", reason=reason,
+                message="service shut down while queued")
+        return self._transition(job, "expire", reason=reason)
 
     def _ensure_monitor(self) -> None:
         """Start the lease/liveness monitor thread (idempotent)."""
@@ -1015,10 +920,7 @@ class SearchService:
                 if (job.state == "running" and job.agent is not None
                         and job.lease_deadline is not None
                         and job.lease_deadline < now):
-                    agent = self._agents.get(job.agent)
-                    if agent is not None:
-                        agent.jobs.discard(job.id)
-                    to_publish.extend(self._expire_lease(
+                    to_publish.extend(self._lease_lost(
                         job, "no heartbeat within the lease term"))
             if to_publish:
                 # Re-queued work may need the local workers.
@@ -1029,8 +931,10 @@ class SearchService:
     def shutdown(self, wait: bool = True, cancel_running: bool = False) -> None:
         """Stop accepting work and wind the worker pool down.
 
-        Queued jobs are cancelled.  Running jobs finish normally unless
-        ``cancel_running`` asks them to stop cooperatively.  With
+        Queued jobs are cancelled, and so is a leased job whose lease
+        expires later: no job is queued after shutdown.  Running jobs
+        finish normally unless ``cancel_running`` asks them to stop
+        cooperatively.  With
         ``wait`` the call joins every worker thread (and the lease
         monitor, when one started).
         """
@@ -1044,8 +948,9 @@ class SearchService:
             while self._queue:
                 _, _, job = heapq.heappop(self._queue)
                 if job.state == "queued":
-                    to_publish.extend(self._cancel_queued(
-                        job, "service shut down while queued"))
+                    to_publish.extend(self._transition(
+                        job, "cancel-queued",
+                        message="service shut down while queued"))
             if cancel_running:
                 for job in self._jobs.values():
                     if job.state == "running":
@@ -1080,9 +985,80 @@ class SearchService:
 
     # -- internals -----------------------------------------------------------
 
-    def _register(self, job: _Job) -> None:
-        self._jobs[job.id] = job
-        self._by_hash[job.plan_hash] = job
+    def _transition(self, job: _Job, op: str, **facts: Any) -> list[Event]:
+        """Apply the row ``op`` of
+        :data:`~repro.service.journal.TRANSITIONS` to ``job`` (caller
+        holds the lock); returns the events to publish once it drops.
+
+        Raises :class:`RuntimeError` when the row cannot leave the
+        job's state.  Otherwise the job leaves its state (a new job is
+        registered, a run's lease ends, a terminal job is re-armed) and
+        enters the row's: ``queued`` puts it on the queue, ``running``
+        counts a run and, given ``agent`` and ``lease_seconds``, leases
+        it, and a terminal state takes the result facts (``error``,
+        ``result_obj``, ``result_bytes``, ``encoded``, ``cached``) and
+        wakes the job's waiters last.  The row's journal lines and
+        events land in between, in the table's order; ``facts`` also
+        fill its message templates.
+        """
+        row = TRANSITIONS[op]
+        if job.state not in row.leaves:
+            raise RuntimeError(
+                f"job {job.id}: no {op!r} transition from {job.state!r}")
+        holder = job.agent
+        if holder is not None:
+            self._agents[holder].jobs.discard(job.id)
+            job.agent = job.lease_seconds = job.lease_deadline = None
+        if job.state is None:
+            self._jobs[job.id] = job
+            self._by_hash[job.plan_hash] = job
+        elif job.state in TERMINAL_STATES:
+            job.cancel_event.clear()
+            job.done_event.clear()
+        job.state = row.enters
+        if row.enters == "queued":
+            job.priority = facts.get("priority", job.priority)
+            if job.tenant is None:
+                job.tenant = facts.get("tenant")
+            job.error = None
+            self._enqueue(job)
+        elif row.enters == "running":
+            job.runs += 1
+            if "agent" in facts:
+                job.agent = facts["agent"]
+                job.lease_seconds = facts["lease_seconds"]
+                job.lease_deadline = time.monotonic() + job.lease_seconds
+                self._agents[job.agent].jobs.add(job.id)
+        else:
+            job.error = facts.get("error")
+            job.result_obj = facts.get("result_obj")
+            job.result_bytes = facts.get("result_bytes")
+            job.result_encoded = facts.get("encoded")
+            job.cached = facts.get("cached", False)
+            if row.enters == "cancelled":
+                job.cancel_event.set()
+        agent = job.agent or holder or ""
+        if self._journal is not None:
+            for line in row.lines:
+                self._journal.record(line, job.plan_hash, job.id,
+                                     **_line_fields(line, job, agent))
+        names = {
+            "job": job, "plan_hash": job.plan_hash, "agent": agent,
+            "lease_seconds": job.lease_seconds, "where": "",
+            "recovered": (" (recovered from journal)" if self._recovering
+                          else ""),
+            **facts,
+        }
+        events = self._record(job, [
+            cls(job.id, template.format_map(names), **{
+                field.name: names[field.name]
+                for field in dataclasses.fields(cls)
+                if field.name not in ("scope", "message")})
+            for cls, template in row.events
+        ])
+        if row.enters in TERMINAL_STATES:
+            job.done_event.set()
+        return events
 
     def _enqueue(self, job: _Job) -> None:
         heapq.heappush(self._queue, (-job.priority, next(self._seq), job))
@@ -1143,25 +1119,6 @@ class SearchService:
             except Exception:  # noqa: BLE001 - listeners must not kill workers
                 pass
 
-    def _journal_record(
-        self, op: str, job: _Job, with_plan: bool = False
-    ) -> None:
-        """Append one journal transition (caller holds the lock)."""
-        if self._journal is None:
-            return
-        self._journal.record(
-            op, job.plan_hash, job.id,
-            priority=job.priority if with_plan else None,
-            plan_doc=job.plan.to_dict() if with_plan else None,
-            tenant=job.tenant if with_plan else None,
-        )
-
-    def _queued_message(self, base: str) -> str:
-        """The JobQueued message, marked during journal recovery."""
-        if self._recovering:
-            return f"{base} (recovered from journal)"
-        return base
-
     def _recover(self, pending: list) -> None:
         """Re-queue journal-recovered submissions (startup only).
 
@@ -1176,7 +1133,7 @@ class SearchService:
             for item in pending:
                 try:
                     plan = RunPlan.from_dict(item.plan_doc)
-                    if item.last_state == "leased" and item.agent:
+                    if item.agent:
                         handle = self._restore_lease(plan, item)
                     else:
                         handle = self.submit(plan, priority=item.priority,
@@ -1201,45 +1158,20 @@ class SearchService:
         over: the lease expires, the job re-queues, and it resumes
         elsewhere from its checkpoint.
         """
-        digest = plan_hash(plan)
-        key = store_mod.result_key(plan)
-        now = time.monotonic()
+        job = _Job(plan, plan_hash(plan), store_mod.result_key(plan),
+                   item.priority, tenant=item.tenant)
         term = (
             item.lease_seconds
             or plan.execution.lease_seconds
             or self.lease_seconds
         )
-        to_publish: list[Event] = []
         with self._lock:
-            job = _Job(plan, digest, key, item.priority, tenant=item.tenant)
-            self._register(job)
-            job.state = "running"
-            job.runs = 1
-            job.agent = item.agent
-            job.lease_seconds = float(term)
-            job.lease_deadline = now + float(term)
-            agent = self._agents.get(item.agent)
-            if agent is None:
-                agent = _Agent(item.agent, item.agent, now)
+            if item.agent not in self._agents:
+                agent = _Agent(item.agent, item.agent, time.monotonic())
                 agent.restored = True
                 self._agents[item.agent] = agent
-            agent.jobs.add(job.id)
-            self._journal_record("queued", job, with_plan=True)
-            if self._journal is not None:
-                self._journal.record(
-                    "leased", job.plan_hash, job.id, agent=item.agent,
-                    lease_seconds=float(term),
-                )
-            to_publish = self._record(job, [
-                JobQueued(job.id, self._queued_message(
-                    "lease restored; awaiting the agent's heartbeat"),
-                    plan_hash=digest),
-                JobLeased(job.id,
-                          f"lease restored to agent {item.agent} from the "
-                          f"journal ({term:g}s grace)",
-                          plan_hash=digest, agent=item.agent,
-                          lease_seconds=float(term)),
-            ])
+            to_publish = self._transition(
+                job, "restore", agent=item.agent, lease_seconds=float(term))
         self._ensure_monitor()
         for event in to_publish:
             self.bus.publish(event)
@@ -1279,12 +1211,7 @@ class SearchService:
                     self._work_ready.wait()
                 if job is None:
                     return  # shutdown with nothing locally runnable
-                job.state = "running"
-                job.runs += 1
-                self._journal_record("running", job)
-                started = self._record(job, [JobStarted(
-                    job.id, f"run {job.runs} started",
-                    plan_hash=job.plan_hash)])
+                started = self._transition(job, "start")
             for event in started:
                 self.bus.publish(event)
             self._execute(job)
@@ -1310,15 +1237,10 @@ class SearchService:
                     store=self.store if self.cache_results else None,
                 )
         except SearchCancelled as exc:
-            self._finish(job, "cancelled", JobCancelled(
-                job.id,
-                f"cancelled after {exc.completed} completed unit(s); "
-                "checkpoints (if configured) preserved",
-                plan_hash=job.plan_hash))
+            self._finish(job, "cancelled", completed=exc.completed)
         except BaseException as exc:  # noqa: BLE001 -- workers must survive
-            self._finish(job, "failed", JobFailed(
-                job.id, f"{type(exc).__name__}: {exc}",
-                plan_hash=job.plan_hash), error=exc)
+            self._finish(job, "failed", error=exc,
+                         message=f"{type(exc).__name__}: {exc}")
         else:
             try:
                 # A process-backend worker encoded a cacheable result
@@ -1330,42 +1252,33 @@ class SearchService:
                 elif self.cache_results and store_mod.is_cacheable(job.plan):
                     encoded = store_mod.EncodedResult.of(
                         store_mod.encode_result(job.plan, result))
-                result_bytes = self._store_encoded(job, encoded)
+                stored = self._stored(job, encoded)
             except BaseException as exc:  # noqa: BLE001 - must terminate
                 # encode/put/decode failures (disk full, codec bug) must
                 # still land the job in a terminal state: leaving it
                 # 'running' would hang every waiter and kill the worker.
-                self._finish(job, "failed", JobFailed(
-                    job.id,
-                    f"result post-processing failed: "
-                    f"{type(exc).__name__}: {exc}",
-                    plan_hash=job.plan_hash), error=exc)
+                self._finish(job, "failed", error=exc, message=(
+                    "result post-processing failed: "
+                    f"{type(exc).__name__}: {exc}"))
             else:
-                self._finish(job, "done", JobCompleted(
-                    job.id, "completed", plan_hash=job.plan_hash),
-                    result_obj=None if result is encoded else result,
-                    result_bytes=result_bytes, encoded=encoded)
+                self._finish(job, "done",
+                             result_obj=None if result is encoded else result,
+                             **stored)
 
-    def _store_encoded(self, job: _Job,
-                       encoded: store_mod.EncodedResult | None
-                       ) -> bytes | None:
+    def _stored(self, job: _Job, encoded: store_mod.EncodedResult | None
+                ) -> dict[str, Any]:
         """Store an encoded result when the service caches results;
-        returns the stored bytes (``None`` when nothing was stored)."""
+        returns the ``result_bytes`` and ``encoded`` facts of its
+        ``done`` transition."""
         if encoded is None or not self.cache_results:
-            return None
-        return self.store.put(job.result_key, encoded.blob)
+            return {"encoded": encoded}
+        stored = self.store.put(job.result_key, encoded.blob)
+        # Decode from the bytes the store keeps, not a second copy.
+        return {"result_bytes": stored,
+                "encoded": store_mod.EncodedResult(stored, encoded.zeroed)}
 
-    def _finish(
-        self,
-        job: _Job,
-        state: str,
-        event: Event,
-        error: BaseException | None = None,
-        result_obj: Any = None,
-        result_bytes: bytes | None = None,
-        encoded: store_mod.EncodedResult | None = None,
-    ) -> None:
-        """Apply a terminal transition atomically, then publish it.
+    def _finish(self, job: _Job, op: str, **facts: Any) -> None:
+        """Apply a run's terminal transition, then publish its events.
 
         All job fields change under the service lock (so
         :meth:`JobHandle.info` snapshots are never torn), the journal
@@ -1373,47 +1286,9 @@ class SearchService:
         event only after the lock is released.
         """
         with self._lock:
-            events = self._terminalize(
-                job, state, event, error=error, result_obj=result_obj,
-                result_bytes=result_bytes, encoded=encoded,
-            )
+            events = self._transition(job, op, **facts)
         for item in events:
             self.bus.publish(item)
-
-    def _terminalize(
-        self,
-        job: _Job,
-        state: str,
-        event: Event,
-        error: BaseException | None = None,
-        result_obj: Any = None,
-        result_bytes: bytes | None = None,
-        encoded: store_mod.EncodedResult | None = None,
-    ) -> list[Event]:
-        """Land a terminal transition (caller holds the lock).
-
-        The lock-held core of :meth:`_finish`, shared with
-        :meth:`complete_job` so a remote completion can verify the
-        lease and apply the transition in one critical section (no
-        window for the monitor to expire the lease in between).
-        Returns the events for the caller to publish after unlocking.
-        """
-        job.state = state
-        job.error = error
-        job.result_obj = result_obj
-        job.result_bytes = (
-            result_bytes if result_bytes is not None else job.result_bytes
-        )
-        if encoded is not None and result_bytes is not None:
-            # Decode from the bytes the store keeps, not a second copy.
-            encoded = store_mod.EncodedResult(result_bytes, encoded.zeroed)
-        job.result_encoded = encoded
-        if state != "done":
-            job.result_obj = None
-        self._journal_record(state, job)
-        events = self._record(job, [event])
-        job.done_event.set()
-        return events
 
     def _job_checkpoint_dir(self, job: _Job) -> str | None:
         """Service-level checkpoint fallback, keyed by plan hash."""

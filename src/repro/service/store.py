@@ -537,8 +537,9 @@ def live_store_keys(entries: Iterable[dict[str, Any]]) -> frozenset[str]:
     """Store keys the journal's non-terminal jobs still reference.
 
     The GC refcount rule, computed from replayed
-    :class:`~repro.service.journal.JobJournal` entries: every job whose
-    last recorded transition is non-terminal contributes
+    :class:`~repro.service.journal.JobJournal` entries: every job
+    :meth:`~repro.service.journal.JobJournal.fold` leaves in a
+    non-terminal state contributes
 
     * its recorded plan hash and its :func:`result_key` (the entry a
       completed job will be answered from), and
@@ -550,15 +551,18 @@ def live_store_keys(entries: Iterable[dict[str, Any]]) -> frozenset[str]:
     process (e.g. a third-party component key) -- liveness errs toward
     keeping, never toward deleting an entry a recovering job needs.
     """
-    from repro.service.journal import JobJournal
+    from repro.service.journal import TERMINAL_STATES, JobJournal
 
     live: set[str] = set()
-    for digest, plan_doc in JobJournal.live_jobs(list(entries)):
-        live.add(digest)
-        if not isinstance(plan_doc, dict):
+    jobs, _ = JobJournal.fold(entries)
+    for job in jobs.values():
+        if job.last_state in TERMINAL_STATES:
+            continue
+        live.add(job.plan_hash)
+        if job.plan_doc is None:
             continue
         try:
-            plan = RunPlan.from_dict(plan_doc)
+            plan = RunPlan.from_dict(job.plan_doc)
         except Exception:  # noqa: BLE001 - conservative: keep the hash only
             continue
         try:

@@ -267,36 +267,15 @@ def tenant_accounting(
     """Per-tenant counters reduced from replayed journal entries.
 
     The journal records the admitting tenant on every ``queued`` line;
-    later state markers are attributed through their plan hash.  For
-    each tenant the reduction counts ``submitted`` (queued
-    transitions, resubmissions included) and terminal outcomes
-    (``done`` / ``failed`` / ``cancelled``).  Jobs with no recorded
-    tenant land under :data:`~repro.service.metrics.ANONYMOUS_TENANT`.
-    Survives crashes by construction: it reads the same journal the
-    service recovers from.
+    later lines are attributed through their plan hash.  For each
+    tenant the reduction counts ``submitted`` (``queued`` lines) and
+    terminal outcomes (``done`` / ``failed`` / ``cancelled``); jobs with
+    no recorded tenant land under
+    :data:`~repro.service.metrics.ANONYMOUS_TENANT`.  Survives crashes
+    by construction: it is the tenant side of
+    :meth:`~repro.service.journal.JobJournal.fold`, over the same
+    journal the service recovers from.
     """
-    from repro.service.metrics import ANONYMOUS_TENANT
+    from repro.service.journal import JobJournal
 
-    owner: dict[str, str] = {}
-    counts: dict[str, dict[str, int]] = {}
-
-    def bucket(tenant: str) -> dict[str, int]:
-        return counts.setdefault(tenant, {
-            "submitted": 0, "done": 0, "failed": 0, "cancelled": 0,
-        })
-
-    for entry in entries:
-        op = entry.get("op")
-        digest = entry.get("hash")
-        if not isinstance(digest, str):
-            continue
-        if op == "queued":
-            tenant = entry.get("tenant")
-            owner[digest] = (
-                tenant if isinstance(tenant, str) and tenant
-                else ANONYMOUS_TENANT
-            )
-            bucket(owner[digest])["submitted"] += 1
-        elif op in ("done", "failed", "cancelled"):
-            bucket(owner.get(digest, ANONYMOUS_TENANT))[op] += 1
-    return counts
+    return JobJournal.fold(entries)[1]

@@ -283,6 +283,13 @@ class TestRemovedSpellings:
         ("repro.service.pool", "WorkerPool.wait"),
         ("repro.service.pool", "WorkerPool.cancel"),
         ("repro.service.pool", "TaskHandle"),
+        ("repro.service.service", "SearchService._terminalize"),
+        ("repro.service.service", "SearchService._cancel_queued"),
+        ("repro.service.service", "SearchService._expire_lease"),
+        ("repro.service.service", "SearchService._journal_record"),
+        ("repro.service.service", "_COALESCE_STATES"),
+        ("repro.service.journal", "JobJournal.live_jobs"),
+        ("repro.service.journal", "_RECOVERABLE_STATES"),
     ])
     def test_removed_name_is_gone(self, module, name):
         owner = importlib.import_module(module)

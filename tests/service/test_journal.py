@@ -14,7 +14,7 @@ import pytest
 
 from repro.plans import RunPlan, ScenarioPlan, SearchPlan
 from repro.service import JobJournal, SearchService
-from repro.service.journal import PendingJob
+from repro.service.journal import TERMINAL_STATES, PendingJob
 from repro.service.service import JOURNAL_FILENAME
 
 
@@ -204,6 +204,13 @@ class TestTruncationProperty:
             journal.record("cancelled", "ccc", "j-ccc")
             journal.record("queued", "ccc", "j-ccc", priority=3,
                            plan_doc=plan)
+            # d: leased, then the lease expired after a cancel request.
+            journal.record("queued", "ddd", "j-ddd", priority=0,
+                           plan_doc=plan)
+            journal.record("leased", "ddd", "j-ddd", agent="agent-z",
+                           lease_seconds=1.0)
+            journal.record("lease-expired", "ddd", "j-ddd", agent="agent-z")
+            journal.record("cancelled", "ddd", "j-ddd")
         return path.read_bytes()
 
     def terminal_offsets(self, raw):
@@ -226,17 +233,19 @@ class TestTruncationProperty:
         for offset in range(len(full) + 1):
             cut_path.write_bytes(full[:offset])
             entries = JobJournal.replay(cut_path)  # must never raise
-            pending = JobJournal.pending_jobs(entries)
-            states = {p.plan_hash: p.last_state for p in pending}
+            jobs, _ = JobJournal.fold(entries)
+            states = {digest: job.last_state for digest, job in jobs.items()
+                      if job.last_state not in TERMINAL_STATES}
             for digest, end in terminal_at.items():
                 if offset >= end:
                     assert digest not in states, (
                         f"offset {offset}: terminal job {digest} "
                         f"resurrected as {states[digest]!r}")
+            pending = JobJournal.pending_jobs(entries)
+            assert [p.plan_hash for p in pending] == list(states)
             for item in pending:
                 assert item.plan_doc is not None
-                assert item.last_state in (
-                    "queued", "running", "leased", "lease-expired")
+                assert item.last_state in ("queued", "running")
         # Sanity: the *un*cut journal recovers exactly the open job.
         final = JobJournal.pending_jobs(JobJournal.replay(cut_path))
         assert [(p.plan_hash, p.priority) for p in final] == [("ccc", 3)]

@@ -24,6 +24,7 @@ from repro.service import (
     execute_plan,
 )
 from repro.service import store as store_mod
+from repro.service.journal import JOURNAL_FILENAME, JobJournal
 from repro.service.service import DEFAULT_LEASE_SECONDS
 
 
@@ -306,6 +307,48 @@ class TestExpiry:
             service.deregister_agent(agent_id)
             assert handle.wait(timeout=120) == "done"  # local takeover
             assert "LeaseExpired" in event_kinds(handle)
+
+
+class TestExpiryAfterCancelOrShutdown:
+    """A lease that expires after a cancel request or a shutdown ends
+    its job cancelled: the job is never queued again."""
+
+    def _claimed(self, service):
+        agent_id = service.register_agent(name="alpha")["agent_id"]
+        handle = service.submit(search_plan())
+        assert service.claim_job(agent_id)["job_id"] == handle.job_id
+        return agent_id, handle
+
+    def _ops(self, store):
+        return [e["op"] for e in JobJournal.replay(
+            store / JOURNAL_FILENAME)]
+
+    def test_cancel_wins_over_a_lease_expiry(self, tmp_path):
+        with SearchService(workers=1, store_dir=str(tmp_path)) as service:
+            agent_id, handle = self._claimed(service)
+            assert handle.cancel() == "running"
+            service.deregister_agent(agent_id)
+            assert handle.wait(timeout=10) == "cancelled"
+            assert event_kinds(handle)[-2:] == ["LeaseExpired",
+                                                "JobCancelled"]
+            assert handle.info()["runs"] == 1
+            assert self._ops(tmp_path)[-2:] == ["lease-expired",
+                                                "cancelled"]
+
+    @pytest.mark.parametrize("wait", [True, False])
+    def test_no_job_is_queued_after_shutdown(self, tmp_path, wait):
+        service = SearchService(workers=1, store_dir=str(tmp_path))
+        agent_id, handle = self._claimed(service)
+        service.shutdown(wait=wait)
+        service.deregister_agent(agent_id)
+        assert handle.wait(timeout=10) == "cancelled"
+        assert event_kinds(handle)[-2:] == ["LeaseExpired", "JobCancelled"]
+        assert handle.events()[-1].message == "service shut down while queued"
+        assert handle.info()["runs"] == 1
+        if not wait:  # a waiting shutdown has closed the journal
+            assert self._ops(tmp_path)[-2:] == ["lease-expired",
+                                                "cancelled"]
+            service._journal.close()
 
 
 class TestJournalLeaseRecovery:
