@@ -123,31 +123,40 @@ def landscape_seed(plan: RunPlan) -> int:
     return plan.search.seed
 
 
-def build_search(plan: RunPlan) -> Search:
-    """Build the single search a one-scenario plan describes.
+def check_single_search(scenario: ScenarioPlan) -> None:
+    """Raise :class:`ValueError` unless ``scenario`` is one search's.
 
-    The scenario must name exactly one dataset and one device, and
-    either one timing spec (an FNAS search) or none with
-    ``include_nas`` (the NAS baseline).  Everything is derived
-    deterministically from the plan, so any process builds the
-    identical search -- the property shard distribution rests on.
+    It must name exactly one dataset and one device, and either one
+    timing spec (an FNAS search) or none with ``include_nas`` (the NAS
+    baseline).
     """
-    scenario = plan.scenario
     if len(scenario.datasets) != 1 or len(scenario.devices) != 1:
         raise ValueError(
-            "build_search needs a single-scenario plan (one dataset, one "
-            f"device), got datasets={scenario.datasets} "
+            "a single search needs a single-scenario plan (one dataset, "
+            f"one device), got datasets={scenario.datasets} "
             f"devices={scenario.devices}"
         )
     if len(scenario.specs_ms) > 1:
         raise ValueError(
-            f"build_search builds one search; got specs {scenario.specs_ms}"
+            f"a single-scenario plan runs one search; got specs "
+            f"{scenario.specs_ms}"
         )
     if not scenario.specs_ms and not scenario.include_nas:
         raise ValueError(
             "a single-search scenario needs one timing spec (FNAS) or "
             "include_nas=True (the NAS baseline)"
         )
+
+
+def build_search(plan: RunPlan) -> Search:
+    """Build the single search a one-scenario plan describes.
+
+    The scenario must pass :func:`check_single_search`.  Everything is
+    derived deterministically from the plan, so any process builds the
+    identical search -- the property shard distribution rests on.
+    """
+    scenario = plan.scenario
+    check_single_search(scenario)
     search = plan.search
     config = get_config(scenario.datasets[0])
     space = SearchSpace.from_config(config)

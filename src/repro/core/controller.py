@@ -14,7 +14,7 @@ a time: for each layer, a filter-size token then a filter-count token
   inter-decision correlations, but it is fast, has few knobs, and makes
   convergence behaviour easy to verify in tests.
 
-Both share the :class:`Controller` protocol used by the search loops.
+Both share the :class:`Controller` protocol used by the search loop.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class Controller(Protocol):
     """Policy over token sequences, updatable from (sample, advantage).
 
     The batch methods are part of the protocol (every built-in
-    controller vectorizes them), but the search loops degrade
+    controller vectorizes them), but the search loop degrades
     gracefully: a legacy controller implementing only ``sample`` /
     ``update`` still works at any ``batch_size`` via the per-sample
     fallback in :mod:`repro.core.search`.
@@ -87,7 +87,7 @@ class Controller(Protocol):
         Returns the mean policy-gradient loss.  A single-sample batch
         is one :meth:`update` step up to rounding: the tabular
         controller's two paths differ in the last bit.  That is why the
-        search loops pick scalar or batched calls by the run's
+        search loop picks scalar or batched calls by the run's
         ``batch_size``, not by the size of the batch in hand.
         """
         ...

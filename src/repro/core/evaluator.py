@@ -66,7 +66,7 @@ def evaluate_many(
 ) -> list[EvaluationOutcome]:
     """Score a batch, via ``evaluate_batch`` when the evaluator has one.
 
-    The search loops call this so that any evaluator -- including
+    The search loop calls this so that any evaluator -- including
     third-party ones implementing only the single-candidate protocol --
     works on the batched path.
     """

@@ -1,7 +1,7 @@
-"""The search loops: plain NAS (baseline) and FNAS.
+"""The search loop, for plain NAS (baseline) and FNAS.
 
-Both drive the same controller/evaluator machinery; they differ exactly
-where the paper says they do (Figure 1 vs Figure 2):
+:meth:`Search._run` is the one loop; the two search kinds differ only
+in its hooks, exactly where the paper says they do (Figure 1 vs Figure 2):
 
 * :class:`NasSearch` -- Zoph-style accuracy-only search: every sampled
   child is trained, reward is the accuracy, the advantage is
@@ -15,8 +15,8 @@ Each trial is logged to a :class:`SearchResult` ledger that records both
 the simulated search cost (what Table 1's "Elapsed" column measures)
 and the outcome quality.
 
-Each search has one loop, which takes the trials ``batch_size`` at a
-time.  At ``batch_size=1`` (the default) it calls the controller's
+The loop takes the trials ``batch_size`` at a time.  At
+``batch_size=1`` (the default) it calls the controller's
 scalar ``sample`` and ``update`` -- sample, evaluate, update, one
 candidate at a time -- and reproduces the seed trajectories
 token-for-token.  At ``batch_size > 1`` each step samples a whole batch
@@ -26,12 +26,12 @@ latencies through the two-tier cache
 (:meth:`LatencyEstimator.estimate_batch`), evaluates survivors together
 (parallelisable via :class:`~repro.core.evaluator.ParallelEvaluator`)
 and applies one batched REINFORCE update.  Advantages within a batch
-are computed against the baseline value at the start of the batch --
+are computed against one reference taken at the start of the batch --
 every sample was drawn from the same policy, so this is standard batch
 REINFORCE -- and the ledger keeps one :class:`TrialRecord` per
 candidate in sample order, preserving trial-ledger semantics.
 
-Both loops are also **checkpointable**: ``run(...,
+The loop is also **checkpointable**: ``run(...,
 checkpoint_every=N, checkpoint_path=p)`` atomically snapshots the
 complete search state -- controller parameters and optimizer moments,
 the reward baseline, the RNG stream position, the trial ledger so far
@@ -60,7 +60,11 @@ from repro.core.controller import (
     ControllerBatch,
     LstmController,
 )
-from repro.core.evaluator import AccuracyEvaluator, evaluate_many
+from repro.core.evaluator import (
+    AccuracyEvaluator,
+    EvaluationOutcome,
+    evaluate_many,
+)
 from repro.core.reward import AccuracyBaseline, FnasReward
 from repro.core.search_space import SearchSpace
 from repro.latency.estimator import LatencyEstimate, LatencyEstimator
@@ -278,7 +282,7 @@ class _CheckpointPlan:
 class _RunControl:
     """Per-trial hook combining checkpointing and cooperative cancel.
 
-    Stands in for :class:`_CheckpointPlan` inside the sampling loops
+    Stands in for :class:`_CheckpointPlan` inside the search loop
     (same ``after`` protocol).  After every completed trial (batch) it
     first lets the checkpoint plan snapshot at its cadence, then
     consults ``should_stop``; a stop request forces a final snapshot
@@ -304,15 +308,22 @@ class _RunControl:
 
 
 class Search:
-    """Shared run / checkpoint / resume machinery of the search loops.
+    """The search loop and its run / checkpoint / resume machinery.
 
-    Subclasses provide the sampling loop ``_run(trials, rng,
-    batch_size, result, start, plan)``, a ledger name, and any
-    end-of-run finalisation; this base owns the driving logic so
-    checkpointing behaves identically for NAS and FNAS.
+    :meth:`_run` is the one loop, so NAS and FNAS batch, checkpoint and
+    resume alike.  Subclasses supply a ledger name, any end-of-run
+    finalisation and the loop's four hooks:
 
-    Attributes expected on subclasses: ``controller``, ``baseline`` and
-    ``latency_estimator`` (``None`` is fine for the last).
+    * ``_violation(estimate)`` -- the gate: eq. (1)'s violation reward
+      for a child priced out of the spec, or ``None`` to train it;
+    * ``_reference(outcomes)`` -- the batch's REINFORCE reference;
+    * ``_reward(accuracy, estimate, reference)`` -- a trained child's
+      reward as the ledger records it and as the controller is fed it;
+    * ``_tool_seconds()`` -- the simulated FNAS-tool cost per child.
+
+    Attributes expected on subclasses: ``space``, ``evaluator``,
+    ``controller``, ``baseline`` and ``latency_estimator`` (``None``
+    leaves every ledger latency ``None``).
     """
 
     #: Snapshot discriminator, overridden per subclass.
@@ -449,11 +460,61 @@ class Search:
             if should_stop():
                 raise SearchCancelled(start_index)
             control = _RunControl(plan, should_stop)
-        self._run(trials, rng, batch_size, result, start=start_index,
-                  plan=control)
+        self._run(trials, rng, batch_size, result, start_index, control)
         self._finalize(result)
         result.wall_seconds = wall_offset + (time.perf_counter() - started)
         return result
+
+    def _run(
+        self, trials: int, rng: np.random.Generator, batch_size: int,
+        result: SearchResult, start: int, plan: _CheckpointPlan | None,
+    ) -> None:
+        """Figure 2's loop, a batch at a time.
+
+        :meth:`_violation` partitions each priced batch: violators are
+        rewarded (negatively) untrained, survivors are trained together
+        -- so a :class:`~repro.core.evaluator.ParallelEvaluator` can fan
+        them across processes -- and rewarded by :meth:`_reward`.
+        """
+        estimator = self.latency_estimator
+        # Each distinct token row is decoded once per run.  The memo is
+        # not kept on ``space``: evaluators hold the space, and
+        # ``ParallelEvaluator`` pickles one per task.
+        decoded: dict[tuple, Architecture] = {}
+        index = start
+        while index < trials:
+            count = min(batch_size, trials - index)
+            batch = _sample_candidates(self.controller, rng, count,
+                                       batch_size)
+            keys = [tuple(sample.tokens) for sample in batch.samples]
+            architectures = [decoded.get(key) or decoded.setdefault(
+                key, self.space.decode(key)) for key in keys]
+            estimates = (estimator.estimate_batch(architectures)
+                         if estimator is not None else [None] * count)
+            tool_seconds = self._tool_seconds()
+            violations = [self._violation(e) for e in estimates]
+            survivors = [o for o, v in enumerate(violations) if v is None]
+            outcomes = evaluate_many(
+                self.evaluator, [architectures[o] for o in survivors])
+            outcome_of = dict(zip(survivors, outcomes))
+            reference = self._reference(outcomes)
+            advantages: list[float] = []
+            for offset, estimate in enumerate(estimates):
+                outcome = outcome_of.get(offset)
+                if outcome is None:
+                    reward = advantage = violations[offset]
+                else:
+                    reward, advantage = self._reward(
+                        outcome.accuracy, estimate, reference)
+                    self.baseline.update(outcome.accuracy)
+                advantages.append(advantage)
+                result.trials.append(_trial_record(
+                    index + offset, keys[offset], architectures[offset],
+                    estimate, outcome, reward, tool_seconds))
+            _update_candidates(self.controller, batch, advantages)
+            index += count
+            if plan is not None:
+                plan.after(index, rng, result)
 
     def _snapshot_payload(
         self,
@@ -507,7 +568,6 @@ class Search:
         """End-of-run hook (FNAS uses it for the min-latency fallback)."""
 
 
-
 def _sample_candidates(
     controller: Controller, rng: np.random.Generator, count: int,
     batch_size: int,
@@ -522,30 +582,36 @@ def _sample_candidates(
     )
 
 
-def _decode_candidates(
-    space: SearchSpace, batch: ControllerBatch,
-    decoded: dict[tuple, Architecture],
-) -> list[Architecture]:
-    """The batch's architectures, each distinct token row decoded once
-    per run (``decoded``).  The memo is not kept on ``space``: evaluators
-    hold the space, and ``ParallelEvaluator`` pickles one per task."""
-    keys = [tuple(sample.tokens) for sample in batch.samples]
-    return [decoded.get(key) or decoded.setdefault(key, space.decode(key))
-            for key in keys]
-
-
 def _update_candidates(
     controller: Controller, batch: ControllerBatch, advantages: list[float]
-) -> float:
-    """Apply the batch's REINFORCE update; returns the mean loss."""
+) -> None:
+    """Apply the batch's REINFORCE update."""
     updater = getattr(controller, "update_batch", None)
     if updater is not None and batch.cache is not None:
-        return updater(batch, advantages)
-    total = sum(
+        updater(batch, advantages)
+        return
+    for sample, advantage in zip(batch.samples, advantages):
         controller.update(sample, advantage)
-        for sample, advantage in zip(batch.samples, advantages)
+
+
+def _trial_record(
+    index: int, tokens: tuple[int, ...], architecture: Architecture,
+    estimate: LatencyEstimate | None, outcome: EvaluationOutcome | None,
+    reward: float, tool_seconds: float,
+) -> TrialRecord:
+    """One ledger entry; ``outcome`` is None for a child the gate pruned."""
+    trained = outcome is not None
+    return TrialRecord(
+        index=index,
+        tokens=tokens,
+        architecture=architecture,
+        latency_ms=None if estimate is None else estimate.ms,
+        accuracy=outcome.accuracy if trained else None,
+        reward=reward,
+        trained=trained,
+        sim_seconds=(tool_seconds + outcome.train_seconds if trained
+                     else tool_seconds),
     )
-    return total / len(batch)
 
 
 class NasSearch(Search):
@@ -575,59 +641,26 @@ class NasSearch(Search):
     def _result_name(self) -> str:
         return "nas"
 
-    def _run(
-        self,
-        trials: int,
-        rng: np.random.Generator,
-        batch_size: int,
-        result: SearchResult,
-        start: int = 0,
-        plan: _CheckpointPlan | None = None,
-    ) -> None:
-        """Batch REINFORCE: one controller update per sampled batch."""
-        index = start
-        decoded: dict[tuple, Architecture] = {}
-        while index < trials:
-            count = min(batch_size, trials - index)
-            batch = _sample_candidates(self.controller, rng, count,
-                                       batch_size)
-            architectures = _decode_candidates(self.space, batch, decoded)
-            outcomes = evaluate_many(self.evaluator, architectures)
-            accuracies = [o.accuracy for o in outcomes]
-            # All samples came from the same policy, so one shared
-            # reference is the standard batch REINFORCE baseline; before
-            # the EMA has seen anything, the batch mean substitutes.
-            reference = (
-                self.baseline.value if self.baseline.initialized
-                else float(np.mean(accuracies))
-            )
-            advantages = [a - reference for a in accuracies]
-            for accuracy in accuracies:
-                self.baseline.update(accuracy)
-            _update_candidates(self.controller, batch, advantages)
-            if self.latency_estimator is not None:
-                latencies = [
-                    e.ms
-                    for e in self.latency_estimator.estimate_batch(architectures)
-                ]
-            else:
-                latencies = [None] * count
-            for offset in range(count):
-                result.trials.append(
-                    TrialRecord(
-                        index=index + offset,
-                        tokens=tuple(batch.samples[offset].tokens),
-                        architecture=architectures[offset],
-                        latency_ms=latencies[offset],
-                        accuracy=accuracies[offset],
-                        reward=accuracies[offset],
-                        trained=True,
-                        sim_seconds=outcomes[offset].train_seconds,
-                    )
-                )
-            index += count
-            if plan is not None:
-                plan.after(index, rng, result)
+    def _violation(self, estimate: LatencyEstimate | None) -> None:
+        """NAS trains every child."""
+        return None
+
+    def _reference(self, outcomes: list[EvaluationOutcome]) -> float:
+        """The EMA baseline; before its first observation, the batch mean."""
+        if self.baseline.initialized:
+            return self.baseline.value
+        return float(np.mean([outcome.accuracy for outcome in outcomes]))
+
+    def _reward(
+        self, accuracy: float, estimate: LatencyEstimate | None,
+        reference: float,
+    ) -> tuple[float, float]:
+        """The ledger records ``A``; the controller is fed ``A - b``."""
+        return accuracy, accuracy - reference
+
+    def _tool_seconds(self) -> float:
+        """NAS runs no FNAS tool: a child costs its training alone."""
+        return 0.0
 
 
 class FnasSearch(Search):
@@ -680,12 +713,24 @@ class FnasSearch(Search):
             )
 
     def _finalize(self, result: SearchResult) -> None:
-        if self.min_latency_fallback and not any(
+        """Min-latency fallback: train the smallest child if it fits."""
+        if not self.min_latency_fallback or any(
             t.trained and t.latency_ms is not None
             and t.latency_ms <= self.required_latency_ms
             for t in result.trials
         ):
-            self._append_fallback_trial(result)
+            return
+        tokens = (0,) * self.space.num_decisions
+        architecture = self.space.decode(tokens)
+        estimate = self.latency_estimator.estimate(architecture)
+        if self._violation(estimate) is not None:
+            return  # the spec is unsatisfiable even by the smallest child
+        outcome = self.evaluator.evaluate(architecture)
+        reward, _ = self._reward(outcome.accuracy, estimate,
+                                 self.baseline.value)
+        result.trials.append(_trial_record(
+            len(result.trials), tokens, architecture, estimate, outcome,
+            reward, self._tool_seconds()))
 
     def _violation(self, estimate: LatencyEstimate) -> float | None:
         """Eq. (1)'s violation reward, or None when the child may train."""
@@ -701,94 +746,17 @@ class FnasSearch(Search):
             accuracy, estimate.ms, reference
         ).value
 
-    def _run(
-        self,
-        trials: int,
-        rng: np.random.Generator,
-        batch_size: int,
-        result: SearchResult,
-        start: int = 0,
-        plan: _CheckpointPlan | None = None,
-    ) -> None:
-        """Figure 2's loop, a batch at a time.
+    def _reference(self, outcomes: list[EvaluationOutcome]) -> float:
+        """The EMA baseline (0 before its first observation)."""
+        return self.baseline.value
 
-        :meth:`_violation` partitions each batch: violators are rewarded
-        (negatively) untrained, survivors are trained together -- so a
-        :class:`~repro.core.evaluator.ParallelEvaluator` can fan them
-        across processes -- and rewarded by :meth:`_satisfaction`.
-        """
-        index = start
-        decoded: dict[tuple, Architecture] = {}
-        while index < trials:
-            count = min(batch_size, trials - index)
-            batch = _sample_candidates(self.controller, rng, count,
-                                       batch_size)
-            architectures = _decode_candidates(self.space, batch, decoded)
-            estimates = self.latency_estimator.estimate_batch(architectures)
-            latency_cost = self.evaluator.latency_eval_seconds()
-            violations = [self._violation(e) for e in estimates]
-            survivors = [
-                offset for offset, violation in enumerate(violations)
-                if violation is None
-            ]
-            outcomes = evaluate_many(
-                self.evaluator, [architectures[o] for o in survivors]
-            )
-            outcome_of = dict(zip(survivors, outcomes))
-            reference = self.baseline.value
-            rewards: list[float] = []
-            records: list[TrialRecord] = []
-            for offset, estimate in enumerate(estimates):
-                sim_seconds = latency_cost
-                outcome = outcome_of.get(offset)
-                if outcome is None:
-                    reward = violations[offset]
-                    accuracy = None
-                else:
-                    accuracy = outcome.accuracy
-                    sim_seconds += outcome.train_seconds
-                    reward = self._satisfaction(accuracy, estimate, reference)
-                    self.baseline.update(accuracy)
-                rewards.append(reward)
-                records.append(
-                    TrialRecord(
-                        index=index + offset,
-                        tokens=tuple(batch.samples[offset].tokens),
-                        architecture=architectures[offset],
-                        latency_ms=estimate.ms,
-                        accuracy=accuracy,
-                        reward=reward,
-                        trained=outcome is not None,
-                        sim_seconds=sim_seconds,
-                    )
-                )
-            _update_candidates(self.controller, batch, rewards)
-            result.trials.extend(records)
-            index += count
-            if plan is not None:
-                plan.after(index, rng, result)
+    def _reward(
+        self, accuracy: float, estimate: LatencyEstimate, reference: float
+    ) -> tuple[float, float]:
+        """:meth:`_satisfaction`, recorded and fed alike."""
+        reward = self._satisfaction(accuracy, estimate, reference)
+        return reward, reward
 
-    def _append_fallback_trial(self, result: SearchResult) -> None:
-        """Train the smallest architecture if it meets the spec."""
-        tokens = [0] * self.space.num_decisions
-        architecture = self.space.decode(tokens)
-        estimate = self.latency_estimator.estimate(architecture)
-        if self._violation(estimate) is not None:
-            return  # the spec is unsatisfiable even by the smallest child
-        outcome = self.evaluator.evaluate(architecture)
-        reward = self._satisfaction(
-            outcome.accuracy, estimate, self.baseline.value
-        )
-        result.trials.append(
-            TrialRecord(
-                index=len(result.trials),
-                tokens=tuple(tokens),
-                architecture=architecture,
-                latency_ms=estimate.ms,
-                accuracy=outcome.accuracy,
-                reward=reward,
-                trained=True,
-                sim_seconds=(self.evaluator.latency_eval_seconds()
-                             + outcome.train_seconds),
-            )
-        )
+    def _tool_seconds(self) -> float:
+        """The simulated FNAS-tool cost of one latency estimate."""
+        return self.evaluator.latency_eval_seconds()

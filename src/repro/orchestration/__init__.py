@@ -2,7 +2,7 @@
 
 The layer that turns single search runs into durable fleets:
 
-* checkpoint/resume itself lives on the search loops
+* checkpoint/resume itself lives on the search loop
   (:meth:`repro.core.search.Search.resume`) with its serialization
   substrate in :mod:`repro.core.serialization`;
 * :mod:`repro.orchestration.shards` defines the unit of distribution --

@@ -44,7 +44,7 @@ from repro.plans import (
     plan_hash,
 )
 
-#: Shard kinds: the two search loops.
+#: Shard kinds: the two search kinds.
 NAS_KIND = "nas"
 FNAS_KIND = "fnas"
 
@@ -221,24 +221,10 @@ class ShardSpec:
     @classmethod
     def from_plan(cls, plan: RunPlan) -> "ShardSpec":
         """Build a spec from a single-search plan (:meth:`to_plan` inverse)."""
-        scenario = plan.scenario
-        if len(scenario.datasets) != 1 or len(scenario.devices) != 1:
-            raise ValueError(
-                "a shard wraps a single-scenario plan (one dataset, one "
-                f"device); got datasets={scenario.datasets} "
-                f"devices={scenario.devices}"
-            )
-        if len(scenario.specs_ms) > 1:
-            raise ValueError(
-                f"a shard runs one search; got specs {scenario.specs_ms}"
-            )
-        if not scenario.specs_ms and not scenario.include_nas:
-            raise ValueError(
-                "a single-search scenario needs one timing spec (FNAS) or "
-                "include_nas=True (the NAS baseline)"
-            )
-        from repro.api import landscape_seed
+        from repro.api import check_single_search, landscape_seed
 
+        scenario = plan.scenario
+        check_single_search(scenario)
         return cls(
             dataset=scenario.datasets[0],
             device=scenario.devices[0],

@@ -18,7 +18,9 @@ A :class:`JobJournal` is an append-only JSONL file of those lines:
 * ``lease-expired`` -- the coordinator took a lease back; carries the
   agent id;
 * ``running`` / ``done`` / ``failed`` / ``cancelled`` -- state-only
-  markers keyed by the job's plan hash.
+  markers keyed by the job's plan hash; a cache hit's ``done`` line
+  also carries the job's tenant, since its hash may have no ``queued``
+  line to name one.
 
 Appends are flushed line-by-line, so a SIGKILLed service loses at most
 the entry it was writing -- and JSONL tolerates exactly that failure
@@ -250,7 +252,8 @@ class JobJournal:
         ``queued`` entries must carry ``plan_doc`` and ``priority`` --
         they are what replay rebuilds submissions from (and may carry
         the admitting ``tenant``, which is what makes per-tenant
-        accounting crash-durable); ``leased`` entries must carry
+        accounting crash-durable, as does the ``tenant`` of a cache
+        hit's ``done`` entry); ``leased`` entries must carry
         ``agent`` (and should carry ``lease_seconds``) so a restarted
         coordinator can restore the lease; the other ops are state
         markers.
@@ -379,9 +382,11 @@ class JobJournal:
         per-tenant counters: ``submitted`` counts ``queued`` lines
         (submissions, resubmissions, lease re-queues and recoveries)
         and ``done`` / ``failed`` / ``cancelled`` the lines entering
-        those states, each under the tenant of its hash's latest
-        ``queued`` line (:data:`~repro.service.metrics.ANONYMOUS_TENANT`
-        when none named one).
+        those states.  A line that names a tenant (a ``queued`` line, or
+        a cache hit's ``done``) counts under it, any other under the
+        tenant of its hash's latest ``queued`` line
+        (:data:`~repro.service.metrics.ANONYMOUS_TENANT` when none named
+        one).
 
         Never raises on a line: the journal is replayed after crashes,
         so a line out of order still moves its job, and one missing a
@@ -403,6 +408,8 @@ class JobJournal:
             job.last_state = state
             agent = entry.get("agent")
             lease = entry.get("lease_seconds")
+            tenant = entry.get("tenant")
+            named = tenant if isinstance(tenant, str) and tenant else None
             leased = op == "leased" and isinstance(agent, str) and agent
             job.agent = agent if leased else None
             job.lease_seconds = (
@@ -417,18 +424,15 @@ class JobJournal:
                     job.priority = int(entry.get("priority", 0))
                 except (TypeError, ValueError):
                     job.priority = 0
-                tenant = entry.get("tenant")
-                job.tenant = (
-                    tenant if isinstance(tenant, str) and tenant else None
-                )
-                owners[digest] = job.tenant or ANONYMOUS_TENANT
+                job.tenant = named
+                owners[digest] = named or ANONYMOUS_TENANT
                 counter = "submitted"
             elif state in TERMINAL_STATES:
                 counter = state
             else:
                 continue
             counts = tenants.setdefault(
-                owners.get(digest, ANONYMOUS_TENANT),
+                named or owners.get(digest, ANONYMOUS_TENANT),
                 dict.fromkeys(("submitted", *TERMINAL_STATES), 0))
             counts[counter] += 1
         return jobs, tenants

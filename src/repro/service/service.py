@@ -144,6 +144,9 @@ class _Job:
         self.agent: str | None = None
         self.lease_seconds: float | None = None
         self.lease_deadline: float | None = None
+        #: The sequence number of the job's latest queue entry; its
+        #: earlier entries are stale.
+        self.queue_seq: int | None = None
 
     def info(self) -> dict[str, Any]:
         """JSON-compatible status summary (the HTTP ``/jobs`` shape)."""
@@ -186,9 +189,12 @@ class _Agent:
         }
 
 
-def _line_fields(line: str, job: _Job, agent: str) -> dict[str, Any]:
+def _line_fields(op: str, line: str, job: _Job,
+                 agent: str) -> dict[str, Any]:
     """The fields of ``job``'s journal line ``line`` beyond its op: a
-    ``queued`` line carries the submission, a lease line its agent."""
+    ``queued`` line carries the submission, a lease line its agent, and
+    a cache hit's ``done`` line the tenant it answered (a hash it may
+    never have queued)."""
     if line == "queued":
         return {"priority": job.priority, "plan_doc": job.plan.to_dict(),
                 "tenant": job.tenant}
@@ -196,6 +202,8 @@ def _line_fields(line: str, job: _Job, agent: str) -> dict[str, Any]:
         return {"agent": agent, "lease_seconds": job.lease_seconds}
     if line == "lease-expired":
         return {"agent": agent}
+    if op == "cache-hit":
+        return {"tenant": job.tenant}
     return {}
 
 
@@ -945,12 +953,10 @@ class SearchService:
             self._shutdown = True
             self._monitor_stop.set()
             monitor = self._monitor
-            while self._queue:
-                _, _, job = heapq.heappop(self._queue)
-                if job.state == "queued":
-                    to_publish.extend(self._transition(
-                        job, "cancel-queued",
-                        message="service shut down while queued"))
+            while (job := self._pop_queued()) is not None:
+                to_publish.extend(self._transition(
+                    job, "cancel-queued",
+                    message="service shut down while queued"))
             if cancel_running:
                 for job in self._jobs.values():
                     if job.state == "running":
@@ -1041,7 +1047,7 @@ class SearchService:
         if self._journal is not None:
             for line in row.lines:
                 self._journal.record(line, job.plan_hash, job.id,
-                                     **_line_fields(line, job, agent))
+                                     **_line_fields(op, line, job, agent))
         names = {
             "job": job, "plan_hash": job.plan_hash, "agent": agent,
             "lease_seconds": job.lease_seconds, "where": "",
@@ -1061,7 +1067,8 @@ class SearchService:
         return events
 
     def _enqueue(self, job: _Job) -> None:
-        heapq.heappush(self._queue, (-job.priority, next(self._seq), job))
+        job.queue_seq = next(self._seq)
+        heapq.heappush(self._queue, (-job.priority, job.queue_seq, job))
         self._work_ready.notify()
 
     def _record(self, job: _Job, events: list[Event]) -> list[Event]:
@@ -1188,12 +1195,14 @@ class SearchService:
     def _pop_queued(self) -> "_Job | None":
         """Pop the next queued job (lock held).
 
-        Stale heap entries (jobs cancelled while queued) are discarded
-        in passing.
+        Stale heap entries are discarded in passing: those of jobs no
+        longer queued, and every entry of a job but its latest (one
+        cancelled while queued and resubmitted is claimed at its
+        resubmission's priority and place, not its first's).
         """
         while self._queue:
-            job = heapq.heappop(self._queue)[2]
-            if job.state == "queued":
+            _, seq, job = heapq.heappop(self._queue)
+            if job.state == "queued" and seq == job.queue_seq:
                 return job
         return None
 

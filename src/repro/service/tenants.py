@@ -266,12 +266,12 @@ def tenant_accounting(
 ) -> dict[str, dict[str, int]]:
     """Per-tenant counters reduced from replayed journal entries.
 
-    The journal records the admitting tenant on every ``queued`` line;
-    later lines are attributed through their plan hash.  For each
-    tenant the reduction counts ``submitted`` (``queued`` lines) and
-    terminal outcomes (``done`` / ``failed`` / ``cancelled``); jobs with
-    no recorded tenant land under
-    :data:`~repro.service.metrics.ANONYMOUS_TENANT`.  Survives crashes
+    The journal records the admitting tenant on every ``queued`` line
+    and on a cache hit's ``done`` line; other lines are attributed
+    through their plan hash.  For each tenant the reduction counts
+    ``submitted`` (``queued`` lines) and terminal outcomes (``done`` /
+    ``failed`` / ``cancelled``); jobs with no recorded tenant land
+    under :data:`~repro.service.metrics.ANONYMOUS_TENANT`.  Survives crashes
     by construction: it is the tenant side of
     :meth:`~repro.service.journal.JobJournal.fold`, over the same
     journal the service recovers from.

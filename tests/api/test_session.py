@@ -290,6 +290,7 @@ class TestRemovedSpellings:
         ("repro.service.service", "_COALESCE_STATES"),
         ("repro.service.journal", "JobJournal.live_jobs"),
         ("repro.service.journal", "_RECOVERABLE_STATES"),
+        ("repro.core.search", "FnasSearch._append_fallback_trial"),
     ])
     def test_removed_name_is_gone(self, module, name):
         owner = importlib.import_module(module)

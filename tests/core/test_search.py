@@ -1,11 +1,11 @@
-"""Tests for the NAS / FNAS search loops."""
+"""Tests for the NAS / FNAS search loop."""
 
 import numpy as np
 import pytest
 
 from repro.core.controller import TabularController
 from repro.core.evaluator import SurrogateAccuracyEvaluator
-from repro.core.search import FnasSearch, NasSearch
+from repro.core.search import FnasSearch, NasSearch, Search
 from repro.core.search_space import SearchSpace
 from repro.configs import MNIST_CONFIG
 from repro.fpga.device import PYNQ_Z1
@@ -132,6 +132,46 @@ class TestFnasSearch:
         space, estimator, evaluator = setup
         search = FnasSearch(space, evaluator, estimator, 7.5)
         assert search.required_latency_ms == 7.5
+
+
+class TestOneLoop:
+    """NAS is the FNAS loop without the performance-model gate."""
+
+    def test_only_the_base_class_defines_the_loop(self):
+        from repro.experiments.energy_aware import EnergyAwareFnasSearch
+
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        kinds = set(subclasses(Search))
+        assert {NasSearch, FnasSearch, EnergyAwareFnasSearch} <= kinds
+        assert "_run" in vars(Search)
+        assert [k.__name__ for k in kinds if "_run" in vars(k)] == []
+
+    @pytest.mark.parametrize("batch_size", [1, 4])
+    def test_nas_without_an_estimator_trains_the_same_children(
+            self, setup, batch_size):
+        """Pricing only fills the ledger's latencies; nothing else moves."""
+        space, estimator, evaluator = setup
+
+        def trials(latency_estimator):
+            return NasSearch(
+                space, evaluator, latency_estimator=latency_estimator,
+            ).run(10, np.random.default_rng(7), batch_size=batch_size).trials
+
+        def facts(ledger):
+            return [(t.index, t.tokens, t.accuracy, t.reward, t.trained,
+                     t.sim_seconds) for t in ledger]
+
+        priced, unpriced = trials(estimator), trials(None)
+        assert facts(unpriced) == facts(priced)
+        assert all(t.latency_ms is None for t in unpriced)
+        assert all(t.latency_ms is not None for t in priced)
+        assert all(t.sim_seconds
+                   == evaluator.cost_model.train_seconds(t.architecture)
+                   for t in unpriced)  # no FNAS-tool time is charged
 
 
 class TestDecodeMemo:

@@ -20,6 +20,7 @@ per module.
 
 from __future__ import annotations
 
+import itertools
 import shutil
 import tempfile
 from dataclasses import dataclass
@@ -133,11 +134,13 @@ class JobLifecycle(RuleBasedStateMachine):
         self.counts: dict[str, dict[str, int]] = {}
         self.lines: list[tuple[str, str]] = []  # the journal's (op, hash)
         self.first_seen: dict[str, int] = {}  # hash -> its first line
-        # The service's queue: a hash per enqueue, in order.  Leaving
+        # The service's queue: an entry per enqueue, in order.  Leaving
         # the queue leaves the entry behind; it is skipped when popped,
-        # unless its job is queued again, which is then claimed at its
-        # first entry's place.
-        self.queue: list[str] = []
+        # and so is every entry of a job queued again but its latest,
+        # which is the place the job is claimed at.
+        self.queue: list[tuple[int, str]] = []
+        self.latest: dict[str, int] = {}  # hash -> its latest entry
+        self.entries = itertools.count()
         self.shut = False
         self.submitted: str | None = None  # hash this step submitted
         self.observed: dict[str, str] = {}
@@ -158,8 +161,9 @@ class JobLifecycle(RuleBasedStateMachine):
 
     # -- the model's bookkeeping ---------------------------------------------
 
-    def _line(self, op: str, digest: str) -> None:
-        """One journal line, and the tenant counter it moves."""
+    def _line(self, op: str, digest: str, tenant: str | None = None) -> None:
+        """One journal line, and the tenant counter it moves: that of
+        the ``tenant`` the line names, else its hash's latest owner."""
         self.lines.append((op, digest))
         self.first_seen.setdefault(digest, len(self.lines))
         if op == "queued":
@@ -170,20 +174,23 @@ class JobLifecycle(RuleBasedStateMachine):
         else:
             return
         counts = self.counts.setdefault(
-            self.owners.get(digest, "anonymous"),
+            tenant or self.owners.get(digest, "anonymous"),
             dict.fromkeys(("submitted", *TERMINAL_STATES), 0))
         counts[counter] += 1
 
     def _queue(self, digest: str) -> None:
         job = self.jobs[digest]
         job.state, job.holder, job.cancel_requested = "queued", None, False
-        self.queue.append(digest)
+        self.latest[digest] = next(self.entries)
+        self.queue.append((self.latest[digest], digest))
         self._line("queued", digest)
 
     def _pop_queued(self) -> str | None:
         while self.queue:
-            digest = self.queue.pop(0)
-            if self.jobs.get(digest) and self.jobs[digest].state == "queued":
+            entry, digest = self.queue.pop(0)
+            job = self.jobs.get(digest)
+            if (job and job.state == "queued"
+                    and entry == self.latest[digest]):
                 return digest
         return None
 
@@ -193,11 +200,12 @@ class JobLifecycle(RuleBasedStateMachine):
         job.runs += 1
         self._line("leased", digest)
 
-    def _end(self, digest: str, state: str) -> None:
+    def _end(self, digest: str, state: str, cache_hit: bool = False) -> None:
+        """A run ends; a cache hit's ``done`` line names the job's tenant."""
         job = self.jobs[digest]
         job.state, job.holder, job.cancel_requested = state, None, False
         job.terminals += 1
-        self._line(state, digest)
+        self._line(state, digest, job.tenant if cache_hit else None)
 
     def _held(self, agent: str | None = None) -> list[str]:
         return sorted(digest for digest, job in self.jobs.items()
@@ -225,7 +233,7 @@ class JobLifecycle(RuleBasedStateMachine):
             job = self.jobs[digest] = ModelJob(
                 handle.job_id, seed, tenant, state="")
         if seed in self.stored:
-            self._end(digest, "done")
+            self._end(digest, "done", cache_hit=True)
             assert handle.cached
         else:
             job.tenant = job.tenant or tenant
@@ -365,7 +373,7 @@ class JobLifecycle(RuleBasedStateMachine):
                 self._line("queued", digest)
                 self._lease(digest, holder)
             elif job.seed in self.stored:
-                self._end(digest, "done")
+                self._end(digest, "done", cache_hit=True)
             else:
                 self._queue(digest)
         self.agents = {job.holder for job in self.jobs.values()

@@ -122,6 +122,24 @@ class TestClaiming:
             service.complete_job(agent_id, handle.job_id, "failed",
                                  message="test teardown")
 
+    def test_a_resubmitted_job_is_claimed_at_its_latest_priority(self):
+        # A job cancelled while queued leaves its heap entry behind; once
+        # resubmitted it must queue at the new priority, not the old one.
+        with SearchService(workers=1) as service:
+            agent_id = service.register_agent(name="alpha")["agent_id"]
+            first = service.submit(search_plan(seed=1), priority=5)
+            service.cancel(first.job_id)
+            second = service.submit(search_plan(seed=2), priority=1)
+            again = service.submit(search_plan(seed=1), priority=0)
+            assert again.job_id == first.job_id
+            claims = [service.claim_job(agent_id)["job_id"]
+                      for _ in range(2)]
+            assert claims == [second.job_id, first.job_id]
+            assert service.claim_job(agent_id) is None
+            for job_id in claims:
+                service.complete_job(agent_id, job_id, "failed",
+                                     message="test teardown")
+
     def test_zero_agents_degrades_to_local_execution(self):
         with SearchService(workers=1) as service:
             handle = service.submit(search_plan())

@@ -1,10 +1,17 @@
 """Tenant registry, quotas, fair-share weighting, and accounting."""
 
+import dataclasses
 import json
 
 import pytest
 
-from repro.plans import RunPlan, ScenarioPlan, SearchPlan, plan_hash
+from repro.plans import (
+    ExecutionPolicy,
+    RunPlan,
+    ScenarioPlan,
+    SearchPlan,
+    plan_hash,
+)
 from repro.service.journal import JobJournal
 from repro.service.service import SearchService
 from repro.service.tenants import (
@@ -230,3 +237,25 @@ class TestJournalAccounting:
         assert counts["acme"]["done"] == 1
         assert counts["beta"]["cancelled"] == 1
         assert counts["anonymous"]["submitted"] == 1
+
+    def test_a_cache_hit_is_booked_under_its_tenant(self, tmp_path):
+        # The second plan shares the first's result key but not its plan
+        # hash, so its one journal line is a cache hit's ``done``.
+        store = tmp_path / "store"
+        plan = search_plan(seed=4)
+        variant = dataclasses.replace(
+            plan, execution=ExecutionPolicy(eval_workers=2))
+        assert plan_hash(variant) != plan_hash(plan)
+        service = SearchService(workers=1, store_dir=str(store))
+        try:
+            first = service.submit(plan, tenant="acme")
+            assert first.wait(timeout=120) == "done"
+            assert service.submit(variant, tenant="acme").info()["cached"]
+        finally:
+            service.shutdown(wait=True)
+        entries = JobJournal.replay(store / "journal.jsonl")
+        assert [(e["op"], e.get("tenant")) for e in entries] == [
+            ("queued", "acme"), ("running", None), ("done", None),
+            ("done", "acme")]
+        assert tenant_accounting(entries) == {"acme": {
+            "submitted": 1, "done": 2, "failed": 0, "cancelled": 0}}
